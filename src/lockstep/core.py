@@ -93,17 +93,23 @@ class Clause:
     """A finite multiset of ground literals.
 
     Literals are stored sorted by their rendered text, which makes equality
-    and hashing multiset equality regardless of input order. The empty
-    clause prints as ⊥ and is only ever produced by inference, never parsed.
+    and hashing multiset equality regardless of input order. Every copy is
+    kept: ``literals``, ``text``, equality, hashing, ``count``,
+    ``without_one`` and ``extended`` all see the full multiset. Truth is
+    evaluated over ``distinct`` instead, the literals without repeats,
+    because extra copies cannot change a clause's truth value; that tuple is
+    built on first use. The empty clause prints as ⊥ and is only ever
+    produced by inference, never parsed.
     """
 
-    __slots__ = ("literals", "text", "_hash")
+    __slots__ = ("literals", "text", "_hash", "_distinct")
 
     def __init__(self, literals: Iterable[Literal] = ()):
         lits = tuple(sorted(literals, key=lambda l: l.text))
         self.literals = lits
         self.text = " | ".join(l.text for l in lits) if lits else "⊥"
         self._hash = hash(self.text)
+        self._distinct: Optional[Tuple[Literal, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Clause) and self.text == other.text
@@ -123,6 +129,14 @@ class Clause:
     @property
     def is_empty(self) -> bool:
         return not self.literals
+
+    @property
+    def distinct(self) -> Tuple[Literal, ...]:
+        """The literals with repeats removed, in ``literals`` order."""
+        d = self._distinct
+        if d is None:
+            d = self._distinct = tuple(dict.fromkeys(self.literals))
+        return d
 
     def count(self, literal: Literal) -> int:
         return sum(1 for l in self.literals if l == literal)
@@ -211,7 +225,7 @@ def eval_herbrand(model: Set[Atom], clause: Clause) -> bool:
     """Herbrand evaluation: a positive literal holds when its atom is in the
     model, a negative literal when its atom is absent. The empty clause is
     false in every model."""
-    for l in clause.literals:
+    for l in clause.distinct:
         if l.positive:
             if l.atom in model:
                 return True
@@ -227,7 +241,7 @@ def status_under_assignment(assignment: Mapping[Atom, bool], clause: Clause) -> 
     UNDEFINED otherwise (some literal's atom unassigned, none satisfied).
     """
     undefined = False
-    for l in clause.literals:
+    for l in clause.distinct:
         val = assignment.get(l.atom)
         if val is None:
             undefined = True
@@ -279,7 +293,6 @@ class Problem:
     clauses: ClauseSet
     ordering: OrderingConfig
     symbol_arities: Mapping[str, int]
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def atom_universe(self) -> Set[Atom]:

@@ -15,6 +15,9 @@ problem's atom universe so the strategy loops never re-run the structural
 comparison; it also materializes the trail bound as a fresh sentinel atom
 that compares above every problem atom (precedence alone cannot express that
 under KBO, where a light nullary symbol would sink below heavier atoms).
+Maximal-literal queries (maximum, its multiplicity, maximality and strict
+maximality) are answered from the cached descending rank key of the clause,
+so they never rescan a clause's copies.
 """
 
 from __future__ import annotations
@@ -275,6 +278,11 @@ class ProblemOrder:
     atom rank and adds one for negation, so literal comparison is integer
     comparison. A clause key is its descending literal-rank tuple, making
     Python's tuple order exactly the multiset extension.
+
+    Keys are cached per clause, and the maximal-literal queries read them:
+    the maximum is the key's first rank, its multiplicity the length of the
+    leading run, and a literal is strictly maximal when it heads the key
+    alone. A rank-to-literal table turns the first rank back into a literal.
     """
 
     def __init__(self, problem: Problem):
@@ -292,6 +300,10 @@ class ProblemOrder:
         self._atom_rank: Dict[Atom, int] = {a: i for i, a in enumerate(ranked)}
         self.beta: Atom = Atom(_fresh_beta_name(problem))
         self._atom_rank[self.beta] = len(ranked)
+        # literal rank -> literal, laid out as literal_rank numbers them
+        self._literal_of: Tuple[Literal, ...] = tuple(
+            Literal(a, positive) for a in ranked + [self.beta] for positive in (True, False)
+        )
         self._clause_key: Dict[Clause, Tuple[int, ...]] = {}
 
     # -- atoms ------------------------------------------------------------
@@ -312,9 +324,6 @@ class ProblemOrder:
 
     def literal_rank(self, literal: Literal) -> int:
         return 2 * self.atom_rank(literal.atom) + (0 if literal.positive else 1)
-
-    def literal_lt(self, l1: Literal, l2: Literal) -> bool:
-        return self.literal_rank(l1) < self.literal_rank(l2)
 
     # -- clauses -----------------------------------------------------------
 
@@ -347,32 +356,28 @@ class ProblemOrder:
         return sorted(clauses, key=self.clause_key)
 
     def max_literal(self, clause: Clause) -> Literal:
-        if clause.is_empty:
+        key = self.clause_key(clause)
+        if not key:
             raise ValueError("the empty clause has no maximal literal")
-        return max(clause.literals, key=self.literal_rank)
+        return self._literal_of[key[0]]
 
     def max_multiplicity(self, clause: Clause) -> int:
         """How often the maximal literal occurs in the clause."""
-        top = self.literal_rank(self.max_literal(clause))
-        return sum(1 for l in clause.literals if self.literal_rank(l) == top)
+        key = self.clause_key(clause)
+        if not key:
+            raise ValueError("the empty clause has no maximal literal")
+        return key.count(key[0])   # descending, so every copy is in the leading run
 
     def is_maximal_in(self, literal: Literal, clause: Clause) -> bool:
         r = self.literal_rank(literal)
-        return all(self.literal_rank(l) <= r for l in clause.literals)
+        key = self.clause_key(clause)
+        return not key or key[0] <= r
 
     def is_strictly_maximal_in(self, literal: Literal, clause: Clause) -> bool:
-        """No *other* occurrence in the clause is >= the literal."""
+        """The literal occurs once and no other occurrence is >= it."""
         r = self.literal_rank(literal)
-        seen_self = False
-        for l in clause.literals:
-            lr = self.literal_rank(l)
-            if lr > r:
-                return False
-            if lr == r:
-                if seen_self:
-                    return False
-                seen_self = True
-        return seen_self
+        key = self.clause_key(clause)
+        return bool(key) and key[0] == r and (len(key) == 1 or key[1] != r)
 
     def format_clause(self, clause: Clause) -> str:
         """Canonical display: literals descending under the active order."""

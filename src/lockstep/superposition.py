@@ -34,17 +34,16 @@ SUPERPOSITION_LEFT = "superposition_left"
 
 
 def sfac(clause: Clause, order: ProblemOrder) -> Clause:
-    """Exhaustive factoring: drop copies of the maximal literal while it is
-    positive and duplicated. Only the maximum is ever touched; duplicates of
-    smaller literals survive."""
-    c = clause
-    while not c.is_empty:
-        m = order.max_literal(c)
-        if m.positive and order.max_multiplicity(c) >= 2:
-            c = c.without_one(m)
-        else:
-            break
-    return c
+    """Exhaustive factoring: while the maximal literal is positive and
+    duplicated, drop a copy of it. Only the maximum is ever touched;
+    duplicates of smaller literals survive. All extra copies go in one pass,
+    which is the same clause the one-copy-at-a-time loop ends with."""
+    if clause.is_empty:
+        return clause
+    m = order.max_literal(clause)
+    if not m.positive or order.max_multiplicity(clause) < 2:
+        return clause
+    return Clause([l for l in clause.literals if l != m] + [m])
 
 
 def factoring_step(clause: Clause, order: ProblemOrder) -> Optional[Clause]:
@@ -225,10 +224,6 @@ class SupRun:
     outcome: str = CAP_EXCEEDED
     model: Optional[FrozenSet[Atom]] = None
 
-    def clause_set_at(self, index: int) -> Tuple[Clause, ...]:
-        """Clause set before step ``index`` (0 = the input set)."""
-        return self.snapshots[index].clauses
-
 
 def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
                max_steps: int = 10000) -> SupRun:
@@ -246,7 +241,7 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
 
     while True:
         construction = construct_model(current, order)
-        ordered = tuple(order.sorted_clauses(present))
+        ordered = tuple(e.clause for e in construction.entries)
         run.snapshots.append(SupSnapshot(clauses=ordered, construction=construction))
         if construction.minimal_false is None:
             run.outcome = SATISFIABLE

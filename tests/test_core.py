@@ -127,6 +127,48 @@ def test_total_assignment_status_matches_herbrand(clause, assignment):
     assert status_under_assignment(assignment, clause) == want
 
 
+# Few distinct literals, many copies: the shape saturation derives.
+_duplicated_clauses = st.lists(_literals, max_size=3).flatmap(
+    lambda base: st.lists(st.sampled_from(base), max_size=12) if base else st.just([])
+).map(Clause)
+_partial_assignments = st.dictionaries(st.sampled_from(_POOL), st.booleans())
+
+
+def _reference_herbrand(model, clause):
+    """Some copy holds: a direct loop over every literal occurrence."""
+    return any((l.atom in model) == l.positive for l in clause.literals)
+
+
+def _reference_status(assignment, clause):
+    values = [(assignment.get(l.atom), l.positive) for l in clause.literals]
+    if any(v is not None and v == positive for v, positive in values):
+        return ClauseStatus.TRUE
+    if any(v is None for v, _ in values):
+        return ClauseStatus.UNDEFINED
+    return ClauseStatus.FALSE
+
+
+@given(_duplicated_clauses, st.sets(st.sampled_from(_POOL)))
+def test_herbrand_evaluation_matches_a_loop_over_every_copy(clause, model):
+    assert eval_herbrand(model, clause) == _reference_herbrand(model, clause)
+
+
+@given(_duplicated_clauses, _partial_assignments)
+def test_status_matches_a_loop_over_every_copy(clause, assignment):
+    assert status_under_assignment(assignment, clause) == _reference_status(assignment, clause)
+
+
+def test_distinct_literals_leave_the_multiset_alone():
+    c = Clause([lit("P"), lit("-Q"), lit("P"), lit("P")])
+    assert c.distinct == (lit("-Q"), lit("P"))
+    assert len(c) == 4
+    assert c.count(lit("P")) == 3
+    assert c.text == "-Q | P | P | P"
+    assert c != Clause([lit("P"), lit("-Q")])
+    assert c.without_one(lit("P")) == Clause([lit("-Q"), lit("P"), lit("P")])
+    assert EMPTY_CLAUSE.distinct == ()
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

@@ -396,6 +396,61 @@ def test_max_literal_and_maximality():
         po.max_literal(EMPTY_CLAUSE)
 
 
+_KBO_DUP_TEXT = """\
+order: kbo
+prec: a < b < f < P < Q
+weights: default=1 Q=2
+clause: P(a) | P(b) | P(f(a)) | P(f(b)) | P(f(f(a))) | Q(a) | Q(b) | Q(f(a)) | Q(f(b)) | Q(f(f(a)))
+"""
+_KBO_DUP_ORDER = ProblemOrder(parse_problem(_KBO_DUP_TEXT))
+_kbo_dup_literals = st.builds(
+    Literal, st.sampled_from(_KBO_DUP_ORDER.atoms_ascending), st.booleans()
+)
+# Few distinct literals, many copies: the shape saturation derives.
+_kbo_dup_clauses = st.lists(_kbo_dup_literals, min_size=1, max_size=4).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=16)
+).map(Clause)
+
+
+def _scan_max(c, config):
+    best = c.literals[0]
+    for l in c.literals[1:]:
+        if compare_literals(l, best, config) == GREATER:
+            best = l
+    return best
+
+
+@given(_kbo_dup_clauses, _kbo_dup_literals)
+def test_key_based_max_queries_match_a_scan(c, probe):
+    po, cfg = _KBO_DUP_ORDER, _KBO_DUP_ORDER.config
+    top = _scan_max(c, cfg)
+    assert po.max_literal(c) == top
+    assert po.max_multiplicity(c) == sum(1 for l in c.literals if l == top)
+    for l in (probe, top, *c.literals):
+        not_below = [x for x in c.literals if compare_literals(x, l, cfg) != LESS]
+        assert po.is_maximal_in(l, c) == all(x == l for x in not_below)
+        assert po.is_strictly_maximal_in(l, c) == (not_below == [l])
+
+
+def test_key_based_max_queries_reject_foreign_atoms_and_the_empty_clause():
+    po = _KBO_DUP_ORDER
+    inside = Literal(po.atoms_ascending[0])
+    foreign = Literal(T("R", T("a")))
+    mixed = Clause([inside, inside, foreign])
+    for query in (po.max_literal, po.max_multiplicity):
+        with pytest.raises(ValueError):
+            query(mixed)
+        with pytest.raises(ValueError):
+            query(EMPTY_CLAUSE)
+    for query in (po.is_maximal_in, po.is_strictly_maximal_in):
+        with pytest.raises(ValueError):
+            query(foreign, Clause([inside]))
+        with pytest.raises(ValueError):
+            query(inside, mixed)
+    assert po.is_maximal_in(inside, EMPTY_CLAUSE)
+    assert not po.is_strictly_maximal_in(inside, EMPTY_CLAUSE)
+
+
 def test_rank_comparison_agrees_with_structural_comparison():
     p = parse_problem(
         "order: lpo\nprec: a < b < P < Q\n"

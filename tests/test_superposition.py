@@ -85,6 +85,21 @@ def test_sfac_collapses_repeated_copies_of_the_maximum():
     assert sfac(clause("Q", "Q", "Q", "-P"), po) == clause("Q", "-P")
 
 
+_pqr_literals = st.builds(Literal, st.sampled_from([Atom(n) for n in PQR]), st.booleans())
+_pqr_clauses = st.lists(_pqr_literals, min_size=1, max_size=3).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=10)
+).map(Clause)
+
+
+@given(_pqr_clauses)
+def test_sfac_equals_factoring_until_it_stops(c):
+    po = pqr_order([c])
+    want = c
+    while (reduced := factoring_step(want, po)) is not None:
+        want = reduced
+    assert sfac(c, po) == want
+
+
 def test_factoring_step():
     po = pqr_order([clause("P", "P", "-Q")])
     assert factoring_step(clause("Q", "Q", "P"), po) == clause("Q", "P")

@@ -36,8 +36,8 @@ SUPERPOSITION_LEFT = "superposition_left"
 def sfac(clause: Clause, order: ProblemOrder) -> Clause:
     """Exhaustive factoring: while the maximal literal is positive and
     duplicated, drop a copy of it. Only the maximum is ever touched;
-    duplicates of smaller literals survive. All extra copies go in one pass,
-    which is the same clause the one-copy-at-a-time loop ends with."""
+    duplicates of smaller literals survive. The extra copies all go in one
+    pass, giving the clause that repeated ``factoring_step`` ends with."""
     if clause.is_empty:
         return clause
     m = order.max_literal(clause)

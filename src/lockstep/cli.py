@@ -175,9 +175,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    report = fuzz_campaign(args.count, base_seed=args.seed,
-                           params=_gen_params(args),
-                           max_sequences=args.max_rounds)
+    try:
+        report = fuzz_campaign(args.count, base_seed=args.seed,
+                               params=_gen_params(args),
+                               max_sequences=args.max_rounds)
+    except ValueError as e:
+        raise CliError(e)
     if args.json:
         print(json.dumps({
             "total": report.total,

@@ -160,9 +160,6 @@ class Clause:
     def extended(self, literals: Iterable[Literal]) -> "Clause":
         return Clause(self.literals + tuple(literals))
 
-    def atoms(self) -> Set[Atom]:
-        return {l.atom for l in self.literals}
-
 
 EMPTY_CLAUSE = Clause(())
 
@@ -195,9 +192,6 @@ class ClauseSet:
         self._ids[clause] = cid
         self._clauses.append(clause)
         return cid
-
-    def id_of(self, clause: Clause) -> int:
-        return self._ids[clause]
 
     def by_id(self, cid: int) -> Clause:
         return self._clauses[cid]
@@ -251,11 +245,8 @@ def status_under_assignment(assignment: Mapping[Atom, bool], clause: Clause) -> 
 
 
 def atoms_of(clauses: Iterable[Clause]) -> Set[Atom]:
-    out: Set[Atom] = set()
-    for c in clauses:
-        for l in c.literals:
-            out.add(l.atom)
-    return out
+    """Every atom occurring in the clauses; repeated copies are read once."""
+    return {l.atom for c in clauses for l in c.distinct}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .core import (
     Literal,
     OrderingConfig,
     Problem,
+    atoms_of,
     eval_herbrand,
     print_problem,
 )
@@ -31,27 +32,8 @@ from .superposition import SATISFIABLE, UNSATISFIABLE
 MAX_ORACLE_ATOMS = 20
 
 
-def _universe(clauses: Iterable[Clause],
-              extra: Iterable[Clause] = ()) -> List[Atom]:
-    atoms = set()
-    for c in itertools.chain(clauses, extra):
-        for l in c.literals:
-            atoms.add(l.atom)
-    return sorted(atoms, key=lambda a: a.text)
-
-
-def _masks(clauses: Sequence[Clause], index) -> List[Tuple[int, int]]:
-    out = []
-    for c in clauses:
-        pos = neg = 0
-        for l in c.literals:
-            bit = 1 << index[l.atom]
-            if l.positive:
-                pos |= bit
-            else:
-                neg |= bit
-        out.append((pos, neg))
-    return out
+def _universe(clauses: Iterable[Clause]) -> List[Atom]:
+    return sorted(atoms_of(clauses), key=lambda a: a.text)
 
 
 def brute_force_sat(clauses: Iterable[Clause],
@@ -66,7 +48,16 @@ def brute_force_sat(clauses: Iterable[Clause],
             f"{len(atoms)} atoms exceed the brute-force cap of {MAX_ORACLE_ATOMS}"
         )
     index = {a: i for i, a in enumerate(atoms)}
-    sig = _masks(clauses, index)
+    sig = []                       # per clause: its positive and negative atom bits
+    for c in clauses:
+        pos = neg = 0
+        for l in c.distinct:
+            bit = 1 << index[l.atom]
+            if l.positive:
+                pos |= bit
+            else:
+                neg |= bit
+        sig.append((pos, neg))
     full = (1 << len(atoms)) - 1
     for mask in range(1 << len(atoms)):
         if all(mask & pos or neg & ~mask & full for pos, neg in sig):
@@ -76,23 +67,12 @@ def brute_force_sat(clauses: Iterable[Clause],
 
 def entails(premises: Iterable[Clause], conclusion: Clause) -> bool:
     """True when every total assignment satisfying the premises satisfies
-    the conclusion as well."""
-    premises = list(premises)
-    atoms = _universe(premises, [conclusion])
-    if len(atoms) > MAX_ORACLE_ATOMS:
-        raise ValueError(
-            f"{len(atoms)} atoms exceed the brute-force cap of {MAX_ORACLE_ATOMS}"
-        )
-    index = {a: i for i, a in enumerate(atoms)}
-    premise_sig = _masks(premises, index)
-    pos, neg = _masks([conclusion], index)[0]
-    full = (1 << len(atoms)) - 1
-    for mask in range(1 << len(atoms)):
-        if not all(mask & p or n & ~mask & full for p, n in premise_sig):
-            continue
-        if not (mask & pos or neg & ~mask & full):
-            return False
-    return True
+    the conclusion as well: the premises plus the unit complement of each
+    distinct conclusion literal have no model. An empty conclusion is
+    entailed only by unsatisfiable premises; a tautology by any. Raises
+    ValueError past MAX_ORACLE_ATOMS atoms, conclusion atoms included."""
+    negated = [Clause([l.complement()]) for l in conclusion.distinct]
+    return brute_force_sat(list(premises) + negated) is None
 
 
 def is_redundant(clauses: Iterable[Clause], clause: Clause,
@@ -127,8 +107,12 @@ def random_problem(params: GenParams) -> Problem:
 
     Clauses are multisets over a small constant-only atom pool; duplicate
     literals are allowed on purpose since they are what exercises factoring.
-    The ordering declaration is drawn from all three kinds.
+    The ordering declaration is drawn from all three kinds. A clause count
+    or maximum length below 1 raises ValueError.
     """
+    for name in ("clause_count", "max_len"):
+        if getattr(params, name) < 1:
+            raise ValueError(f"{name} must be at least 1, not {getattr(params, name)}")
     rng = random.Random(params.seed)
 
     pool: List[Atom] = []

@@ -200,11 +200,6 @@ class GammaMap:
         return "{" + inside + "}"
 
 
-def compare_clauses_gamma(c1: Clause, c2: Clause, gamma: GammaMap, config: OrderingConfig) -> int:
-    """Compare two clauses through their gamma images (may tie for distinct clauses)."""
-    return compare_clauses(gamma.resolve(c1), gamma.resolve(c2), config)
-
-
 def validate_ordering(problem: Problem) -> List[str]:
     """Check that the declared ordering is usable for this problem.
 
@@ -348,10 +343,6 @@ class ProblemOrder:
         """Sort key for the gamma-image order, tie-broken by the plain order."""
         return (self.clause_key(gamma.resolve(clause)), self.clause_key(clause))
 
-    def gamma_lt(self, c1: Clause, c2: Clause, gamma: GammaMap) -> bool:
-        """Strict gamma-image comparison (no tie-break): image strictly smaller."""
-        return self.clause_key(gamma.resolve(c1)) < self.clause_key(gamma.resolve(c2))
-
     def sorted_clauses(self, clauses: Iterable[Clause]) -> List[Clause]:
         return sorted(clauses, key=self.clause_key)
 
@@ -368,20 +359,8 @@ class ProblemOrder:
             raise ValueError("the empty clause has no maximal literal")
         return key.count(key[0])   # descending, so every copy is in the leading run
 
-    def is_maximal_in(self, literal: Literal, clause: Clause) -> bool:
-        r = self.literal_rank(literal)
-        key = self.clause_key(clause)
-        return not key or key[0] <= r
-
     def is_strictly_maximal_in(self, literal: Literal, clause: Clause) -> bool:
         """The literal occurs once and no other occurrence is >= it."""
         r = self.literal_rank(literal)
         key = self.clause_key(clause)
         return bool(key) and key[0] == r and (len(key) == 1 or key[1] != r)
-
-    def format_clause(self, clause: Clause) -> str:
-        """Canonical display: literals descending under the active order."""
-        if clause.is_empty:
-            return "⊥"
-        lits = sorted(clause.literals, key=self.literal_rank, reverse=True)
-        return " | ".join(l.text for l in lits)

@@ -30,6 +30,7 @@ from .core import (
     EMPTY_CLAUSE,
     Literal,
     Problem,
+    atoms_of,
     status_under_assignment,
 )
 from .ordering import ProblemOrder
@@ -97,14 +98,6 @@ def initial_state(problem: Problem, order: ProblemOrder) -> SclState:
 # ---------------------------------------------------------------------------
 
 
-def trail_value(state: SclState, literal: Literal) -> Optional[bool]:
-    """True/False if the trail defines the literal, None if undefined."""
-    for e in state.trail:
-        if e.literal.atom == literal.atom:
-            return e.literal.positive == literal.positive
-    return None
-
-
 def is_defined(state: SclState, atom: Atom) -> bool:
     return any(e.literal.atom == atom for e in state.trail)
 
@@ -116,17 +109,22 @@ def literal_level(state: SclState, literal: Literal) -> int:
     raise ValueError(f"literal {literal} is undefined on the trail")
 
 
-def conflict_candidates(state: SclState) -> List[Clause]:
-    """Clauses (input or learned) that the trail currently falsifies."""
+def conflict_candidates(state: SclState,
+                        assuming: Optional[Literal] = None) -> List[Clause]:
+    """Clauses (input or learned) that the trail falsifies, in state order.
+
+    With ``assuming``, the trail is read as if that literal were pushed on
+    top of it: the clauses returned are those a propagation or decision of
+    the literal would falsify. This is the one false-clause query; callers
+    wanting the smallest such clause take the minimum under the order.
+    """
     assignment = state.assignment()
+    if assuming is not None:
+        assignment[assuming.atom] = assuming.positive
     return [
         c for c in state.all_clauses()
         if status_under_assignment(assignment, c) == ClauseStatus.FALSE
     ]
-
-
-def occurring_atoms(state: SclState) -> set:
-    return {l.atom for c in state.all_clauses() for l in c.literals}
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
     """Guess ``literal`` and open level k+1. The atom must occur in the
     clauses and lie below the bound."""
     _need_no_conflict("decide", state)
-    if literal.atom not in occurring_atoms(state):
+    if literal.atom not in atoms_of(state.all_clauses()):
         raise RuleError("decide", "unknown-atom", f"{literal.atom} occurs in no clause")
     if is_defined(state, literal.atom):
         raise RuleError("decide", "literal-defined", f"{literal.atom} is already on the trail")

@@ -24,6 +24,7 @@ from .core import (
     EMPTY_CLAUSE,
     Literal,
     Problem,
+    atoms_of,
     status_under_assignment,
 )
 from .ordering import GammaMap, ProblemOrder
@@ -33,6 +34,7 @@ from .scl import (
     audit_regular,
     backtrack,
     conflict,
+    conflict_candidates,
     decide,
     initial_state,
     is_defined,
@@ -145,21 +147,6 @@ def filler_decisions(order: ProblemOrder, state: SclState,
     return out
 
 
-def _false_clauses(order: ProblemOrder, state: SclState,
-                   assuming: Optional[Literal] = None) -> List[Clause]:
-    """Clauses falsified by the trail, optionally extended by one literal,
-    smallest first."""
-    assignment = state.assignment()
-    if assuming is not None:
-        assignment[assuming.atom] = assuming.positive
-    out = [
-        c for c in state.all_clauses()
-        if status_under_assignment(assignment, c) == ClauseStatus.FALSE
-    ]
-    out.sort(key=order.clause_key)
-    return out
-
-
 class _Log:
     """Applies rules while recording every state and every application, so
     the whole run can be audited afterwards."""
@@ -241,10 +228,10 @@ def _round_no_conflict(log: _Log, ann: Annotation,
     if is_defined(log.state, top_lit.atom):
         raise SimulationError(f"attention clause {d} is false at its own turn")
 
-    false_after = _false_clauses(order, log.state, assuming=top_lit)
+    false_after = conflict_candidates(log.state, assuming=top_lit)
     if false_after:
         log.propagate(d, top_lit)
-        log.conflict(false_after[0])
+        log.conflict(min(false_after, key=order.clause_key))
         return "clash", Annotation(j, d, gamma)
     log.decide(top_lit)
     return "decide", Annotation(j, d, gamma)
@@ -333,21 +320,21 @@ def _round_conflict(log: _Log, ann: Annotation) -> Tuple[str, Annotation]:
         forced = lmax.complement()
         source = _producing_clause(order, log.state, ann.gamma, forced)
         log.propagate(source, forced)
-        false_now = _false_clauses(order, log.state)
+        false_now = conflict_candidates(log.state)
         if not false_now:
             raise SimulationError(
                 f"forcing {forced} from {source} exposed no conflict"
             )
-        log.conflict(false_now[0])
+        log.conflict(min(false_now, key=order.clause_key))
         return "learn_negative", Annotation(j, source, ann.gamma)
 
     # positive maximum: duplicate copies pair with factoring steps again
     gamma = ann.gamma.with_entry(learned, sfac(learned, order))
     j += order.max_multiplicity(learned) - 1
-    false_after = _false_clauses(order, log.state, assuming=lmax)
+    false_after = conflict_candidates(log.state, assuming=lmax)
     if false_after:
         log.propagate(learned, lmax)
-        log.conflict(false_after[0])
+        log.conflict(min(false_after, key=order.clause_key))
         return "learn_propagate", Annotation(j, learned, gamma)
     log.decide(lmax)
     return "learn_decide", Annotation(j, learned, gamma)
@@ -466,10 +453,10 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     image = ann.gamma.resolve(ann.aid)
 
     # (i) every atom the state mentions comes from the input signature
-    mentioned = {l.atom for c in state.all_clauses() for l in c.literals}
+    mentioned = atoms_of(state.all_clauses())
     mentioned |= {e.literal.atom for e in state.trail}
     if state.conflict is not None:
-        mentioned |= {l.atom for l in state.conflict.literals}
+        mentioned |= atoms_of([state.conflict])
     foreign = sorted(a.text for a in mentioned - universe)
     add("atoms-in-scope", not foreign, f"foreign atoms {foreign}")
 
@@ -546,6 +533,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (ix) each producer has a preimage under the map, and propagations
     #      record exactly the producing clause as their justification
     problems9: List[str] = []
+    images = {ann.gamma.resolve(c) for c in state.all_clauses()} if positives else set()
     for e in state.trail:
         if not e.literal.positive:
             continue
@@ -553,7 +541,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         if producer is None:
             problems9.append(f"{e.literal.atom} has no producer")
             continue
-        if not any(ann.gamma.resolve(c) == producer for c in state.all_clauses()):
+        if producer not in images:
             problems9.append(f"no clause maps onto the producer {producer}")
         if not e.is_decision and e.reason != producer:
             problems9.append(
@@ -616,10 +604,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     # (xiii) outside conflict mode no clause is false
     if state.conflict is None:
-        overlooked = [
-            c for c in state.all_clauses()
-            if status_under_assignment(assignment, c) == ClauseStatus.FALSE
-        ]
+        overlooked = conflict_candidates(state)
         add("no-missed-conflict", not overlooked,
             f"falsified but unclaimed: {[str(c) for c in overlooked]}")
     else:

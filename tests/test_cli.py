@@ -129,6 +129,19 @@ def test_fuzz_smoke(capsys):
     assert "agreed" in out
 
 
+def test_fuzz_over_the_oracle_cap_is_an_error_not_a_verdict(capsys):
+    # exit 1 would read as "unsatisfiable"; an unusable pool is exit 2
+    code = cli.main(["fuzz", "--count", "2", "--preds", "P,Q,R,S,T,U,V,W,X,Y,Z",
+                     "--consts", "a,b,c"])
+    assert code == 2
+    assert "oracle cap" in capsys.readouterr().err
+
+
+def test_gen_rejects_a_clause_count_below_one(capsys):
+    assert cli.main(["gen", "--seed", "1", "--clauses", "0"]) == 2
+    assert "clause_count" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         cli.main([])

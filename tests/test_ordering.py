@@ -30,7 +30,6 @@ from lockstep.ordering import (
     ProblemOrder,
     compare_atoms,
     compare_clauses,
-    compare_clauses_gamma,
     compare_literals,
     compare_terms,
     validate_ordering,
@@ -243,15 +242,6 @@ def test_gamma_map_equality_ignores_identity_entries():
     assert GammaMap().with_entry(c, clause("P")) != GammaMap()
 
 
-def test_gamma_comparison_can_tie_distinct_clauses():
-    big1 = clause("Q", "Q", "P")
-    big2 = clause("Q", "Q", "-P")
-    small = clause("Q")
-    g = GammaMap().with_entry(big1, small).with_entry(big2, small)
-    assert compare_clauses_gamma(big1, big2, g, LISTED_PQR) == EQUAL
-    assert compare_clauses_gamma(big1, clause("R"), g, LISTED_PQR) == LESS
-
-
 # ---------------------------------------------------------------------------
 # validate_ordering
 # ---------------------------------------------------------------------------
@@ -389,7 +379,6 @@ def test_max_literal_and_maximality():
     assert po.max_literal(c2) == qb
     assert po.is_strictly_maximal_in(qb, c2)
     assert po.max_literal(c1) == pa
-    assert po.is_maximal_in(pa, c1)
     assert not po.is_strictly_maximal_in(pa, c1)   # two copies
     assert po.max_multiplicity(c1) == 2
     with pytest.raises(ValueError):
@@ -428,7 +417,6 @@ def test_key_based_max_queries_match_a_scan(c, probe):
     assert po.max_multiplicity(c) == sum(1 for l in c.literals if l == top)
     for l in (probe, top, *c.literals):
         not_below = [x for x in c.literals if compare_literals(x, l, cfg) != LESS]
-        assert po.is_maximal_in(l, c) == all(x == l for x in not_below)
         assert po.is_strictly_maximal_in(l, c) == (not_below == [l])
 
 
@@ -442,12 +430,10 @@ def test_key_based_max_queries_reject_foreign_atoms_and_the_empty_clause():
             query(mixed)
         with pytest.raises(ValueError):
             query(EMPTY_CLAUSE)
-    for query in (po.is_maximal_in, po.is_strictly_maximal_in):
-        with pytest.raises(ValueError):
-            query(foreign, Clause([inside]))
-        with pytest.raises(ValueError):
-            query(inside, mixed)
-    assert po.is_maximal_in(inside, EMPTY_CLAUSE)
+    with pytest.raises(ValueError):
+        po.is_strictly_maximal_in(foreign, Clause([inside]))
+    with pytest.raises(ValueError):
+        po.is_strictly_maximal_in(inside, mixed)
     assert not po.is_strictly_maximal_in(inside, EMPTY_CLAUSE)
 
 
@@ -494,17 +480,9 @@ def test_gamma_keys_and_strict_gamma_comparison():
     pa = Clause([Literal(T("P", T("a")))])
     g = GammaMap().with_entry(c1, pa)
     assert po.gamma_key(c1, g) == (po.clause_key(pa), po.clause_key(c1))
-    assert po.gamma_lt(c1, c2, g)
-    assert not po.gamma_lt(c2, c1, g)
+    assert po.gamma_key(c1, g)[0] < po.gamma_key(c2, g)[0]
     # image ties are not strict even though the clauses differ
     g2 = g.with_entry(c2, pa)
-    assert not po.gamma_lt(c1, c2, g2)
-    assert not po.gamma_lt(c2, c1, g2)
+    assert po.gamma_key(c1, g2)[0] == po.gamma_key(c2, g2)[0]
     assert po.gamma_key(c1, g2) < po.gamma_key(c2, g2)   # plain order breaks the tie
 
-
-def test_format_clause_renders_descending():
-    po = _kbo_order()
-    _, c2, _ = po.problem.clauses.clauses()
-    assert po.format_clause(c2) == "Q(b) | -P(a)"
-    assert po.format_clause(EMPTY_CLAUSE) == "⊥"

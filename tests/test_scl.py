@@ -5,9 +5,12 @@ expected trail/level/conflict value below is an independently hand-derived
 fact about the calculus.
 """
 
+import dataclasses
+
 import pytest
 
 from lockstep.core import Atom, Clause, EMPTY_CLAUSE, GroundTerm, Literal, parse_problem
+from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
 from lockstep.scl import (
     RuleApp,
@@ -24,8 +27,8 @@ from lockstep.scl import (
     propagate,
     resolve,
     skip,
-    trail_value,
 )
+from lockstep.simulation import run_scl_sup
 
 
 def T(name, *args):
@@ -68,9 +71,7 @@ def test_decide_pushes_a_new_level(kbo):
     assert len(s.trail) == 1
     entry = s.trail[0]
     assert entry.literal == PA and entry.level == 1 and entry.reason is None
-    assert trail_value(s, PA) is True
-    assert trail_value(s, PA.complement()) is False
-    assert trail_value(s, QB) is None
+    assert s.assignment() == {PA.atom: True}
     assert literal_level(s, PA) == 1
 
 
@@ -333,3 +334,39 @@ clause: -Q(a)
     s1 = decide(po, s0, qa)              # legal, but -Q(a) is now false
     violations = audit_regular([s0, s1], [RuleApp(rule="decide", literal=qa)])
     assert any("decide" in v for v in violations)
+
+
+def _falsified_by_scan(state, extra=None):
+    """Clauses whose every literal copy is false once ``extra`` is pushed."""
+    values = {e.literal.atom: e.literal.positive for e in state.trail}
+    if extra is not None:
+        values[extra.atom] = extra.positive
+    return [
+        c for c in state.n + state.u
+        if all(l.atom in values and values[l.atom] != l.positive for l in c.literals)
+    ]
+
+
+def test_conflict_candidates_assuming_a_literal_matches_a_scan():
+    # every non-conflict state of some trail runs, probed with every literal
+    # whose atom the trail leaves open
+    params = GenParams(preds=("P", "Q", "R"), consts=("a", "b"), clause_count=8,
+                       max_len=4)
+    problems = [parse_problem(KBO_TEXT)] + [
+        random_problem(dataclasses.replace(params, seed=seed)) for seed in range(40)
+    ]
+    probed = 0
+    for p in problems:
+        run = run_scl_sup(p)
+        for s in run.states:
+            if s.conflict is not None:
+                continue
+            assert conflict_candidates(s) == _falsified_by_scan(s)
+            for a in run.order.atoms_ascending:
+                if is_defined(s, a):
+                    continue
+                for literal in (Literal(a), Literal(a, False)):
+                    got = conflict_candidates(s, assuming=literal)
+                    assert got == _falsified_by_scan(s, literal)
+                    probed += 1
+    assert probed > 100

@@ -346,6 +346,26 @@ def test_out_of_scope_atom_is_caught():
     assert not v["atoms-in-scope"]
 
 
+def test_producer_without_a_preimage_is_caught():
+    p, po, state, ann, snapshot = _golden_boundary()
+    producers = {
+        snapshot.construction.producer[e.literal.atom]
+        for e in state.trail if e.literal.positive
+    }
+    assert producers
+    kept = tuple(c for c in state.n if ann.gamma.resolve(c) not in producers)
+    v = _verdicts(check_invariants(po, dataclasses.replace(state, n=kept), ann, snapshot))
+    assert not v["producer-preimages"]
+
+
+def test_unclaimed_false_clause_is_caught():
+    p, po, state, ann, snapshot = _golden_boundary()
+    assert state.conflict is not None and not state.conflict.is_empty
+    bad = dataclasses.replace(state, conflict=None)   # its clause is still false
+    v = _verdicts(check_invariants(po, bad, ann, snapshot))
+    assert not v["no-missed-conflict"]
+
+
 def test_progress_check():
     p = parse_problem(KBO_TEXT)
     po = ProblemOrder(p)

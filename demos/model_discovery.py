@@ -28,8 +28,7 @@ def main() -> None:
         print(f"  {c}")
 
     print("\ntrail after each round:")
-    for i, seq in enumerate(sim.seqs):
-        state = sim.boundary_states[i + 1]
+    for i, (seq, state) in enumerate(zip(sim.seqs, sim.boundary_states[1:])):
         trail = ", ".join(e.render() for e in state.trail) or "(empty)"
         print(f"  round {i} ({seq.kind:>14}): {trail}")
 

@@ -33,10 +33,9 @@ def main() -> None:
 
     print("\ntrail side, one round per line:")
     for i, seq in enumerate(sim.seqs):
-        ann = sim.annotations[i + 1]
         attention = f" on {seq.attention}" if seq.attention is not None else ""
         print(f"  round {i}: {seq.kind}{attention}, now paired with "
-              f"saturation step {ann.index}")
+              f"saturation step {seq.annotation.index}")
         lo, hi = seq.app_range
         for app in sim.apps[lo:hi]:
             print(f"      {app.render()}")

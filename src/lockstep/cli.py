@@ -147,9 +147,10 @@ def _cmd_check(args) -> int:
 
 
 def _gen_params(args) -> GenParams:
+    # an empty list names nothing; the generator rejects what it cannot use
     return GenParams(
-        preds=tuple(args.preds.split(",")),
-        consts=tuple(args.consts.split(",")),
+        preds=tuple(args.preds.split(",")) if args.preds else (),
+        consts=tuple(args.consts.split(",")) if args.consts else (),
         max_arity=args.max_arity,
         clause_count=args.clauses,
         max_len=args.max_len,

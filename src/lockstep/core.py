@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CHARS = IDENT_START | set("0123456789")
@@ -278,12 +278,17 @@ class Problem:
     """A parsed problem: clauses plus the ordering declaration.
 
     symbol_arities maps every occurring symbol (predicates, functions,
-    constants alike) to its arity; the parser enforces consistency.
+    constants alike) to its arity; the parser enforces consistency. The
+    empty clause is rejected with ValueError, as the parser rejects it.
     """
 
     clauses: ClauseSet
     ordering: OrderingConfig
     symbol_arities: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        if EMPTY_CLAUSE in self.clauses:
+            raise ValueError("empty clause in input: refutations are derived, not stated")
 
     @property
     def atom_universe(self) -> Set[Atom]:

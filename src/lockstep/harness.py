@@ -18,6 +18,8 @@ from .core import (
     Clause,
     ClauseSet,
     GroundTerm,
+    IDENT_CHARS,
+    IDENT_START,
     Literal,
     OrderingConfig,
     Problem,
@@ -102,17 +104,39 @@ class GenParams:
     allow_tautologies: bool = False
 
 
+def _check_params(params: GenParams) -> None:
+    """Raise ValueError, naming the field, on parameters that cannot give a
+    well-formed problem."""
+    for name, least in (("clause_count", 1), ("max_len", 1), ("max_arity", 0)):
+        if getattr(params, name) < least:
+            raise ValueError(f"{name} must be at least {least}, not {getattr(params, name)}")
+    for name in ("preds", "consts"):
+        names = getattr(params, name)
+        for n in names:
+            if not n or n[0] not in IDENT_START or any(c not in IDENT_CHARS for c in n):
+                raise ValueError(f"{name}: {n!r} is not an identifier")
+        if len(set(names)) != len(names):
+            raise ValueError(f"{name} repeats a name")
+    if not params.preds:
+        raise ValueError("preds must name at least one predicate")
+    if not params.consts and params.max_arity > 0:
+        raise ValueError("consts must name at least one constant when max_arity is above 0")
+    shared = sorted(set(params.preds) & set(params.consts))
+    if shared:
+        raise ValueError(f"preds and consts both name {', '.join(shared)}")
+
+
 def random_problem(params: GenParams) -> Problem:
     """Deterministically generate a ground problem from the seed.
 
     Clauses are multisets over a small constant-only atom pool; duplicate
     literals are allowed on purpose since they are what exercises factoring.
-    The ordering declaration is drawn from all three kinds. A clause count
-    or maximum length below 1 raises ValueError.
+    The ordering declaration is drawn from all three kinds. Parameters that
+    cannot give a well-formed problem raise ValueError: a clause count or
+    maximum length below 1, a negative maximum arity, a name that is not an
+    identifier, a repeated name, or a name both predicate and constant.
     """
-    for name in ("clause_count", "max_len"):
-        if getattr(params, name) < 1:
-            raise ValueError(f"{name} must be at least 1, not {getattr(params, name)}")
+    _check_params(params)
     rng = random.Random(params.seed)
 
     pool: List[Atom] = []
@@ -256,8 +280,12 @@ def fuzz_campaign(count: int, base_seed: int = 0,
                   params: Optional[GenParams] = None,
                   max_sequences: int = 10000) -> FuzzReport:
     """Generate ``count`` problems, verify each in lockstep, and arbitrate
-    every verdict against the brute-force oracle."""
+    every verdict against the brute-force oracle. A negative count or bad
+    generator parameters raise ValueError before any instance runs."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, not {count}")
     params = params or GenParams()
+    _check_params(params)
     failures: List[Tuple[int, List[str]]] = []
     for i in range(count):
         seed = base_seed + i

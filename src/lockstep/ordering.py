@@ -17,13 +17,16 @@ that compares above every problem atom (precedence alone cannot express that
 under KBO, where a light nullary symbol would sink below heavier atoms).
 Maximal-literal queries (maximum, its multiplicity, maximality and strict
 maximality) are answered from the cached descending rank key of the clause,
-so they never rescan a clause's copies.
+so they never rescan a clause's copies. The factored-image order
+(``gamma_key``) ranks a clause by its image under a plain mapping from
+clauses to images, ties broken by the clause itself. The mapping holds no
+identity entries: a clause it omits is its own image.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .core import (
     Atom,
@@ -161,43 +164,6 @@ def compare_clauses(c1: Clause, c2: Clause, config: OrderingConfig) -> int:
     if len(d1) == len(d2):
         return EQUAL
     return LESS if len(d1) < len(d2) else GREATER
-
-
-class GammaMap:
-    """Partial clause-to-clause map with identity default.
-
-    The simulation only ever stores a clause's factored normal form under the
-    clause itself; resolve() falls back to the identity for everything else.
-    Updates return a new map, the old one stays usable.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Optional[Dict[Clause, Clause]] = None):
-        self._entries: Dict[Clause, Clause] = dict(entries or {})
-
-    def resolve(self, clause: Clause) -> Clause:
-        return self._entries.get(clause, clause)
-
-    def with_entry(self, clause: Clause, image: Clause) -> "GammaMap":
-        new = dict(self._entries)
-        new[clause] = image
-        return GammaMap(new)
-
-    def proper_entries(self) -> Dict[Clause, Clause]:
-        """Entries whose image differs from the key (the informative ones)."""
-        return {c: img for c, img in self._entries.items() if img != c}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GammaMap) and self.proper_entries() == other.proper_entries()
-
-    def __hash__(self) -> int:  # pragma: no cover - maps are not dict keys in practice
-        return hash(frozenset(self.proper_entries().items()))
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{c} -> {img}" for c, img in sorted(
-            self.proper_entries().items(), key=lambda kv: kv[0].text))
-        return "{" + inside + "}"
 
 
 def validate_ordering(problem: Problem) -> List[str]:
@@ -339,9 +305,11 @@ class ProblemOrder:
     def clause_lt(self, c1: Clause, c2: Clause) -> bool:
         return self.clause_key(c1) < self.clause_key(c2)
 
-    def gamma_key(self, clause: Clause, gamma: GammaMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Sort key for the gamma-image order, tie-broken by the plain order."""
-        return (self.clause_key(gamma.resolve(clause)), self.clause_key(clause))
+    def gamma_key(self, clause: Clause,
+                  gamma: Mapping[Clause, Clause]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Sort key for the gamma-image order, tie-broken by the plain order.
+        ``gamma`` maps clauses to their images; a clause it omits is its own."""
+        return (self.clause_key(gamma.get(clause, clause)), self.clause_key(clause))
 
     def sorted_clauses(self, clauses: Iterable[Clause]) -> List[Clause]:
         return sorted(clauses, key=self.clause_key)

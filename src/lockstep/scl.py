@@ -27,7 +27,6 @@ from .core import (
     Atom,
     Clause,
     ClauseStatus,
-    EMPTY_CLAUSE,
     Literal,
     Problem,
     atoms_of,

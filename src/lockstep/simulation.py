@@ -4,7 +4,9 @@ run_scl_sup plays the trail calculus under a fixed strategy whose rounds
 mirror the model-driven saturation loop one for one. Every round boundary
 carries an annotation: a pair index (how many saturation steps the shadowed
 run has taken by now), the clause currently holding attention, and a map
-sending clauses to their factored images.
+sending clauses to their factored images. The run records every state and
+rule application once; the annotations and states at the boundaries are
+read from that record.
 
 check_invariants confronts one annotated trail state with the saturation
 snapshot its pair index claims to match. lockstep_verify runs both sides
@@ -16,7 +18,7 @@ verdicts, models, and learned clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import (
     Clause,
@@ -27,7 +29,7 @@ from .core import (
     atoms_of,
     status_under_assignment,
 )
-from .ordering import GammaMap, ProblemOrder
+from .ordering import ProblemOrder
 from .scl import (
     RuleApp,
     SclState,
@@ -68,12 +70,13 @@ class Annotation:
     ``index`` counts the saturation steps the shadowed run has taken so far.
     ``aid`` is the clause currently holding attention; the empty clause
     stands in before the first round and after a refutation. ``gamma`` maps
-    clauses to their factored images and defaults to the identity.
+    clauses to their factored images; it holds no identity entries, is never
+    changed in place, and is read with ``gamma.get(c, c)``.
     """
 
     index: int
     aid: Clause
-    gamma: GammaMap
+    gamma: Dict[Clause, Clause]
 
 
 @dataclass(frozen=True)
@@ -89,32 +92,51 @@ class SimSeq:
 
 @dataclass
 class SimRun:
+    """A trail run, recorded once.
+
+    Stored: the rule log (``states[i]`` is the state ``apps[i]`` was applied
+    in, ``states[-1]`` the state after the last application), the
+    annotation before the first round, and the rounds in ``seqs``. Derived:
+    ``annotations`` and ``boundary_states``, one entry per round boundary;
+    boundary ``i + 1`` is the end of round ``i``.
+    """
+
     problem: Problem
     order: ProblemOrder
-    seqs: List[SimSeq] = field(default_factory=list)
-    annotations: List[Annotation] = field(default_factory=list)
-    boundary_states: List[SclState] = field(default_factory=list)
-    states: List[SclState] = field(default_factory=list)   # before each app
+    start: Annotation
+    states: List[SclState]
     apps: List[RuleApp] = field(default_factory=list)
+    seqs: List[SimSeq] = field(default_factory=list)
     outcome: str = CAP_EXCEEDED
     learned: Tuple[Clause, ...] = ()
     model: Optional[frozenset] = None
 
     @property
-    def final_state(self) -> SclState:
-        return self.boundary_states[-1]
+    def state(self) -> SclState:
+        return self.states[-1]
+
+    final_state = state            # the same state, read once the run is over
+
+    @property
+    def annotations(self) -> List[Annotation]:
+        return [self.start] + [seq.annotation for seq in self.seqs]
+
+    @property
+    def boundary_states(self) -> List[SclState]:
+        return [self.states[0]] + [self.states[seq.app_range[1]] for seq in self.seqs]
+
+    def apply(self, app: RuleApp, rule: Callable[..., SclState], *args) -> None:
+        """Apply ``rule`` to the current state and record it as ``app``."""
+        self.states.append(rule(self.order, self.state, *args))
+        self.apps.append(app)
 
 
-def initial_gamma(problem: Problem, order: ProblemOrder) -> GammaMap:
+def initial_gamma(problem: Problem, order: ProblemOrder) -> Dict[Clause, Clause]:
     """Map each input clause to its factored image when the input set already
-    contains that image; every other clause stands for itself."""
-    gamma = GammaMap()
+    contains that image and the image differs from the clause."""
     members = set(problem.clauses)
-    for c in problem.clauses:
-        image = sfac(c, order)
-        if image != c and image in members:
-            gamma = gamma.with_entry(c, image)
-    return gamma
+    images = {c: sfac(c, order) for c in problem.clauses}
+    return {c: img for c, img in images.items() if img != c and img in members}
 
 
 def next_attention(order: ProblemOrder, state: SclState,
@@ -147,51 +169,34 @@ def filler_decisions(order: ProblemOrder, state: SclState,
     return out
 
 
-class _Log:
-    """Applies rules while recording every state and every application, so
-    the whole run can be audited afterwards."""
+def _act_on_positive_max(run: SimRun, j: int, clause: Clause,
+                         gamma: Dict[Clause, Clause], top: Literal,
+                         kinds: Tuple[str, str]) -> Tuple[str, Annotation]:
+    """Act on ``clause``, whose image has the positive maximum ``top``.
 
-    def __init__(self, order: ProblemOrder, state: SclState):
-        self.order = order
-        self.states: List[SclState] = [state]
-        self.apps: List[RuleApp] = []
-
-    @property
-    def state(self) -> SclState:
-        return self.states[-1]
-
-    def _push(self, app: RuleApp, state: SclState) -> None:
-        self.apps.append(app)
-        self.states.append(state)
-
-    def decide(self, literal: Literal) -> None:
-        self._push(RuleApp("decide", literal=literal),
-                   decide(self.order, self.state, literal))
-
-    def propagate(self, clause: Clause, literal: Literal) -> None:
-        self._push(RuleApp("propagate", literal=literal, clause=clause),
-                   propagate(self.order, self.state, clause, literal))
-
-    def conflict(self, clause: Clause) -> None:
-        self._push(RuleApp("conflict", clause=clause),
-                   conflict(self.order, self.state, clause))
-
-    def skip(self) -> None:
-        top = self.state.trail[-1]
-        self._push(RuleApp("skip", literal=top.literal),
-                   skip(self.order, self.state))
-
-    def resolve(self) -> None:
-        top = self.state.trail[-1]
-        self._push(RuleApp("resolve", literal=top.literal),
-                   resolve(self.order, self.state))
-
-    def backtrack(self) -> None:
-        self._push(RuleApp("backtrack", clause=self.state.conflict),
-                   backtrack(self.order, self.state))
+    The extra copies of ``top`` pair with the factoring steps the shadowed
+    run takes here, and the map records the factored image. Then ``top`` is
+    propagated from the clause when deciding it would falsify some clause,
+    the smallest such clause becoming the conflict (``kinds[0]``), and
+    decided otherwise (``kinds[1]``).
+    """
+    order = run.order
+    image = gamma.get(clause, clause)
+    mult = order.max_multiplicity(image)
+    if mult >= 2:
+        gamma = {**gamma, clause: sfac(image, order)}
+        j += mult - 1
+    false_after = conflict_candidates(run.state, assuming=top)
+    if false_after:
+        run.apply(RuleApp("propagate", literal=top, clause=clause), propagate, clause, top)
+        false_clause = min(false_after, key=order.clause_key)
+        run.apply(RuleApp("conflict", clause=false_clause), conflict, false_clause)
+        return kinds[0], Annotation(j, clause, gamma)
+    run.apply(RuleApp("decide", literal=top), decide, top)
+    return kinds[1], Annotation(j, clause, gamma)
 
 
-def _round_no_conflict(log: _Log, ann: Annotation,
+def _round_no_conflict(run: SimRun, ann: Annotation,
                        d: Clause) -> Tuple[str, Annotation]:
     """Process the next attention clause.
 
@@ -200,45 +205,27 @@ def _round_no_conflict(log: _Log, ann: Annotation,
     safe, "clash" when that atom must be propagated because it falsifies
     some clause, which immediately enters conflict mode.
     """
-    order = log.order
-    gamma = ann.gamma
-    j = ann.index
-    g = gamma.resolve(d)
+    order = run.order
+    g = ann.gamma.get(d, d)
     top_lit = order.max_literal(g)
 
-    for f in filler_decisions(order, log.state, top_lit):
-        log.decide(f)
+    for f in filler_decisions(order, run.state, top_lit):
+        run.apply(RuleApp("decide", literal=f), decide, f)
 
-    if status_under_assignment(log.state.assignment(), g) == ClauseStatus.TRUE:
-        return "pass", Annotation(j, d, gamma)
-
-    # the clause acts: pair the duplicate copies of a positive maximal
-    # literal with the factoring steps the shadowed run takes here
-    mult = order.max_multiplicity(g)
-    if top_lit.positive and mult >= 2:
-        gamma = gamma.with_entry(d, sfac(g, order))
-        j += mult - 1
-        g = gamma.resolve(d)
-
+    if status_under_assignment(run.state.assignment(), g) == ClauseStatus.TRUE:
+        return "pass", Annotation(ann.index, d, ann.gamma)
     if not top_lit.positive:
         raise SimulationError(
             f"attention clause {d} is unsatisfied although its maximal "
             f"literal {top_lit} is negative"
         )
-    if is_defined(log.state, top_lit.atom):
+    if is_defined(run.state, top_lit.atom):
         raise SimulationError(f"attention clause {d} is false at its own turn")
-
-    false_after = conflict_candidates(log.state, assuming=top_lit)
-    if false_after:
-        log.propagate(d, top_lit)
-        log.conflict(min(false_after, key=order.clause_key))
-        return "clash", Annotation(j, d, gamma)
-    log.decide(top_lit)
-    return "decide", Annotation(j, d, gamma)
+    return _act_on_positive_max(run, ann.index, d, ann.gamma, top_lit, ("clash", "decide"))
 
 
-def _producing_clause(order: ProblemOrder, state: SclState, gamma: GammaMap,
-                      literal: Literal) -> Clause:
+def _producing_clause(order: ProblemOrder, state: SclState,
+                      gamma: Dict[Clause, Clause], literal: Literal) -> Clause:
     """The attention-order smallest clause whose image forces ``literal``.
 
     Forcing needs more than the literal being strictly maximal in the image:
@@ -251,7 +238,7 @@ def _producing_clause(order: ProblemOrder, state: SclState, gamma: GammaMap,
     best: Optional[Clause] = None
     best_key = None
     for c in state.all_clauses():
-        img = gamma.resolve(c)
+        img = gamma.get(c, c)
         if img.is_empty or order.max_literal(img) != literal:
             continue
         if not order.is_strictly_maximal_in(literal, img):
@@ -267,7 +254,7 @@ def _producing_clause(order: ProblemOrder, state: SclState, gamma: GammaMap,
     return best
 
 
-def _round_conflict(log: _Log, ann: Annotation) -> Tuple[str, Annotation]:
+def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
     """Process the pending conflict.
 
     The conflict is resolved against the top propagation once per occurrence
@@ -280,64 +267,53 @@ def _round_conflict(log: _Log, ann: Annotation) -> Tuple[str, Annotation]:
     when that is safe ("learn_decide") and propagated from the learned
     clause itself when it is not ("learn_propagate").
     """
-    order = log.order
-    top = log.state.trail[-1] if log.state.trail else None
+    order = run.order
+    top = run.state.trail[-1] if run.state.trail else None
     if top is None or top.is_decision:
         raise SimulationError("conflict mode without a top propagation")
     comp = top.literal.complement()
 
     steps = 0
-    while log.state.conflict.contains(comp):
-        log.resolve()
+    while run.state.conflict.contains(comp):
+        run.apply(RuleApp("resolve", literal=run.state.trail[-1].literal), resolve)
         steps += 1
     if steps == 0:
         raise SimulationError(
-            f"conflict {log.state.conflict} does not mention the propagated "
+            f"conflict {run.state.conflict} does not mention the propagated "
             f"{top.literal}"
         )
     j = ann.index + steps
-    learned = log.state.conflict
+    learned = run.state.conflict
 
+    # unwind to the decision the resolvent blocks on; the empty resolvent
+    # blocks on none, so a refutation unwinds the whole trail
+    while run.state.trail and not learned.contains(
+            run.state.trail[-1].literal.complement()):
+        run.apply(RuleApp("skip", literal=run.state.trail[-1].literal), skip)
     if learned.is_empty:
-        while log.state.trail:
-            log.skip()
         return "refute", Annotation(j, EMPTY_CLAUSE, ann.gamma)
-
-    while log.state.trail and not learned.contains(
-            log.state.trail[-1].literal.complement()):
-        log.skip()
-    if not log.state.trail:
+    if not run.state.trail:
         raise SimulationError(f"nowhere to backtrack for the resolvent {learned}")
-    if not log.state.trail[-1].is_decision:
+    if not run.state.trail[-1].is_decision:
         raise SimulationError(
             f"resolvent {learned} blocks on the propagation "
-            f"{log.state.trail[-1].literal} instead of a decision"
+            f"{run.state.trail[-1].literal} instead of a decision"
         )
-    log.backtrack()
+    run.apply(RuleApp("backtrack", clause=learned), backtrack)
 
     lmax = order.max_literal(learned)
-    if not lmax.positive:
-        forced = lmax.complement()
-        source = _producing_clause(order, log.state, ann.gamma, forced)
-        log.propagate(source, forced)
-        false_now = conflict_candidates(log.state)
-        if not false_now:
-            raise SimulationError(
-                f"forcing {forced} from {source} exposed no conflict"
-            )
-        log.conflict(min(false_now, key=order.clause_key))
-        return "learn_negative", Annotation(j, source, ann.gamma)
-
-    # positive maximum: duplicate copies pair with factoring steps again
-    gamma = ann.gamma.with_entry(learned, sfac(learned, order))
-    j += order.max_multiplicity(learned) - 1
-    false_after = conflict_candidates(log.state, assuming=lmax)
-    if false_after:
-        log.propagate(learned, lmax)
-        log.conflict(min(false_after, key=order.clause_key))
-        return "learn_propagate", Annotation(j, learned, gamma)
-    log.decide(lmax)
-    return "learn_decide", Annotation(j, learned, gamma)
+    if lmax.positive:
+        return _act_on_positive_max(run, j, learned, ann.gamma, lmax,
+                                    ("learn_propagate", "learn_decide"))
+    forced = lmax.complement()
+    source = _producing_clause(order, run.state, ann.gamma, forced)
+    run.apply(RuleApp("propagate", literal=forced, clause=source), propagate, source, forced)
+    false_now = conflict_candidates(run.state)
+    if not false_now:
+        raise SimulationError(f"forcing {forced} from {source} exposed no conflict")
+    false_clause = min(false_now, key=order.clause_key)
+    run.apply(RuleApp("conflict", clause=false_clause), conflict, false_clause)
+    return "learn_negative", Annotation(j, source, ann.gamma)
 
 
 def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
@@ -348,44 +324,26 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     on sound inputs the strategy terminates with a verdict by itself.
     """
     order = order or ProblemOrder(problem)
-    log = _Log(order, initial_state(problem, order))
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
+    run = SimRun(problem, order, ann, [initial_state(problem, order)])
 
-    run = SimRun(problem=problem, order=order)
-    run.annotations.append(ann)
-    run.boundary_states.append(log.state)
-
-    if any(c.is_empty for c in log.state.n):
-        # the input is already refuted; a single conflict round records that
-        start = len(log.apps)
-        log.conflict(EMPTY_CLAUSE)
-        run.seqs.append(SimSeq("refute", None, ann, (start, len(log.apps))))
-        run.annotations.append(ann)
-        run.boundary_states.append(log.state)
-        run.outcome = UNSATISFIABLE
-    else:
-        while len(run.seqs) < max_sequences:
-            start = len(log.apps)
-            if log.state.conflict is not None:
-                kind, ann = _round_conflict(log, ann)
-                attention = None
-            else:
-                d = next_attention(order, log.state, ann)
-                if d is None:
-                    run.outcome = SATISFIABLE
-                    break
-                kind, ann = _round_no_conflict(log, ann, d)
-                attention = d
-            run.seqs.append(SimSeq(kind, attention, ann, (start, len(log.apps))))
-            run.annotations.append(ann)
-            run.boundary_states.append(log.state)
-            if kind == "refute":
-                run.outcome = UNSATISFIABLE
+    while len(run.seqs) < max_sequences:
+        start = len(run.apps)
+        if run.state.conflict is not None:
+            kind, ann = _round_conflict(run, ann)
+            attention = None
+        else:
+            attention = next_attention(order, run.state, ann)
+            if attention is None:
+                run.outcome = SATISFIABLE
                 break
+            kind, ann = _round_no_conflict(run, ann, attention)
+        run.seqs.append(SimSeq(kind, attention, ann, (start, len(run.apps))))
+        if kind == "refute":
+            run.outcome = UNSATISFIABLE
+            break
 
-    run.states = log.states
-    run.apps = log.apps
-    final = log.state
+    final = run.state
     run.learned = final.u + ((EMPTY_CLAUSE,) if run.outcome == UNSATISFIABLE else ())
     if run.outcome == SATISFIABLE:
         run.model = frozenset(
@@ -450,7 +408,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     assignment = state.assignment()
     positives = {e.literal.atom for e in state.trail if e.literal.positive}
     negatives = {e.literal.atom for e in state.trail if not e.literal.positive}
-    image = ann.gamma.resolve(ann.aid)
+    image = ann.gamma.get(ann.aid, ann.aid)
 
     # (i) every atom the state mentions comes from the input signature
     mentioned = atoms_of(state.all_clauses())
@@ -478,7 +436,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     def map_shape() -> Tuple[bool, str]:
         problems = []
         own = set(state.all_clauses())
-        for c, img in ann.gamma.proper_entries().items():
+        for c, img in ann.gamma.items():
             if img != sfac(c, order):
                 problems.append(f"{c} maps to {img}, not its factored image")
             elif img not in sup_set:
@@ -533,7 +491,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (ix) each producer has a preimage under the map, and propagations
     #      record exactly the producing clause as their justification
     problems9: List[str] = []
-    images = {ann.gamma.resolve(c) for c in state.all_clauses()} if positives else set()
+    images = {ann.gamma.get(c, c) for c in state.all_clauses()} if positives else set()
     for e in state.trail:
         if not e.literal.positive:
             continue
@@ -701,25 +659,19 @@ def lockstep_verify(problem: Problem, order: Optional[ProblemOrder] = None,
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
     result = VerifyResult(problem=problem, order=order, sup=sup, sim=sim)
 
-    for b, ann in enumerate(sim.annotations):
-        if ann.index >= len(sup.snapshots):
-            result.boundaries.append(BoundaryReport(b, ann.index, [
-                InvariantReport(
-                    "pair-index-in-range", False,
-                    f"index {ann.index} but only {len(sup.snapshots)} snapshots",
-                )
-            ]))
-            continue
-        reports = check_invariants(
-            order, sim.boundary_states[b], ann, sup.snapshots[ann.index]
-        )
+    annotations = sim.annotations
+    for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
+        if ann.index < len(sup.snapshots):
+            reports = check_invariants(order, state, ann, sup.snapshots[ann.index])
+        else:
+            reports = [InvariantReport(
+                "pair-index-in-range", False,
+                f"index {ann.index} but only {len(sup.snapshots)} snapshots",
+            )]
         result.boundaries.append(BoundaryReport(b, ann.index, reports))
 
     for idx, seq in enumerate(sim.seqs):
-        before, after = sim.annotations[idx], sim.annotations[idx + 1]
-        if before == after and seq.kind == "refute":
-            continue                   # the input itself held the empty clause
-        msg = check_progress(order, before, after)
+        msg = check_progress(order, annotations[idx], annotations[idx + 1])
         if msg is not None:
             result.progress_failures.append(f"round {idx} ({seq.kind}): {msg}")
 
@@ -736,7 +688,7 @@ def lockstep_verify(problem: Problem, order: Optional[ProblemOrder] = None,
                 f"verdicts disagree: trail side {sim.outcome}, "
                 f"saturation side {sup.outcome}"
             )
-        final_index = sim.annotations[-1].index
+        final_index = annotations[-1].index
         if final_index != len(sup.steps):
             ff.append(
                 f"final pair index {final_index} does not match the "

@@ -19,10 +19,11 @@ already present; both facts are asserted at runtime rather than assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .core import Atom, Clause, EMPTY_CLAUSE, Literal, Problem, eval_herbrand
+from .core import Atom, Clause, Literal, Problem, eval_herbrand
 from .ordering import ProblemOrder
 
 SATISFIABLE = "satisfiable"
@@ -106,15 +107,12 @@ class ModelConstruction:
     minimal_false: Optional[Clause]
 
     def prefix_below(self, clause: Clause) -> FrozenSet[Atom]:
-        """Atoms produced by set members strictly smaller than ``clause``."""
-        key = self.order.clause_key(clause)
-        out = set()
-        for e in self.entries:
-            if self.order.clause_key(e.clause) >= key:
-                break
-            if e.produced is not None:
-                out.add(e.produced)
-        return frozenset(out)
+        """Atoms produced by set members strictly smaller than ``clause``:
+        the stored prefix of the first entry not below it, or the whole
+        model when every entry is below it."""
+        i = bisect_left(self.entries, self.order.clause_key(clause),
+                        key=lambda e: self.order.clause_key(e.clause))
+        return self.entries[i].prefix if i < len(self.entries) else self.model
 
     def delta_of(self, clause: Clause) -> Optional[Atom]:
         """The atom ``clause`` would produce over this set, or None.
@@ -123,13 +121,21 @@ class ModelConstruction:
         clauses it applies the same production condition relative to the
         atoms produced below them.
         """
-        prefix = self.prefix_below(clause)
-        if clause.is_empty or eval_herbrand(set(prefix), clause):
+        if eval_herbrand(self.prefix_below(clause), clause):
             return None
-        m = self.order.max_literal(clause)
-        if m.positive and self.order.is_strictly_maximal_in(m, clause):
-            return m.atom
+        return _production(clause, self.order)
+
+
+def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
+    """The atom a clause that the model built so far leaves false produces:
+    the atom of its maximal literal when that literal is positive and
+    strictly maximal, None otherwise (and for the empty clause)."""
+    if false_clause.is_empty:
         return None
+    m = order.max_literal(false_clause)
+    if m.positive and order.is_strictly_maximal_in(m, false_clause):
+        return m.atom
+    return None
 
 
 def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelConstruction:
@@ -142,10 +148,9 @@ def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelCons
         prefix = frozenset(current)
         produced: Optional[Atom] = None
         satisfied = eval_herbrand(current, c)
-        if not satisfied and not c.is_empty:
-            m = order.max_literal(c)
-            if m.positive and order.is_strictly_maximal_in(m, c):
-                produced = m.atom
+        if not satisfied:
+            produced = _production(c, order)
+            if produced is not None:
                 current.add(produced)
                 producer[produced] = c
                 satisfied = True

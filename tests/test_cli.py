@@ -142,6 +142,27 @@ def test_gen_rejects_a_clause_count_below_one(capsys):
     assert "clause_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["gen", "--seed", "5", "--preds", "P", "--consts", "P"], "preds and consts"),
+    (["gen", "--seed", "5", "--preds", ""], "preds"),
+    (["gen", "--seed", "5", "--preds", "P,,Q"], "preds"),
+    (["gen", "--seed", "5", "--consts", ""], "consts"),
+    (["gen", "--seed", "5", "--max-arity", "-1"], "max_arity"),
+    (["fuzz", "--count", "2", "--preds", "P", "--consts", "P"], "preds and consts"),
+    (["fuzz", "--count", "-3"], "count"),
+])
+def test_bad_generator_parameters_exit_two(argv, field, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
+def test_gen_without_constants_takes_nullary_predicates(capsys):
+    assert cli.main(["gen", "--seed", "1", "--max-arity", "0", "--consts", ""]) == 0
+    parse_problem(capsys.readouterr().out)
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         cli.main([])

@@ -11,7 +11,9 @@ from lockstep.core import (
     EMPTY_CLAUSE,
     GroundTerm,
     Literal,
+    OrderingConfig,
     ParseError,
+    Problem,
     atoms_of,
     eval_herbrand,
     is_tautology,
@@ -258,6 +260,15 @@ def test_parse_rejections(text, code):
         parse_problem(text)
     assert exc.value.code == code
     assert exc.value.line >= 1
+
+
+def test_problem_rejects_the_empty_clause():
+    # the parser's "empty-clause" rejection, for problems built in code
+    clauses = ClauseSet([Clause([lit("P")]), EMPTY_CLAUSE])
+    with pytest.raises(ValueError, match="empty clause"):
+        Problem(clauses=clauses,
+                ordering=OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)),
+                symbol_arities={"P": 0})
 
 
 def test_parse_error_carries_position():

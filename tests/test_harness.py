@@ -237,6 +237,36 @@ def test_generator_rejects_sizes_below_one(name):
             random_problem(dataclasses.replace(GenParams(seed=1), **{name: bad}))
 
 
+@pytest.mark.parametrize("changes,field", [
+    ({"preds": ("",)}, "preds"),
+    ({"preds": ("P", "1x")}, "preds"),
+    ({"consts": ("a", "b-c")}, "consts"),
+    ({"preds": ("P", "Q", "P")}, "preds"),
+    ({"consts": ("a", "a")}, "consts"),
+    ({"preds": ("P",), "consts": ("P",)}, "preds and consts"),
+    ({"preds": ()}, "preds"),
+    ({"consts": (), "max_arity": 1}, "consts"),
+    ({"max_arity": -1}, "max_arity"),
+])
+def test_generator_rejects_bad_names_and_arities(changes, field):
+    params = dataclasses.replace(GenParams(seed=5), **changes)
+    with pytest.raises(ValueError, match=field):
+        random_problem(params)
+    with pytest.raises(ValueError, match=field):
+        fuzz_campaign(0, params=params)   # rejected even with nothing to run
+
+
+def test_generator_accepts_nullary_atoms_without_constants():
+    problem = random_problem(GenParams(consts=(), max_arity=0, seed=3))
+    assert all(not a.args for a in problem.atom_universe)
+
+
+def test_fuzz_campaign_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        fuzz_campaign(-3)
+    assert fuzz_campaign(0).total == 0
+
+
 def test_generator_covers_all_three_ordering_kinds():
     kinds = {random_problem(GenParams(seed=s)).ordering.kind for s in range(30)}
     assert kinds == {"kbo", "lpo", "listed"}

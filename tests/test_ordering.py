@@ -25,7 +25,6 @@ from lockstep.core import (
 from lockstep.ordering import (
     EQUAL,
     GREATER,
-    GammaMap,
     LESS,
     ProblemOrder,
     compare_atoms,
@@ -219,27 +218,6 @@ def test_clause_comparison_matches_dm_oracle_kbo(c1, c2):
         assert got == GREATER
     else:
         assert got == LESS
-
-
-# ---------------------------------------------------------------------------
-# Gamma-image comparison
-# ---------------------------------------------------------------------------
-
-
-def test_gamma_map_defaults_to_identity():
-    g = GammaMap()
-    c = clause("P", "Q")
-    assert g.resolve(c) == c
-    g2 = g.with_entry(c, clause("P"))
-    assert g.resolve(c) == c          # original map untouched
-    assert g2.resolve(c) == clause("P")
-    assert g2.proper_entries() == {c: clause("P")}
-
-
-def test_gamma_map_equality_ignores_identity_entries():
-    c = clause("P", "Q")
-    assert GammaMap().with_entry(c, c) == GammaMap()
-    assert GammaMap().with_entry(c, clause("P")) != GammaMap()
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +456,11 @@ def test_gamma_keys_and_strict_gamma_comparison():
     po = _kbo_order()
     c1, c2, c3 = po.problem.clauses.clauses()
     pa = Clause([Literal(T("P", T("a")))])
-    g = GammaMap().with_entry(c1, pa)
+    g = {c1: pa}
     assert po.gamma_key(c1, g) == (po.clause_key(pa), po.clause_key(c1))
     assert po.gamma_key(c1, g)[0] < po.gamma_key(c2, g)[0]
     # image ties are not strict even though the clauses differ
-    g2 = g.with_entry(c2, pa)
+    g2 = {**g, c2: pa}
     assert po.gamma_key(c1, g2)[0] == po.gamma_key(c2, g2)[0]
     assert po.gamma_key(c1, g2) < po.gamma_key(c2, g2)   # plain order breaks the tie
 

@@ -7,10 +7,13 @@ checker actually rejects broken states rather than waving everything through.
 """
 
 import dataclasses
+import glob
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lockstep import simulation
 from lockstep.core import (
     Atom,
     Clause,
@@ -22,7 +25,8 @@ from lockstep.core import (
     Problem,
     parse_problem,
 )
-from lockstep.ordering import GammaMap, ProblemOrder
+from lockstep.harness import GenParams, random_problem
+from lockstep.ordering import ProblemOrder
 from lockstep.superposition import run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
@@ -94,8 +98,8 @@ def test_kbo_refutation_simulation_trace():
     assert annotations_of(run) == [
         (0, EMPTY_CLAUSE), (1, c1), (1, c2), (2, c1), (3, EMPTY_CLAUSE),
     ]
-    assert run.annotations[0].gamma.proper_entries() == {}
-    assert run.annotations[1].gamma.proper_entries() == {c1: Clause([PA])}
+    assert run.annotations[0].gamma == {}
+    assert run.annotations[1].gamma == {c1: Clause([PA])}
     assert run.learned == (not_pa, EMPTY_CLAUSE)
     assert run.final_state.u == (not_pa,)
     assert run.final_state.trail == () and run.final_state.k == 0
@@ -126,8 +130,8 @@ def test_lpo_refutation_simulation_trace():
     # the two copies of the duplicated top literal get resolved one per step,
     # which is why the pair index jumps by two at the end
     assert run.annotations[4].index == 2 and run.annotations[5].index == 4
-    assert run.annotations[2].gamma.proper_entries() == {}
-    assert run.annotations[3].gamma.proper_entries() == {c3: c6}
+    assert run.annotations[2].gamma == {}
+    assert run.annotations[3].gamma == {c3: c6}
     assert run.learned == (c7, EMPTY_CLAUSE)
     assert run.final_state.u == (c7,)
 
@@ -165,7 +169,7 @@ def test_third_example_refutation_simulation_trace():
     assert relearned.u == (e2,)
     assert relearned.k == 1
     # the learned clause maps to itself, so the factored-image map stays empty
-    assert run.annotations[4].gamma.proper_entries() == {}
+    assert run.annotations[4].gamma == {}
 
 
 def test_third_example_satisfiable_variant_trace():
@@ -231,6 +235,25 @@ def test_next_attention_walks_the_image_order():
     assert next_attention(po, s0, Annotation(0, c3, gamma)) is None
 
 
+def test_factored_image_maps_hold_no_identity_entries():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    texts = [KBO_TEXT, LPO_TEXT, THIRD_TEXT, SAT_TEXT]
+    for path in sorted(glob.glob(os.path.join(data, "*.prob"))):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    problems = [parse_problem(t) for t in texts]
+    params = GenParams(preds=("P", "Q", "R", "S"), clause_count=10, max_len=4)
+    problems += [random_problem(dataclasses.replace(params, seed=s)) for s in range(300)]
+    entries = 0
+    for p in problems:
+        run = run_scl_sup(p)
+        for ann in run.annotations:
+            identities = [c for c, img in ann.gamma.items() if img == c]
+            assert not identities, (p, ann, identities)
+            entries += len(ann.gamma)
+    assert entries > 0          # the maps are not empty throughout
+
+
 # ---------------------------------------------------------------------------
 # Invariant checking on honest and tampered states
 # ---------------------------------------------------------------------------
@@ -283,9 +306,8 @@ def test_every_boundary_of_every_golden_run_checks_out():
         po = ProblemOrder(p)
         sim = run_scl_sup(p, po)
         sup = run_sup_mo(p, po)
-        for b, ann in enumerate(sim.annotations):
-            reports = check_invariants(po, sim.boundary_states[b], ann,
-                                        sup.snapshots[ann.index])
+        for b, (ann, state) in enumerate(zip(sim.annotations, sim.boundary_states)):
+            reports = check_invariants(po, state, ann, sup.snapshots[ann.index])
             assert all(r.ok for r in reports), (text, b, [r for r in reports if not r.ok])
 
 
@@ -353,7 +375,7 @@ def test_producer_without_a_preimage_is_caught():
         for e in state.trail if e.literal.positive
     }
     assert producers
-    kept = tuple(c for c in state.n if ann.gamma.resolve(c) not in producers)
+    kept = tuple(c for c in state.n if ann.gamma.get(c, c) not in producers)
     v = _verdicts(check_invariants(po, dataclasses.replace(state, n=kept), ann, snapshot))
     assert not v["producer-preimages"]
 
@@ -370,14 +392,14 @@ def test_progress_check():
     p = parse_problem(KBO_TEXT)
     po = ProblemOrder(p)
     c1, c2, _ = p.clauses.clauses()
-    g = GammaMap()
+    g = {}
     assert check_progress(po, Annotation(0, c1, g), Annotation(1, c2, g)) is None
     assert check_progress(po, Annotation(0, c1, g), Annotation(0, c2, g)) is None
     backwards = check_progress(po, Annotation(1, c2, g), Annotation(1, c1, g))
     assert backwards is not None and "attention" in backwards
     regressed = check_progress(po, Annotation(2, c1, g), Annotation(1, c2, g))
     assert regressed is not None
-    changed = check_progress(po, Annotation(1, c1, g), Annotation(1, c2, g.with_entry(c1, Clause([PA]))))
+    changed = check_progress(po, Annotation(1, c1, g), Annotation(1, c2, {c1: Clause([PA])}))
     assert changed is not None and "map" in changed
 
 
@@ -395,6 +417,22 @@ def test_lockstep_verifier_passes_the_golden_refutations(text):
     assert result.regularity_failures == []
     assert result.progress_failures == []
     assert all(b.ok for b in result.boundaries)
+
+
+def test_pair_index_past_the_snapshots_is_reported(monkeypatch):
+    real = simulation.run_sup_mo
+
+    def truncated(*args, **kwargs):
+        run = real(*args, **kwargs)
+        run.snapshots = run.snapshots[:1]
+        return run
+
+    monkeypatch.setattr(simulation, "run_sup_mo", truncated)
+    result = lockstep_verify(parse_problem(KBO_TEXT))
+    names = [[r.name for r in b.reports] for b in result.boundaries]
+    assert [b.index for b in result.boundaries] == [0, 1, 1, 2, 3]
+    assert names == [INVARIANT_NAMES] + [["pair-index-in-range"]] * 4
+    assert not result.ok
 
 
 def test_lockstep_verifier_passes_the_satisfiable_variant():

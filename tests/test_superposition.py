@@ -18,6 +18,7 @@ from lockstep.core import (
     Literal,
     OrderingConfig,
     Problem,
+    atoms_of,
     eval_herbrand,
     parse_problem,
 )
@@ -299,14 +300,6 @@ def test_run_third_example_without_the_block_is_satisfiable():
         assert eval_herbrand(set(run.model), c)
 
 
-def test_empty_clause_in_input_refutes_without_steps():
-    prob = listed_problem([EMPTY_CLAUSE, clause("P")], "P")
-    run = run_sup_mo(prob)
-    assert run.outcome == UNSATISFIABLE
-    assert run.steps == []
-    assert len(run.snapshots) == 1
-
-
 def test_tautologies_are_never_selected():
     prob = listed_problem([clause("P", "-P"), clause("Q")], "P", "Q")
     run = run_sup_mo(prob)
@@ -347,7 +340,8 @@ def brute_sat(clauses, atoms):
 
 
 _lits = st.builds(Literal, st.sampled_from([Atom(n) for n in PQR]), st.booleans())
-_rand_clauses = st.lists(st.lists(_lits, max_size=4).map(Clause), min_size=1, max_size=6)
+_rand_clauses = st.lists(st.lists(_lits, min_size=1, max_size=4).map(Clause),
+                         min_size=1, max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,10 +355,34 @@ def test_random_runs_agree_with_exhaustive_search(cls):
     if run.outcome == SATISFIABLE:
         for c in prob.clauses:
             assert eval_herbrand(set(run.model), c)
-    elif EMPTY_CLAUSE not in prob.clauses:
+    else:
         assert run.derived[-1] == EMPTY_CLAUSE
     # every conclusion is genuinely new at the moment it is derived
     seen = set(prob.clauses)
     for d in run.derived:
         assert d not in seen
         seen.add(d)
+
+
+def _linear_prefix_below(mc, clause, po):
+    key = po.clause_key(clause)
+    return frozenset(e.produced for e in mc.entries
+                     if po.clause_key(e.clause) < key and e.produced is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rand_clauses, st.lists(st.lists(_lits, max_size=5).map(Clause), max_size=8))
+def test_prefix_below_matches_a_linear_walk(cls, probes):
+    prob = listed_problem(cls, *PQR)
+    po = ProblemOrder(prob)
+    run = run_sup_mo(prob, po, max_steps=300)
+    universe = set(po.atoms_ascending)
+    above_all = Clause([Literal(po.atoms_ascending[-1], False)] * 50)
+    for snap in run.snapshots:
+        mc = snap.construction
+        assert mc.prefix_below(above_all) == mc.model
+        # members, their factored images, and clauses outside the set
+        outside = [c for c in probes if atoms_of([c]) <= universe]
+        for c in list(snap.clauses) + [sfac(c, po) for c in snap.clauses] + outside:
+            assert mc.prefix_below(c) == _linear_prefix_below(mc, c, po), c
+        assert mc.prefix_below(EMPTY_CLAUSE) == frozenset()

@@ -33,7 +33,7 @@ def main() -> None:
         print(f"  round {i} ({seq.kind:>14}): {trail}")
 
     print(f"\nlearned along the way: "
-          f"{', '.join(str(c) for c in sim.final_state.u) or '(nothing)'}")
+          f"{', '.join(str(c) for c in sim.state.u) or '(nothing)'}")
     print(f"trail model:      {{{', '.join(sorted(a.text for a in sim.model))}}}")
     print(f"saturation model: {{{', '.join(sorted(a.text for a in result.sup.model))}}}")
 

@@ -56,6 +56,14 @@ def _print_model(model) -> None:
     print("model: {" + ", ".join(sorted(a.text for a in model)) + "}")
 
 
+def _check_caps(args) -> None:
+    """Step and round caps below 0 are usage errors, not engine verdicts."""
+    for name in ("max_steps", "max_rounds"):
+        value = getattr(args, name, 0)
+        if value < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be at least 0, not {value}")
+
+
 def _cmd_sup(args) -> int:
     problem = _load(args.file)
     run = run_sup_mo(problem, max_steps=args.max_steps)
@@ -80,7 +88,7 @@ def _cmd_scl(args) -> int:
     run = run_scl_sup(problem, max_sequences=args.max_rounds)
     for app in run.apps:
         print(app.render())
-    for c in run.final_state.u:
+    for c in run.state.u:
         print(f"learned: {c}")
     print(f"verdict: {run.outcome}")
     if run.model is not None:
@@ -262,6 +270,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_caps(args)
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

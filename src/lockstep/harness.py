@@ -280,10 +280,12 @@ def fuzz_campaign(count: int, base_seed: int = 0,
                   params: Optional[GenParams] = None,
                   max_sequences: int = 10000) -> FuzzReport:
     """Generate ``count`` problems, verify each in lockstep, and arbitrate
-    every verdict against the brute-force oracle. A negative count or bad
-    generator parameters raise ValueError before any instance runs."""
-    if count < 0:
-        raise ValueError(f"count must be at least 0, not {count}")
+    every verdict against the brute-force oracle. A negative count or round
+    cap, or bad generator parameters, raise ValueError before any instance
+    runs."""
+    for name, value in (("count", count), ("max_sequences", max_sequences)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, not {value}")
     params = params or GenParams()
     _check_params(params)
     failures: List[Tuple[int, List[str]]] = []

@@ -17,16 +17,13 @@ that compares above every problem atom (precedence alone cannot express that
 under KBO, where a light nullary symbol would sink below heavier atoms).
 Maximal-literal queries (maximum, its multiplicity, maximality and strict
 maximality) are answered from the cached descending rank key of the clause,
-so they never rescan a clause's copies. The factored-image order
-(``gamma_key``) ranks a clause by its image under a plain mapping from
-clauses to images, ties broken by the clause itself. The mapping holds no
-identity entries: a clause it omits is its own image.
+so they never rescan a clause's copies.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .core import (
     Atom,
@@ -275,9 +272,6 @@ class ProblemOrder:
         except KeyError:
             raise ValueError(f"atom {atom} is outside this problem's universe") from None
 
-    def atom_lt(self, a: Atom, b: Atom) -> bool:
-        return self.atom_rank(a) < self.atom_rank(b)
-
     def below_beta(self, atom: Atom) -> bool:
         return self.atom_rank(atom) < self._atom_rank[self.beta]
 
@@ -295,21 +289,8 @@ class ProblemOrder:
             self._clause_key[clause] = key
         return key
 
-    def clause_cmp(self, c1: Clause, c2: Clause) -> int:
-        k1 = self.clause_key(c1)
-        k2 = self.clause_key(c2)
-        if k1 == k2:
-            return EQUAL
-        return LESS if k1 < k2 else GREATER
-
     def clause_lt(self, c1: Clause, c2: Clause) -> bool:
         return self.clause_key(c1) < self.clause_key(c2)
-
-    def gamma_key(self, clause: Clause,
-                  gamma: Mapping[Clause, Clause]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Sort key for the gamma-image order, tie-broken by the plain order.
-        ``gamma`` maps clauses to their images; a clause it omits is its own."""
-        return (self.clause_key(gamma.get(clause, clause)), self.clause_key(clause))
 
     def sorted_clauses(self, clauses: Iterable[Clause]) -> List[Clause]:
         return sorted(clauses, key=self.clause_key)

@@ -1,13 +1,15 @@
 """Conflict-driven trail calculus over ground clauses.
 
 A state is a trail of annotated literals plus the input clauses, the learned
-clauses, an atom bound, the decision-level counter, and the current conflict
-(None meaning no conflict, the empty clause meaning refuted). Seven rules
-move between states: propagate, decide, and conflict operate outside
-conflict mode; skip, factorize, resolve, and backtrack operate inside it.
+clauses, the decision-level counter, and the current conflict (None meaning
+no conflict, the empty clause meaning refuted). Seven rules move between
+states: propagate, decide, and conflict operate outside conflict mode; skip,
+factorize, resolve, and backtrack operate inside it.
 
-Every rule is a pure function taking the ambient order (for the atom bound)
-and a state, returning the successor state. A violated side condition raises
+Every rule is a pure function taking the ambient order and a state,
+returning the successor state. The atom bound is not part of the state: the
+order holds it as a sentinel atom above every problem atom, and the rules
+that extend the trail check against it. A violated side condition raises
 RuleError with a stable guard name instead of silently doing nothing, which
 keeps drivers honest: a driver that calls a rule out of turn crashes loudly.
 
@@ -64,7 +66,6 @@ class SclState:
     trail: Tuple[TrailEntry, ...]
     n: Tuple[Clause, ...]          # input clauses
     u: Tuple[Clause, ...]          # learned clauses, in learning order
-    beta: Atom
     k: int
     conflict: Optional[Clause]     # None = no conflict, EMPTY_CLAUSE = refuted
 
@@ -81,15 +82,8 @@ class SclState:
         return f"([{trail}]; U={learned}; k={self.k}; {conflict})"
 
 
-def initial_state(problem: Problem, order: ProblemOrder) -> SclState:
-    return SclState(
-        trail=(),
-        n=problem.clauses.clauses(),
-        u=(),
-        beta=order.beta,
-        k=0,
-        conflict=None,
-    )
+def initial_state(problem: Problem) -> SclState:
+    return SclState(trail=(), n=problem.clauses.clauses(), u=(), k=0, conflict=None)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +162,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
     entry = TrailEntry(literal=literal, level=state.k, reason=justification)
     return SclState(
         trail=state.trail + (entry,),
-        n=state.n, u=state.u, beta=state.beta, k=state.k, conflict=None,
+        n=state.n, u=state.u, k=state.k, conflict=None,
     )
 
 
@@ -184,7 +178,7 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
     entry = TrailEntry(literal=literal, level=state.k + 1, reason=None)
     return SclState(
         trail=state.trail + (entry,),
-        n=state.n, u=state.u, beta=state.beta, k=state.k + 1, conflict=None,
+        n=state.n, u=state.u, k=state.k + 1, conflict=None,
     )
 
 
@@ -196,7 +190,7 @@ def conflict(order: ProblemOrder, state: SclState, clause: Clause) -> SclState:
     if status_under_assignment(state.assignment(), clause) != ClauseStatus.FALSE:
         raise RuleError("conflict", "clause-not-false", f"{clause} is not falsified by the trail")
     return SclState(
-        trail=state.trail, n=state.n, u=state.u, beta=state.beta, k=state.k,
+        trail=state.trail, n=state.n, u=state.u, k=state.k,
         conflict=clause,
     )
 
@@ -230,8 +224,7 @@ def skip(order: ProblemOrder, state: SclState) -> SclState:
         )
     new_k = state.k - 1 if top.is_decision else state.k
     return SclState(
-        trail=state.trail[:-1], n=state.n, u=state.u, beta=state.beta,
-        k=new_k, conflict=d,
+        trail=state.trail[:-1], n=state.n, u=state.u, k=new_k, conflict=d,
     )
 
 
@@ -255,7 +248,7 @@ def factorize(order: ProblemOrder, state: SclState, literal: Optional[Literal] =
             f"{literal} does not occur twice in {d}",
         )
     return SclState(
-        trail=state.trail, n=state.n, u=state.u, beta=state.beta, k=state.k,
+        trail=state.trail, n=state.n, u=state.u, k=state.k,
         conflict=d.without_one(literal),
     )
 
@@ -282,7 +275,7 @@ def resolve(order: ProblemOrder, state: SclState) -> SclState:
         top.reason.without_one(top.literal).literals
     )
     return SclState(
-        trail=state.trail, n=state.n, u=state.u, beta=state.beta, k=state.k,
+        trail=state.trail, n=state.n, u=state.u, k=state.k,
         conflict=resolvent,
     )
 
@@ -315,8 +308,7 @@ def backtrack(order: ProblemOrder, state: SclState) -> SclState:
             )
     new_u = state.u if d in state.u else state.u + (d,)
     return SclState(
-        trail=state.trail[:-1], n=state.n, u=new_u, beta=state.beta,
-        k=state.k - 1, conflict=None,
+        trail=state.trail[:-1], n=state.n, u=new_u, k=state.k - 1, conflict=None,
     )
 
 

@@ -4,9 +4,10 @@ run_scl_sup plays the trail calculus under a fixed strategy whose rounds
 mirror the model-driven saturation loop one for one. Every round boundary
 carries an annotation: a pair index (how many saturation steps the shadowed
 run has taken by now), the clause currently holding attention, and a map
-sending clauses to their factored images. The run records every state and
-rule application once; the annotations and states at the boundaries are
-read from that record.
+sending clauses to their factored images. Attention walks the clauses in
+the factored-image order: by image, ties broken by the clause itself. The
+run records every state and rule application once; the annotations and
+states at the boundaries are read from that record.
 
 check_invariants confronts one annotated trail state with the saturation
 snapshot its pair index claims to match. lockstep_verify runs both sides
@@ -18,7 +19,7 @@ verdicts, models, and learned clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .core import (
     Clause,
@@ -115,8 +116,6 @@ class SimRun:
     def state(self) -> SclState:
         return self.states[-1]
 
-    final_state = state            # the same state, read once the run is over
-
     @property
     def annotations(self) -> List[Annotation]:
         return [self.start] + [seq.annotation for seq in self.seqs]
@@ -131,6 +130,13 @@ class SimRun:
         self.apps.append(app)
 
 
+def _gamma_key(order: ProblemOrder, clause: Clause,
+               gamma: Mapping[Clause, Clause]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Sort key for the factored-image order: a clause ranks by its image
+    under ``gamma``, ties broken by the clause itself."""
+    return (order.clause_key(gamma.get(clause, clause)), order.clause_key(clause))
+
+
 def initial_gamma(problem: Problem, order: ProblemOrder) -> Dict[Clause, Clause]:
     """Map each input clause to its factored image when the input set already
     contains that image and the image differs from the clause."""
@@ -143,11 +149,11 @@ def next_attention(order: ProblemOrder, state: SclState,
                    ann: Annotation) -> Optional[Clause]:
     """The smallest clause, in the factored-image order, strictly past the
     clause currently holding attention. None once the walk is exhausted."""
-    floor = order.gamma_key(ann.aid, ann.gamma)
+    floor = _gamma_key(order, ann.aid, ann.gamma)
     best: Optional[Clause] = None
     best_key = None
     for c in state.all_clauses():
-        key = order.gamma_key(c, ann.gamma)
+        key = _gamma_key(order, c, ann.gamma)
         if key <= floor:
             continue
         if best is None or key < best_key:
@@ -246,7 +252,7 @@ def _producing_clause(order: ProblemOrder, state: SclState,
         rest = Clause([l for l in img.literals if l != literal])
         if status_under_assignment(assignment, rest) != ClauseStatus.FALSE:
             continue
-        key = order.gamma_key(c, gamma)
+        key = _gamma_key(order, c, gamma)
         if best is None or key < best_key:
             best, best_key = c, key
     if best is None:
@@ -325,7 +331,7 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     """
     order = order or ProblemOrder(problem)
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
-    run = SimRun(problem, order, ann, [initial_state(problem, order)])
+    run = SimRun(problem, order, ann, [initial_state(problem)])
 
     while len(run.seqs) < max_sequences:
         start = len(run.apps)
@@ -551,10 +557,10 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     # (xii) everything up to the attention clause is satisfied
     def prefix_satisfied() -> Tuple[bool, str]:
-        aid_key = order.gamma_key(ann.aid, ann.gamma)
+        aid_key = _gamma_key(order, ann.aid, ann.gamma)
         unsat = [
             c for c in state.all_clauses()
-            if order.gamma_key(c, ann.gamma) <= aid_key
+            if _gamma_key(order, c, ann.gamma) <= aid_key
             and status_under_assignment(assignment, c) != ClauseStatus.TRUE
         ]
         return not unsat, f"not satisfied yet: {[str(c) for c in unsat]}"
@@ -588,7 +594,7 @@ def check_progress(order: ProblemOrder, before: Annotation,
         return f"pair index went from {before.index} back to {after.index}"
     if after.gamma != before.gamma:
         return "factored-image map changed while the pair index stood still"
-    if order.gamma_key(after.aid, after.gamma) <= order.gamma_key(before.aid, before.gamma):
+    if _gamma_key(order, after.aid, after.gamma) <= _gamma_key(order, before.aid, before.gamma):
         return "attention clause did not advance"
     return None
 
@@ -708,7 +714,7 @@ def lockstep_verify(problem: Problem, order: Optional[ProblemOrder] = None,
         if sim.outcome == SATISFIABLE and sim.model != sup.model:
             ff.append(f"models disagree: {sim.model} vs {sup.model}")
         if sim.outcome == UNSATISFIABLE:
-            fs = sim.final_state
+            fs = sim.state
             if fs.trail or fs.k != 0 or fs.conflict != EMPTY_CLAUSE:
                 ff.append("refuted trail state is not the closed final shape")
     return result

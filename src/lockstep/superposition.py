@@ -81,23 +81,25 @@ def superposition_left(false_clause: Clause, producer: Clause, order: ProblemOrd
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One clause's row in the bottom-up construction."""
+    """One clause's row in the bottom-up construction. Rows between two
+    productions share one prefix set."""
 
     clause: Clause
     prefix: FrozenSet[Atom]        # atoms produced by strictly smaller clauses
-    produced: Optional[Atom]       # the atom this clause makes true, if any
-    satisfied: bool                # true under prefix plus own production
 
 
 @dataclass
 class ModelConstruction:
     """The full bottom-up pass over one clause set.
 
-    entries are in ascending clause order; ``model`` is the union of all
-    produced atoms; ``minimal_false`` is the smallest clause not satisfied by
-    its own row (None when the construction satisfies everything).
-    prefix_below and delta_of answer the same questions for arbitrary
-    clauses, members of the set or not.
+    entries are in ascending clause order. The prefix set is replaced only
+    when a clause produces, so the entries hold at most one prefix set per
+    production plus the empty one, and ``model``, the union of all produced
+    atoms, is the last of them. ``producer`` names the clause that produced
+    each atom and ``minimal_false`` the smallest clause the construction
+    leaves false (None when it satisfies everything); every other entry is
+    true under its prefix or produces. prefix_below and delta_of answer the
+    same questions for arbitrary clauses, members of the set or not.
     """
 
     order: ProblemOrder
@@ -139,29 +141,25 @@ def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
 
 
 def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelConstruction:
-    ordered = order.sorted_clauses(set(clauses))
-    current: set = set()
+    prefix: FrozenSet[Atom] = frozenset()
     entries: List[ModelEntry] = []
     producer: Dict[Atom, Clause] = {}
     minimal_false: Optional[Clause] = None
-    for c in ordered:
-        prefix = frozenset(current)
-        produced: Optional[Atom] = None
-        satisfied = eval_herbrand(current, c)
-        if not satisfied:
-            produced = _production(c, order)
-            if produced is not None:
-                current.add(produced)
-                producer[produced] = c
-                satisfied = True
-        entries.append(ModelEntry(c, prefix, produced, satisfied))
-        if not satisfied and minimal_false is None:
+    for c in order.sorted_clauses(set(clauses)):
+        entries.append(ModelEntry(c, prefix))
+        if eval_herbrand(prefix, c):
+            continue
+        produced = _production(c, order)
+        if produced is not None:
+            producer[produced] = c
+            prefix = prefix | {produced}
+        elif minimal_false is None:
             minimal_false = c
     return ModelConstruction(
         order=order,
         entries=entries,
         producer=producer,
-        model=frozenset(current),
+        model=prefix,
         minimal_false=minimal_false,
     )
 
@@ -221,13 +219,29 @@ class SupSnapshot:
 
 @dataclass
 class SupRun:
+    """A saturation run, recorded once.
+
+    Stored: one snapshot per construction pass, the steps between them
+    (step ``i`` leads from snapshot ``i`` to snapshot ``i + 1``) and the
+    outcome. Derived: ``derived``, the step conclusions in order, and
+    ``model``, the last snapshot's model when the run is satisfiable.
+    """
+
     problem: Problem
     order: ProblemOrder
     snapshots: List[SupSnapshot] = field(default_factory=list)
     steps: List[SupStep] = field(default_factory=list)
-    derived: Tuple[Clause, ...] = ()
     outcome: str = CAP_EXCEEDED
-    model: Optional[FrozenSet[Atom]] = None
+
+    @property
+    def derived(self) -> Tuple[Clause, ...]:
+        return tuple(step.conclusion for step in self.steps)
+
+    @property
+    def model(self) -> Optional[FrozenSet[Atom]]:
+        if self.outcome != SATISFIABLE:
+            return None
+        return self.snapshots[-1].construction.model
 
 
 def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
@@ -235,22 +249,21 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     """Run the model-driven strategy to a verdict or the step cap.
 
     Termination is by verdict on every ground input; the cap only guards
-    against defects. Every snapshot (including the final one) carries its
-    construction, so downstream checks can replay any point of the run.
+    against defects. Every snapshot (including the final one) carries a full
+    construction, so downstream checks can replay any point of the run; its
+    entries share one prefix set per production. The clause set grows by
+    one conclusion per step and is the only clause collection kept.
     """
     order = order or ProblemOrder(problem)
     run = SupRun(problem=problem, order=order)
-    current: List[Clause] = list(problem.clauses)
-    present = set(current)
-    derived: List[Clause] = []
+    present = set(problem.clauses)
 
     while True:
-        construction = construct_model(current, order)
+        construction = construct_model(present, order)
         ordered = tuple(e.clause for e in construction.entries)
         run.snapshots.append(SupSnapshot(clauses=ordered, construction=construction))
         if construction.minimal_false is None:
             run.outcome = SATISFIABLE
-            run.model = construction.model
             break
         if construction.minimal_false.is_empty:
             run.outcome = UNSATISFIABLE
@@ -265,9 +278,5 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
                 "the strategy must always produce a new clause"
             )
         run.steps.append(step)
-        derived.append(step.conclusion)
-        current.append(step.conclusion)
         present.add(step.conclusion)
-
-    run.derived = tuple(derived)
     return run

@@ -148,7 +148,7 @@ def test_criterion_3_repropagation_and_satisfiable_variant(capsys):
         failures.append(f"satisfiable variant round kinds were {sat_kinds}")
     if sat_sim.model != {PA.atom, PB.atom, QA.atom}:
         failures.append(f"satisfiable variant model was {sat_sim.model}")
-    final = sat_sim.final_state
+    final = sat_sim.state
     if not all(e.is_decision for e in final.trail) or final.k != 3:
         failures.append(f"satisfiable final state was {final.render()}")
     _report(capsys, 3, "repropagation variants behave on both verdicts", failures)
@@ -200,11 +200,11 @@ def test_criterion_5_no_conclusion_is_ever_redundant(capsys):
                 failures.append(f"saturation produced a redundant {step.conclusion}")
         sim = run_scl_sup(problem)
         inputs = problem.clauses.clauses()
-        for i, learned in enumerate(sim.final_state.u):
-            if is_redundant(inputs + sim.final_state.u[:i], learned, sim.order):
+        for i, learned in enumerate(sim.state.u):
+            if is_redundant(inputs + sim.state.u[:i], learned, sim.order):
                 failures.append(f"the trail engine learned a redundant {learned}")
         if sim.outcome == UNSATISFIABLE:
-            if is_redundant(inputs + sim.final_state.u, EMPTY_CLAUSE, sim.order):
+            if is_redundant(inputs + sim.state.u, EMPTY_CLAUSE, sim.order):
                 failures.append("the final refutation counted as redundant")
     _report(capsys, 5, "every conclusion is non-redundant when derived", failures)
 

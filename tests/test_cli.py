@@ -158,6 +158,21 @@ def test_bad_generator_parameters_exit_two(argv, field, capsys):
     assert captured.err.startswith("error: ") and field in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sup", "FILE", "--max-steps", "-1"], "--max-steps"),
+    (["scl", "FILE", "--max-rounds", "-1"], "--max-rounds"),
+    (["simulate", "FILE", "--max-rounds", "-1"], "--max-rounds"),
+    (["simulate", "FILE", "--json", "--max-rounds", "-2"], "--max-rounds"),
+    # fuzz used to blame every instance on the engines
+    (["fuzz", "--count", "3", "--max-rounds", "-1"], "--max-rounds"),
+])
+def test_negative_caps_exit_two(argv, flag, unsat_file, capsys):
+    assert cli.main([unsat_file if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
 def test_gen_without_constants_takes_nullary_predicates(capsys):
     assert cli.main(["gen", "--seed", "1", "--max-arity", "0", "--consts", ""]) == 0
     parse_problem(capsys.readouterr().out)

@@ -191,8 +191,8 @@ def test_no_golden_learned_clause_is_redundant_when_learned(text):
     problem = parse_problem(text)
     run = run_scl_sup(problem)
     inputs = problem.clauses.clauses()
-    for i, learned in enumerate(run.final_state.u):
-        at_the_time = inputs + run.final_state.u[:i]
+    for i, learned in enumerate(run.state.u):
+        at_the_time = inputs + run.state.u[:i]
         assert not is_redundant(at_the_time, learned, run.order)
 
 
@@ -265,6 +265,12 @@ def test_fuzz_campaign_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count"):
         fuzz_campaign(-3)
     assert fuzz_campaign(0).total == 0
+
+
+def test_fuzz_campaign_rejects_a_negative_round_cap():
+    with pytest.raises(ValueError, match="max_sequences"):
+        fuzz_campaign(3, max_sequences=-1)   # before any instance runs
+    assert fuzz_campaign(0, max_sequences=0).total == 0
 
 
 def test_generator_covers_all_three_ordering_kinds():

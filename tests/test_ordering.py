@@ -305,7 +305,6 @@ def test_rank_table_ascends_with_the_declared_order():
     assert po.atoms_ascending == (pa, qb)
     assert po.atom_rank(pa) == 0
     assert po.atom_rank(qb) == 1
-    assert po.atom_lt(pa, qb)
 
 
 def test_bound_atom_tops_the_order():
@@ -314,7 +313,7 @@ def test_bound_atom_tops_the_order():
     assert po.atom_rank(po.beta) == 2
     for a in po.atoms_ascending:
         assert po.below_beta(a)
-        assert po.atom_lt(a, po.beta)
+        assert po.atom_rank(a) < po.atom_rank(po.beta)
     assert not po.below_beta(po.beta)
 
 
@@ -346,7 +345,7 @@ def test_clause_keys_and_sorting():
     assert po.clause_key(EMPTY_CLAUSE) == ()
     assert po.sorted_clauses([c3, c1, c2, EMPTY_CLAUSE]) == [EMPTY_CLAUSE, c1, c2, c3]
     assert po.clause_lt(EMPTY_CLAUSE, c1)
-    assert po.clause_cmp(c2, c2) == EQUAL
+    assert not po.clause_lt(c2, c2)
 
 
 def test_max_literal_and_maximality():
@@ -426,14 +425,16 @@ def test_rank_comparison_agrees_with_structural_comparison():
     cs = list(p.clauses)
     for c in cs:
         for d in cs:
-            assert po.clause_cmp(c, d) == compare_clauses(c, d, p.ordering)
+            k, l = po.clause_key(c), po.clause_key(d)
+            expected = compare_clauses(c, d, p.ordering)
+            assert {LESS: k < l, EQUAL: k == l, GREATER: k > l}[expected]
 
 
 def test_listed_order_uses_the_declared_positions():
     p = parse_problem("order: listed\natoms: Q < P\nclause: P | -Q\n")
     po = ProblemOrder(p)
     assert po.atoms_ascending == (Atom("Q"), Atom("P"))
-    assert po.atom_lt(Atom("Q"), Atom("P"))
+    assert po.atom_rank(Atom("Q")) < po.atom_rank(Atom("P"))
 
 
 def test_problem_order_rejects_broken_configs():
@@ -450,17 +451,3 @@ def test_atom_outside_universe_is_rejected():
     po = _kbo_order()
     with pytest.raises(ValueError):
         po.atom_rank(Atom("R"))
-
-
-def test_gamma_keys_and_strict_gamma_comparison():
-    po = _kbo_order()
-    c1, c2, c3 = po.problem.clauses.clauses()
-    pa = Clause([Literal(T("P", T("a")))])
-    g = {c1: pa}
-    assert po.gamma_key(c1, g) == (po.clause_key(pa), po.clause_key(c1))
-    assert po.gamma_key(c1, g)[0] < po.gamma_key(c2, g)[0]
-    # image ties are not strict even though the clauses differ
-    g2 = {**g, c2: pa}
-    assert po.gamma_key(c1, g2)[0] == po.gamma_key(c2, g2)[0]
-    assert po.gamma_key(c1, g2) < po.gamma_key(c2, g2)   # plain order breaks the tie
-

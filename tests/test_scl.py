@@ -54,19 +54,18 @@ def kbo():
 
 
 def test_initial_state(kbo):
-    p, po = kbo
-    s = initial_state(p, po)
+    p, _ = kbo
+    s = initial_state(p)
     assert s.trail == ()
     assert s.n == p.clauses.clauses()
     assert s.u == ()
     assert s.k == 0
     assert s.conflict is None
-    assert s.beta == po.beta
 
 
 def test_decide_pushes_a_new_level(kbo):
     p, po = kbo
-    s = decide(po, initial_state(p, po), PA)
+    s = decide(po, initial_state(p), PA)
     assert s.k == 1
     assert len(s.trail) == 1
     entry = s.trail[0]
@@ -77,7 +76,7 @@ def test_decide_pushes_a_new_level(kbo):
 
 def test_decide_guards(kbo):
     p, po = kbo
-    s0 = initial_state(p, po)
+    s0 = initial_state(p)
     with pytest.raises(RuleError) as e:
         decide(po, s0, Literal(Atom("Z")))
     assert e.value.guard == "unknown-atom"
@@ -90,7 +89,7 @@ def test_decide_guards(kbo):
 def test_propagate_dedups_the_justification(kbo):
     p, po = kbo
     c1 = p.clauses.by_id(0)          # P(a) | P(a)
-    s = propagate(po, initial_state(p, po), c1, PA)
+    s = propagate(po, initial_state(p), c1, PA)
     entry = s.trail[0]
     assert entry.literal == PA
     assert entry.level == 0          # no decision yet
@@ -101,7 +100,7 @@ def test_propagate_dedups_the_justification(kbo):
 def test_propagate_after_a_decision_records_the_current_level(kbo):
     p, po = kbo
     c2 = p.clauses.by_id(1)          # -P(a) | Q(b)
-    s = decide(po, initial_state(p, po), PA)
+    s = decide(po, initial_state(p), PA)
     s = propagate(po, s, c2, QB)
     assert s.trail[1].literal == QB
     assert s.trail[1].level == 1
@@ -110,7 +109,7 @@ def test_propagate_after_a_decision_records_the_current_level(kbo):
 
 def test_propagate_guards(kbo):
     p, po = kbo
-    s0 = initial_state(p, po)
+    s0 = initial_state(p)
     c1, c2, c3 = p.clauses.clauses()
     with pytest.raises(RuleError) as e:
         propagate(po, s0, c2, QB)            # -P(a) not yet false
@@ -130,7 +129,7 @@ def test_propagate_guards(kbo):
 def test_conflict_rule(kbo):
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
-    s = decide(po, initial_state(p, po), PA)
+    s = decide(po, initial_state(p), PA)
     with pytest.raises(RuleError) as e:
         conflict(po, s, c3)                  # -Q(b) still undefined
     assert e.value.guard == "clause-not-false"
@@ -153,7 +152,7 @@ def _conflict_state(kbo):
     """Trail [P(a)^1, Q(b)^(-P(a)|Q(b))], conflict -Q(b)."""
     p, po = kbo
     c2, c3 = p.clauses.by_id(1), p.clauses.by_id(2)
-    s = decide(po, initial_state(p, po), PA)
+    s = decide(po, initial_state(p), PA)
     s = propagate(po, s, c2, QB)
     return po, p, conflict(po, s, c3)
 
@@ -197,7 +196,7 @@ def test_backtrack_learns_and_drops_one_level(kbo):
 def test_backtrack_guards(kbo):
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
-    s0 = initial_state(p, po)
+    s0 = initial_state(p)
     with pytest.raises(RuleError) as e:
         backtrack(po, s0)
     assert e.value.guard == "no-conflict"
@@ -228,7 +227,7 @@ clause: -P(a) | -P(a)
     p2 = parse_problem(text)
     po2 = ProblemOrder(p2)
     c1, c2 = p2.clauses.clauses()
-    s = decide(po2, initial_state(p2, po2), PA)
+    s = decide(po2, initial_state(p2), PA)
     s = conflict(po2, s, c2)
     s = backtrack(po2, s)
     assert s.u == (c2,)
@@ -246,7 +245,7 @@ clause: -Q(a)
     p = parse_problem(text)
     po = ProblemOrder(p)
     qa = Literal(T("Q", T("a")))
-    s = decide(po, initial_state(p, po), PA)
+    s = decide(po, initial_state(p), PA)
     s = propagate(po, s, p.clauses.by_id(1), qa)
     s = conflict(po, s, p.clauses.by_id(2))
     s = resolve(po, s)                   # conflict becomes bottom
@@ -274,7 +273,7 @@ clause: Q(a)
     po = ProblemOrder(p)
     qa = Literal(T("Q", T("a")))
     c1 = p.clauses.by_id(0)
-    s = propagate(po, initial_state(p, po), p.clauses.by_id(1), PA)
+    s = propagate(po, initial_state(p), p.clauses.by_id(1), PA)
     s = propagate(po, s, p.clauses.by_id(2), qa)
     s = conflict(po, s, c1)
     s2 = factorize(po, s)
@@ -292,7 +291,7 @@ clause: Q(a)
 def test_is_defined_and_levels(kbo):
     p, po = kbo
     c2 = p.clauses.by_id(1)
-    s = decide(po, initial_state(p, po), PA)
+    s = decide(po, initial_state(p), PA)
     s = propagate(po, s, c2, QB)
     assert is_defined(s, PA.atom) and is_defined(s, QB.atom)
     assert literal_level(s, QB) == 1
@@ -304,7 +303,7 @@ def test_is_defined_and_levels(kbo):
 def test_regularity_audit_flags_ignored_conflicts(kbo):
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
-    s0 = initial_state(p, po)
+    s0 = initial_state(p)
     s1 = decide(po, s0, PA)
     s2 = propagate(po, s1, c2, QB)
     # at s2 the clause -Q(b) is false, so anything except Conflict is irregular
@@ -330,7 +329,7 @@ clause: -Q(a)
     p = parse_problem(text)
     po = ProblemOrder(p)
     qa = Literal(T("Q", T("a")))
-    s0 = initial_state(p, po)
+    s0 = initial_state(p)
     s1 = decide(po, s0, qa)              # legal, but -Q(a) is now false
     violations = audit_regular([s0, s1], [RuleApp(rule="decide", literal=qa)])
     assert any("decide" in v for v in violations)

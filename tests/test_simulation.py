@@ -101,9 +101,9 @@ def test_kbo_refutation_simulation_trace():
     assert run.annotations[0].gamma == {}
     assert run.annotations[1].gamma == {c1: Clause([PA])}
     assert run.learned == (not_pa, EMPTY_CLAUSE)
-    assert run.final_state.u == (not_pa,)
-    assert run.final_state.trail == () and run.final_state.k == 0
-    assert run.final_state.conflict == EMPTY_CLAUSE
+    assert run.state.u == (not_pa,)
+    assert run.state.trail == () and run.state.k == 0
+    assert run.state.conflict == EMPTY_CLAUSE
     assert run.model is None
 
     mid = run.boundary_states[2]         # after the propagate-then-conflict round
@@ -133,7 +133,7 @@ def test_lpo_refutation_simulation_trace():
     assert run.annotations[2].gamma == {}
     assert run.annotations[3].gamma == {c3: c6}
     assert run.learned == (c7, EMPTY_CLAUSE)
-    assert run.final_state.u == (c7,)
+    assert run.state.u == (c7,)
 
     after_pass = run.boundary_states[2]
     assert [e.literal for e in after_pass.trail] == [PA, PB.complement()]
@@ -187,7 +187,7 @@ def test_third_example_satisfiable_variant_trace():
     ]
     assert run.learned == (e2,)
     assert run.model == frozenset({PA.atom, PB.atom, QA.atom})
-    final = run.final_state
+    final = run.state
     assert [e.literal for e in final.trail] == [PA, PB, QA]
     assert [e.is_decision for e in final.trail] == [True, True, True]
     assert final.k == 3
@@ -200,7 +200,7 @@ def test_contradictory_units_refute_in_two_sequences():
     assert run.outcome == "unsatisfiable"
     assert [s.kind for s in run.seqs] == ["clash", "refute"]
     assert run.learned == (EMPTY_CLAUSE,)
-    assert run.final_state.u == ()       # refutation is reached without backtracking
+    assert run.state.u == ()       # refutation is reached without backtracking
     assert annotations_of(run)[-1] == (1, EMPTY_CLAUSE)
 
 
@@ -217,7 +217,7 @@ def test_filler_decisions_cover_a_negative_maximum():
     run = run_scl_sup(p)
     assert run.outcome == "satisfiable"
     assert [s.kind for s in run.seqs] == ["pass"]
-    final = run.final_state
+    final = run.state
     assert [e.literal for e in final.trail] == [PA.complement()]
     assert final.trail[0].is_decision
     assert run.model == frozenset()
@@ -233,6 +233,21 @@ def test_next_attention_walks_the_image_order():
     assert next_attention(po, s0, Annotation(0, EMPTY_CLAUSE, gamma)) == c1
     assert next_attention(po, s0, Annotation(0, c1, gamma)) == c2
     assert next_attention(po, s0, Annotation(0, c3, gamma)) is None
+
+
+def test_gamma_keys_and_strict_gamma_comparison():
+    p = parse_problem(KBO_TEXT)
+    po = ProblemOrder(p)
+    c1, c2, _ = p.clauses.clauses()
+    pa = Clause([PA])
+    key = simulation._gamma_key
+    g = {c1: pa}
+    assert key(po, c1, g) == (po.clause_key(pa), po.clause_key(c1))
+    assert key(po, c1, g)[0] < key(po, c2, g)[0]
+    # image ties are not strict even though the clauses differ
+    g2 = {**g, c2: pa}
+    assert key(po, c1, g2)[0] == key(po, c2, g2)[0]
+    assert key(po, c1, g2) < key(po, c2, g2)   # plain order breaks the tie
 
 
 def test_factored_image_maps_hold_no_identity_entries():

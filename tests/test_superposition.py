@@ -6,6 +6,9 @@ interpretation, producing clause, and conclusion below is a frozen expected
 value, not a recording of what the code happened to output.
 """
 
+import glob
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +37,9 @@ from lockstep.superposition import (
     sfac,
     superposition_left,
 )
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def T(name, *args):
@@ -147,7 +153,9 @@ def test_construct_model_without_any_production():
     assert mc.model == frozenset()
     assert mc.producer == {}
     assert mc.minimal_false == c1        # duplicated maximum cannot produce
-    assert [e.satisfied for e in mc.entries] == [False, True, True]
+    assert mc.delta_of(c1) is None
+    # nothing is produced, so each entry is true exactly under its prefix
+    assert [eval_herbrand(e.prefix, e.clause) for e in mc.entries] == [False, True, True]
     assert [e.clause for e in mc.entries] == [c1, c2, c3]
 
 
@@ -172,10 +180,10 @@ def test_construct_model_with_production():
     assert mc.model == frozenset({pa})
     assert mc.minimal_false == c3
     by_clause = {e.clause: e for e in mc.entries}
-    assert by_clause[c1].produced == pa
+    assert mc.delta_of(c1) == pa
     assert by_clause[c1].prefix == frozenset()
-    assert by_clause[c2].satisfied and by_clause[c2].produced is None
-    assert not by_clause[c3].satisfied
+    assert eval_herbrand(by_clause[c2].prefix, c2) and mc.delta_of(c2) is None
+    assert not eval_herbrand(by_clause[c3].prefix, c3) and mc.delta_of(c3) is None
 
 
 def test_prefix_and_delta_queries():
@@ -201,11 +209,13 @@ def test_produced_atoms_ascend_along_the_clause_order():
     po = ProblemOrder(p)
     c3 = p.clauses.by_id(2)
     mc = construct_model(list(p.clauses) + [sfac(c3, po)], po)
-    produced = [e.produced for e in mc.entries if e.produced is not None]
+    produced_by = {c: a for a, c in mc.producer.items()}
+    produced = [produced_by[e.clause] for e in mc.entries if e.clause in produced_by]
+    assert len(produced) == len(mc.producer)
     for earlier, later in zip(produced, produced[1:]):
-        assert po.atom_lt(earlier, later)
+        assert po.atom_rank(earlier) < po.atom_rank(later)
     for e in mc.entries:
-        assert mc.delta_of(e.clause) == e.produced
+        assert mc.delta_of(e.clause) == produced_by.get(e.clause)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +376,34 @@ def test_random_runs_agree_with_exhaustive_search(cls):
 
 def _linear_prefix_below(mc, clause, po):
     key = po.clause_key(clause)
-    return frozenset(e.produced for e in mc.entries
-                     if po.clause_key(e.clause) < key and e.produced is not None)
+    return frozenset(a for a, c in mc.producer.items() if po.clause_key(c) < key)
+
+
+def _check_snapshot(snap, po, outside=()):
+    """The construction keeps one prefix set per production plus the empty
+    one, ``model`` among them, and prefix_below agrees with a linear walk
+    over the producers."""
+    mc = snap.construction
+    prefixes = {id(e.prefix): e.prefix for e in mc.entries}
+    prefixes[id(mc.model)] = mc.model
+    assert len(prefixes) <= len(mc.producer) + 1
+    above_all = Clause([Literal(po.atoms_ascending[-1], False)] * 50)
+    assert mc.prefix_below(above_all) == mc.model
+    # members, their factored images, and clauses outside the set
+    for c in list(snap.clauses) + [sfac(c, po) for c in snap.clauses] + list(outside):
+        assert mc.prefix_below(c) == _linear_prefix_below(mc, c, po), c
+    assert mc.prefix_below(EMPTY_CLAUSE) == frozenset()
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(DATA, "*.prob"))),
+                         ids=os.path.basename)
+def test_golden_constructions_share_one_prefix_per_production(path):
+    with open(path) as fh:
+        prob = parse_problem(fh.read())
+    po = ProblemOrder(prob)
+    run = run_sup_mo(prob, po)
+    for snap in run.snapshots:
+        _check_snapshot(snap, po)
 
 
 @settings(max_examples=100, deadline=None)
@@ -377,12 +413,6 @@ def test_prefix_below_matches_a_linear_walk(cls, probes):
     po = ProblemOrder(prob)
     run = run_sup_mo(prob, po, max_steps=300)
     universe = set(po.atoms_ascending)
-    above_all = Clause([Literal(po.atoms_ascending[-1], False)] * 50)
+    outside = [c for c in probes if atoms_of([c]) <= universe]
     for snap in run.snapshots:
-        mc = snap.construction
-        assert mc.prefix_below(above_all) == mc.model
-        # members, their factored images, and clauses outside the set
-        outside = [c for c in probes if atoms_of([c]) <= universe]
-        for c in list(snap.clauses) + [sfac(c, po) for c in snap.clauses] + outside:
-            assert mc.prefix_below(c) == _linear_prefix_below(mc, c, po), c
-        assert mc.prefix_below(EMPTY_CLAUSE) == frozenset()
+        _check_snapshot(snap, po, outside)

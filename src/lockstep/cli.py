@@ -22,7 +22,7 @@ from .harness import (
     fuzz_campaign,
     random_problem,
 )
-from .ordering import ProblemOrder, validate_ordering
+from .ordering import validate_ordering
 from .scl import RuleError
 from .simulation import SimulationError, lockstep_verify, run_scl_sup
 from .superposition import SATISFIABLE, UNSATISFIABLE, run_sup_mo
@@ -148,9 +148,8 @@ def _cmd_check(args) -> int:
         for issue in issues:
             print(f"error: {issue}", file=sys.stderr)
         return 2
-    order = ProblemOrder(problem)
-    print(f"ok: {len(problem.clauses.clauses())} clauses, "
-          f"{len(order.atoms_ascending)} atoms, {problem.ordering.kind} order")
+    print(f"ok: {len(problem.clauses)} clauses, "
+          f"{len(problem.atom_universe)} atoms, {problem.ordering.kind} order")
     return 0
 
 

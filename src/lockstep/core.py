@@ -90,75 +90,86 @@ class Literal:
 
 
 class Clause:
-    """A finite multiset of ground literals.
+    """A finite multiset of ground literals, held once.
 
-    Literals are stored sorted by their rendered text, which makes equality
-    and hashing multiset equality regardless of input order. Every copy is
-    kept: ``literals``, ``text``, equality, hashing, ``count``,
-    ``without_one`` and ``extended`` all see the full multiset. Truth is
-    evaluated over ``distinct`` instead, the literals without repeats,
-    because extra copies cannot change a clause's truth value; that tuple is
-    built on first use. The empty clause prints as ⊥ and is only ever
-    produced by inference, never parsed.
+    ``distinct`` lists the literals without repeats, sorted by their rendered
+    text, and ``counts`` the copies of each, so equality and hashing are
+    multiset equality regardless of input order. ``count``, ``contains``,
+    ``without_one``, ``with_count`` and the sum ``+`` act on these runs,
+    never on single copies; truth is evaluated over ``distinct``, because
+    extra copies cannot change a clause's truth value. ``literals`` and
+    ``text`` spell out every copy, in text order, for rendering. The empty
+    clause prints as ⊥ and is only ever produced by inference, never parsed.
     """
 
-    __slots__ = ("literals", "text", "_hash", "_distinct")
+    __slots__ = ("distinct", "counts", "_hash")
 
     def __init__(self, literals: Iterable[Literal] = ()):
-        lits = tuple(sorted(literals, key=lambda l: l.text))
-        self.literals = lits
-        self.text = " | ".join(l.text for l in lits) if lits else "⊥"
-        self._hash = hash(self.text)
-        self._distinct: Optional[Tuple[Literal, ...]] = None
+        copies: Dict[Literal, int] = {}
+        for l in literals:
+            copies[l] = copies.get(l, 0) + 1
+        self._hold(copies)
+
+    def _hold(self, copies: Dict[Literal, int]) -> "Clause":
+        """Hold ``copies[l]`` copies of each ``l``; 0 copies drop it."""
+        self.distinct = tuple(sorted((l for l, n in copies.items() if n), key=lambda l: l.text))
+        self.counts = tuple(copies[l] for l in self.distinct)
+        self._hash = hash((self.distinct, self.counts))
+        return self
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Clause) and self.text == other.text
+        return (isinstance(other, Clause) and self.counts == other.counts
+                and self.distinct == other.distinct)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return self.text
+        return " | ".join(l.text for l in self.literals) if self.distinct else "⊥"
+
+    text = property(__repr__)
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return sum(self.counts)
 
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
+    def __add__(self, other: "Clause") -> "Clause":
+        """Multiset sum: the copies of both clauses."""
+        copies = dict(zip(self.distinct, self.counts))
+        for l, n in zip(other.distinct, other.counts):
+            copies[l] = copies.get(l, 0) + n
+        return Clause.__new__(Clause)._hold(copies)
+
+    @property
+    def literals(self) -> Tuple[Literal, ...]:
+        """Every copy, sorted by text."""
+        return tuple(l for l, n in zip(self.distinct, self.counts) for _ in range(n))
 
     @property
     def is_empty(self) -> bool:
-        return not self.literals
-
-    @property
-    def distinct(self) -> Tuple[Literal, ...]:
-        """The literals with repeats removed, in ``literals`` order."""
-        d = self._distinct
-        if d is None:
-            d = self._distinct = tuple(dict.fromkeys(self.literals))
-        return d
+        return not self.distinct
 
     def count(self, literal: Literal) -> int:
-        return sum(1 for l in self.literals if l == literal)
+        t = literal.text
+        for l, n in zip(self.distinct, self.counts):
+            if l.text == t:
+                return n
+        return 0
 
     def contains(self, literal: Literal) -> bool:
-        return any(l == literal for l in self.literals)
+        return self.count(literal) > 0
+
+    def with_count(self, literal: Literal, n: int) -> "Clause":
+        """Return a copy holding exactly ``n`` copies of ``literal``."""
+        copies = dict(zip(self.distinct, self.counts))
+        copies[literal] = n
+        return Clause.__new__(Clause)._hold(copies)
 
     def without_one(self, literal: Literal) -> "Clause":
         """Return a copy with one occurrence of ``literal`` removed."""
-        out: List[Literal] = []
-        removed = False
-        for l in self.literals:
-            if not removed and l == literal:
-                removed = True
-                continue
-            out.append(l)
-        if not removed:
+        n = self.count(literal)
+        if not n:
             raise ValueError(f"literal {literal} not in clause {self}")
-        return Clause(out)
-
-    def extended(self, literals: Iterable[Literal]) -> "Clause":
-        return Clause(self.literals + tuple(literals))
+        return self.with_count(literal, n - 1)
 
 
 EMPTY_CLAUSE = Clause(())
@@ -166,8 +177,8 @@ EMPTY_CLAUSE = Clause(())
 
 def is_tautology(clause: Clause) -> bool:
     """True when the clause contains an atom with both signs."""
-    pos = {l.atom for l in clause.literals if l.positive}
-    neg = {l.atom for l in clause.literals if not l.positive}
+    pos = {l.atom for l in clause.distinct if l.positive}
+    neg = {l.atom for l in clause.distinct if not l.positive}
     return bool(pos & neg)
 
 
@@ -391,6 +402,7 @@ def parse_problem(text: str) -> Problem:
     listed_line = 0
     clauses = ClauseSet()
     arities: Dict[str, int] = {}
+    interned: Dict[str, Atom] = {}     # one object per atom text
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = _strip_comment(raw).strip()
@@ -456,7 +468,7 @@ def parse_problem(text: str) -> Problem:
                 if not scanner.at_end():
                     raise scanner.error("trailing input after atom")
                 _record_arities(atom, arities, lineno, rest_offset)
-                listed.append(atom)
+                listed.append(interned.setdefault(atom.text, atom))
             if len(set(listed)) != len(listed):
                 raise ParseError("repeated atom in 'atoms:' order", lineno, rest_offset)
         elif head == "clause":
@@ -474,7 +486,7 @@ def parse_problem(text: str) -> Problem:
                 if not scanner.at_end():
                     raise scanner.error("trailing input after literal")
                 _record_arities(atom, arities, lineno, rest_offset)
-                lits.append(Literal(atom, positive))
+                lits.append(Literal(interned.setdefault(atom.text, atom), positive))
             clauses.add(Clause(lits))
         else:
             raise ParseError(f"unknown directive '{head}'", lineno, 1)

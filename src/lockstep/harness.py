@@ -164,11 +164,10 @@ def random_problem(params: GenParams) -> Problem:
     clause_set = ClauseSet(clauses)
 
     arities = {}
-    for c in clause_set:
-        for l in c.literals:
-            arities[l.atom.name] = len(l.atom.args)
-            for t in l.atom.args:
-                arities[t.name] = 0
+    for a in atoms_of(clause_set):
+        arities[a.name] = len(a.args)
+        for t in a.args:
+            arities[t.name] = 0
 
     kind = rng.choice(OrderingConfig.ORDER_KINDS)
     if kind == "listed":

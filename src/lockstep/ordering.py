@@ -15,9 +15,10 @@ problem's atom universe so the strategy loops never re-run the structural
 comparison; it also materializes the trail bound as a fresh sentinel atom
 that compares above every problem atom (precedence alone cannot express that
 under KBO, where a light nullary symbol would sink below heavier atoms).
-Maximal-literal queries (maximum, its multiplicity, maximality and strict
-maximality) are answered from the cached descending rank key of the clause,
-so they never rescan a clause's copies.
+Maximal-literal queries (maximum, maximality and strict maximality) are
+answered from the cached descending rank key of the clause, which is built
+with one rank lookup per distinct literal; the maximum's multiplicity is its
+count in the clause.
 """
 
 from __future__ import annotations
@@ -140,11 +141,6 @@ def compare_literals(l1: Literal, l2: Literal, config: OrderingConfig) -> int:
     return LESS if l1.positive else GREATER
 
 
-def _desc_literals(clause: Clause, config: OrderingConfig) -> List[Literal]:
-    return sorted(clause.literals, key=cmp_to_key(lambda a, b: compare_literals(a, b, config)),
-                  reverse=True)
-
-
 def compare_clauses(c1: Clause, c2: Clause, config: OrderingConfig) -> int:
     """Multiset extension of the literal order.
 
@@ -152,8 +148,8 @@ def compare_clauses(c1: Clause, c2: Clause, config: OrderingConfig) -> int:
     descending literal sequences, a strict prefix being smaller. The empty
     clause is the minimum.
     """
-    d1 = _desc_literals(c1, config)
-    d2 = _desc_literals(c2, config)
+    key = cmp_to_key(lambda a, b: compare_literals(a, b, config))
+    d1, d2 = (sorted(c.literals, key=key, reverse=True) for c in (c1, c2))
     for l1, l2 in zip(d1, d2):
         r = compare_literals(l1, l2, config)
         if r != EQUAL:
@@ -171,12 +167,18 @@ def validate_ordering(problem: Problem) -> List[str]:
     positive. The parser already rejects most of these, but configs can be
     built programmatically too.
     """
+    return _rank_atoms(problem)[0]
+
+
+def _rank_atoms(problem: Problem) -> Tuple[List[str], List[Atom]]:
+    """The ordering's issues and, when there are none, the atoms ascending."""
     issues: List[str] = []
     cfg = problem.ordering
-    universe = sorted(problem.atom_universe, key=lambda a: a.text)
+    occurring = problem.atom_universe
+    universe = sorted(occurring, key=lambda a: a.text)
 
     if cfg.kind not in OrderingConfig.ORDER_KINDS:
-        return [f"unknown ordering kind '{cfg.kind}'"]
+        return [f"unknown ordering kind '{cfg.kind}'"], []
 
     if cfg.kind == "kbo":
         if cfg.default_weight < 1:
@@ -199,20 +201,22 @@ def validate_ordering(problem: Problem) -> List[str]:
             if a not in listed:
                 issues.append(f"listed order omits occurring atom {a}")
         for a in cfg.listed_atoms:
-            if a not in set(universe):
+            if a not in occurring:
                 issues.append(f"listed order mentions non-occurring atom {a}")
 
     if issues:
-        return issues
+        return issues, []
+    if cfg.kind == "listed":
+        return [], list(cfg.listed_atoms)
 
     try:
         ranked = sorted(universe, key=cmp_to_key(lambda a, b: compare_atoms(a, b, cfg)))
     except ValueError as exc:
-        return [str(exc)]
+        return [str(exc)], []
     for left, right in zip(ranked, ranked[1:]):
         if compare_atoms(left, right, cfg) == EQUAL:
             issues.append(f"atoms {left} and {right} are not strictly ordered")
-    return issues
+    return issues, ranked
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +235,25 @@ def _fresh_beta_name(problem: Problem) -> str:
 class ProblemOrder:
     """Precomputed total order over one problem's atom universe plus the bound.
 
-    Atom ranks are assigned by sorting the universe with the declared
-    comparison; the bound atom gets the top rank. Literal rank doubles the
-    atom rank and adds one for negation, so literal comparison is integer
-    comparison. A clause key is its descending literal-rank tuple, making
-    Python's tuple order exactly the multiset extension.
+    Atom ranks are assigned by sorting the universe once with the declared
+    comparison (a listed order is its own ranking); the bound atom gets the
+    top rank. Literal rank doubles the atom rank and adds one for negation,
+    so literal comparison is integer comparison. A clause key is its
+    descending literal-rank tuple, making Python's tuple order exactly the
+    multiset extension.
 
     Keys are cached per clause, and the maximal-literal queries read them:
-    the maximum is the key's first rank, its multiplicity the length of the
-    leading run, and a literal is strictly maximal when it heads the key
-    alone. A rank-to-literal table turns the first rank back into a literal.
+    the maximum is the key's first rank, and a literal is strictly maximal
+    when it heads the key alone. A rank-to-literal table turns the first
+    rank back into a literal.
     """
 
     def __init__(self, problem: Problem):
-        issues = validate_ordering(problem)
+        issues, ranked = _rank_atoms(problem)
         if issues:
             raise ValueError("ordering not usable: " + "; ".join(issues))
         self.problem = problem
         self.config = problem.ordering
-        if self.config.kind == "listed":
-            ranked = list(self.config.listed_atoms)
-        else:
-            ranked = sorted(problem.atom_universe,
-                            key=cmp_to_key(lambda a, b: compare_atoms(a, b, self.config)))
         self.atoms_ascending: Tuple[Atom, ...] = tuple(ranked)
         self._atom_rank: Dict[Atom, int] = {a: i for i, a in enumerate(ranked)}
         self.beta: Atom = Atom(_fresh_beta_name(problem))
@@ -285,7 +285,8 @@ class ProblemOrder:
     def clause_key(self, clause: Clause) -> Tuple[int, ...]:
         key = self._clause_key.get(clause)
         if key is None:
-            key = tuple(sorted((self.literal_rank(l) for l in clause.literals), reverse=True))
+            runs = sorted(zip(map(self.literal_rank, clause.distinct), clause.counts), reverse=True)
+            key = tuple(r for r, n in runs for _ in range(n))
             self._clause_key[clause] = key
         return key
 
@@ -303,10 +304,7 @@ class ProblemOrder:
 
     def max_multiplicity(self, clause: Clause) -> int:
         """How often the maximal literal occurs in the clause."""
-        key = self.clause_key(clause)
-        if not key:
-            raise ValueError("the empty clause has no maximal literal")
-        return key.count(key[0])   # descending, so every copy is in the leading run
+        return clause.count(self.max_literal(clause))
 
     def is_strictly_maximal_in(self, literal: Literal, clause: Clause) -> bool:
         """The literal occurs once and no other occurrence is >= it."""

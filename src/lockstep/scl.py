@@ -150,16 +150,15 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
         raise RuleError("propagate", "literal-not-in-clause", f"{literal} does not occur in {clause}")
     if is_defined(state, literal.atom):
         raise RuleError("propagate", "literal-defined", f"{literal.atom} is already on the trail")
-    for l in clause.literals:
+    for l in clause.distinct:
         _check_bound("propagate", order, l.atom)
-    remainder = Clause([l for l in clause.literals if l != literal])
+    remainder = clause.with_count(literal, 0)
     if status_under_assignment(state.assignment(), remainder) != ClauseStatus.FALSE:
         raise RuleError(
             "propagate", "remainder-not-false",
             f"{remainder} is not falsified by the trail",
         )
-    justification = remainder.extended([literal])
-    entry = TrailEntry(literal=literal, level=state.k, reason=justification)
+    entry = TrailEntry(literal=literal, level=state.k, reason=clause.with_count(literal, 1))
     return SclState(
         trail=state.trail + (entry,),
         n=state.n, u=state.u, k=state.k, conflict=None,
@@ -232,15 +231,12 @@ def factorize(order: ProblemOrder, state: SclState, literal: Optional[Literal] =
     """Merge two copies of a duplicated conflict literal into one.
 
     Without an explicit literal the first duplicated one (in the clause's
-    stored literal order) is taken, which makes the rule deterministic.
+    text order) is taken, which makes the rule deterministic.
     """
     d = _need_conflict("factorize", state)
     if literal is None:
-        for l in d.literals:
-            if d.count(l) >= 2:
-                literal = l
-                break
-        else:
+        literal = next((l for l, n in zip(d.distinct, d.counts) if n >= 2), None)
+        if literal is None:
             raise RuleError("factorize", "no-duplicate", f"{d} has no duplicated literal")
     elif d.count(literal) < 2:
         raise RuleError(
@@ -271,9 +267,7 @@ def resolve(order: ProblemOrder, state: SclState) -> SclState:
             f"{comp} does not occur in the conflict {d}",
         )
     assert top.reason is not None
-    resolvent = d.without_one(comp).extended(
-        top.reason.without_one(top.literal).literals
-    )
+    resolvent = d.without_one(comp) + top.reason.without_one(top.literal)
     return SclState(
         trail=state.trail, n=state.n, u=state.u, k=state.k,
         conflict=resolvent,
@@ -298,7 +292,7 @@ def backtrack(order: ProblemOrder, state: SclState) -> SclState:
             "backtrack", "decision-not-complemented",
             f"{learned_lit} does not occur in the conflict {d}",
         )
-    for l in d.literals:
+    for l in d.distinct:
         if l == learned_lit:
             continue
         if literal_level(state, l) >= state.k:

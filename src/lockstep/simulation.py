@@ -140,9 +140,8 @@ def _gamma_key(order: ProblemOrder, clause: Clause,
 def initial_gamma(problem: Problem, order: ProblemOrder) -> Dict[Clause, Clause]:
     """Map each input clause to its factored image when the input set already
     contains that image and the image differs from the clause."""
-    members = set(problem.clauses)
     images = {c: sfac(c, order) for c in problem.clauses}
-    return {c: img for c, img in images.items() if img != c and img in members}
+    return {c: img for c, img in images.items() if img != c and img in problem.clauses}
 
 
 def next_attention(order: ProblemOrder, state: SclState,
@@ -245,11 +244,9 @@ def _producing_clause(order: ProblemOrder, state: SclState,
     best_key = None
     for c in state.all_clauses():
         img = gamma.get(c, c)
-        if img.is_empty or order.max_literal(img) != literal:
-            continue
         if not order.is_strictly_maximal_in(literal, img):
             continue
-        rest = Clause([l for l in img.literals if l != literal])
+        rest = img.with_count(literal, 0)
         if status_under_assignment(assignment, rest) != ClauseStatus.FALSE:
             continue
         key = _gamma_key(order, c, gamma)
@@ -327,8 +324,11 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     """Run the trail calculus under the lockstep strategy to a verdict.
 
     The cap bounds the number of rounds and only guards against defects;
-    on sound inputs the strategy terminates with a verdict by itself.
+    on sound inputs the strategy terminates with a verdict by itself. A
+    negative cap raises ValueError.
     """
+    if max_sequences < 0:
+        raise ValueError(f"max_sequences must be at least 0, not {max_sequences}")
     order = order or ProblemOrder(problem)
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
     run = SimRun(problem, order, ann, [initial_state(problem)])
@@ -661,8 +661,8 @@ def lockstep_verify(problem: Problem, order: Optional[ProblemOrder] = None,
     all occur among the derived ones.
     """
     order = order or ProblemOrder(problem)
-    sup = run_sup_mo(problem, order)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
+    sup = run_sup_mo(problem, order)
     result = VerifyResult(problem=problem, order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations

@@ -44,7 +44,7 @@ def sfac(clause: Clause, order: ProblemOrder) -> Clause:
     m = order.max_literal(clause)
     if not m.positive or order.max_multiplicity(clause) < 2:
         return clause
-    return Clause([l for l in clause.literals if l != m] + [m])
+    return clause.with_count(m, 1)
 
 
 def factoring_step(clause: Clause, order: ProblemOrder) -> Optional[Clause]:
@@ -76,7 +76,7 @@ def superposition_left(false_clause: Clause, producer: Clause, order: ProblemOrd
         raise ValueError(f"producer {producer} has no positive occurrence of {m.atom}")
     if not order.is_strictly_maximal_in(b, producer):
         raise ValueError(f"{b} is not strictly maximal in producer {producer}")
-    return false_clause.without_one(m).extended(producer.without_one(b).literals)
+    return false_clause.without_one(m) + producer.without_one(b)
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,11 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     against defects. Every snapshot (including the final one) carries a full
     construction, so downstream checks can replay any point of the run; its
     entries share one prefix set per production. The clause set grows by
-    one conclusion per step and is the only clause collection kept.
+    one conclusion per step and is the only clause collection kept. A
+    negative cap raises ValueError.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     order = order or ProblemOrder(problem)
     run = SupRun(problem=problem, order=order)
     present = set(problem.clauses)

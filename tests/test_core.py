@@ -1,5 +1,7 @@
 """Syntax, problem parsing, and evaluation semantics."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,6 +172,41 @@ def test_distinct_literals_leave_the_multiset_alone():
     assert EMPTY_CLAUSE.distinct == ()
 
 
+@given(_duplicated_clauses, _duplicated_clauses)
+def test_clause_matches_a_counter_reference(c, d):
+    # the multiset a clause stands for, as literal text -> copies
+    ref, other = Counter(l.text for l in c.literals), Counter(l.text for l in d.literals)
+    shuffled = Clause(reversed(c.literals))
+    assert shuffled == c and hash(shuffled) == hash(c)
+    assert (c == d) == (ref == other)
+    assert c != d or hash(c) == hash(d)
+    assert len(c) == sum(ref.values())
+    assert [l.text for l in c.literals] == sorted(ref.elements())
+    assert c.text == (" | ".join(sorted(ref.elements())) or "⊥")
+    assert [l.text for l in c.distinct] == sorted(ref)
+    assert c.counts == tuple(ref[t] for t in sorted(ref))
+
+    def as_counter(clause):
+        return Counter(l.text for l in clause.literals)
+
+    assert as_counter(c + d) == ref + other
+    assert c + d == Clause(c.literals + d.literals)
+    for l in {*c.distinct, *d.distinct, lit("R"), lit("-S")}:
+        assert c.count(l) == ref[l.text]
+        assert c.contains(l) == (ref[l.text] > 0)
+        for n in range(4):
+            want = ref.copy()
+            want[l.text] = n
+            assert as_counter(c.with_count(l, n)) == +want
+            assert c.with_count(l, n) == Clause(
+                [x for x in c.literals if x != l] + [l] * n)
+        if ref[l.text]:
+            assert as_counter(c.without_one(l)) == ref - Counter([l.text])
+        else:
+            with pytest.raises(ValueError):
+                c.without_one(l)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -223,6 +260,17 @@ def test_print_parse_round_trip(kind):
     assert p2.ordering == p1.ordering
     assert p2.clauses.clauses() == p1.clauses.clauses()
     assert p2.symbol_arities == p1.symbol_arities
+
+
+def test_parser_keeps_one_object_per_atom_text():
+    text = ("order: listed\natoms: Q(a) < P(a)\n"
+            "clause: P(a) | -Q(a) | P(a)\nclause: Q(a) | -P(a)\n")
+    p = parse_problem(text)
+    seen = {}
+    for c in p.clauses:
+        for l in c.literals:
+            assert seen.setdefault(l.atom.text, l.atom) is l.atom
+    assert [seen[a.text] is a for a in p.ordering.listed_atoms] == [True, True]
 
 
 def test_duplicate_clause_lines_merge():

@@ -273,6 +273,18 @@ def test_fuzz_campaign_rejects_a_negative_round_cap():
     assert fuzz_campaign(0, max_sequences=0).total == 0
 
 
+@pytest.mark.parametrize("run,cap", [
+    (lambda p: run_sup_mo(p, max_steps=-1), "max_steps"),
+    (lambda p: run_scl_sup(p, max_sequences=-1), "max_sequences"),
+    (lambda p: lockstep_verify(p, max_sequences=-1), "max_sequences"),
+    (lambda p: emit_trace(p, max_sequences=-1), "max_sequences"),
+], ids=["run_sup_mo", "run_scl_sup", "lockstep_verify", "emit_trace"])
+def test_negative_caps_are_rejected_in_the_library(run, cap):
+    # a negative cap used to end the run at once as cap_exceeded
+    with pytest.raises(ValueError, match=f"{cap} must be at least 0, not -1"):
+        run(parse_problem(KBO_TEXT))
+
+
 def test_generator_covers_all_three_ordering_kinds():
     kinds = {random_problem(GenParams(seed=s)).ordering.kind for s in range(30)}
     assert kinds == {"kbo", "lpo", "listed"}

@@ -26,6 +26,7 @@ from lockstep.core import (
     parse_problem,
 )
 from lockstep.ordering import ProblemOrder
+from lockstep.scl import SclState, TrailEntry, resolve
 from lockstep.superposition import (
     CAP_EXCEEDED,
     SATISFIABLE,
@@ -105,6 +106,66 @@ def test_sfac_equals_factoring_until_it_stops(c):
     while (reduced := factoring_step(want, po)) is not None:
         want = reduced
     assert sfac(c, po) == want
+
+
+# The list-based definitions the engines had before clauses were held as
+# runs of copies: every copy is an element of a list.
+
+def _drop_one(literals, literal):
+    out = list(literals)
+    out.remove(literal)
+    return out
+
+
+def _list_sfac(c, po):
+    if c.is_empty:
+        return c
+    m = po.max_literal(c)
+    if not m.positive or sum(1 for l in c.literals if l == m) < 2:
+        return c
+    return Clause([l for l in c.literals if l != m] + [m])
+
+
+def _list_cut(main, side, pivot):
+    """Drop one copy of -pivot from main and one of pivot from side, and
+    join what is left: superposition-left and resolve alike."""
+    return Clause(_drop_one(main.literals, Literal(pivot, False))
+                  + _drop_one(side.literals, Literal(pivot)))
+
+
+@st.composite
+def _cut_premises(draw):
+    """A main premise whose maximum is -A in copies and a side premise where
+    A is strictly maximal, both with many copies of smaller literals."""
+    top = draw(st.sampled_from(PQR[1:]))
+    below = st.builds(Literal, st.sampled_from([Atom(n) for n in PQR[:PQR.index(top)]]),
+                      st.booleans())
+    copies = st.lists(below, max_size=3).flatmap(
+        lambda base: st.lists(st.sampled_from(base), max_size=20) if base else st.just([]))
+    main = Clause([Literal(Atom(top), False)] * draw(st.integers(1, 6)) + draw(copies))
+    return main, Clause([Literal(Atom(top))] + draw(copies)), Atom(top)
+
+
+_many_copy_clauses = st.lists(_pqr_literals, min_size=1, max_size=3).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=30)
+).map(Clause)
+
+
+@given(_many_copy_clauses)
+def test_sfac_matches_the_list_definition(c):
+    po = pqr_order([c])
+    assert sfac(c, po).literals == _list_sfac(c, po).literals
+
+
+@given(_cut_premises())
+def test_superposition_left_and_resolve_match_the_list_definition(premises):
+    main, side, pivot = premises
+    po = pqr_order([main, side])
+    want = _list_cut(main, side, pivot)
+    assert superposition_left(main, side, po).literals == want.literals
+    propagated = TrailEntry(literal=Literal(pivot), level=0, reason=side)
+    state = SclState(trail=(propagated,), n=(main, side), u=(), k=0, conflict=main)
+    assert resolve(po, state).conflict.literals == want.literals
 
 
 def test_factoring_step():

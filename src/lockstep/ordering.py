@@ -15,10 +15,9 @@ problem's atom universe so the strategy loops never re-run the structural
 comparison; it also materializes the trail bound as a fresh sentinel atom
 that compares above every problem atom (precedence alone cannot express that
 under KBO, where a light nullary symbol would sink below heavier atoms).
-Maximal-literal queries (maximum, maximality and strict maximality) are
-answered from the cached descending rank key of the clause, which is built
-with one rank lookup per distinct literal; the maximum's multiplicity is its
-count in the clause.
+Maximal-literal queries (maximum, its multiplicity, maximality and strict
+maximality) are answered from the head of the cached clause key, which is
+built with one rank lookup per distinct literal.
 """
 
 from __future__ import annotations
@@ -34,6 +33,9 @@ from .core import (
     OrderingConfig,
     Problem,
 )
+
+# descending (literal rank, copies) runs; see ProblemOrder
+ClauseKey = Tuple[Tuple[int, int], ...]
 
 LESS = -1
 EQUAL = 0
@@ -238,14 +240,16 @@ class ProblemOrder:
     Atom ranks are assigned by sorting the universe once with the declared
     comparison (a listed order is its own ranking); the bound atom gets the
     top rank. Literal rank doubles the atom rank and adds one for negation,
-    so literal comparison is integer comparison. A clause key is its
-    descending literal-rank tuple, making Python's tuple order exactly the
-    multiset extension.
+    so literal comparison is integer comparison. A clause key lists its
+    distinct literal ranks in descending order, each paired with its count:
+    ``(rank, count)`` runs. Python's tuple order on these keys is exactly the
+    multiset extension, since of two runs of one rank the shorter is
+    followed by a smaller rank or by nothing.
 
-    Keys are cached per clause, and the maximal-literal queries read them:
-    the maximum is the key's first rank, and a literal is strictly maximal
-    when it heads the key alone. A rank-to-literal table turns the first
-    rank back into a literal.
+    Keys are cached per clause, and the maximal-literal queries read the
+    first run: the maximum is its rank, its multiplicity its count, and a
+    literal is strictly maximal when it heads the key with count one. A
+    rank-to-literal table turns a rank back into a literal.
     """
 
     def __init__(self, problem: Problem):
@@ -262,7 +266,7 @@ class ProblemOrder:
         self._literal_of: Tuple[Literal, ...] = tuple(
             Literal(a, positive) for a in ranked + [self.beta] for positive in (True, False)
         )
-        self._clause_key: Dict[Clause, Tuple[int, ...]] = {}
+        self._clause_key: Dict[Clause, ClauseKey] = {}
 
     # -- atoms ------------------------------------------------------------
 
@@ -282,11 +286,11 @@ class ProblemOrder:
 
     # -- clauses -----------------------------------------------------------
 
-    def clause_key(self, clause: Clause) -> Tuple[int, ...]:
+    def clause_key(self, clause: Clause) -> ClauseKey:
         key = self._clause_key.get(clause)
         if key is None:
-            runs = sorted(zip(map(self.literal_rank, clause.distinct), clause.counts), reverse=True)
-            key = tuple(r for r, n in runs for _ in range(n))
+            key = tuple(sorted(zip(map(self.literal_rank, clause.distinct), clause.counts),
+                               reverse=True))
             self._clause_key[clause] = key
         return key
 
@@ -300,14 +304,17 @@ class ProblemOrder:
         key = self.clause_key(clause)
         if not key:
             raise ValueError("the empty clause has no maximal literal")
-        return self._literal_of[key[0]]
+        return self._literal_of[key[0][0]]
 
     def max_multiplicity(self, clause: Clause) -> int:
         """How often the maximal literal occurs in the clause."""
-        return clause.count(self.max_literal(clause))
+        key = self.clause_key(clause)
+        if not key:
+            raise ValueError("the empty clause has no maximal literal")
+        return key[0][1]
 
     def is_strictly_maximal_in(self, literal: Literal, clause: Clause) -> bool:
         """The literal occurs once and no other occurrence is >= it."""
-        r = self.literal_rank(literal)
+        run = (self.literal_rank(literal), 1)
         key = self.clause_key(clause)
-        return bool(key) and key[0] == r and (len(key) == 1 or key[1] != r)
+        return bool(key) and key[0] == run

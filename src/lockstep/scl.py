@@ -92,12 +92,17 @@ def initial_state(problem: Problem) -> SclState:
 
 
 def is_defined(state: SclState, atom: Atom) -> bool:
-    return any(e.literal.atom == atom for e in state.trail)
+    """Whether the trail assigns ``atom``. Here and in literal_level atoms
+    compare by text, which is what their equality means, without a
+    Python-level ``__eq__`` call per trail entry."""
+    text = atom.text
+    return any(e.literal.atom.text == text for e in state.trail)
 
 
 def literal_level(state: SclState, literal: Literal) -> int:
+    text = literal.atom.text
     for e in state.trail:
-        if e.literal.atom == literal.atom:
+        if e.literal.atom.text == text:
             return e.level
     raise ValueError(f"literal {literal} is undefined on the trail")
 

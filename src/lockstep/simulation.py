@@ -30,7 +30,7 @@ from .core import (
     atoms_of,
     status_under_assignment,
 )
-from .ordering import ProblemOrder
+from .ordering import ClauseKey, ProblemOrder
 from .scl import (
     RuleApp,
     SclState,
@@ -131,7 +131,7 @@ class SimRun:
 
 
 def _gamma_key(order: ProblemOrder, clause: Clause,
-               gamma: Mapping[Clause, Clause]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+               gamma: Mapping[Clause, Clause]) -> Tuple[ClauseKey, ClauseKey]:
     """Sort key for the factored-image order: a clause ranks by its image
     under ``gamma``, ties broken by the clause itself."""
     return (order.clause_key(gamma.get(clause, clause)), order.clause_key(clause))
@@ -165,11 +165,12 @@ def filler_decisions(order: ProblemOrder, state: SclState,
     """Negative decisions covering every undefined atom whose positive
     literal sits below ``bound``, in ascending atom order."""
     cut = order.literal_rank(bound)
+    assigned = state.assignment()
     out: List[Literal] = []
     for a in order.atoms_ascending:
         if order.literal_rank(Literal(a)) >= cut:
             break                      # positives ascend with the atoms
-        if not is_defined(state, a):
+        if a not in assigned:
             out.append(Literal(a, False))
     return out
 
@@ -409,7 +410,6 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         add(name, ok, detail)
 
     universe = set(order.atoms_ascending)
-    sup_set = set(snapshot.clauses)
     con = snapshot.construction
     assignment = state.assignment()
     positives = {e.literal.atom for e in state.trail if e.literal.positive}
@@ -432,8 +432,8 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     add("trail-below-bound", not beyond, f"atoms at or above the bound: {beyond}")
 
     # (iii) the attention clause and all learned clauses exist on the paired side
-    missing = [c for c in state.u if c not in sup_set]
-    if not ann.aid.is_empty and ann.aid not in sup_set:
+    missing = [c for c in state.u if not snapshot.contains(c)]
+    if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
     add("membership", not missing,
         f"absent from the paired clause set: {[str(c) for c in missing]}")
@@ -445,7 +445,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         for c, img in ann.gamma.items():
             if img != sfac(c, order):
                 problems.append(f"{c} maps to {img}, not its factored image")
-            elif img not in sup_set:
+            elif not snapshot.contains(img):
                 problems.append(f"image {img} is not in the paired set")
             elif c not in own:
                 problems.append(f"{c} is neither input nor learned")
@@ -491,7 +491,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     guarded("trail-ascends", ascends)
 
     # (viii) every positive trail atom is produced on the paired side
-    unproduced = [a.text for a in positives if a not in con.producer]
+    unproduced = [a.text for a in positives if con.producer_of(a) is None]
     add("producers-exist", not unproduced, f"no producer for {sorted(unproduced)}")
 
     # (ix) each producer has a preimage under the map, and propagations
@@ -501,7 +501,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     for e in state.trail:
         if not e.literal.positive:
             continue
-        producer = con.producer.get(e.literal.atom)
+        producer = con.producer_of(e.literal.atom)
         if producer is None:
             problems9.append(f"{e.literal.atom} has no producer")
             continue
@@ -576,7 +576,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     # (xiv) the two sides refute together
     here = state.conflict == EMPTY_CLAUSE
-    there = EMPTY_CLAUSE in sup_set
+    there = snapshot.contains(EMPTY_CLAUSE)
     add("refutation-sync", here == there,
         f"trail side refuted: {here}, saturation side refuted: {there}")
 

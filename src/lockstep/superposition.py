@@ -14,17 +14,26 @@ pinpoints the one inference to perform next:
 A clause whose maximal literal is positive and strictly maximal cannot be
 the smallest false clause (it would have produced), so the split is total.
 The derived clause is always smaller than the clause it repairs and is never
-already present; both facts are asserted at runtime rather than assumed.
+already present; both facts are checked at runtime rather than assumed.
+
+The first fact keeps the rounds cheap. The construction below the new
+clause cannot change, and nothing above the smallest false clause decides
+the next inference. So the run keeps one ascending list of its clauses, and
+a step inserts the conclusion, keeps the productions below it and walks on
+from there only to the next smallest false clause. A snapshot stores those
+productions alone and completes its construction only when a read needs
+more.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .core import Atom, Clause, Literal, Problem, eval_herbrand
-from .ordering import ProblemOrder
+from .ordering import ClauseKey, ProblemOrder
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -88,44 +97,26 @@ class ModelEntry:
     prefix: FrozenSet[Atom]        # atoms produced by strictly smaller clauses
 
 
-@dataclass
-class ModelConstruction:
-    """The full bottom-up pass over one clause set.
+class _Ledger:
+    """A growing clause set in ascending order, shared by the constructions
+    over its stages: ``clauses`` and their ``keys`` ascend together, and
+    ``born`` maps each clause to the stage at which it joined. It refers to
+    no construction, so the records of a run hold no reference cycle."""
 
-    entries are in ascending clause order. The prefix set is replaced only
-    when a clause produces, so the entries hold at most one prefix set per
-    production plus the empty one, and ``model``, the union of all produced
-    atoms, is the last of them. ``producer`` names the clause that produced
-    each atom and ``minimal_false`` the smallest clause the construction
-    leaves false (None when it satisfies everything); every other entry is
-    true under its prefix or produces. prefix_below and delta_of answer the
-    same questions for arbitrary clauses, members of the set or not.
-    """
+    def __init__(self, order: ProblemOrder, clauses: Iterable[Clause]):
+        self.order = order
+        self.clauses: List[Clause] = order.sorted_clauses(set(clauses))
+        self.keys: List[ClauseKey] = [order.clause_key(c) for c in self.clauses]
+        self.born: Dict[Clause, int] = dict.fromkeys(self.clauses, 0)
 
-    order: ProblemOrder
-    entries: List[ModelEntry]
-    producer: Dict[Atom, Clause]
-    model: FrozenSet[Atom]
-    minimal_false: Optional[Clause]
-
-    def prefix_below(self, clause: Clause) -> FrozenSet[Atom]:
-        """Atoms produced by set members strictly smaller than ``clause``:
-        the stored prefix of the first entry not below it, or the whole
-        model when every entry is below it."""
-        i = bisect_left(self.entries, self.order.clause_key(clause),
-                        key=lambda e: self.order.clause_key(e.clause))
-        return self.entries[i].prefix if i < len(self.entries) else self.model
-
-    def delta_of(self, clause: Clause) -> Optional[Atom]:
-        """The atom ``clause`` would produce over this set, or None.
-
-        For set members this coincides with the recorded entry; for outside
-        clauses it applies the same production condition relative to the
-        atoms produced below them.
-        """
-        if eval_herbrand(self.prefix_below(clause), clause):
-            return None
-        return _production(clause, self.order)
+    def insert(self, clause: Clause, stage: int) -> int:
+        """Add ``clause`` as of ``stage`` and return its position."""
+        key = self.order.clause_key(clause)
+        pos = bisect_left(self.keys, key)
+        self.clauses.insert(pos, clause)
+        self.keys.insert(pos, key)
+        self.born[clause] = stage
+        return pos
 
 
 def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
@@ -140,28 +131,154 @@ def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
     return None
 
 
-def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelConstruction:
-    prefix: FrozenSet[Atom] = frozenset()
-    entries: List[ModelEntry] = []
-    producer: Dict[Atom, Clause] = {}
-    minimal_false: Optional[Clause] = None
-    for c in order.sorted_clauses(set(clauses)):
-        entries.append(ModelEntry(c, prefix))
+def _walk(clauses: Iterator[Clause], order: ProblemOrder, producer: Dict[Atom, Clause],
+          prefixes: List[FrozenSet[Atom]]) -> Optional[Clause]:
+    """Extend a construction over ``clauses``, which ascend from above every
+    clause it has seen: each clause that the atoms produced so far
+    (``prefixes[-1]``) leave false produces its atom when it can, which
+    extends ``producer`` and ``prefixes``. Returns the first false clause
+    that produces nothing, leaving the clauses after it in the iterator, or
+    None once the clauses run out."""
+    prefix = prefixes[-1]
+    for c in clauses:
         if eval_herbrand(prefix, c):
             continue
         produced = _production(c, order)
-        if produced is not None:
-            producer[produced] = c
-            prefix = prefix | {produced}
-        elif minimal_false is None:
-            minimal_false = c
-    return ModelConstruction(
-        order=order,
-        entries=entries,
-        producer=producer,
-        model=prefix,
-        minimal_false=minimal_false,
-    )
+        if produced is None:
+            return c
+        producer[produced] = c
+        prefix = prefix | {produced}
+        prefixes.append(prefix)
+    return None
+
+
+class ModelConstruction:
+    """The bottom-up construction over one stage of a clause set, built up
+    to its minimal false clause and completed only when a read needs more.
+
+    The walk visits the clauses in ascending order. A clause that the atoms
+    produced below it (its prefix) leave false produces the atom of its
+    maximal literal when that literal is positive and strictly maximal.
+    ``minimal_false`` is the smallest clause left false (None when the set
+    is satisfied), and the walk stops there. Stored: the productions up to
+    that point, in ascending order, with the prefix after each of them.
+    ``index`` is the stage: the clause set holds the clauses of the ledger
+    that joined at or before it.
+
+    Reads inside the built part are answered from the stored productions:
+    ``minimal_false``, ``producer_of`` an atom produced below it, and
+    ``prefix_below`` and ``delta_of`` of a clause not above it. Any other
+    read completes the walk from ``minimal_false`` onward, past every
+    further false clause that produces nothing: ``model``, ``producer``,
+    ``entries``, a ``producer_of`` that misses and a ``prefix_below`` above
+    ``minimal_false``. The completion extends the stored productions, whose
+    last prefix is then the model; ``entries`` is rebuilt on each read.
+    """
+
+    def __init__(self, ledger: _Ledger, index: int, producer: Dict[Atom, Clause],
+                 prefixes: List[FrozenSet[Atom]], rest: Iterator[Clause]):
+        self.order = ledger.order
+        self.index = index
+        self._ledger = ledger
+        self._producer = producer              # atom -> clause, ascending
+        self._prefixes = prefixes              # [j]: atoms of the first j productions
+        self.minimal_false = _walk(rest, self.order, producer, prefixes)
+        self._complete = self.minimal_false is None
+
+    def _finish(self) -> None:
+        """Walk on from ``minimal_false`` to the end of this stage's set,
+        unless that is done already."""
+        if self._complete:
+            return
+        ledger, index = self._ledger, self.index
+        start = bisect_right(ledger.keys, self.order.clause_key(self.minimal_false))
+        rest = (c for c in islice(ledger.clauses, start, None) if ledger.born[c] <= index)
+        while _walk(rest, self.order, self._producer, self._prefixes) is not None:
+            pass
+        self._complete = True
+
+    def _produced_below(self, key: ClauseKey) -> int:
+        """How many stored productions come from clauses below ``key``."""
+        return bisect_left(list(self._producer.values()), key, key=self.order.clause_key)
+
+    def _resumed(self, index: int, start: int) -> "ModelConstruction":
+        """The construction of stage ``index``, whose one new clause sits at
+        ledger position ``start``: the productions below it stay, and the
+        walk resumes there."""
+        j = self._produced_below(self._ledger.keys[start])
+        return ModelConstruction(
+            self._ledger, index, dict(islice(self._producer.items(), j)),
+            self._prefixes[:j + 1], islice(self._ledger.clauses, start, None))
+
+    @property
+    def clauses(self) -> Tuple[Clause, ...]:
+        """The clause set, ascending."""
+        born, index = self._ledger.born, self.index
+        return tuple(c for c in self._ledger.clauses if born[c] <= index)
+
+    def contains(self, clause: Clause) -> bool:
+        born = self._ledger.born.get(clause)
+        return born is not None and born <= self.index
+
+    @property
+    def producer(self) -> Dict[Atom, Clause]:
+        """The clause that produced each atom, in ascending order."""
+        self._finish()
+        return self._producer
+
+    def producer_of(self, atom: Atom) -> Optional[Clause]:
+        """The clause that produced ``atom``, or None."""
+        found = self._producer.get(atom)
+        if found is None:
+            self._finish()
+            found = self._producer.get(atom)
+        return found
+
+    @property
+    def model(self) -> FrozenSet[Atom]:
+        """Every produced atom."""
+        self._finish()
+        return self._prefixes[-1]
+
+    @property
+    def entries(self) -> List[ModelEntry]:
+        """One row per clause, ascending, rebuilt from the productions on
+        each read; rows between two productions share one prefix set."""
+        producers = iter(self.producer.values())
+        prefixes = iter(self._prefixes)
+        next_producer, prefix = next(producers, None), next(prefixes)
+        rows = []
+        for c in self.clauses:
+            rows.append(ModelEntry(c, prefix))
+            if c is next_producer:
+                next_producer, prefix = next(producers, None), next(prefixes)
+        return rows
+
+    def prefix_below(self, clause: Clause) -> FrozenSet[Atom]:
+        """Atoms produced by set members strictly smaller than ``clause``."""
+        key = self.order.clause_key(clause)
+        if not self._complete and key > self.order.clause_key(self.minimal_false):
+            self._finish()
+        return self._prefixes[self._produced_below(key)]
+
+    def delta_of(self, clause: Clause) -> Optional[Atom]:
+        """The atom ``clause`` would produce over this set, or None.
+
+        For set members this coincides with the construction; for outside
+        clauses it applies the same production condition relative to the
+        atoms produced below them.
+        """
+        if eval_herbrand(self.prefix_below(clause), clause):
+            return None
+        return _production(clause, self.order)
+
+
+def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelConstruction:
+    """The complete construction over ``clauses``, walked from scratch."""
+    ledger = _Ledger(order, clauses)
+    construction = ModelConstruction(ledger, 0, {}, [frozenset()], iter(ledger.clauses))
+    construction._finish()
+    return construction
 
 
 @dataclass(frozen=True)
@@ -188,7 +305,7 @@ def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupS
         raise ValueError("the empty clause is already present")
     m = order.max_literal(c)
     if not m.positive:
-        d = construction.producer.get(m.atom)
+        d = construction.producer_of(m.atom)
         if d is None:
             raise RuntimeError(
                 f"false clause {c} has maximal literal {m} but {m.atom} has no producer"
@@ -211,20 +328,33 @@ def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupS
 
 @dataclass(frozen=True)
 class SupSnapshot:
-    """Clause set plus its construction at one point of the run."""
+    """The clause set and its construction at one point of the run: after
+    ``index`` steps. The set is a view of the run's shared clause list."""
 
-    clauses: Tuple[Clause, ...]    # ascending under the order
     construction: ModelConstruction
+
+    @property
+    def index(self) -> int:
+        return self.construction.index
+
+    @property
+    def clauses(self) -> Tuple[Clause, ...]:
+        """The clause set, ascending under the order."""
+        return self.construction.clauses
+
+    def contains(self, clause: Clause) -> bool:
+        """Membership in the clause set, in constant time."""
+        return self.construction.contains(clause)
 
 
 @dataclass
 class SupRun:
     """A saturation run, recorded once.
 
-    Stored: one snapshot per construction pass, the steps between them
-    (step ``i`` leads from snapshot ``i`` to snapshot ``i + 1``) and the
-    outcome. Derived: ``derived``, the step conclusions in order, and
-    ``model``, the last snapshot's model when the run is satisfiable.
+    Stored: one snapshot per step boundary, the steps between them (step
+    ``i`` leads from snapshot ``i`` to snapshot ``i + 1``) and the outcome.
+    Derived: ``derived``, the step conclusions in order, and ``model``, the
+    last snapshot's model when the run is satisfiable.
     """
 
     problem: Problem
@@ -249,22 +379,22 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     """Run the model-driven strategy to a verdict or the step cap.
 
     Termination is by verdict on every ground input; the cap only guards
-    against defects. Every snapshot (including the final one) carries a full
-    construction, so downstream checks can replay any point of the run; its
-    entries share one prefix set per production. The clause set grows by
-    one conclusion per step and is the only clause collection kept. A
-    negative cap raises ValueError.
+    against defects. Each step inserts its conclusion into the run's one
+    ascending clause list and resumes the construction there (see the
+    module docstring); only a satisfiable run's last construction walks to
+    the end. A derived clause that is already present or not smaller than
+    its main premise raises RuntimeError, and a negative cap raises
+    ValueError.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     order = order or ProblemOrder(problem)
     run = SupRun(problem=problem, order=order)
-    present = set(problem.clauses)
+    ledger = _Ledger(order, problem.clauses)
+    construction = ModelConstruction(ledger, 0, {}, [frozenset()], iter(ledger.clauses))
 
     while True:
-        construction = construct_model(present, order)
-        ordered = tuple(e.clause for e in construction.entries)
-        run.snapshots.append(SupSnapshot(clauses=ordered, construction=construction))
+        run.snapshots.append(SupSnapshot(construction))
         if construction.minimal_false is None:
             run.outcome = SATISFIABLE
             break
@@ -275,11 +405,17 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
             run.outcome = CAP_EXCEEDED
             break
         step = next_inference(construction, order)
-        if step.conclusion in present:
+        if step.conclusion in ledger.born:
             raise RuntimeError(
                 f"derived clause {step.conclusion} is already present; "
                 "the strategy must always produce a new clause"
             )
+        if order.clause_key(step.conclusion) >= order.clause_key(step.main):
+            raise RuntimeError(
+                f"derived clause {step.conclusion} is not smaller than the "
+                f"clause {step.main} it repairs"
+            )
         run.steps.append(step)
-        present.add(step.conclusion)
+        start = ledger.insert(step.conclusion, len(run.steps))
+        construction = construction._resumed(len(run.steps), start)
     return run

@@ -339,9 +339,9 @@ def test_literal_ranks_interleave_signs():
 def test_clause_keys_and_sorting():
     po = _kbo_order()
     c1, c2, c3 = po.problem.clauses.clauses()
-    assert po.clause_key(c1) == (0, 0)
-    assert po.clause_key(c2) == (2, 1)
-    assert po.clause_key(c3) == (3,)
+    assert po.clause_key(c1) == ((0, 2),)
+    assert po.clause_key(c2) == ((2, 1), (1, 1))
+    assert po.clause_key(c3) == ((3, 1),)
     assert po.clause_key(EMPTY_CLAUSE) == ()
     assert po.sorted_clauses([c3, c1, c2, EMPTY_CLAUSE]) == [EMPTY_CLAUSE, c1, c2, c3]
     assert po.clause_lt(EMPTY_CLAUSE, c1)

@@ -27,12 +27,14 @@ from lockstep.core import (
 )
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
+from lockstep.scl import is_defined, literal_level
 from lockstep.superposition import run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
     SimulationError,
     check_invariants,
     check_progress,
+    filler_decisions,
     lockstep_verify,
     next_attention,
     run_scl_sup,
@@ -221,6 +223,36 @@ def test_filler_decisions_cover_a_negative_maximum():
     assert [e.literal for e in final.trail] == [PA.complement()]
     assert final.trail[0].is_decision
     assert run.model == frozenset()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.prob"))),
+    ids=os.path.basename)
+def test_trail_queries_match_a_plain_trail_scan(path):
+    """is_defined, literal_level and filler_decisions agree with scanning
+    the trail for an equal atom, on every state of the golden trail runs;
+    the probes are copies, so no answer rests on atom identity."""
+    with open(path) as fh:
+        p = parse_problem(fh.read())
+    po = ProblemOrder(p)
+    probes = [GroundTerm(a.name, a.args) for a in po.atoms_ascending + (po.beta,)]
+    for state in run_scl_sup(p, po).states:
+        def on_trail(atom):
+            return [e for e in state.trail if e.literal.atom == atom]
+        for atom in probes:
+            found = on_trail(atom)
+            assert is_defined(state, atom) == bool(found)
+            for lit_ in (Literal(atom), Literal(atom, False)):
+                if found:
+                    assert literal_level(state, lit_) == found[0].level
+                else:
+                    with pytest.raises(ValueError):
+                        literal_level(state, lit_)
+            for bound in (Literal(atom), Literal(atom, False)):
+                cut = po.literal_rank(bound)
+                expected = [Literal(a, False) for a in po.atoms_ascending
+                            if po.literal_rank(Literal(a)) < cut and not on_trail(a)]
+                assert filler_decisions(po, state, bound) == expected
 
 
 def test_next_attention_walks_the_image_order():

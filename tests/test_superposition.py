@@ -6,12 +6,16 @@ interpretation, producing clause, and conclusion below is a frozen expected
 value, not a recording of what the code happened to output.
 """
 
+import dataclasses
+import gc
 import glob
 import os
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lockstep import superposition
 from lockstep.core import (
     Atom,
     Clause,
@@ -477,3 +481,109 @@ def test_prefix_below_matches_a_linear_walk(cls, probes):
     outside = [c for c in probes if atoms_of([c]) <= universe]
     for snap in run.snapshots:
         _check_snapshot(snap, po, outside)
+
+
+# ---------------------------------------------------------------------------
+# The run's constructions against fresh ones
+# ---------------------------------------------------------------------------
+
+
+def _expect_fresh_construction(snap, po, outside=()):
+    """The run's construction of ``snap`` answers every read as a fresh
+    construct_model over its clauses does. The reads that stay at or below
+    its minimal false clause come first and leave it unfinished."""
+    mc = snap.construction
+    ref = construct_model(snap.clauses, po)
+    members = set(snap.clauses)
+    probes = (list(snap.clauses) + [sfac(c, po) for c in snap.clauses]
+              + list(outside) + [EMPTY_CLAUSE])
+    assert mc.minimal_false == ref.minimal_false
+    if mc.minimal_false is not None:
+        top = po.clause_key(mc.minimal_false)
+        for c in probes:
+            if po.clause_key(c) <= top:
+                assert mc.prefix_below(c) == ref.prefix_below(c), c
+                assert mc.delta_of(c) == ref.delta_of(c), c
+        for atom, c in ref.producer.items():
+            if po.clause_key(c) < top:
+                assert mc.producer_of(atom) == c
+        assert not mc._complete
+    for atom in po.atoms_ascending:             # a miss completes
+        assert mc.producer_of(atom) == ref.producer_of(atom)
+    for c in probes:
+        assert mc.prefix_below(c) == ref.prefix_below(c), c
+        assert mc.delta_of(c) == ref.delta_of(c), c
+        assert snap.contains(c) == (c in members), c
+    assert list(mc.producer.items()) == list(ref.producer.items())
+    assert mc.model == ref.model
+    assert mc.entries == ref.entries
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(DATA, "*.prob"))),
+                         ids=os.path.basename)
+def test_golden_runs_match_fresh_constructions(path):
+    with open(path) as fh:
+        prob = parse_problem(fh.read())
+    po = ProblemOrder(prob)
+    run = run_sup_mo(prob, po)
+    for i, snap in enumerate(run.snapshots):
+        assert snap.index == i
+        _expect_fresh_construction(snap, po)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rand_clauses, st.lists(st.lists(_lits, max_size=5).map(Clause), max_size=8))
+def test_random_runs_match_fresh_constructions(cls, probes):
+    prob = listed_problem(cls, *PQR)
+    po = ProblemOrder(prob)
+    run = run_sup_mo(prob, po, max_steps=300)
+    universe = set(po.atoms_ascending)
+    outside = [c for c in probes if atoms_of([c]) <= universe]
+    for snap in run.snapshots:
+        _expect_fresh_construction(snap, po, outside)
+
+
+def test_completion_skips_clauses_derived_later():
+    """A conclusion can lie above an earlier snapshot's minimal false clause
+    (here R, derived after Q | Q): completing that snapshot must not see it."""
+    prob = listed_problem([clause("Q", "Q"), clause("R", "R"), clause("-R"), clause("-P")],
+                          "Q", "P", "R")
+    po = ProblemOrder(prob)
+    run = run_sup_mo(prob, po)
+    first = run.snapshots[0]
+    assert first.construction.minimal_false == clause("Q", "Q")
+    assert run.steps[1].conclusion == clause("R")
+    assert po.clause_lt(clause("Q", "Q"), clause("R"))
+    for snap in run.snapshots:
+        _expect_fresh_construction(snap, po)
+    assert first.construction.model == frozenset()
+
+
+def test_a_run_is_freed_without_the_cycle_collector():
+    with open(os.path.join(DATA, "factoring_chain.prob")) as fh:
+        prob = parse_problem(fh.read())
+    gc.disable()
+    try:
+        run = run_sup_mo(prob)
+        for snap in run.snapshots:          # completed ones too
+            snap.construction.entries
+        last = weakref.ref(snap)
+        construction = weakref.ref(snap.construction)
+        del run, snap
+        assert last() is None and construction() is None
+    finally:
+        gc.enable()
+
+
+def test_a_conclusion_not_below_its_main_premise_is_rejected(monkeypatch):
+    prob = parse_problem(LPO_TEXT)
+    real = superposition.next_inference
+
+    def enlarged(construction, order):
+        step = real(construction, order)
+        bigger = step.main + Clause([order.max_literal(step.main)])
+        return dataclasses.replace(step, conclusion=bigger)
+
+    monkeypatch.setattr(superposition, "next_inference", enlarged)
+    with pytest.raises(RuntimeError, match="not smaller than"):
+        run_sup_mo(prob)

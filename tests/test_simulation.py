@@ -27,7 +27,7 @@ from lockstep.core import (
 )
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
-from lockstep.scl import is_defined, literal_level
+from lockstep.scl import RuleError, decide, initial_state, is_defined, literal_level, propagate
 from lockstep.superposition import run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
@@ -413,6 +413,29 @@ def test_out_of_scope_atom_is_caught():
     bad = dataclasses.replace(state, u=(rogue,))
     v = _verdicts(check_invariants(po, bad, ann, snapshot))
     assert not v["atoms-in-scope"]
+
+
+def test_atoms_past_the_bound_are_rejected():
+    """Under the order of a problem over P alone, Q lies past the bound:
+    the rules refuse to put it on a trail, and invariant (ii) flags a trail
+    that holds it."""
+    small = parse_problem("order: listed\natoms: P\nclause: P\n")
+    po = ProblemOrder(small)
+    p = parse_problem("order: listed\natoms: P < Q\nclause: P | Q\n")
+    s0 = initial_state(p)
+    q = lit("Q")
+    with pytest.raises(RuleError) as e:
+        decide(po, s0, q)
+    assert e.value.guard == "atom-beyond-bound"
+    with pytest.raises(RuleError) as e:
+        propagate(po, s0, p.clauses.by_id(0), q)
+    assert e.value.guard == "atom-beyond-bound"
+    state = decide(ProblemOrder(p), s0, q)
+    snapshot = run_sup_mo(small, po).snapshots[0]
+    reports = {r.name: r for r in
+               check_invariants(po, state, Annotation(0, EMPTY_CLAUSE, {}), snapshot)}
+    assert not reports["trail-below-bound"].ok
+    assert reports["trail-below-bound"].detail == "atoms at or above the bound: [Q]"
 
 
 def test_producer_without_a_preimage_is_caught():

@@ -6,6 +6,8 @@ fact about the calculus.
 """
 
 import dataclasses
+import glob
+import os
 
 import pytest
 
@@ -369,3 +371,24 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
                     assert got == _falsified_by_scan(s, literal)
                     probed += 1
     assert probed > 100
+
+
+def test_the_level_is_the_number_of_decisions():
+    """On every state of the golden trail runs and of 300 generated
+    problems, the top entry's level counts the decisions on the trail, and
+    so does k: the level can be read off the trail."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.prob")))
+    problems = []
+    for path in paths:
+        with open(path) as fh:
+            problems.append(parse_problem(fh.read()))
+    problems += [random_problem(GenParams(seed=seed)) for seed in range(300)]
+    checked = 0
+    for p in problems:
+        for s in run_scl_sup(p).states:
+            decisions = sum(e.is_decision for e in s.trail)
+            assert s.k == decisions
+            if s.trail:
+                assert s.trail[-1].level == decisions
+            checked += 1
+    assert checked > 1000

@@ -559,6 +559,37 @@ def test_completion_skips_clauses_derived_later():
     assert first.construction.model == frozenset()
 
 
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(DATA, "*.prob"))),
+                         ids=os.path.basename)
+def test_a_first_read_above_the_minimal_false_clause_completes(path):
+    """prefix_below and delta_of of a clause above an unfinished snapshot's
+    minimal false clause, as the very first read of a fresh run, answer as
+    a fresh construct_model does."""
+    with open(path) as fh:
+        prob = parse_problem(fh.read())
+    po = ProblemOrder(prob)
+    run = run_sup_mo(prob, po)
+    for i, snap in enumerate(run.snapshots):
+        if snap.construction.minimal_false is None:
+            continue
+        ref = construct_model(snap.clauses, po)
+        top = po.clause_key(snap.construction.minimal_false)
+        above = [c for c in snap.clauses if po.clause_key(c) > top]
+        for c in above:
+            for read in ("prefix_below", "delta_of"):
+                mc = run_sup_mo(prob, po).snapshots[i].construction
+                assert not mc._complete
+                assert getattr(mc, read)(c) == getattr(ref, read)(c), (i, c, read)
+
+
+def test_a_first_read_above_the_minimal_false_clause_sees_later_productions():
+    with open(os.path.join(DATA, "factoring_chain.prob")) as fh:
+        prob = parse_problem(fh.read())
+    pa, qb = T("P", T("a")), T("Q", T("b"))
+    mc = run_sup_mo(prob).snapshots[2].construction
+    assert mc.prefix_below(Clause([Literal(qb, False)])) == {pa, qb}
+
+
 def test_a_run_is_freed_without_the_cycle_collector():
     with open(os.path.join(DATA, "factoring_chain.prob")) as fh:
         prob = parse_problem(fh.read())

@@ -11,7 +11,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .core import (
     Atom,
@@ -38,13 +38,12 @@ def _universe(clauses: Iterable[Clause]) -> List[Atom]:
     return sorted(atoms_of(clauses), key=lambda a: a.text)
 
 
-def brute_force_sat(clauses: Iterable[Clause],
-                    atoms: Optional[Sequence[Atom]] = None) -> Optional[frozenset]:
+def brute_force_sat(clauses: Iterable[Clause]) -> Optional[frozenset]:
     """First satisfying model in bitmask counting order, None if there is
     none. Atoms are bit-indexed in text order, so smaller assignments (fewer
     and textually earlier true atoms) are tried first."""
     clauses = list(clauses)
-    atoms = list(atoms) if atoms is not None else _universe(clauses)
+    atoms = _universe(clauses)
     if len(atoms) > MAX_ORACLE_ATOMS:
         raise ValueError(
             f"{len(atoms)} atoms exceed the brute-force cap of {MAX_ORACLE_ATOMS}"
@@ -187,11 +186,10 @@ def random_problem(params: GenParams) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def emit_trace(problem: Problem, order: Optional[ProblemOrder] = None,
-               max_sequences: int = 10000) -> dict:
+def emit_trace(problem: Problem, max_sequences: int = 10000) -> dict:
     """Run the lockstep verifier and serialize everything that happened as
     one JSON-ready dictionary."""
-    result = lockstep_verify(problem, order, max_sequences=max_sequences)
+    result = lockstep_verify(problem, max_sequences=max_sequences)
     sup, sim = result.sup, result.sim
 
     def s(x) -> Optional[str]:
@@ -304,9 +302,10 @@ def fuzz_campaign(count: int, base_seed: int = 0,
             msgs.append(f"trail verdict {result.sim.outcome}, oracle says {verdict}")
         if result.sup.outcome != verdict:
             msgs.append(f"saturation verdict {result.sup.outcome}, oracle says {verdict}")
-        if result.sim.model is not None:
+        model = result.sim.model
+        if model is not None:
             for c in problem.clauses:
-                if not eval_herbrand(result.sim.model, c):
+                if not eval_herbrand(model, c):
                     msgs.append(f"claimed model does not satisfy {c}")
         if msgs:
             failures.append((seed, msgs))

@@ -12,12 +12,9 @@ For a total literal order the multiset extension boils down to comparing the
 descending-sorted literal sequences lexicographically, with a strict prefix
 counting as smaller. ``ProblemOrder`` precomputes integer ranks over a
 problem's atom universe so the strategy loops never re-run the structural
-comparison; it also materializes the trail bound as a fresh sentinel atom
-that compares above every problem atom (precedence alone cannot express that
-under KBO, where a light nullary symbol would sink below heavier atoms).
-Maximal-literal queries (maximum, its multiplicity, maximality and strict
-maximality) are answered from the head of the cached clause key, which is
-built with one rank lookup per distinct literal.
+comparison. Maximal-literal queries (maximum, its multiplicity, maximality
+and strict maximality) are answered from the head of the cached clause key,
+which is built with one rank lookup per distinct literal.
 """
 
 from __future__ import annotations
@@ -226,20 +223,13 @@ def _rank_atoms(problem: Problem) -> Tuple[List[str], List[Atom]]:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_beta_name(problem: Problem) -> str:
-    name = "_beta"
-    taken = set(problem.symbol_arities)
-    while name in taken:
-        name += "_"
-    return name
-
-
 class ProblemOrder:
-    """Precomputed total order over one problem's atom universe plus the bound.
+    """Precomputed total order over one problem's atom universe.
 
     Atom ranks are assigned by sorting the universe once with the declared
-    comparison (a listed order is its own ranking); the bound atom gets the
-    top rank. Literal rank doubles the atom rank and adds one for negation,
+    comparison (a listed order is its own ranking). The trail bound lies
+    above every ranked atom, so an atom is below it exactly when it is
+    ranked. Literal rank doubles the atom rank and adds one for negation,
     so literal comparison is integer comparison. A clause key lists its
     distinct literal ranks in descending order, each paired with its count:
     ``(rank, count)`` runs. Python's tuple order on these keys is exactly the
@@ -260,11 +250,9 @@ class ProblemOrder:
         self.config = problem.ordering
         self.atoms_ascending: Tuple[Atom, ...] = tuple(ranked)
         self._atom_rank: Dict[Atom, int] = {a: i for i, a in enumerate(ranked)}
-        self.beta: Atom = Atom(_fresh_beta_name(problem))
-        self._atom_rank[self.beta] = len(ranked)
         # literal rank -> literal, laid out as literal_rank numbers them
         self._literal_of: Tuple[Literal, ...] = tuple(
-            Literal(a, positive) for a in ranked + [self.beta] for positive in (True, False)
+            Literal(a, positive) for a in ranked for positive in (True, False)
         )
         self._clause_key: Dict[Clause, ClauseKey] = {}
 
@@ -277,7 +265,8 @@ class ProblemOrder:
             raise ValueError(f"atom {atom} is outside this problem's universe") from None
 
     def below_beta(self, atom: Atom) -> bool:
-        return self.atom_rank(atom) < self._atom_rank[self.beta]
+        """Whether ``atom`` lies below the trail bound, that is, is ranked."""
+        return atom in self._atom_rank
 
     # -- literals ----------------------------------------------------------
 

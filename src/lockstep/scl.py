@@ -1,23 +1,24 @@
 """Conflict-driven trail calculus over ground clauses.
 
 A state is a trail of annotated literals plus the input clauses, the learned
-clauses, the decision-level counter, and the current conflict (None meaning
-no conflict, the empty clause meaning refuted). Seven rules move between
-states: propagate, decide, and conflict operate outside conflict mode; skip,
-factorize, resolve, and backtrack operate inside it.
+clauses, and the current conflict (None meaning no conflict, the empty clause
+meaning refuted); the decision level k is read off the trail. Seven rules
+move between states: propagate, decide, and conflict operate outside
+conflict mode; skip, factorize, resolve, and backtrack operate inside it.
 
 Every rule is a pure function taking the ambient order and a state,
-returning the successor state. The atom bound is not part of the state: the
-order holds it as a sentinel atom above every problem atom, and the rules
-that extend the trail check against it. A violated side condition raises
-RuleError with a stable guard name instead of silently doing nothing, which
-keeps drivers honest: a driver that calls a rule out of turn crashes loudly.
+returning the successor state. The atom bound is not part of the state: it
+lies above every atom the order ranks, and the rules that extend the trail
+check against it. A violated side condition raises RuleError with a stable
+guard name instead of silently doing nothing, which keeps drivers honest: a
+driver that calls a rule out of turn crashes loudly.
 
-Levels count decisions: a decision is pushed with level k+1 and bumps k, a
-propagation is pushed with the current k. Backtracking pops exactly the
-topmost decision (which must sit on top of the trail), learns the conflict,
-and returns to level k-1; copies of the complement of that decision inside
-the conflict are exempt from the usual lower-level requirement on the rest.
+Levels count decisions: a decision is pushed with level k+1, a propagation
+with the current k, so k is the level of the top entry (0 on an empty
+trail). Backtracking pops exactly the topmost decision (which must sit on
+top of the trail), learns the conflict, and returns to level k-1; copies of
+the complement of that decision inside the conflict are exempt from the
+usual lower-level requirement on the rest.
 """
 
 from __future__ import annotations
@@ -66,8 +67,12 @@ class SclState:
     trail: Tuple[TrailEntry, ...]
     n: Tuple[Clause, ...]          # input clauses
     u: Tuple[Clause, ...]          # learned clauses, in learning order
-    k: int
     conflict: Optional[Clause]     # None = no conflict, EMPTY_CLAUSE = refuted
+
+    @property
+    def k(self) -> int:
+        """The decision level: the level of the top trail entry."""
+        return self.trail[-1].level if self.trail else 0
 
     def all_clauses(self) -> Tuple[Clause, ...]:
         return self.n + self.u
@@ -83,7 +88,7 @@ class SclState:
 
 
 def initial_state(problem: Problem) -> SclState:
-    return SclState(trail=(), n=problem.clauses.clauses(), u=(), k=0, conflict=None)
+    return SclState(trail=(), n=problem.clauses.clauses(), u=(), conflict=None)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +141,7 @@ def _need_no_conflict(rule: str, state: SclState) -> None:
 
 
 def _check_bound(rule: str, order: ProblemOrder, atom: Atom) -> None:
-    try:
-        ok = order.below_beta(atom)
-    except ValueError:
-        ok = False
-    if not ok:
+    if not order.below_beta(atom):
         raise RuleError(rule, "atom-beyond-bound", f"atom {atom} is not below the bound")
 
 
@@ -166,7 +167,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
     entry = TrailEntry(literal=literal, level=state.k, reason=clause.with_count(literal, 1))
     return SclState(
         trail=state.trail + (entry,),
-        n=state.n, u=state.u, k=state.k, conflict=None,
+        n=state.n, u=state.u, conflict=None,
     )
 
 
@@ -182,7 +183,7 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
     entry = TrailEntry(literal=literal, level=state.k + 1, reason=None)
     return SclState(
         trail=state.trail + (entry,),
-        n=state.n, u=state.u, k=state.k + 1, conflict=None,
+        n=state.n, u=state.u, conflict=None,
     )
 
 
@@ -194,7 +195,7 @@ def conflict(order: ProblemOrder, state: SclState, clause: Clause) -> SclState:
     if status_under_assignment(state.assignment(), clause) != ClauseStatus.FALSE:
         raise RuleError("conflict", "clause-not-false", f"{clause} is not falsified by the trail")
     return SclState(
-        trail=state.trail, n=state.n, u=state.u, k=state.k,
+        trail=state.trail, n=state.n, u=state.u,
         conflict=clause,
     )
 
@@ -226,9 +227,8 @@ def skip(order: ProblemOrder, state: SclState) -> SclState:
             "skip", "complement-in-conflict",
             f"{top.literal.complement()} occurs in the conflict {d}",
         )
-    new_k = state.k - 1 if top.is_decision else state.k
     return SclState(
-        trail=state.trail[:-1], n=state.n, u=state.u, k=new_k, conflict=d,
+        trail=state.trail[:-1], n=state.n, u=state.u, conflict=d,
     )
 
 
@@ -249,7 +249,7 @@ def factorize(order: ProblemOrder, state: SclState, literal: Optional[Literal] =
             f"{literal} does not occur twice in {d}",
         )
     return SclState(
-        trail=state.trail, n=state.n, u=state.u, k=state.k,
+        trail=state.trail, n=state.n, u=state.u,
         conflict=d.without_one(literal),
     )
 
@@ -274,7 +274,7 @@ def resolve(order: ProblemOrder, state: SclState) -> SclState:
     assert top.reason is not None
     resolvent = d.without_one(comp) + top.reason.without_one(top.literal)
     return SclState(
-        trail=state.trail, n=state.n, u=state.u, k=state.k,
+        trail=state.trail, n=state.n, u=state.u,
         conflict=resolvent,
     )
 
@@ -307,7 +307,7 @@ def backtrack(order: ProblemOrder, state: SclState) -> SclState:
             )
     new_u = state.u if d in state.u else state.u + (d,)
     return SclState(
-        trail=state.trail[:-1], n=state.n, u=new_u, k=state.k - 1, conflict=None,
+        trail=state.trail[:-1], n=state.n, u=new_u, conflict=None,
     )
 
 

@@ -19,9 +19,10 @@ verdicts, models, and learned clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .core import (
+    Atom,
     Clause,
     ClauseStatus,
     EMPTY_CLAUSE,
@@ -97,9 +98,12 @@ class SimRun:
 
     Stored: the rule log (``states[i]`` is the state ``apps[i]`` was applied
     in, ``states[-1]`` the state after the last application), the
-    annotation before the first round, and the rounds in ``seqs``. Derived:
-    ``annotations`` and ``boundary_states``, one entry per round boundary;
-    boundary ``i + 1`` is the end of round ``i``.
+    annotation before the first round, the rounds in ``seqs`` and the
+    outcome. Derived: ``annotations`` and ``boundary_states``, one entry per
+    round boundary (boundary ``i + 1`` is the end of round ``i``); the
+    ``learned`` clauses, the final state's plus the empty clause when the
+    run is unsatisfiable; and ``model``, the positive trail atoms when it is
+    satisfiable.
     """
 
     problem: Problem
@@ -109,12 +113,21 @@ class SimRun:
     apps: List[RuleApp] = field(default_factory=list)
     seqs: List[SimSeq] = field(default_factory=list)
     outcome: str = CAP_EXCEEDED
-    learned: Tuple[Clause, ...] = ()
-    model: Optional[frozenset] = None
 
     @property
     def state(self) -> SclState:
         return self.states[-1]
+
+    @property
+    def learned(self) -> Tuple[Clause, ...]:
+        refuted = (EMPTY_CLAUSE,) if self.outcome == UNSATISFIABLE else ()
+        return self.state.u + refuted
+
+    @property
+    def model(self) -> Optional[FrozenSet[Atom]]:
+        if self.outcome != SATISFIABLE:
+            return None
+        return frozenset(e.literal.atom for e in self.state.trail if e.literal.positive)
 
     @property
     def annotations(self) -> List[Annotation]:
@@ -349,13 +362,6 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
         if kind == "refute":
             run.outcome = UNSATISFIABLE
             break
-
-    final = run.state
-    run.learned = final.u + ((EMPTY_CLAUSE,) if run.outcome == UNSATISFIABLE else ())
-    if run.outcome == SATISFIABLE:
-        run.model = frozenset(
-            e.literal.atom for e in final.trail if e.literal.positive
-        )
     return run
 
 
@@ -371,29 +377,11 @@ class InvariantReport:
     detail: str = ""
 
 
-INVARIANT_NAMES = (
-    "atoms-in-scope",
-    "trail-below-bound",
-    "membership",
-    "factored-map-shape",
-    "positives-match-production",
-    "negatives-cover-gap",
-    "trail-ascends",
-    "producers-exist",
-    "producer-preimages",
-    "conflict-top-propagation",
-    "conflict-is-minimal-false",
-    "prefix-satisfied",
-    "no-missed-conflict",
-    "refutation-sync",
-)
-
-
 def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                      snapshot: SupSnapshot) -> List[InvariantReport]:
     """Confront one annotated trail state with one saturation snapshot.
 
-    Returns one report per invariant, in the INVARIANT_NAMES order. The
+    Returns one report per invariant, in the (i)-(xiv) order below. The
     checks are defensive: a state too broken to even rank its clauses fails
     the affected invariant instead of raising.
     """
@@ -425,10 +413,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     add("atoms-in-scope", not foreign, f"foreign atoms {foreign}")
 
     # (ii) the trail never reaches the bound
-    beyond = [
-        e.literal.atom for e in state.trail
-        if e.literal.atom not in universe or not order.below_beta(e.literal.atom)
-    ]
+    beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
     add("trail-below-bound", not beyond, f"atoms at or above the bound: {beyond}")
 
     # (iii) the attention clause and all learned clauses exist on the paired side
@@ -650,8 +635,7 @@ class VerifyResult:
         return out
 
 
-def lockstep_verify(problem: Problem, order: Optional[ProblemOrder] = None,
-                    max_sequences: int = 10000) -> VerifyResult:
+def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResult:
     """Run both calculi independently and check them against each other.
 
     Every round boundary of the trail run is confronted with the saturation
@@ -660,7 +644,7 @@ def lockstep_verify(problem: Problem, order: Optional[ProblemOrder] = None,
     and models, equal step counts, and learned clauses whose factored images
     all occur among the derived ones.
     """
-    order = order or ProblemOrder(problem)
+    order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
     sup = run_sup_mo(problem, order)
     result = VerifyResult(problem=problem, order=order, sup=sup, sim=sim)

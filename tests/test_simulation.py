@@ -235,7 +235,7 @@ def test_trail_queries_match_a_plain_trail_scan(path):
     with open(path) as fh:
         p = parse_problem(fh.read())
     po = ProblemOrder(p)
-    probes = [GroundTerm(a.name, a.args) for a in po.atoms_ascending + (po.beta,)]
+    probes = [GroundTerm(a.name, a.args) for a in po.atoms_ascending]
     for state in run_scl_sup(p, po).states:
         def on_trail(atom):
             return [e for e in state.trail if e.literal.atom == atom]

@@ -168,7 +168,7 @@ def test_superposition_left_and_resolve_match_the_list_definition(premises):
     want = _list_cut(main, side, pivot)
     assert superposition_left(main, side, po).literals == want.literals
     propagated = TrailEntry(literal=Literal(pivot), level=0, reason=side)
-    state = SclState(trail=(propagated,), n=(main, side), u=(), k=0, conflict=main)
+    state = SclState(trail=(propagated,), n=(main, side), u=(), conflict=main)
     assert resolve(po, state).conflict.literals == want.literals
 
 

@@ -1,5 +1,6 @@
 """Syntax, problem parsing, and evaluation semantics."""
 
+import os
 from collections import Counter
 
 import pytest
@@ -260,6 +261,17 @@ def test_print_parse_round_trip(kind):
     assert p2.ordering == p1.ordering
     assert p2.clauses.clauses() == p1.clauses.clauses()
     assert p2.symbol_arities == p1.symbol_arities
+
+
+GOLDEN_SYMBOLS = {"P": 1, "Q": 1, "a": 0, "b": 0}
+
+
+@pytest.mark.parametrize("name", ["double_conflict", "factoring_chain",
+                                  "repropagation", "satisfiable"])
+def test_symbol_table_of_each_golden_file(name):
+    path = os.path.join(os.path.dirname(__file__), "data", name + ".prob")
+    with open(path, encoding="utf-8") as fh:
+        assert parse_problem(fh.read()).symbol_arities == GOLDEN_SYMBOLS
 
 
 def test_parser_keeps_one_object_per_atom_text():

@@ -222,6 +222,16 @@ def test_generated_problems_respect_their_size_limits():
         ProblemOrder(problem)
 
 
+def test_generated_symbol_tables_match_the_atoms():
+    for seed in range(300):
+        problem = random_problem(GenParams(max_arity=seed % 3, seed=seed))
+        expected = {}
+        for a in problem.atom_universe:
+            expected[a.name] = len(a.args)
+            expected.update((t.name, 0) for t in a.args)
+        assert problem.symbol_arities == expected, seed
+
+
 def test_generator_round_trips_through_the_text_format():
     for seed in range(10):
         problem = random_problem(GenParams(seed=seed))

@@ -1,133 +1,3 @@
 """Ground reasoning workbench: saturation, trail-based search, lockstep checking."""
 
-from .core import (
-    Atom,
-    Clause,
-    ClauseSet,
-    ClauseStatus,
-    EMPTY_CLAUSE,
-    GroundTerm,
-    Literal,
-    OrderingConfig,
-    ParseError,
-    Problem,
-    atoms_of,
-    eval_herbrand,
-    is_tautology,
-    parse_problem,
-    print_problem,
-    status_under_assignment,
-)
-from .ordering import (
-    EQUAL,
-    GREATER,
-    LESS,
-    ProblemOrder,
-    compare_atoms,
-    compare_clauses,
-    compare_literals,
-    compare_terms,
-    validate_ordering,
-)
-from .superposition import (
-    CAP_EXCEEDED,
-    SATISFIABLE,
-    UNSATISFIABLE,
-    ModelConstruction,
-    SupRun,
-    SupSnapshot,
-    SupStep,
-    construct_model,
-    run_sup_mo,
-    sfac,
-)
-from .scl import (
-    RuleApp,
-    RuleError,
-    SclState,
-    TrailEntry,
-    audit_regular,
-    initial_state,
-)
-from .simulation import (
-    Annotation,
-    InvariantReport,
-    SimRun,
-    SimulationError,
-    VerifyResult,
-    check_invariants,
-    check_progress,
-    lockstep_verify,
-    next_attention,
-    run_scl_sup,
-)
-from .harness import (
-    GenParams,
-    brute_force_sat,
-    emit_trace,
-    entails,
-    fuzz_campaign,
-    is_redundant,
-    random_problem,
-)
-
-__all__ = [
-    "Atom",
-    "Clause",
-    "ClauseSet",
-    "ClauseStatus",
-    "EMPTY_CLAUSE",
-    "GroundTerm",
-    "Literal",
-    "OrderingConfig",
-    "ParseError",
-    "Problem",
-    "atoms_of",
-    "eval_herbrand",
-    "is_tautology",
-    "parse_problem",
-    "print_problem",
-    "status_under_assignment",
-    "EQUAL",
-    "GREATER",
-    "LESS",
-    "ProblemOrder",
-    "compare_atoms",
-    "compare_clauses",
-    "compare_literals",
-    "compare_terms",
-    "validate_ordering",
-    "CAP_EXCEEDED",
-    "SATISFIABLE",
-    "UNSATISFIABLE",
-    "ModelConstruction",
-    "SupRun",
-    "SupSnapshot",
-    "SupStep",
-    "construct_model",
-    "run_sup_mo",
-    "sfac",
-    "RuleApp",
-    "RuleError",
-    "SclState",
-    "TrailEntry",
-    "audit_regular",
-    "initial_state",
-    "Annotation",
-    "InvariantReport",
-    "SimRun",
-    "SimulationError",
-    "VerifyResult",
-    "check_invariants",
-    "check_progress",
-    "lockstep_verify",
-    "next_attention",
-    "run_scl_sup",
-    "GenParams",
-    "brute_force_sat",
-    "emit_trace",
-    "entails",
-    "fuzz_campaign",
-    "is_redundant",
-    "random_problem",
-]
+from . import core, harness, ordering, scl, simulation, superposition

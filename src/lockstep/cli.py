@@ -24,7 +24,7 @@ from .harness import (
 )
 from .ordering import validate_ordering
 from .scl import RuleError
-from .simulation import SimulationError, lockstep_verify, run_scl_sup
+from .simulation import SimulationError, run_scl_sup
 from .superposition import SATISFIABLE, UNSATISFIABLE, run_sup_mo
 
 
@@ -52,8 +52,8 @@ def _verdict_exit(outcome: str) -> int:
     return 2
 
 
-def _print_model(model) -> None:
-    print("model: {" + ", ".join(sorted(a.text for a in model)) + "}")
+def _print_model(texts) -> None:
+    print("model: {" + ", ".join(sorted(texts)) + "}")
 
 
 def _check_caps(args) -> None:
@@ -77,7 +77,7 @@ def _cmd_sup(args) -> int:
             print(f"step {n}: {step.kind}: {step.main} => {step.conclusion}")
     print(f"verdict: {run.outcome}")
     if run.model is not None:
-        _print_model(run.model)
+        _print_model(a.text for a in run.model)
     if run.outcome not in (SATISFIABLE, UNSATISFIABLE):
         print("error: step cap exceeded", file=sys.stderr)
     return _verdict_exit(run.outcome)
@@ -92,7 +92,7 @@ def _cmd_scl(args) -> int:
         print(f"learned: {c}")
     print(f"verdict: {run.outcome}")
     if run.model is not None:
-        _print_model(run.model)
+        _print_model(a.text for a in run.model)
     if run.outcome not in (SATISFIABLE, UNSATISFIABLE):
         print("error: round cap exceeded", file=sys.stderr)
     return _verdict_exit(run.outcome)
@@ -100,31 +100,26 @@ def _cmd_scl(args) -> int:
 
 def _cmd_simulate(args) -> int:
     problem = _load(args.file)
+    trace = emit_trace(problem, max_sequences=args.max_rounds)
     if args.json:
-        trace = emit_trace(problem, max_sequences=args.max_rounds)
         print(json.dumps(trace, indent=2))
-        code = _verdict_exit(trace["outcome"])
-        if args.strict and not trace["ok"]:
-            return 2
-        return code
-
-    result = lockstep_verify(problem, max_sequences=args.max_rounds)
-    for i, seq in enumerate(result.sim.seqs):
-        attention = f" attention={seq.attention}" if seq.attention is not None else ""
-        print(f"round {i}: {seq.kind}{attention} pair_index={seq.annotation.index}")
-    if result.ok:
-        print(f"verification: ok ({len(result.boundaries)} boundaries checked)")
     else:
-        print("verification: FAILED")
-        for line in result.failures():
-            print(f"  {line}", file=sys.stderr)
-    print(f"verdict: {result.sim.outcome}")
-    if result.sim.model is not None:
-        _print_model(result.sim.model)
-    code = _verdict_exit(result.sim.outcome)
-    if args.strict and not result.ok:
+        for i, r in enumerate(trace["rounds"]):
+            attention = f" attention={r['attention']}" if r["attention"] is not None else ""
+            print(f"round {i}: {r['kind']}{attention} pair_index={r['pair_index']}")
+        if trace["ok"]:
+            boundaries = sum(e["event"] == "boundary" for e in trace["verify_events"])
+            print(f"verification: ok ({boundaries} boundaries checked)")
+        else:
+            print("verification: FAILED")
+            for line in trace["failures"]:
+                print(f"  {line}", file=sys.stderr)
+        print(f"verdict: {trace['outcome']}")
+        if trace["model"] is not None:
+            _print_model(trace["model"])
+    if args.strict and not trace["ok"]:
         return 2
-    return code
+    return _verdict_exit(trace["outcome"])
 
 
 def _cmd_oracle(args) -> int:
@@ -137,7 +132,7 @@ def _cmd_oracle(args) -> int:
         print("verdict: unsatisfiable")
         return 1
     print("verdict: satisfiable")
-    _print_model(model)
+    _print_model(a.text for a in model)
     return 0
 
 

@@ -183,32 +183,21 @@ def is_tautology(clause: Clause) -> bool:
 
 
 class ClauseSet:
-    """Insertion-ordered clause collection with stable numeric identifiers.
+    """An immutable clause collection, built once from an iterable.
 
-    Duplicate clause content is merged silently (same id comes back);
-    identifiers are never reused.
+    Duplicate clause content is dropped, the first position winning, and a
+    clause's identifier is its position.
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
-        self._ids: Dict[Clause, int] = {}
-        self._clauses: List[Clause] = []
-        for c in clauses:
-            self.add(c)
-
-    def add(self, clause: Clause) -> int:
-        existing = self._ids.get(clause)
-        if existing is not None:
-            return existing
-        cid = len(self._clauses)
-        self._ids[clause] = cid
-        self._clauses.append(clause)
-        return cid
+        self._members: Dict[Clause, None] = dict.fromkeys(clauses)
+        self._clauses: Tuple[Clause, ...] = tuple(self._members)
 
     def by_id(self, cid: int) -> Clause:
         return self._clauses[cid]
 
     def __contains__(self, clause: Clause) -> bool:
-        return clause in self._ids
+        return clause in self._members
 
     def __len__(self) -> int:
         return len(self._clauses)
@@ -217,7 +206,7 @@ class ClauseSet:
         return iter(self._clauses)
 
     def clauses(self) -> Tuple[Clause, ...]:
-        return tuple(self._clauses)
+        return self._clauses
 
 
 class ClauseStatus(Enum):
@@ -286,16 +275,15 @@ class OrderingConfig:
 
 @dataclass(frozen=True)
 class Problem:
-    """A parsed problem: clauses plus the ordering declaration.
+    """A problem: its clauses and its ordering declaration.
 
-    symbol_arities maps every occurring symbol (predicates, functions,
-    constants alike) to its arity; the parser enforces consistency. The
-    empty clause is rejected with ValueError, as the parser rejects it.
+    The empty clause is rejected with ValueError, as the parser rejects it,
+    and since a clause set is built once it cannot be added later. The atom
+    universe and the symbol table are read off the clauses.
     """
 
     clauses: ClauseSet
     ordering: OrderingConfig
-    symbol_arities: Mapping[str, int]
 
     def __post_init__(self) -> None:
         if EMPTY_CLAUSE in self.clauses:
@@ -304,6 +292,12 @@ class Problem:
     @property
     def atom_universe(self) -> Set[Atom]:
         return atoms_of(self.clauses)
+
+    @property
+    def symbol_arities(self) -> Dict[str, int]:
+        """Every occurring symbol (predicates, functions, constants alike)
+        mapped to its arity; the parser enforces that each has one."""
+        return {name: arity for a in self.atom_universe for name, arity in a.symbols()}
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +394,7 @@ def parse_problem(text: str) -> Problem:
     default_weight = 1
     listed: Optional[List[Atom]] = None
     listed_line = 0
-    clauses = ClauseSet()
+    clauses: List[Clause] = []
     arities: Dict[str, int] = {}
     interned: Dict[str, Atom] = {}     # one object per atom text
 
@@ -487,7 +481,7 @@ def parse_problem(text: str) -> Problem:
                     raise scanner.error("trailing input after literal")
                 _record_arities(atom, arities, lineno, rest_offset)
                 lits.append(Literal(interned.setdefault(atom.text, atom), positive))
-            clauses.add(Clause(lits))
+            clauses.append(Clause(lits))
         else:
             raise ParseError(f"unknown directive '{head}'", lineno, 1)
 
@@ -497,6 +491,8 @@ def parse_problem(text: str) -> Problem:
     universe = atoms_of(clauses)
 
     if order_kind in ("kbo", "lpo"):
+        if listed is not None:
+            raise ParseError("'atoms:' is only used by the listed ordering", listed_line, 1)
         if prec is None:
             raise ParseError(f"'{order_kind}' needs a 'prec:' line", order_line, 1,
                              code="precedence-missing-symbol")
@@ -539,7 +535,7 @@ def parse_problem(text: str) -> Problem:
         default_weight=default_weight,
         listed_atoms=tuple(listed or ()),
     )
-    return Problem(clauses=clauses, ordering=config, symbol_arities=dict(arities))
+    return Problem(clauses=ClauseSet(clauses), ordering=config)
 
 
 def print_problem(problem: Problem) -> str:

@@ -138,16 +138,13 @@ def random_problem(params: GenParams) -> Problem:
     _check_params(params)
     rng = random.Random(params.seed)
 
-    pool: List[Atom] = []
-    for pred in params.preds:
-        arity = rng.randint(0, params.max_arity)
-        if arity == 0:
-            pool.append(Atom(pred))
-        else:
-            for combo in itertools.product(params.consts, repeat=arity):
-                pool.append(Atom(pred, tuple(GroundTerm(c) for c in combo)))
-    if len(pool) > MAX_ORACLE_ATOMS:
-        raise ValueError(f"atom pool of {len(pool)} is past the oracle cap")
+    arities = [rng.randint(0, params.max_arity) for _ in params.preds]
+    size = sum(len(params.consts) ** arity for arity in arities)
+    if size > MAX_ORACLE_ATOMS:
+        raise ValueError(f"atom pool of {size} is past the oracle cap")
+    pool = [Atom(pred, tuple(GroundTerm(c) for c in combo))
+            for pred, arity in zip(params.preds, arities)
+            for combo in itertools.product(params.consts, repeat=arity)]
 
     clauses: List[Clause] = []
     for _ in range(rng.randint(1, params.clause_count)):
@@ -162,23 +159,17 @@ def random_problem(params: GenParams) -> Problem:
         clauses.append(Clause(lits))
     clause_set = ClauseSet(clauses)
 
-    arities = {}
-    for a in atoms_of(clause_set):
-        arities[a.name] = len(a.args)
-        for t in a.args:
-            arities[t.name] = 0
-
     kind = rng.choice(OrderingConfig.ORDER_KINDS)
     if kind == "listed":
         occurring = _universe(clause_set)
         rng.shuffle(occurring)
         cfg = OrderingConfig(kind="listed", listed_atoms=tuple(occurring))
     else:
-        symbols = sorted(arities)
+        symbols = sorted({name for a in atoms_of(clause_set) for name, _ in a.symbols()})
         rng.shuffle(symbols)
         cfg = OrderingConfig(kind=kind, precedence=tuple(symbols))
 
-    return Problem(clauses=clause_set, ordering=cfg, symbol_arities=arities)
+    return Problem(clauses=clause_set, ordering=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,9 @@ class ProblemOrder:
     Keys are cached per clause, and the maximal-literal queries read the
     first run: the maximum is its rank, its multiplicity its count, and a
     literal is strictly maximal when it heads the key with count one. A
-    rank-to-literal table turns a rank back into a literal.
+    rank-to-literal table turns a rank back into a literal, and
+    ``atoms_below`` turns a literal into the ascending atoms whose positive
+    literal lies below it: a prefix of ``atoms_ascending``.
     """
 
     def __init__(self, problem: Problem):
@@ -272,6 +274,14 @@ class ProblemOrder:
 
     def literal_rank(self, literal: Literal) -> int:
         return 2 * self.atom_rank(literal.atom) + (0 if literal.positive else 1)
+
+    def atoms_below(self, literal: Literal) -> Tuple[Atom, ...]:
+        """The atoms whose positive literal lies below ``literal``, ascending.
+
+        Positive ranks are the even ones, so these are the atoms of rank
+        below half the literal's rank, rounded up.
+        """
+        return self.atoms_ascending[:(self.literal_rank(literal) + 1) // 2]
 
     # -- clauses -----------------------------------------------------------
 

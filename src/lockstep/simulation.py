@@ -177,15 +177,8 @@ def filler_decisions(order: ProblemOrder, state: SclState,
                      bound: Literal) -> List[Literal]:
     """Negative decisions covering every undefined atom whose positive
     literal sits below ``bound``, in ascending atom order."""
-    cut = order.literal_rank(bound)
     assigned = state.assignment()
-    out: List[Literal] = []
-    for a in order.atoms_ascending:
-        if order.literal_rank(Literal(a)) >= cut:
-            break                      # positives ascend with the atoms
-        if a not in assigned:
-            out.append(Literal(a, False))
-    return out
+    return [Literal(a, False) for a in order.atoms_below(bound) if a not in assigned]
 
 
 def _act_on_positive_max(run: SimRun, j: int, clause: Clause,
@@ -456,12 +449,9 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         if image.is_empty:
             expected = set()
         else:
-            cut = order.literal_rank(order.max_literal(image))
             prefix = con.prefix_below(image)
-            expected = {
-                a for a in universe
-                if order.literal_rank(Literal(a)) < cut and a not in prefix
-            }
+            expected = {a for a in order.atoms_below(order.max_literal(image))
+                        if a not in prefix}
         return negatives == expected, (
             f"trail makes {sorted(a.text for a in negatives)} false, "
             f"expected {sorted(a.text for a in expected)}"

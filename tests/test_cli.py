@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lockstep import cli
+from lockstep import cli, harness
 from lockstep.core import parse_problem
 
 from test_simulation import KBO_TEXT, SAT_TEXT
@@ -61,7 +61,7 @@ def test_simulate_json_emits_a_full_trace(unsat_file, capsys):
 
 
 def test_simulate_strict_escalates_verification_failures(unsat_file, capsys, monkeypatch):
-    real = cli.lockstep_verify
+    real = harness.lockstep_verify
 
     class Doctored:
         def __init__(self, inner):
@@ -74,7 +74,7 @@ def test_simulate_strict_escalates_verification_failures(unsat_file, capsys, mon
         def failures(self):
             return ["boundary 1 (pair index 0): trail-ascends: forced for the test"]
 
-    monkeypatch.setattr(cli, "lockstep_verify", lambda *a, **k: Doctored(real(*a, **k)))
+    monkeypatch.setattr(harness, "lockstep_verify", lambda *a, **k: Doctored(real(*a, **k)))
     assert cli.main(["simulate", "--strict", unsat_file]) == 2
     assert cli.main(["simulate", unsat_file]) == 1   # without --strict only the verdict counts
 

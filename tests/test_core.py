@@ -86,12 +86,9 @@ def test_tautology_detection():
 
 
 def test_clause_set_ids_are_stable_and_deduplicated():
-    cs = ClauseSet()
     c1 = Clause([lit("P")])
     c2 = Clause([lit("Q")])
-    assert cs.add(c1) == 0
-    assert cs.add(c2) == 1
-    assert cs.add(Clause([lit("P")])) == 0
+    cs = ClauseSet([c1, c2, Clause([lit("P")])])
     assert len(cs) == 2
     assert cs.by_id(1) == c2
     assert list(cs) == [c1, c2]
@@ -307,6 +304,8 @@ def test_duplicate_clause_lines_merge():
         ("order: listed\nclause: P\n", "atoms-missing"),
         ("order: listed\natoms: P\nclause: P | Q\n", "atoms-missing"),
         ("order: listed\natoms: P < Q < R\nclause: P | Q\n", "atoms-unknown"),
+        ("order: kbo\nprec: a < P\natoms: P(a)\nclause: P(a)\n", "syntax"),
+        ("order: lpo\nprec: a < P\natoms: R(b)\nclause: P(a)\n", "syntax"),
         ("order: kbo\nprec: a < P\nclause: P(a) | P(a,a)\n", "arity-mismatch"),
         ("order: kbo\nprec: a < P\nclause: P(a\n", "syntax"),
         ("order: kbo\nprec: a < P\nclause: P(a) -P(a)\n", "syntax"),
@@ -327,8 +326,7 @@ def test_problem_rejects_the_empty_clause():
     clauses = ClauseSet([Clause([lit("P")]), EMPTY_CLAUSE])
     with pytest.raises(ValueError, match="empty clause"):
         Problem(clauses=clauses,
-                ordering=OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)),
-                symbol_arities={"P": 0})
+                ordering=OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)))
 
 
 def test_parse_error_carries_position():

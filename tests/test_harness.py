@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from lockstep import harness
 from lockstep.core import (
     Atom,
     Clause,
@@ -230,6 +231,22 @@ def test_generated_symbol_tables_match_the_atoms():
             expected[a.name] = len(a.args)
             expected.update((t.name, 0) for t in a.args)
         assert problem.symbol_arities == expected, seed
+
+
+def test_generator_sizes_the_atom_pool_before_building_it(monkeypatch):
+    built = []
+
+    class Counted(GroundTerm):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "GroundTerm", Counted)
+    monkeypatch.setattr(harness, "Atom", Counted)
+    params = GenParams(preds=("P",), consts=("a", "b"), max_arity=12, seed=6)
+    with pytest.raises(ValueError, match="atom pool of 4096 is past the oracle cap"):
+        random_problem(params)
+    assert not built
 
 
 def test_generator_round_trips_through_the_text_format():

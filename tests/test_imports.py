@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package root imports only its submodules: names are imported from the
+module that defines them, never re-exported."""
 
 import ast
 import glob
@@ -7,10 +9,8 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "lockstep")
-MODULES = sorted(
-    p for p in glob.glob(os.path.join(SRC, "*.py"))
-    if os.path.basename(p) != "__init__.py"
-)
+ROOT = os.path.join(SRC, "__init__.py")
+MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py")) if p != ROOT)
 
 
 def _imported(tree):
@@ -54,3 +54,16 @@ def test_no_unused_imports(path):
         tree = ast.parse(fh.read(), filename=path)
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{os.path.basename(path)} imports {unused} without using them"
+
+
+def test_the_package_root_imports_only_submodules():
+    submodules = {os.path.basename(p)[:-3] for p in MODULES}
+    with open(ROOT, encoding="utf-8") as fh:
+        body = ast.parse(fh.read(), filename=ROOT).body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]                                 # the docstring
+    for node in body:
+        assert isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None, (
+            f"__init__.py line {node.lineno} is not 'from . import <submodules>'")
+        names = {alias.name for alias in node.names}
+        assert names <= submodules, f"__init__.py imports non-modules {sorted(names - submodules)}"

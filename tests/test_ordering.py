@@ -6,6 +6,7 @@ a mirror of the implementation. The multiset extension is additionally
 cross-checked against a direct Dershowitz-Manna style oracle.
 """
 
+import os
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from lockstep.core import (
     Problem,
     parse_problem,
 )
+from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import (
     EQUAL,
     GREATER,
@@ -225,8 +227,8 @@ def test_clause_comparison_matches_dm_oracle_kbo(c1, c2):
 # ---------------------------------------------------------------------------
 
 
-def _problem(clauses, ordering, arities):
-    return Problem(clauses=ClauseSet(clauses), ordering=ordering, symbol_arities=arities)
+def _problem(clauses, ordering):
+    return Problem(clauses=ClauseSet(clauses), ordering=ordering)
 
 
 def test_validate_accepts_parsed_problems():
@@ -238,7 +240,6 @@ def test_validate_flags_missing_precedence_symbol():
     p = _problem(
         [clause("P", "-Q")],
         OrderingConfig(kind="kbo", precedence=("P",)),
-        {"P": 0, "Q": 0},
     )
     issues = validate_ordering(p)
     assert any("omits occurring symbol 'Q'" in i for i in issues)
@@ -248,7 +249,6 @@ def test_validate_flags_bad_weight():
     p = _problem(
         [clause("P")],
         OrderingConfig(kind="kbo", precedence=("P",), weights={"P": 0}),
-        {"P": 0},
     )
     assert any("below 1" in i for i in validate_ordering(p))
 
@@ -257,7 +257,6 @@ def test_validate_flags_repeated_precedence():
     p = _problem(
         [clause("P")],
         OrderingConfig(kind="kbo", precedence=("P", "P")),
-        {"P": 0},
     )
     assert any("repeats" in i for i in validate_ordering(p))
 
@@ -266,19 +265,17 @@ def test_validate_flags_listed_mismatch():
     missing = _problem(
         [clause("P", "Q")],
         OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)),
-        {"P": 0, "Q": 0},
     )
     assert any("omits occurring atom Q" in i for i in validate_ordering(missing))
     extra = _problem(
         [clause("P")],
         OrderingConfig(kind="listed", listed_atoms=(Atom("P"), Atom("Q"))),
-        {"P": 0},
     )
     assert any("non-occurring atom Q" in i for i in validate_ordering(extra))
 
 
 def test_validate_flags_unknown_kind():
-    p = _problem([clause("P")], OrderingConfig(kind="rpo"), {"P": 0})
+    p = _problem([clause("P")], OrderingConfig(kind="rpo"))
     assert validate_ordering(p) == ["unknown ordering kind 'rpo'"]
 
 
@@ -326,6 +323,24 @@ def test_literal_ranks_interleave_signs():
     ]
     assert ranks == sorted(ranks)
     assert len(set(ranks)) == 4
+
+
+def _golden_and_generated_orders():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for name in sorted(os.listdir(data)):
+        if name.endswith(".prob"):
+            with open(os.path.join(data, name), encoding="utf-8") as fh:
+                yield ProblemOrder(parse_problem(fh.read()))
+    for seed in range(100):
+        yield ProblemOrder(random_problem(GenParams(max_arity=seed % 3, seed=seed)))
+
+
+def test_atoms_below_filters_the_positive_literals_below():
+    for po in _golden_and_generated_orders():
+        for l in (Literal(a, sign) for a in po.atoms_ascending for sign in (True, False)):
+            cut = po.literal_rank(l)
+            assert po.atoms_below(l) == tuple(
+                a for a in po.atoms_ascending if po.literal_rank(Literal(a)) < cut), l
 
 
 def test_clause_keys_and_sorting():
@@ -433,7 +448,6 @@ def test_problem_order_rejects_broken_configs():
     p = _problem(
         [clause("P", "Q")],
         OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)),
-        {"P": 0, "Q": 0},
     )
     with pytest.raises(ValueError):
         ProblemOrder(p)

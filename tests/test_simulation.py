@@ -536,7 +536,6 @@ def test_random_problems_verify_cleanly(cls):
     p = Problem(
         clauses=ClauseSet(cls),
         ordering=OrderingConfig(kind="listed", listed_atoms=kept),
-        symbol_arities={a.name: 0 for a in kept},
     )
     result = lockstep_verify(p)
     assert result.ok, result.failures()

@@ -68,7 +68,6 @@ def listed_problem(clauses, *atom_names):
     return Problem(
         clauses=cs,
         ordering=OrderingConfig(kind="listed", listed_atoms=kept),
-        symbol_arities={a.name: 0 for a in kept},
     )
 
 

@@ -288,37 +288,72 @@ def test_duplicate_clause_lines_merge():
     assert len(p.clauses) == 1
 
 
-@pytest.mark.parametrize(
-    "text,code",
-    [
-        ("clause: P(a)\n", "missing-order"),
-        ("order: mbo\nclause: P\n", "unknown-order-kind"),
-        ("order: kbo\norder: kbo\n", "duplicate-directive"),
-        ("order: kbo\nprec: a < P\nclause:\n", "empty-clause"),
-        ("order: kbo\nprec: a < P\nclause:   \n", "empty-clause"),
-        ("order: kbo\nprec: P\nclause: P(a)\n", "precedence-missing-symbol"),
-        ("order: kbo\nclause: P\n", "precedence-missing-symbol"),
-        ("order: kbo\nprec: a < P\nweights: P=0\nclause: P(a)\n", "bad-weight"),
-        ("order: lpo\nprec: a < P\nweights: P=2\nclause: P(a)\n", "weights-non-kbo"),
-        ("order: listed\nweights: P=2\nclause: P\n", "weights-non-kbo"),
-        ("order: listed\nclause: P\n", "atoms-missing"),
-        ("order: listed\natoms: P\nclause: P | Q\n", "atoms-missing"),
-        ("order: listed\natoms: P < Q < R\nclause: P | Q\n", "atoms-unknown"),
-        ("order: kbo\nprec: a < P\natoms: P(a)\nclause: P(a)\n", "syntax"),
-        ("order: lpo\nprec: a < P\natoms: R(b)\nclause: P(a)\n", "syntax"),
-        ("order: kbo\nprec: a < P\nclause: P(a) | P(a,a)\n", "arity-mismatch"),
-        ("order: kbo\nprec: a < P\nclause: P(a\n", "syntax"),
-        ("order: kbo\nprec: a < P\nclause: P(a) -P(a)\n", "syntax"),
-        ("order: kbo\nprec: a < < P\nclause: P(a)\n", "syntax"),
-        ("bogus: 1\n", "syntax"),
-        ("order kbo\n", "syntax"),
-    ],
-)
-def test_parse_rejections(text, code):
+# Each case has exactly one fault; its code, position and message are pinned.
+PARSE_REJECTIONS = [
+    ("clause: P(a)\n", "missing-order", 1, 1, "missing 'order:' directive"),
+    ("order: mbo\nclause: P\n", "unknown-order-kind", 1, 7, "unknown ordering kind 'mbo'"),
+    ("order: kbo\norder: kbo\n", "duplicate-directive", 2, 1, "duplicate 'order:' directive"),
+    ("order: kbo\nprec: a < P\nprec: a < P\nclause: P(a)\n",
+     "duplicate-directive", 3, 1, "duplicate 'prec:' directive"),
+    ("order: kbo\nprec: a < P\nweights: P=2\nweights: P=2\nclause: P(a)\n",
+     "duplicate-directive", 4, 1, "duplicate 'weights:' directive"),
+    ("order: listed\natoms: P\natoms: P\nclause: P\n",
+     "duplicate-directive", 3, 1, "duplicate 'atoms:' directive"),
+    ("order: kbo\nprec: a < P\nclause:\n", "empty-clause", 3, 1, "empty clause in input"),
+    ("order: kbo\nprec: a < P\nclause:   \n", "empty-clause", 3, 1, "empty clause in input"),
+    ("order: kbo\nprec: P\nclause: P(a)\n", "precedence-missing-symbol", 1, 1,
+     "precedence omits occurring symbol(s): a"),
+    ("order: kbo\nclause: P\n", "precedence-missing-symbol", 1, 1,
+     "'kbo' needs a 'prec:' line"),
+    ("order: kbo\nprec: a < P\nweights: P=0\nclause: P(a)\n", "bad-weight", 3, 9,
+     "weight 0 for 'P' is below 1"),
+    ("order: kbo\nprec: a < P\nweights: default=0\nclause: P(a)\n", "bad-weight", 3, 9,
+     "weight 0 for 'default' is below 1"),
+    ("order: lpo\nprec: a < P\nweights: P=2\nclause: P(a)\n", "weights-non-kbo", 1, 1,
+     "'weights:' is only meaningful for kbo"),
+    ("order: listed\nweights: P=2\nclause: P\n", "weights-non-kbo", 1, 1,
+     "'weights:' is only meaningful for kbo"),
+    ("order: listed\nclause: P\n", "atoms-missing", 1, 1, "'listed' needs an 'atoms:' line"),
+    ("order: listed\natoms: P\nclause: P | Q\n", "atoms-missing", 2, 1,
+     "'atoms:' omits occurring atom(s): Q"),
+    ("order: listed\natoms: P < Q < R\nclause: P | Q\n", "atoms-unknown", 2, 1,
+     "'atoms:' lists non-occurring atom(s): R"),
+    ("order: kbo\nprec: a < P\natoms: P(a)\nclause: P(a)\n", "syntax", 3, 1,
+     "'atoms:' is only used by the listed ordering"),
+    ("order: lpo\nprec: a < P\natoms: R(b)\nclause: P(a)\n", "syntax", 3, 1,
+     "'atoms:' is only used by the listed ordering"),
+    ("order: listed\nprec: P\natoms: P\nclause: P\n", "syntax", 1, 1,
+     "'prec:' is not used by the listed ordering"),
+    ("order: kbo\nprec: a < P\nclause: P(a) | P(a,a)\n", "arity-mismatch", 3, 8,
+     "symbol 'P' used with arities 1 and 2"),
+    ("order: kbo\nprec: a < P\nclause: P(a\n", "syntax", 3, 12, "expected ')'"),
+    ("order: kbo\nprec: a < P\nclause: P(a) -P(a)\n", "syntax", 3, 14,
+     "trailing input after literal"),
+    ("order: listed\natoms: P Q\nclause: P\n", "syntax", 2, 10, "trailing input after atom"),
+    ("order: listed\natoms: P < P\nclause: P\n", "syntax", 2, 7,
+     "repeated atom in 'atoms:' order"),
+    ("order: kbo\nprec: a < < P\nclause: P(a)\n", "syntax", 2, 6,
+     "empty entry in precedence chain"),
+    ("order: kbo\nprec: a < 1P\nclause: P(a)\n", "syntax", 2, 6,
+     "bad symbol '1P' in precedence"),
+    ("order: kbo\nprec: a < P < a\nclause: P(a)\n", "syntax", 2, 6,
+     "repeated symbol in precedence"),
+    ("order: kbo\nweights: x\nprec: a < P\nclause: P(a)\n", "syntax", 2, 9,
+     "expected sym=weight, got 'x'"),
+    ("order: kbo\nprec: a < P\nweights: P=x\nclause: P(a)\n", "syntax", 3, 9,
+     "weight 'x' is not an integer"),
+    ("bogus: 1\n", "syntax", 1, 1, "unknown directive 'bogus'"),
+    ("order kbo\n", "syntax", 1, 1, "expected 'directive: ...'"),
+]
+
+
+@pytest.mark.parametrize("text,code,line,col,message", PARSE_REJECTIONS,
+                         ids=[f"{text}-{code}" for text, code, *_ in PARSE_REJECTIONS])
+def test_parse_rejections(text, code, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
-    assert exc.value.code == code
-    assert exc.value.line >= 1
+    assert (exc.value.code, exc.value.line, exc.value.col, exc.value.message) == (
+        code, line, col, message)
 
 
 def test_problem_rejects_the_empty_clause():

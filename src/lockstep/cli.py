@@ -22,7 +22,7 @@ from .harness import (
     fuzz_campaign,
     random_problem,
 )
-from .ordering import validate_ordering
+from .ordering import ProblemOrder
 from .scl import RuleError
 from .simulation import SimulationError, run_scl_sup
 from .superposition import SATISFIABLE, UNSATISFIABLE, run_sup_mo
@@ -138,11 +138,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     problem = _load(args.file)
-    issues = validate_ordering(problem)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return 2
+    try:
+        ProblemOrder(problem)
+    except ValueError as e:
+        raise CliError(e)
     print(f"ok: {len(problem.clauses)} clauses, "
           f"{len(problem.atom_universe)} atoms, {problem.ordering.kind} order")
     return 0

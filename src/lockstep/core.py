@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CHARS = IDENT_START | set("0123456789")
@@ -250,8 +251,22 @@ def atoms_of(clauses: Iterable[Clause]) -> Set[Atom]:
 
 
 # ---------------------------------------------------------------------------
-# Ordering declaration (pure data; semantics live in lockstep.ordering)
+# Ordering declaration (checked data; semantics live in lockstep.ordering)
 # ---------------------------------------------------------------------------
+
+
+class OrderingError(ValueError):
+    """An unusable ordering declaration.
+
+    ``code`` is the parser's error code for the fault and ``directive`` the
+    problem-file directive at fault: 'order', 'prec', 'weights' or 'atoms'.
+    """
+
+    def __init__(self, message: str, code: str, directive: str):
+        super().__init__(message)
+        self.message = message
+        self.code = code
+        self.directive = directive
 
 
 @dataclass(frozen=True)
@@ -262,6 +277,10 @@ class OrderingConfig:
     symbols). kind 'lpo': precedence only. kind 'listed': an explicit total
     order on the occurring atoms, no term order at all.
     precedence is ascending (smallest first), as written in the file.
+
+    Construction raises OrderingError for an unknown kind, a weight below 1
+    and a repeated precedence symbol or listed atom; ``weights`` is held
+    read-only, so a built declaration cannot change behind these checks.
     """
 
     kind: str
@@ -272,14 +291,29 @@ class OrderingConfig:
 
     ORDER_KINDS = ("kbo", "lpo", "listed")
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        if self.kind not in self.ORDER_KINDS:
+            raise OrderingError(f"unknown ordering kind '{self.kind}'", "unknown-order-kind", "order")
+        for name, w in (*self.weights.items(), ("default", self.default_weight)):
+            if w < 1:
+                raise OrderingError(f"weight {w} for '{name}' is below 1", "bad-weight", "weights")
+        if len(set(self.precedence)) != len(self.precedence):
+            raise OrderingError("repeated symbol in precedence", "syntax", "prec")
+        if len(set(self.listed_atoms)) != len(self.listed_atoms):
+            raise OrderingError("repeated atom in 'atoms:' order", "syntax", "atoms")
+
 
 @dataclass(frozen=True)
 class Problem:
     """A problem: its clauses and its ordering declaration.
 
     The empty clause is rejected with ValueError, as the parser rejects it,
-    and since a clause set is built once it cannot be added later. The atom
-    universe and the symbol table are read off the clauses.
+    and since a clause set is built once it cannot be added later. The
+    declaration must cover the clauses, or OrderingError is raised: under
+    kbo and lpo the precedence names every occurring symbol, and under
+    listed the atoms are exactly the occurring ones. The atom universe and
+    the symbol table are read off the clauses.
     """
 
     clauses: ClauseSet
@@ -288,6 +322,22 @@ class Problem:
     def __post_init__(self) -> None:
         if EMPTY_CLAUSE in self.clauses:
             raise ValueError("empty clause in input: refutations are derived, not stated")
+        cfg = self.ordering
+        if cfg.kind != "listed":
+            missing = sorted(set(self.symbol_arities).difference(cfg.precedence))
+            if missing:
+                raise OrderingError("precedence omits occurring symbol(s): " + ", ".join(missing),
+                                    "precedence-missing-symbol", "order")
+            return
+        universe = self.atom_universe
+        missing = sorted(a.text for a in universe.difference(cfg.listed_atoms))
+        if missing:
+            raise OrderingError("'atoms:' omits occurring atom(s): " + ", ".join(missing),
+                                "atoms-missing", "atoms")
+        extra = sorted(a.text for a in cfg.listed_atoms if a not in universe)
+        if extra:
+            raise OrderingError("'atoms:' lists non-occurring atom(s): " + ", ".join(extra),
+                                "atoms-unknown", "atoms")
 
     @property
     def atom_universe(self) -> Set[Atom]:
@@ -386,14 +436,19 @@ def _record_arities(term: GroundTerm, arities: Dict[str, int], line: int, col: i
 
 
 def parse_problem(text: str) -> Problem:
-    """Parse a problem file. Raises ParseError on any rejection."""
-    order_kind: Optional[str] = None
-    order_line = 0
-    prec: Optional[Tuple[str, ...]] = None
-    weights: Optional[Dict[str, int]] = None
+    """Parse a problem file. Raises ParseError on any rejection.
+
+    The parser checks only what needs the file text; OrderingConfig checks
+    the declaration's values and Problem its coverage of the clauses. Their
+    OrderingError is reported on its directive's line, at the value column
+    for a value and at column 1 for coverage.
+    """
+    seen: Dict[str, Tuple[int, int]] = {}   # directive -> (line, value column)
+    order_kind = ""
+    prec: Tuple[str, ...] = ()
+    weights: Dict[str, int] = {}
     default_weight = 1
-    listed: Optional[List[Atom]] = None
-    listed_line = 0
+    listed: List[Atom] = []
     clauses: List[Clause] = []
     arities: Dict[str, int] = {}
     interned: Dict[str, Atom] = {}     # one object per atom text
@@ -407,33 +462,23 @@ def parse_problem(text: str) -> Problem:
         head, _, rest = body.partition(":")
         head = head.strip()
         rest_offset = raw.index(rest, raw.find(":") + 1) + 1 if rest else len(raw) + 1
+        if head in ("order", "prec", "weights", "atoms"):
+            if head in seen:
+                raise ParseError(f"duplicate '{head}:' directive", lineno, 1,
+                                 code="duplicate-directive")
+            seen[head] = (lineno, rest_offset)
 
         if head == "order":
-            if order_kind is not None:
-                raise ParseError("duplicate 'order:' directive", lineno, 1, code="duplicate-directive")
             order_kind = rest.strip()
-            order_line = lineno
-            if order_kind not in OrderingConfig.ORDER_KINDS:
-                raise ParseError(
-                    f"unknown ordering kind '{order_kind}'", lineno, rest_offset,
-                    code="unknown-order-kind",
-                )
         elif head == "prec":
-            if prec is not None:
-                raise ParseError("duplicate 'prec:' directive", lineno, 1, code="duplicate-directive")
             names = [p.strip() for p in rest.split("<")]
             if any(not n for n in names):
                 raise ParseError("empty entry in precedence chain", lineno, rest_offset)
             for n in names:
                 if n[0] not in IDENT_START or any(c not in IDENT_CHARS for c in n):
                     raise ParseError(f"bad symbol '{n}' in precedence", lineno, rest_offset)
-            if len(set(names)) != len(names):
-                raise ParseError("repeated symbol in precedence", lineno, rest_offset)
             prec = tuple(names)
         elif head == "weights":
-            if weights is not None:
-                raise ParseError("duplicate 'weights:' directive", lineno, 1, code="duplicate-directive")
-            weights = {}
             for item in rest.split():
                 name, eq, value = item.partition("=")
                 if not eq or not value:
@@ -442,20 +487,11 @@ def parse_problem(text: str) -> Problem:
                     w = int(value)
                 except ValueError:
                     raise ParseError(f"weight '{value}' is not an integer", lineno, rest_offset) from None
-                if w < 1:
-                    raise ParseError(
-                        f"weight {w} for '{name}' is below 1", lineno, rest_offset,
-                        code="bad-weight",
-                    )
                 if name == "default":
                     default_weight = w
                 else:
                     weights[name] = w
         elif head == "atoms":
-            if listed is not None:
-                raise ParseError("duplicate 'atoms:' directive", lineno, 1, code="duplicate-directive")
-            listed = []
-            listed_line = lineno
             for part in rest.split("<"):
                 scanner = _TermScanner(part, lineno, rest_offset)
                 atom = scanner.term()
@@ -463,8 +499,6 @@ def parse_problem(text: str) -> Problem:
                     raise scanner.error("trailing input after atom")
                 _record_arities(atom, arities, lineno, rest_offset)
                 listed.append(interned.setdefault(atom.text, atom))
-            if len(set(listed)) != len(listed):
-                raise ParseError("repeated atom in 'atoms:' order", lineno, rest_offset)
         elif head == "clause":
             if not rest.strip():
                 raise ParseError("empty clause in input", lineno, 1, code="empty-clause")
@@ -485,57 +519,34 @@ def parse_problem(text: str) -> Problem:
         else:
             raise ParseError(f"unknown directive '{head}'", lineno, 1)
 
-    if order_kind is None:
+    if "order" not in seen:
         raise ParseError("missing 'order:' directive", 1, 1, code="missing-order")
+    try:
+        config = OrderingConfig(kind=order_kind, precedence=prec, weights=weights,
+                                default_weight=default_weight, listed_atoms=tuple(listed))
+    except OrderingError as e:
+        raise ParseError(e.message, *seen[e.directive], code=e.code) from None
 
-    universe = atoms_of(clauses)
-
-    if order_kind in ("kbo", "lpo"):
-        if listed is not None:
-            raise ParseError("'atoms:' is only used by the listed ordering", listed_line, 1)
-        if prec is None:
+    order_line = seen["order"][0]
+    if "weights" in seen and order_kind != "kbo":
+        raise ParseError("'weights:' is only meaningful for kbo", order_line, 1,
+                         code="weights-non-kbo")
+    if order_kind == "listed":
+        if "prec" in seen:
+            raise ParseError("'prec:' is not used by the listed ordering", order_line, 1)
+        if "atoms" not in seen:
+            raise ParseError("'listed' needs an 'atoms:' line", order_line, 1, code="atoms-missing")
+    else:
+        if "atoms" in seen:
+            raise ParseError("'atoms:' is only used by the listed ordering", seen["atoms"][0], 1)
+        if "prec" not in seen:
             raise ParseError(f"'{order_kind}' needs a 'prec:' line", order_line, 1,
                              code="precedence-missing-symbol")
-        declared = set(prec)
-        missing = sorted(n for n in arities if n not in declared)
-        if missing:
-            raise ParseError(
-                "precedence omits occurring symbol(s): " + ", ".join(missing),
-                order_line, 1, code="precedence-missing-symbol",
-            )
-        if order_kind == "lpo" and weights is not None:
-            raise ParseError("'weights:' is only meaningful for kbo", order_line, 1,
-                             code="weights-non-kbo")
-    else:
-        if weights is not None:
-            raise ParseError("'weights:' is only meaningful for kbo", order_line, 1,
-                             code="weights-non-kbo")
-        if prec is not None:
-            raise ParseError("'prec:' is not used by the listed ordering", order_line, 1)
-        if listed is None:
-            raise ParseError("'listed' needs an 'atoms:' line", order_line, 1, code="atoms-missing")
-        listed_set = set(listed)
-        missing_atoms = sorted(a.text for a in universe if a not in listed_set)
-        if missing_atoms:
-            raise ParseError(
-                "'atoms:' omits occurring atom(s): " + ", ".join(missing_atoms),
-                listed_line, 1, code="atoms-missing",
-            )
-        extra = sorted(a.text for a in listed if a not in universe)
-        if extra:
-            raise ParseError(
-                "'atoms:' lists non-occurring atom(s): " + ", ".join(extra),
-                listed_line, 1, code="atoms-unknown",
-            )
 
-    config = OrderingConfig(
-        kind=order_kind,
-        precedence=prec or (),
-        weights=weights or {},
-        default_weight=default_weight,
-        listed_atoms=tuple(listed or ()),
-    )
-    return Problem(clauses=ClauseSet(clauses), ordering=config)
+    try:
+        return Problem(clauses=ClauseSet(clauses), ordering=config)
+    except OrderingError as e:
+        raise ParseError(e.message, seen[e.directive][0], 1, e.code) from None
 
 
 def print_problem(problem: Problem) -> str:

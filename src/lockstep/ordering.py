@@ -15,6 +15,10 @@ problem's atom universe so the strategy loops never re-run the structural
 comparison. Maximal-literal queries (maximum, its multiplicity, maximality
 and strict maximality) are answered from the head of the cached clause key,
 which is built with one rank lookup per distinct literal.
+
+This module only compares and ranks. Whether a declaration is usable is
+checked once, where it is built: ``OrderingConfig`` checks its own values
+and ``Problem`` checks that it covers the clauses (see ``lockstep.core``).
 """
 
 from __future__ import annotations
@@ -158,64 +162,23 @@ def compare_clauses(c1: Clause, c2: Clause, config: OrderingConfig) -> int:
     return LESS if len(d1) < len(d2) else GREATER
 
 
-def validate_ordering(problem: Problem) -> List[str]:
-    """Check that the declared ordering is usable for this problem.
+def _rank_atoms(problem: Problem) -> List[Atom]:
+    """The problem's atoms in ascending order.
 
-    Returns a list of human-readable issues; empty means the induced atom
-    order is strict and total over the atom universe and all weights are
-    positive. The parser already rejects most of these, but configs can be
-    built programmatically too.
+    A listed order is its own ranking; kbo and lpo sort the atom universe by
+    the term comparison. ``Problem`` has already checked that the
+    declaration covers the clauses, so the only check left is strictness: a
+    ValueError names two atoms the comparison leaves tied.
     """
-    return _rank_atoms(problem)[0]
-
-
-def _rank_atoms(problem: Problem) -> Tuple[List[str], List[Atom]]:
-    """The ordering's issues and, when there are none, the atoms ascending."""
-    issues: List[str] = []
     cfg = problem.ordering
-    occurring = problem.atom_universe
-    universe = sorted(occurring, key=lambda a: a.text)
-
-    if cfg.kind not in OrderingConfig.ORDER_KINDS:
-        return [f"unknown ordering kind '{cfg.kind}'"], []
-
-    if cfg.kind == "kbo":
-        if cfg.default_weight < 1:
-            issues.append(f"default weight {cfg.default_weight} is below 1")
-        for name, w in sorted(cfg.weights.items()):
-            if w < 1:
-                issues.append(f"weight {w} for '{name}' is below 1")
-    if cfg.kind in ("kbo", "lpo"):
-        declared = set(cfg.precedence)
-        if len(declared) != len(cfg.precedence):
-            issues.append("precedence repeats a symbol")
-        for name in sorted(problem.symbol_arities):
-            if name not in declared:
-                issues.append(f"precedence omits occurring symbol '{name}'")
-    else:
-        listed = set(cfg.listed_atoms)
-        if len(listed) != len(cfg.listed_atoms):
-            issues.append("listed order repeats an atom")
-        for a in universe:
-            if a not in listed:
-                issues.append(f"listed order omits occurring atom {a}")
-        for a in cfg.listed_atoms:
-            if a not in occurring:
-                issues.append(f"listed order mentions non-occurring atom {a}")
-
-    if issues:
-        return issues, []
     if cfg.kind == "listed":
-        return [], list(cfg.listed_atoms)
-
-    try:
-        ranked = sorted(universe, key=cmp_to_key(lambda a, b: compare_atoms(a, b, cfg)))
-    except ValueError as exc:
-        return [str(exc)], []
+        return list(cfg.listed_atoms)
+    ranked = sorted(sorted(problem.atom_universe, key=lambda a: a.text),
+                    key=cmp_to_key(lambda a, b: compare_atoms(a, b, cfg)))
     for left, right in zip(ranked, ranked[1:]):
         if compare_atoms(left, right, cfg) == EQUAL:
-            issues.append(f"atoms {left} and {right} are not strictly ordered")
-    return issues, ranked
+            raise ValueError(f"atoms {left} and {right} are not strictly ordered")
+    return ranked
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +190,9 @@ class ProblemOrder:
     """Precomputed total order over one problem's atom universe.
 
     Atom ranks are assigned by sorting the universe once with the declared
-    comparison (a listed order is its own ranking). The trail bound lies
+    comparison (a listed order is its own ranking); the problem's own
+    construction has checked the declaration, so the only rejection left
+    is a ValueError for two atoms the comparison ties. The trail bound lies
     above every ranked atom, so an atom is below it exactly when it is
     ranked. Literal rank doubles the atom rank and adds one for negation,
     so literal comparison is integer comparison. A clause key lists its
@@ -245,9 +210,7 @@ class ProblemOrder:
     """
 
     def __init__(self, problem: Problem):
-        issues, ranked = _rank_atoms(problem)
-        if issues:
-            raise ValueError("ordering not usable: " + "; ".join(issues))
+        ranked = _rank_atoms(problem)
         self.problem = problem
         self.config = problem.ordering
         self.atoms_ascending: Tuple[Atom, ...] = tuple(ranked)

@@ -7,6 +7,7 @@ cross-checked against a direct Dershowitz-Manna style oracle.
 """
 
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from lockstep.core import (
     GroundTerm,
     Literal,
     OrderingConfig,
+    OrderingError,
     Problem,
     parse_problem,
 )
@@ -33,7 +35,6 @@ from lockstep.ordering import (
     compare_clauses,
     compare_literals,
     compare_terms,
-    validate_ordering,
 )
 
 
@@ -223,7 +224,7 @@ def test_clause_comparison_matches_dm_oracle_kbo(c1, c2):
 
 
 # ---------------------------------------------------------------------------
-# validate_ordering
+# Declaration checks: OrderingConfig checks its values, Problem its coverage
 # ---------------------------------------------------------------------------
 
 
@@ -231,52 +232,69 @@ def _problem(clauses, ordering):
     return Problem(clauses=ClauseSet(clauses), ordering=ordering)
 
 
+def _rejection(exc):
+    return exc.value.code, exc.value.directive
+
+
 def test_validate_accepts_parsed_problems():
     p = parse_problem("order: kbo\nprec: a < P < Q\nclause: P(a) | -Q(a)\n")
-    assert validate_ordering(p) == []
+    assert ProblemOrder(p).atoms_ascending == (T("P", T("a")), T("Q", T("a")))
 
 
 def test_validate_flags_missing_precedence_symbol():
-    p = _problem(
-        [clause("P", "-Q")],
-        OrderingConfig(kind="kbo", precedence=("P",)),
-    )
-    issues = validate_ordering(p)
-    assert any("omits occurring symbol 'Q'" in i for i in issues)
+    cfg = OrderingConfig(kind="kbo", precedence=("P",))
+    with pytest.raises(OrderingError, match=re.escape("omits occurring symbol(s): Q")) as exc:
+        _problem([clause("P", "-Q")], cfg)
+    assert _rejection(exc) == ("precedence-missing-symbol", "order")
 
 
 def test_validate_flags_bad_weight():
-    p = _problem(
-        [clause("P")],
-        OrderingConfig(kind="kbo", precedence=("P",), weights={"P": 0}),
-    )
-    assert any("below 1" in i for i in validate_ordering(p))
+    with pytest.raises(OrderingError, match="below 1") as exc:
+        OrderingConfig(kind="kbo", precedence=("P",), weights={"P": 0})
+    assert _rejection(exc) == ("bad-weight", "weights")
+    with pytest.raises(OrderingError, match="below 1"):
+        OrderingConfig(kind="kbo", precedence=("P",), default_weight=0)
 
 
 def test_validate_flags_repeated_precedence():
-    p = _problem(
-        [clause("P")],
-        OrderingConfig(kind="kbo", precedence=("P", "P")),
-    )
-    assert any("repeats" in i for i in validate_ordering(p))
+    with pytest.raises(OrderingError, match="repeated") as exc:
+        OrderingConfig(kind="kbo", precedence=("P", "P"))
+    assert _rejection(exc) == ("syntax", "prec")
+
+
+def test_config_rejects_a_repeated_listed_atom():
+    with pytest.raises(OrderingError, match="repeated atom") as exc:
+        OrderingConfig(kind="listed", listed_atoms=(Atom("P"), Atom("Q"), Atom("P")))
+    assert _rejection(exc) == ("syntax", "atoms")
 
 
 def test_validate_flags_listed_mismatch():
-    missing = _problem(
-        [clause("P", "Q")],
-        OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)),
-    )
-    assert any("omits occurring atom Q" in i for i in validate_ordering(missing))
-    extra = _problem(
-        [clause("P")],
-        OrderingConfig(kind="listed", listed_atoms=(Atom("P"), Atom("Q"))),
-    )
-    assert any("non-occurring atom Q" in i for i in validate_ordering(extra))
+    with pytest.raises(OrderingError, match=re.escape("omits occurring atom(s): Q")) as exc:
+        _problem([clause("P", "Q")], OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)))
+    assert _rejection(exc) == ("atoms-missing", "atoms")
+    with pytest.raises(OrderingError, match=re.escape("non-occurring atom(s): Q")) as exc:
+        _problem([clause("P")],
+                 OrderingConfig(kind="listed", listed_atoms=(Atom("P"), Atom("Q"))))
+    assert _rejection(exc) == ("atoms-unknown", "atoms")
 
 
 def test_validate_flags_unknown_kind():
-    p = _problem([clause("P")], OrderingConfig(kind="rpo"))
-    assert validate_ordering(p) == ["unknown ordering kind 'rpo'"]
+    with pytest.raises(OrderingError) as exc:
+        OrderingConfig(kind="rpo")
+    assert str(exc.value) == "unknown ordering kind 'rpo'"
+    assert _rejection(exc) == ("unknown-order-kind", "order")
+    assert isinstance(exc.value, ValueError)
+
+
+def test_weights_are_read_only_once_ranked():
+    path = os.path.join(os.path.dirname(__file__), "data", "factoring_chain.prob")
+    with open(path, encoding="utf-8") as fh:
+        p = parse_problem(fh.read())
+    before = ProblemOrder(p).atoms_ascending
+    with pytest.raises(TypeError):
+        p.ordering.weights["P"] = 5
+    assert dict(p.ordering.weights) == {}
+    assert ProblemOrder(p).atoms_ascending == before == (T("P", T("a")), T("Q", T("b")))
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +463,9 @@ def test_listed_order_uses_the_declared_positions():
 
 
 def test_problem_order_rejects_broken_configs():
-    p = _problem(
-        [clause("P", "Q")],
-        OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)),
-    )
+    # a broken declaration never reaches ProblemOrder: building the problem fails
     with pytest.raises(ValueError):
-        ProblemOrder(p)
+        _problem([clause("P", "Q")], OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)))
 
 
 def test_atom_outside_universe_is_rejected():

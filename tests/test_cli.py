@@ -129,6 +129,11 @@ def test_fuzz_smoke(capsys):
     assert "agreed" in out
 
 
+def test_fuzz_with_tautologies(capsys):
+    assert cli.main(["fuzz", "--count", "50", "--allow-tautologies"]) == 0
+    assert "agreed" in capsys.readouterr().out
+
+
 def test_fuzz_over_the_oracle_cap_is_an_error_not_a_verdict(capsys):
     # exit 1 would read as "unsatisfiable"; an unusable pool is exit 2
     code = cli.main(["fuzz", "--count", "2", "--preds", "P,Q,R,S,T,U,V,W,X,Y,Z",

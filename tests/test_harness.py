@@ -373,6 +373,16 @@ def test_fuzz_campaign_runs_clean():
     assert report.failures == []
 
 
+def test_fuzz_campaign_with_tautologies_runs_clean():
+    params = GenParams(allow_tautologies=True)
+    report = fuzz_campaign(300, base_seed=0, params=params)
+    assert report.total == 300
+    assert report.failures == []
+    assert any(is_tautology(c)
+               for s in range(300)
+               for c in random_problem(dataclasses.replace(params, seed=s)).clauses)
+
+
 def test_fuzz_campaign_reports_seeds_with_failures():
     # sanity-check the report shape by feeding an impossible cap
     report = fuzz_campaign(3, base_seed=0, max_sequences=0)

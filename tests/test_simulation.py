@@ -28,7 +28,7 @@ from lockstep.core import (
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
 from lockstep.scl import RuleError, decide, initial_state, is_defined, literal_level, propagate
-from lockstep.superposition import run_sup_mo, sfac
+from lockstep.superposition import SATISFIABLE, run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
     SimulationError,
@@ -503,6 +503,75 @@ def test_pair_index_past_the_snapshots_is_reported(monkeypatch):
     assert [b.index for b in result.boundaries] == [0, 1, 1, 2, 3]
     assert names == [INVARIANT_NAMES] + [["pair-index-in-range"]] * 4
     assert not result.ok
+
+
+# Each wrapper corrupts one field of an engine's record on double_conflict.prob;
+# the verifier must report exactly the matching failure line.
+
+
+def _pair_index_set_back(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    seq = run.seqs[1]
+    run.seqs[1] = dataclasses.replace(
+        seq, annotation=dataclasses.replace(seq.annotation, index=-1))
+    return run
+
+
+def _step_capped(real, *args, **kwargs):
+    return real(*args, **{**kwargs, "max_steps": 0})
+
+
+def _verdict_flipped(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    run.outcome = SATISFIABLE
+    return run
+
+
+def _last_step_dropped(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    run.steps.pop()
+    return run
+
+
+def _trail_reopened(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    run.states.append(dataclasses.replace(run.states[-1], trail=run.states[2].trail))
+    return run
+
+
+@pytest.mark.parametrize("engine,wrapper,message", [
+    ("run_scl_sup", _pair_index_set_back,
+     "boundary 2 (pair index -1): refutation-sync: "
+     "trail side refuted: False, saturation side refuted: True"),
+    ("run_scl_sup", _pair_index_set_back,
+     "progress: round 1 (pass): pair index went from 0 back to -1"),
+    ("run_sup_mo", _step_capped, "final: the saturation run hit its step cap"),
+    ("run_sup_mo", _verdict_flipped,
+     "final: verdicts disagree: trail side unsatisfiable, saturation side satisfiable"),
+    ("run_sup_mo", _last_step_dropped,
+     "final: final pair index 4 does not match the 3 saturation steps"),
+    ("run_scl_sup", _trail_reopened, "final: refuted trail state is not the closed final shape"),
+])
+def test_verifier_reports_a_corrupted_run(monkeypatch, engine, wrapper, message):
+    real = getattr(simulation, engine)
+    monkeypatch.setattr(simulation, engine, lambda *a, **k: wrapper(real, *a, **k))
+    with open(os.path.join(os.path.dirname(__file__), "data", "double_conflict.prob"),
+              encoding="utf-8") as fh:
+        result = lockstep_verify(parse_problem(fh.read()))
+    assert not result.ok
+    assert message in result.failures()
+
+
+def test_verifier_reports_disagreeing_models(monkeypatch):
+    # both problems are satisfiable over P < Q; the saturation side is swapped
+    # for the run of the one whose model is {Q}
+    ours = parse_problem("order: listed\natoms: P < Q\nclause: P\nclause: P | Q\n")
+    other = parse_problem("order: listed\natoms: P < Q\nclause: Q\nclause: P | Q\n")
+    monkeypatch.setattr(simulation, "run_sup_mo", lambda *a, **k: run_sup_mo(other))
+    result = lockstep_verify(ours)
+    assert not result.ok
+    assert result.sim.model == {Atom("P")} and result.sup.model == {Atom("Q")}
+    assert "final: models disagree: frozenset({P}) vs frozenset({Q})" in result.failures()
 
 
 def test_lockstep_verifier_passes_the_satisfiable_variant():

@@ -505,8 +505,9 @@ def test_pair_index_past_the_snapshots_is_reported(monkeypatch):
     assert not result.ok
 
 
-# Each wrapper corrupts one field of an engine's record on double_conflict.prob;
-# the verifier must report exactly the matching failure line.
+# Each wrapper calls the real engine on double_conflict.prob and corrupts one
+# field of its record (or caps it at 0 steps); the verifier must report
+# exactly the matching failure line.
 
 
 def _pair_index_set_back(real, *args, **kwargs):

@@ -318,7 +318,7 @@ def test_regularity_audit_flags_ignored_conflicts(kbo):
         [s1, s2, s2],
         [RuleApp(rule="propagate", clause=c2, literal=QB), RuleApp(rule="skip")],
     )
-    assert any("skip" in v and "-Q(b)" in v for v in violations)
+    assert violations == ["step 1: skip applied while -Q(b) was false"]
 
 
 def test_regularity_audit_flags_conflict_enabling_decisions():
@@ -330,11 +330,21 @@ clause: -Q(a)
 """
     p = parse_problem(text)
     po = ProblemOrder(p)
-    qa = Literal(T("Q", T("a")))
+    qa, pa = Literal(T("Q", T("a"))), Literal(T("P", T("a")))
     s0 = initial_state(p)
     s1 = decide(po, s0, qa)              # legal, but -Q(a) is now false
     violations = audit_regular([s0, s1], [RuleApp(rule="decide", literal=qa)])
-    assert any("decide" in v for v in violations)
+    assert violations == ["step 0: decide Q(a) made -Q(a) false"]
+    # a second decision is both irregular itself and again leaves -Q(a)
+    # false; the line of step 0 comes first, then both lines of step 1
+    s2 = decide(po, s1, pa)
+    violations = audit_regular(
+        [s0, s1, s2], [RuleApp(rule="decide", literal=qa), RuleApp(rule="decide", literal=pa)])
+    assert violations == [
+        "step 0: decide Q(a) made -Q(a) false",
+        "step 1: decide applied while -Q(a) was false",
+        "step 1: decide P(a) made -Q(a) false",
+    ]
 
 
 def _falsified_by_scan(state, extra=None):

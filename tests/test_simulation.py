@@ -450,6 +450,59 @@ def test_producer_without_a_preimage_is_caught():
     assert not v["producer-preimages"]
 
 
+def _wrong_image(p, state, ann):
+    return state, dataclasses.replace(ann, gamma={**ann.gamma, p.clauses.by_id(1): p.clauses.by_id(0)})
+
+
+def _reason_replaced(p, state, ann):
+    top = dataclasses.replace(state.trail[-1], reason=p.clauses.by_id(1))
+    return dataclasses.replace(state, trail=state.trail[:-1] + (top,)), ann
+
+
+def _attention_emptied(p, state, ann):
+    return state, dataclasses.replace(ann, aid=EMPTY_CLAUSE)
+
+
+def _attention_moved(p, state, ann):
+    return state, dataclasses.replace(ann, aid=p.clauses.by_id(3))
+
+
+# Each corruption of the golden boundary fails exactly these invariants, with
+# these details.
+@pytest.mark.parametrize("corrupt,failures", [
+    (_wrong_image, {
+        "factored-map-shape": "-P(b) | Q(a) maps to P(a), not its factored image",
+    }),
+    (_reason_replaced, {
+        "producer-preimages":
+            "justification -P(b) | Q(a) of Q(a) differs from the producer -P(a) | Q(a)",
+        "conflict-is-minimal-false":
+            "top justification -P(b) | Q(a) is not the attention image -P(a) | Q(a)",
+    }),
+    (_attention_emptied, {
+        "positives-match-production":
+            "trail makes ['P(a)', 'Q(a)'] true, construction expects []",
+        "negatives-cover-gap": "trail makes ['P(b)'] false, expected []",
+        "conflict-is-minimal-false": "attention is the empty clause during a conflict",
+    }),
+    (_attention_moved, {
+        "conflict-is-minimal-false":
+            "top justification -P(a) | Q(a) is not the attention image -Q(a) | P(a); "
+            "top literal Q(a) is not the image's positive maximum",
+    }),
+], ids=["wrong-image", "reason-replaced", "attention-emptied", "attention-moved"])
+def test_corrupted_boundary_reports_its_lines(corrupt, failures):
+    p, po, state, ann, snapshot = _golden_boundary()
+    reports = check_invariants(po, *corrupt(p, state, ann), snapshot)
+    assert {r.name: r.detail for r in reports if not r.ok} == failures
+
+
+def test_producing_clause_names_an_unforced_literal():
+    p, po, state, ann, snapshot = _golden_boundary()
+    with pytest.raises(SimulationError, match=r"^no clause can force P\(b\)$"):
+        simulation._producing_clause(po, state, ann.gamma, PB)
+
+
 def test_unclaimed_false_clause_is_caught():
     p, po, state, ann, snapshot = _golden_boundary()
     assert state.conflict is not None and not state.conflict.is_empty
@@ -506,7 +559,7 @@ def test_pair_index_past_the_snapshots_is_reported(monkeypatch):
 
 
 # Each wrapper calls the real engine on double_conflict.prob and corrupts one
-# field of its record (or caps it at 0 steps); the verifier must report
+# field of its record (or caps its run); the verifier must report
 # exactly the matching failure line.
 
 
@@ -520,6 +573,10 @@ def _pair_index_set_back(real, *args, **kwargs):
 
 def _step_capped(real, *args, **kwargs):
     return real(*args, **{**kwargs, "max_steps": 0})
+
+
+def _round_capped(real, *args, **kwargs):
+    return real(*args, **{**kwargs, "max_sequences": 1})
 
 
 def _verdict_flipped(real, *args, **kwargs):
@@ -547,6 +604,7 @@ def _trail_reopened(real, *args, **kwargs):
     ("run_scl_sup", _pair_index_set_back,
      "progress: round 1 (pass): pair index went from 0 back to -1"),
     ("run_sup_mo", _step_capped, "final: the saturation run hit its step cap"),
+    ("run_scl_sup", _round_capped, "final: the trail run hit its round cap"),
     ("run_sup_mo", _verdict_flipped,
      "final: verdicts disagree: trail side unsatisfiable, saturation side satisfiable"),
     ("run_sup_mo", _last_step_dropped,

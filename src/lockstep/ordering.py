@@ -211,8 +211,6 @@ class ProblemOrder:
 
     def __init__(self, problem: Problem):
         ranked = _rank_atoms(problem)
-        self.problem = problem
-        self.config = problem.ordering
         self.atoms_ascending: Tuple[Atom, ...] = tuple(ranked)
         self._atom_rank: Dict[Atom, int] = {a: i for i, a in enumerate(ranked)}
         # literal rank -> literal, laid out as literal_rank numbers them

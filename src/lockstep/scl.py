@@ -343,19 +343,15 @@ def audit_regular(states: Sequence[SclState], apps: Sequence[RuleApp]) -> List[s
     allowed but not required.
     """
     out: List[str] = []
-    for i, app in enumerate(apps):
-        before = states[i]
-        if before.conflict is None and app.rule != "conflict":
-            false_now = conflict_candidates(before)
-            if false_now:
-                out.append(
-                    f"step {i}: {app.rule} applied while {false_now[0]} was false"
-                )
-        if app.rule == "decide" and i + 1 < len(states):
-            after = states[i + 1]
-            enabled = conflict_candidates(after)
-            if enabled:
-                out.append(
-                    f"step {i}: decide {app.literal} made {enabled[0]} false"
-                )
+    for j, state in enumerate(states):
+        decided = 0 < j <= len(apps) and apps[j - 1].rule == "decide"
+        applied = (j < len(apps) and state.conflict is None
+                   and apps[j].rule != "conflict")
+        false_now = conflict_candidates(state) if decided or applied else None
+        if not false_now:
+            continue
+        if decided:
+            out.append(f"step {j - 1}: decide {apps[j - 1].literal} made {false_now[0]} false")
+        if applied:
+            out.append(f"step {j}: {apps[j].rule} applied while {false_now[0]} was false")
     return out

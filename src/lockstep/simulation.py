@@ -19,6 +19,7 @@ verdicts, models, and learned clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .core import (
@@ -106,7 +107,6 @@ class SimRun:
     satisfiable.
     """
 
-    problem: Problem
     order: ProblemOrder
     start: Annotation
     states: List[SclState]
@@ -162,15 +162,9 @@ def next_attention(order: ProblemOrder, state: SclState,
     """The smallest clause, in the factored-image order, strictly past the
     clause currently holding attention. None once the walk is exhausted."""
     floor = _gamma_key(order, ann.aid, ann.gamma)
-    best: Optional[Clause] = None
-    best_key = None
-    for c in state.all_clauses():
-        key = _gamma_key(order, c, ann.gamma)
-        if key <= floor:
-            continue
-        if best is None or key < best_key:
-            best, best_key = c, key
-    return best
+    keyed = ((_gamma_key(order, c, ann.gamma), c) for c in state.all_clauses())
+    best = min(((key, c) for key, c in keyed if key > floor), key=itemgetter(0), default=None)
+    return None if best is None else best[1]
 
 
 def filler_decisions(order: ProblemOrder, state: SclState,
@@ -247,18 +241,14 @@ def _producing_clause(order: ProblemOrder, state: SclState,
     false at all because it carries both polarities of some atom.
     """
     assignment = state.assignment()
-    best: Optional[Clause] = None
-    best_key = None
-    for c in state.all_clauses():
+
+    def forces(c: Clause) -> bool:
         img = gamma.get(c, c)
-        if not order.is_strictly_maximal_in(literal, img):
-            continue
-        rest = img.with_count(literal, 0)
-        if status_under_assignment(assignment, rest) != ClauseStatus.FALSE:
-            continue
-        key = _gamma_key(order, c, gamma)
-        if best is None or key < best_key:
-            best, best_key = c, key
+        return (order.is_strictly_maximal_in(literal, img) and status_under_assignment(
+            assignment, img.with_count(literal, 0)) == ClauseStatus.FALSE)
+
+    best = min(filter(forces, state.all_clauses()),
+               key=lambda c: _gamma_key(order, c, gamma), default=None)
     if best is None:
         raise SimulationError(f"no clause can force {literal}")
     return best
@@ -338,7 +328,7 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
         raise ValueError(f"max_sequences must be at least 0, not {max_sequences}")
     order = order or ProblemOrder(problem)
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
-    run = SimRun(problem, order, ann, [initial_state(problem)])
+    run = SimRun(order, ann, [initial_state(problem)])
 
     while len(run.seqs) < max_sequences:
         start = len(run.apps)
@@ -592,7 +582,6 @@ class BoundaryReport:
 
 @dataclass
 class VerifyResult:
-    problem: Problem
     order: ProblemOrder
     sup: SupRun
     sim: SimRun
@@ -637,7 +626,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
     sup = run_sup_mo(problem, order)
-    result = VerifyResult(problem=problem, order=order, sup=sup, sim=sim)
+    result = VerifyResult(order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):

@@ -21,7 +21,8 @@ clause cannot change, and nothing above the smallest false clause decides
 the next inference. So the run keeps one ascending list of its clauses, and
 a step inserts the conclusion, keeps the productions below it and walks on
 from there only to the next smallest false clause. A snapshot stores those
-productions alone and completes its construction only when a read needs
+productions alone, as an ordered map from each produced atom to its
+producing clause, and completes its construction only when a read needs
 more.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import Atom, Clause, Literal, Problem, eval_herbrand
 from .ordering import ClauseKey, ProblemOrder
@@ -99,22 +100,20 @@ class ModelEntry:
 
 class _Ledger:
     """A growing clause set in ascending order, shared by the constructions
-    over its stages: ``clauses`` and their ``keys`` ascend together, and
-    ``born`` maps each clause to the stage at which it joined. It refers to
-    no construction, so the records of a run hold no reference cycle."""
+    over its stages: ``clauses`` ascend under the order's cached clause key,
+    and ``born`` maps each clause to the stage at which it joined. It refers
+    to no construction, so the records of a run hold no reference cycle."""
 
     def __init__(self, order: ProblemOrder, clauses: Iterable[Clause]):
         self.order = order
         self.clauses: List[Clause] = order.sorted_clauses(set(clauses))
-        self.keys: List[ClauseKey] = [order.clause_key(c) for c in self.clauses]
         self.born: Dict[Clause, int] = dict.fromkeys(self.clauses, 0)
 
     def insert(self, clause: Clause, stage: int) -> int:
         """Add ``clause`` as of ``stage`` and return its position."""
-        key = self.order.clause_key(clause)
-        pos = bisect_left(self.keys, key)
+        key = self.order.clause_key
+        pos = bisect_left(self.clauses, key(clause), key=key)
         self.clauses.insert(pos, clause)
-        self.keys.insert(pos, key)
         self.born[clause] = stage
         return pos
 
@@ -132,23 +131,21 @@ def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
 
 
 def _walk(clauses: Iterator[Clause], order: ProblemOrder, producer: Dict[Atom, Clause],
-          prefixes: List[FrozenSet[Atom]]) -> Optional[Clause]:
+          produced: Set[Atom]) -> Optional[Clause]:
     """Extend a construction over ``clauses``, which ascend from above every
-    clause it has seen: each clause that the atoms produced so far
-    (``prefixes[-1]``) leave false produces its atom when it can, which
-    extends ``producer`` and ``prefixes``. Returns the first false clause
+    clause it has seen: each clause that the atoms ``produced`` so far leave
+    false produces its atom when it can, which extends ``producer`` and
+    ``produced`` (the same atoms as a set). Returns the first false clause
     that produces nothing, leaving the clauses after it in the iterator, or
     None once the clauses run out."""
-    prefix = prefixes[-1]
     for c in clauses:
-        if eval_herbrand(prefix, c):
+        if eval_herbrand(produced, c):
             continue
-        produced = _production(c, order)
-        if produced is None:
+        atom = _production(c, order)
+        if atom is None:
             return c
-        producer[produced] = c
-        prefix = prefix | {produced}
-        prefixes.append(prefix)
+        producer[atom] = c
+        produced.add(atom)
     return None
 
 
@@ -161,7 +158,8 @@ class ModelConstruction:
     maximal literal when that literal is positive and strictly maximal.
     ``minimal_false`` is the smallest clause left false (None when the set
     is satisfied), and the walk stops there. Stored: the productions up to
-    that point, in ascending order, with the prefix after each of them.
+    that point, as an ordered map from each produced atom to its producing
+    clause; the prefix sets and the model are derived from it on read.
     ``index`` is the stage: the clause set holds the clauses of the ledger
     that joined at or before it.
 
@@ -172,17 +170,16 @@ class ModelConstruction:
     further false clause that produces nothing: ``model``, ``producer``,
     ``entries``, a ``producer_of`` that misses and a ``prefix_below`` above
     ``minimal_false``. The completion extends the stored productions, whose
-    last prefix is then the model; ``entries`` is rebuilt on each read.
+    atoms are then the model; ``entries`` is rebuilt on each read.
     """
 
     def __init__(self, ledger: _Ledger, index: int, producer: Dict[Atom, Clause],
-                 prefixes: List[FrozenSet[Atom]], rest: Iterator[Clause]):
+                 rest: Iterator[Clause]):
         self.order = ledger.order
         self.index = index
         self._ledger = ledger
         self._producer = producer              # atom -> clause, ascending
-        self._prefixes = prefixes              # [j]: atoms of the first j productions
-        self.minimal_false = _walk(rest, self.order, producer, prefixes)
+        self.minimal_false = _walk(rest, self.order, producer, set(producer))
         self._complete = self.minimal_false is None
 
     def _finish(self) -> None:
@@ -190,10 +187,11 @@ class ModelConstruction:
         unless that is done already."""
         if self._complete:
             return
-        ledger, index = self._ledger, self.index
-        start = bisect_right(ledger.keys, self.order.clause_key(self.minimal_false))
+        ledger, index, key = self._ledger, self.index, self.order.clause_key
+        start = bisect_right(ledger.clauses, key(self.minimal_false), key=key)
         rest = (c for c in islice(ledger.clauses, start, None) if ledger.born[c] <= index)
-        while _walk(rest, self.order, self._producer, self._prefixes) is not None:
+        produced = set(self._producer)
+        while _walk(rest, self.order, self._producer, produced) is not None:
             pass
         self._complete = True
 
@@ -205,10 +203,10 @@ class ModelConstruction:
         """The construction of stage ``index``, whose one new clause sits at
         ledger position ``start``: the productions below it stay, and the
         walk resumes there."""
-        j = self._produced_below(self._ledger.keys[start])
-        return ModelConstruction(
-            self._ledger, index, dict(islice(self._producer.items(), j)),
-            self._prefixes[:j + 1], islice(self._ledger.clauses, start, None))
+        ledger = self._ledger
+        j = self._produced_below(self.order.clause_key(ledger.clauses[start]))
+        return ModelConstruction(ledger, index, dict(islice(self._producer.items(), j)),
+                                 islice(ledger.clauses, start, None))
 
     @property
     def clauses(self) -> Tuple[Clause, ...]:
@@ -238,20 +236,21 @@ class ModelConstruction:
     def model(self) -> FrozenSet[Atom]:
         """Every produced atom."""
         self._finish()
-        return self._prefixes[-1]
+        return frozenset(self._producer)
 
     @property
     def entries(self) -> List[ModelEntry]:
         """One row per clause, ascending, rebuilt from the productions on
         each read; rows between two productions share one prefix set."""
-        producers = iter(self.producer.values())
-        prefixes = iter(self._prefixes)
-        next_producer, prefix = next(producers, None), next(prefixes)
+        productions = iter(self.producer.items())
+        atom, next_producer = next(productions, (None, None))
+        prefix: FrozenSet[Atom] = frozenset()
         rows = []
         for c in self.clauses:
             rows.append(ModelEntry(c, prefix))
             if c is next_producer:
-                next_producer, prefix = next(producers, None), next(prefixes)
+                prefix = prefix | {atom}
+                atom, next_producer = next(productions, (None, None))
         return rows
 
     def prefix_below(self, clause: Clause) -> FrozenSet[Atom]:
@@ -259,7 +258,7 @@ class ModelConstruction:
         key = self.order.clause_key(clause)
         if not self._complete and key > self.order.clause_key(self.minimal_false):
             self._finish()
-        return self._prefixes[self._produced_below(key)]
+        return frozenset(islice(self._producer, self._produced_below(key)))
 
     def delta_of(self, clause: Clause) -> Optional[Atom]:
         """The atom ``clause`` would produce over this set, or None.
@@ -276,7 +275,7 @@ class ModelConstruction:
 def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelConstruction:
     """The complete construction over ``clauses``, walked from scratch."""
     ledger = _Ledger(order, clauses)
-    construction = ModelConstruction(ledger, 0, {}, [frozenset()], iter(ledger.clauses))
+    construction = ModelConstruction(ledger, 0, {}, iter(ledger.clauses))
     construction._finish()
     return construction
 
@@ -357,7 +356,6 @@ class SupRun:
     last snapshot's model when the run is satisfiable.
     """
 
-    problem: Problem
     order: ProblemOrder
     snapshots: List[SupSnapshot] = field(default_factory=list)
     steps: List[SupStep] = field(default_factory=list)
@@ -389,9 +387,9 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     order = order or ProblemOrder(problem)
-    run = SupRun(problem=problem, order=order)
+    run = SupRun(order=order)
     ledger = _Ledger(order, problem.clauses)
-    construction = ModelConstruction(ledger, 0, {}, [frozenset()], iter(ledger.clauses))
+    construction = ModelConstruction(ledger, 0, {}, iter(ledger.clauses))
 
     while True:
         run.snapshots.append(SupSnapshot(construction))

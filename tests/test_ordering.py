@@ -362,8 +362,9 @@ def test_atoms_below_filters_the_positive_literals_below():
 
 
 def test_clause_keys_and_sorting():
-    po = _kbo_order()
-    c1, c2, c3 = po.problem.clauses.clauses()
+    p = parse_problem(KBO_PROBLEM)
+    po = ProblemOrder(p)
+    c1, c2, c3 = p.clauses.clauses()
     assert po.clause_key(c1) == ((0, 2),)
     assert po.clause_key(c2) == ((2, 1), (1, 1))
     assert po.clause_key(c3) == ((3, 1),)
@@ -374,8 +375,9 @@ def test_clause_keys_and_sorting():
 
 
 def test_max_literal_and_maximality():
-    po = _kbo_order()
-    c1, c2, _ = po.problem.clauses.clauses()
+    p = parse_problem(KBO_PROBLEM)
+    po = ProblemOrder(p)
+    c1, c2, _ = p.clauses.clauses()
     pa = Literal(T("P", T("a")))
     qb = Literal(T("Q", T("b")))
     assert po.max_literal(c2) == qb
@@ -393,7 +395,8 @@ prec: a < b < f < P < Q
 weights: default=1 Q=2
 clause: P(a) | P(b) | P(f(a)) | P(f(b)) | P(f(f(a))) | Q(a) | Q(b) | Q(f(a)) | Q(f(b)) | Q(f(f(a)))
 """
-_KBO_DUP_ORDER = ProblemOrder(parse_problem(_KBO_DUP_TEXT))
+_KBO_DUP_PROBLEM = parse_problem(_KBO_DUP_TEXT)
+_KBO_DUP_ORDER = ProblemOrder(_KBO_DUP_PROBLEM)
 _kbo_dup_literals = st.builds(
     Literal, st.sampled_from(_KBO_DUP_ORDER.atoms_ascending), st.booleans()
 )
@@ -413,7 +416,7 @@ def _scan_max(c, config):
 
 @given(_kbo_dup_clauses, _kbo_dup_literals)
 def test_key_based_max_queries_match_a_scan(c, probe):
-    po, cfg = _KBO_DUP_ORDER, _KBO_DUP_ORDER.config
+    po, cfg = _KBO_DUP_ORDER, _KBO_DUP_PROBLEM.ordering
     top = _scan_max(c, cfg)
     assert po.max_literal(c) == top
     assert po.max_multiplicity(c) == sum(1 for l in c.literals if l == top)

@@ -444,13 +444,16 @@ def _linear_prefix_below(mc, clause, po):
 
 
 def _check_snapshot(snap, po, outside=()):
-    """The construction keeps one prefix set per production plus the empty
-    one, ``model`` among them, and prefix_below agrees with a linear walk
-    over the producers."""
+    """The rows of the construction share one prefix set per production
+    plus the empty one, ``model`` is the last row's prefix plus that row's
+    production, and prefix_below agrees with a linear walk over the
+    producers."""
     mc = snap.construction
     prefixes = {id(e.prefix): e.prefix for e in mc.entries}
-    prefixes[id(mc.model)] = mc.model
     assert len(prefixes) <= len(mc.producer) + 1
+    last = mc.entries[-1]
+    produced = mc.delta_of(last.clause)
+    assert mc.model == last.prefix.union([produced] if produced else [])
     above_all = Clause([Literal(po.atoms_ascending[-1], False)] * 50)
     assert mc.prefix_below(above_all) == mc.model
     # members, their factored images, and clauses outside the set

@@ -630,7 +630,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
 
     annotations = sim.annotations
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
-        if ann.index < len(sup.snapshots):
+        if 0 <= ann.index < len(sup.snapshots):
             reports = check_invariants(order, state, ann, sup.snapshots[ann.index])
         else:
             reports = [InvariantReport(

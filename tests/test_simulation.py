@@ -599,8 +599,7 @@ def _trail_reopened(real, *args, **kwargs):
 
 @pytest.mark.parametrize("engine,wrapper,message", [
     ("run_scl_sup", _pair_index_set_back,
-     "boundary 2 (pair index -1): refutation-sync: "
-     "trail side refuted: False, saturation side refuted: True"),
+     "boundary 2 (pair index -1): pair-index-in-range: index -1 but only 5 snapshots"),
     ("run_scl_sup", _pair_index_set_back,
      "progress: round 1 (pass): pair index went from 0 back to -1"),
     ("run_sup_mo", _step_capped, "final: the saturation run hit its step cap"),

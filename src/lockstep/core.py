@@ -278,9 +278,11 @@ class OrderingConfig:
     order on the occurring atoms, no term order at all.
     precedence is ascending (smallest first), as written in the file.
 
-    Construction raises OrderingError for an unknown kind, a weight below 1
-    and a repeated precedence symbol or listed atom; ``weights`` is held
-    read-only, so a built declaration cannot change behind these checks.
+    Construction raises OrderingError for an unknown kind, a field its kind
+    does not use (weights outside kbo, a precedence under listed, listed
+    atoms under kbo and lpo), a weight below 1 and a repeated precedence
+    symbol or listed atom; ``weights`` is held read-only, so a built
+    declaration cannot change behind these checks.
     """
 
     kind: str
@@ -295,6 +297,12 @@ class OrderingConfig:
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         if self.kind not in self.ORDER_KINDS:
             raise OrderingError(f"unknown ordering kind '{self.kind}'", "unknown-order-kind", "order")
+        if self.kind != "kbo" and (self.weights or self.default_weight != 1):
+            raise OrderingError("'weights:' is only meaningful for kbo", "weights-non-kbo", "weights")
+        if self.kind == "listed" and self.precedence:
+            raise OrderingError("'prec:' is not used by the listed ordering", "syntax", "prec")
+        if self.kind != "listed" and self.listed_atoms:
+            raise OrderingError("'atoms:' is only used by the listed ordering", "syntax", "atoms")
         for name, w in (*self.weights.items(), ("default", self.default_weight)):
             if w < 1:
                 raise OrderingError(f"weight {w} for '{name}' is below 1", "bad-weight", "weights")
@@ -521,9 +529,13 @@ def parse_problem(text: str) -> Problem:
 
     if "order" not in seen:
         raise ParseError("missing 'order:' directive", 1, 1, code="missing-order")
+    # only the fields the kind uses; the directive checks below reject the rest
+    is_kbo, is_listed = order_kind == "kbo", order_kind == "listed"
     try:
-        config = OrderingConfig(kind=order_kind, precedence=prec, weights=weights,
-                                default_weight=default_weight, listed_atoms=tuple(listed))
+        config = OrderingConfig(kind=order_kind, precedence=() if is_listed else prec,
+                                weights=weights if is_kbo else {},
+                                default_weight=default_weight if is_kbo else 1,
+                                listed_atoms=tuple(listed) if is_listed else ())
     except OrderingError as e:
         raise ParseError(e.message, *seen[e.directive], code=e.code) from None
 

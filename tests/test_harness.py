@@ -250,11 +250,14 @@ def test_generator_sizes_the_atom_pool_before_building_it(monkeypatch):
 
 
 def test_generator_round_trips_through_the_text_format():
+    kinds = set()
     for seed in range(10):
         problem = random_problem(GenParams(seed=seed))
         reparsed = parse_problem(print_problem(problem))
         assert reparsed.clauses.clauses() == problem.clauses.clauses()
-        assert reparsed.ordering.kind == problem.ordering.kind
+        assert reparsed.ordering == problem.ordering
+        kinds.add(problem.ordering.kind)
+    assert kinds == {"kbo", "lpo", "listed"}
 
 
 @pytest.mark.parametrize("name", ["clause_count", "max_len"])

@@ -268,6 +268,26 @@ def test_config_rejects_a_repeated_listed_atom():
     assert _rejection(exc) == ("syntax", "atoms")
 
 
+@pytest.mark.parametrize("config,code,directive,message", [
+    (dict(kind="lpo", precedence=("P",), weights={"P": 2}),
+     "weights-non-kbo", "weights", "'weights:' is only meaningful for kbo"),
+    (dict(kind="listed", listed_atoms=(Atom("P"),), default_weight=2),
+     "weights-non-kbo", "weights", "'weights:' is only meaningful for kbo"),
+    (dict(kind="listed", precedence=("P",), listed_atoms=(Atom("P"),)),
+     "syntax", "prec", "'prec:' is not used by the listed ordering"),
+    (dict(kind="kbo", precedence=("P",), listed_atoms=(Atom("P"),)),
+     "syntax", "atoms", "'atoms:' is only used by the listed ordering"),
+    (dict(kind="lpo", precedence=("P",), listed_atoms=(Atom("P"),)),
+     "syntax", "atoms", "'atoms:' is only used by the listed ordering"),
+])
+def test_config_rejects_the_fields_its_kind_does_not_use(config, code, directive, message):
+    # print_problem writes no such field, so accepting one would break the
+    # round trip through the text format
+    with pytest.raises(OrderingError) as exc:
+        _problem([clause("P")], OrderingConfig(**config))
+    assert (_rejection(exc), str(exc.value)) == ((code, directive), message)
+
+
 def test_validate_flags_listed_mismatch():
     with pytest.raises(OrderingError, match=re.escape("omits occurring atom(s): Q")) as exc:
         _problem([clause("P", "Q")], OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)))

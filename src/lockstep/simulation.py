@@ -244,8 +244,10 @@ def _producing_clause(order: ProblemOrder, state: SclState,
 
     def forces(c: Clause) -> bool:
         img = gamma.get(c, c)
-        return (order.is_strictly_maximal_in(literal, img) and status_under_assignment(
-            assignment, img.with_count(literal, 0)) == ClauseStatus.FALSE)
+        if not order.is_strictly_maximal_in(literal, img):
+            return False
+        rest = img.with_count(literal, 0)
+        return status_under_assignment(assignment, rest) == ClauseStatus.FALSE
 
     best = min(filter(forces, state.all_clauses()),
                key=lambda c: _gamma_key(order, c, gamma), default=None)

@@ -9,9 +9,10 @@ cross-checked against a direct Dershowitz-Manna style oracle.
 import os
 import re
 from collections import Counter
+from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lockstep.core import (
     Atom,
@@ -121,6 +122,67 @@ def test_missing_precedence_symbol_is_an_error():
     cfg = OrderingConfig(kind="kbo", precedence=("a",))
     with pytest.raises(ValueError):
         compare_terms(T("a"), T("b"), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Ground KBO against a direct recursion
+# ---------------------------------------------------------------------------
+
+
+def _ref_weight(term, config):
+    return config.weights.get(term.name, config.default_weight) + sum(
+        _ref_weight(a, config) for a in term.args)
+
+
+def _ref_kbo(s, t, config):
+    """Ground KBO spelled out: weight, then root precedence, then the
+    arguments left to right."""
+    if s == t:
+        return EQUAL
+    ws, wt = _ref_weight(s, config), _ref_weight(t, config)
+    if ws != wt:
+        return LESS if ws < wt else GREATER
+    if s.name != t.name:
+        prec = config.precedence
+        return LESS if prec.index(s.name) < prec.index(t.name) else GREATER
+    for si, ti in zip(s.args, t.args):
+        r = _ref_kbo(si, ti, config)
+        if r != EQUAL:
+            return r
+    return EQUAL
+
+
+_REF_SYMBOLS = ("a", "b", "c", "f", "g", "h", "P", "Q", "R")
+_ref_terms = st.recursive(
+    st.sampled_from([T("a"), T("b"), T("c")]),
+    lambda kids: st.builds(lambda x: T("f", x), kids)
+    | st.builds(lambda x: T("h", x), kids)
+    | st.builds(lambda x, y: T("g", x, y), kids, kids),
+    max_leaves=6,
+)
+_ref_atoms = (st.just(T("R")) | st.builds(lambda x: T("P", x), _ref_terms)
+              | st.builds(lambda x, y: T("Q", x, y), _ref_terms, _ref_terms))
+_ref_configs = st.builds(
+    lambda prec, weights, default: OrderingConfig(
+        kind="kbo", precedence=tuple(prec), weights=weights, default_weight=default),
+    st.permutations(_REF_SYMBOLS),
+    st.dictionaries(st.sampled_from(_REF_SYMBOLS), st.integers(1, 4)),
+    st.integers(1, 4),
+)
+
+
+@given(_ref_configs, _ref_terms | _ref_atoms, _ref_terms | _ref_atoms)
+def test_kbo_comparison_matches_the_direct_recursion(config, s, t):
+    assert compare_terms(s, t, config) == _ref_kbo(s, t, config)
+
+
+@settings(max_examples=300)
+@given(_ref_configs, st.lists(_ref_atoms, min_size=1, max_size=10))
+def test_kbo_ranking_matches_the_direct_recursion(config, atoms):
+    problem = Problem(clauses=ClauseSet([Clause([Literal(a)]) for a in atoms]),
+                      ordering=config)
+    expected = sorted(set(atoms), key=cmp_to_key(lambda s, t: _ref_kbo(s, t, config)))
+    assert ProblemOrder(problem).atoms_ascending == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 Subcommands: sup and scl run one engine each, simulate runs both in
 lockstep with the verifier, oracle brute-forces the verdict, check
 validates a problem file, gen prints a random problem, fuzz runs a whole
-verification campaign. Exit codes: 0 satisfiable, 1 unsatisfiable, 2 for
-errors, defects, and strict-mode verification failures.
+verification campaign.
+
+Exit codes: 0 satisfiable (or success), 1 unsatisfiable and nothing else,
+2 for everything else: an unreadable or non-UTF-8 file, a parse error, a
+bad flag, an engine defect, a reached cap and a strict-mode verification
+failure. Commands raise; ``main`` alone turns an error into one
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,20 +33,9 @@ from .simulation import SimulationError, run_scl_sup
 from .superposition import SATISFIABLE, UNSATISFIABLE, run_sup_mo
 
 
-class CliError(Exception):
-    pass
-
-
 def _load(path: str) -> Problem:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliError(e)
-    try:
-        return parse_problem(text)
-    except ParseError as e:
-        raise CliError(e)
+    with open(path, encoding="utf-8") as fh:
+        return parse_problem(fh.read())
 
 
 def _verdict_exit(outcome: str) -> int:
@@ -61,7 +55,7 @@ def _check_caps(args) -> None:
     for name in ("max_steps", "max_rounds"):
         value = getattr(args, name, 0)
         if value < 0:
-            raise CliError(f"--{name.replace('_', '-')} must be at least 0, not {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 0, not {value}")
 
 
 def _cmd_sup(args) -> int:
@@ -124,10 +118,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = _load(args.file)
-    try:
-        model = brute_force_sat(problem.clauses.clauses())
-    except ValueError as e:
-        raise CliError(e)
+    model = brute_force_sat(problem.clauses.clauses())
     if model is None:
         print("verdict: unsatisfiable")
         return 1
@@ -138,10 +129,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     problem = _load(args.file)
-    try:
-        ProblemOrder(problem)
-    except ValueError as e:
-        raise CliError(e)
+    ProblemOrder(problem)
     print(f"ok: {len(problem.clauses)} clauses, "
           f"{len(problem.atom_universe)} atoms, {problem.ordering.kind} order")
     return 0
@@ -161,28 +149,19 @@ def _gen_params(args) -> GenParams:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        text = print_problem(random_problem(_gen_params(args)))
-    except ValueError as e:
-        raise CliError(e)
+    text = print_problem(random_problem(_gen_params(args)))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise CliError(e)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         print(text, end="")
     return 0
 
 
 def _cmd_fuzz(args) -> int:
-    try:
-        report = fuzz_campaign(args.count, base_seed=args.seed,
-                               params=_gen_params(args),
-                               max_sequences=args.max_rounds)
-    except ValueError as e:
-        raise CliError(e)
+    report = fuzz_campaign(args.count, base_seed=args.seed,
+                           params=_gen_params(args),
+                           max_sequences=args.max_rounds)
     if args.json:
         print(json.dumps({
             "total": report.total,
@@ -265,7 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _check_caps(args)
         return args.fn(args)
-    except CliError as e:
+    except (OSError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RuleError, RuntimeError, SimulationError) as e:

@@ -81,7 +81,8 @@ def is_redundant(clauses: Iterable[Clause], clause: Clause,
     """Whether the strictly smaller clauses of the set already entail the
     clause. Conclusions of either engine must never be redundant with
     respect to the clauses present when they were derived."""
-    smaller = [d for d in clauses if order.clause_lt(d, clause)]
+    key = order.clause_key
+    smaller = [d for d in clauses if key(d) < key(clause)]
     return entails(smaller, clause)
 
 

@@ -8,6 +8,11 @@ root symbol. Literals compare by atom first, and on the same atom the
 negative literal is the larger one. Clauses compare by the multiset
 extension of the literal order.
 
+Ground KBO is a tuple key: (weight, root precedence, argument keys), with
+every weight at least 1, so Python's tuple order on the keys is the term
+order, and kbo atoms are ranked by sorting on that key. LPO has no such key
+and is compared structurally.
+
 For a total literal order the multiset extension boils down to comparing the
 descending-sorted literal sequences lexicographically, with a strict prefix
 counting as smaller. ``ProblemOrder`` precomputes integer ranks over a
@@ -24,7 +29,7 @@ and ``Problem`` checks that it covers the clauses (see ``lockstep.core``).
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .core import (
     Atom,
@@ -44,23 +49,12 @@ GREATER = 1
 
 
 # ---------------------------------------------------------------------------
-# Structural term comparison (kbo / lpo)
+# Term comparison: a sort key for kbo, a recursion for lpo
 # ---------------------------------------------------------------------------
 
 
 def _prec_table(config: OrderingConfig) -> Dict[str, int]:
     return {name: i for i, name in enumerate(config.precedence)}
-
-
-def _sym_weight(name: str, config: OrderingConfig) -> int:
-    return config.weights.get(name, config.default_weight)
-
-
-def _term_weight(term: GroundTerm, config: OrderingConfig) -> int:
-    total = _sym_weight(term.name, config)
-    for a in term.args:
-        total += _term_weight(a, config)
-    return total
 
 
 def _prec_of(name: str, prec: Dict[str, int]) -> int:
@@ -70,20 +64,16 @@ def _prec_of(name: str, prec: Dict[str, int]) -> int:
         raise ValueError(f"symbol '{name}' missing from precedence") from None
 
 
-def _kbo_cmp(s: GroundTerm, t: GroundTerm, config: OrderingConfig, prec: Dict[str, int]) -> int:
-    if s == t:
-        return EQUAL
-    ws = _term_weight(s, config)
-    wt = _term_weight(t, config)
-    if ws != wt:
-        return LESS if ws < wt else GREATER
-    if s.name != t.name:
-        return LESS if _prec_of(s.name, prec) < _prec_of(t.name, prec) else GREATER
-    for si, ti in zip(s.args, t.args):
-        r = _kbo_cmp(si, ti, config, prec)
-        if r != EQUAL:
-            return r
-    return EQUAL
+def _kbo_key(term: GroundTerm, config: OrderingConfig, prec: Dict[str, int]) -> tuple:
+    """Ground KBO as a sort key: (weight, root precedence, argument keys).
+
+    The weight is the root's plus the first entry of each argument key.
+    Every weight is at least 1, so tuple order on these keys is exactly
+    ground KBO, and equal keys mean equal terms.
+    """
+    args = [_kbo_key(a, config, prec) for a in term.args]
+    weight = config.weights.get(term.name, config.default_weight) + sum(k[0] for k in args)
+    return (weight, _prec_of(term.name, prec), *args)
 
 
 def _lpo_gt(s: GroundTerm, t: GroundTerm, prec: Dict[str, int]) -> bool:
@@ -110,7 +100,9 @@ def _lpo_gt(s: GroundTerm, t: GroundTerm, prec: Dict[str, int]) -> bool:
 def compare_terms(t1: GroundTerm, t2: GroundTerm, config: OrderingConfig) -> int:
     """Compare two ground terms under a kbo or lpo config (LESS/EQUAL/GREATER)."""
     if config.kind == "kbo":
-        return _kbo_cmp(t1, t2, config, _prec_table(config))
+        prec = _prec_table(config)
+        k1, k2 = _kbo_key(t1, config, prec), _kbo_key(t2, config, prec)
+        return EQUAL if k1 == k2 else LESS if k1 < k2 else GREATER
     if config.kind == "lpo":
         prec = _prec_table(config)
         if t1 == t2:
@@ -165,14 +157,18 @@ def compare_clauses(c1: Clause, c2: Clause, config: OrderingConfig) -> int:
 def _rank_atoms(problem: Problem) -> List[Atom]:
     """The problem's atoms in ascending order.
 
-    A listed order is its own ranking; kbo and lpo sort the atom universe by
-    the term comparison. ``Problem`` has already checked that the
-    declaration covers the clauses, so the only check left is strictness: a
-    ValueError names two atoms the comparison leaves tied.
+    A listed order is its own ranking, and kbo sorts the atom universe on
+    its tuple key, one key per atom. lpo sorts by the term comparison;
+    ``Problem`` has already checked that the declaration covers the
+    clauses, so the only check left is strictness: a ValueError names two
+    atoms the comparison leaves tied.
     """
     cfg = problem.ordering
     if cfg.kind == "listed":
         return list(cfg.listed_atoms)
+    if cfg.kind == "kbo":
+        prec = _prec_table(cfg)
+        return sorted(problem.atom_universe, key=lambda a: _kbo_key(a, cfg, prec))
     ranked = sorted(sorted(problem.atom_universe, key=lambda a: a.text),
                     key=cmp_to_key(lambda a, b: compare_atoms(a, b, cfg)))
     for left, right in zip(ranked, ranked[1:]):
@@ -189,17 +185,18 @@ def _rank_atoms(problem: Problem) -> List[Atom]:
 class ProblemOrder:
     """Precomputed total order over one problem's atom universe.
 
-    Atom ranks are assigned by sorting the universe once with the declared
-    comparison (a listed order is its own ranking); the problem's own
-    construction has checked the declaration, so the only rejection left
-    is a ValueError for two atoms the comparison ties. The trail bound lies
-    above every ranked atom, so an atom is below it exactly when it is
-    ranked. Literal rank doubles the atom rank and adds one for negation,
-    so literal comparison is integer comparison. A clause key lists its
-    distinct literal ranks in descending order, each paired with its count:
-    ``(rank, count)`` runs. Python's tuple order on these keys is exactly the
-    multiset extension, since of two runs of one rank the shorter is
-    followed by a smaller rank or by nothing.
+    Atom ranks are assigned by sorting the universe once: a listed order
+    is its own ranking, kbo sorts on the ground KBO tuple key, and lpo
+    sorts by the term comparison, raising ValueError for two atoms it
+    ties. The problem's own construction has checked the declaration. The
+    trail bound lies above every ranked atom, so an atom is below it
+    exactly when it is ranked. Literal rank doubles the atom rank and adds
+    one for negation, so literal comparison is integer comparison. A
+    clause key lists its distinct literal ranks in descending order, each
+    paired with its count: ``(rank, count)`` runs. Python's tuple order on
+    these keys is exactly the multiset extension, since of two runs of one
+    rank the shorter is followed by a smaller rank or by nothing; clauses
+    are compared and sorted on ``clause_key``.
 
     Keys are cached per clause, and the maximal-literal queries read the
     first run: the maximum is its rank, its multiplicity its count, and a
@@ -253,12 +250,6 @@ class ProblemOrder:
                                reverse=True))
             self._clause_key[clause] = key
         return key
-
-    def clause_lt(self, c1: Clause, c2: Clause) -> bool:
-        return self.clause_key(c1) < self.clause_key(c2)
-
-    def sorted_clauses(self, clauses: Iterable[Clause]) -> List[Clause]:
-        return sorted(clauses, key=self.clause_key)
 
     def max_literal(self, clause: Clause) -> Literal:
         key = self.clause_key(clause)

@@ -554,15 +554,19 @@ def check_progress(order: ProblemOrder, before: Annotation,
                    after: Annotation) -> Optional[str]:
     """None if the second annotation strictly advances past the first:
     either the pair index grows, or it stands still while the map is
-    unchanged and the attention clause strictly climbs."""
+    unchanged and the attention clause strictly climbs. An attention
+    clause the order cannot rank is reported, not raised."""
     if after.index > before.index:
         return None
     if after.index < before.index:
         return f"pair index went from {before.index} back to {after.index}"
     if after.gamma != before.gamma:
         return "factored-image map changed while the pair index stood still"
-    if _gamma_key(order, after.aid, after.gamma) <= _gamma_key(order, before.aid, before.gamma):
-        return "attention clause did not advance"
+    try:
+        if _gamma_key(order, after.aid, after.gamma) <= _gamma_key(order, before.aid, before.gamma):
+            return "attention clause did not advance"
+    except ValueError as e:
+        return f"could not evaluate: {e}"
     return None
 
 
@@ -667,11 +671,14 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
             )
         images = {sfac(c, order) for c in sup.snapshots[-1].clauses}
         for c in sim.learned:
-            if sfac(c, order) not in images:
-                ff.append(
-                    f"learned clause {c} has no factored twin among the "
-                    "derived clauses"
-                )
+            try:
+                if sfac(c, order) not in images:
+                    ff.append(
+                        f"learned clause {c} has no factored twin among the "
+                        "derived clauses"
+                    )
+            except ValueError as e:
+                ff.append(f"learned clause {c}: could not evaluate: {e}")
         here = EMPTY_CLAUSE in sim.learned
         there = EMPTY_CLAUSE in sup.snapshots[-1].clauses
         if here != there:

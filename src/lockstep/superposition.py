@@ -106,7 +106,7 @@ class _Ledger:
 
     def __init__(self, order: ProblemOrder, clauses: Iterable[Clause]):
         self.order = order
-        self.clauses: List[Clause] = order.sorted_clauses(set(clauses))
+        self.clauses: List[Clause] = sorted(set(clauses), key=order.clause_key)
         self.born: Dict[Clause, int] = dict.fromkeys(self.clauses, 0)
 
     def insert(self, clause: Clause, stage: int) -> int:

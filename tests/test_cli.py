@@ -187,3 +187,25 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         cli.main([])
     assert e.value.code == 2
+
+
+def test_a_non_utf8_file_is_an_error_not_a_verdict(tmp_path, capsys):
+    # exit 1 would read as "unsatisfiable"; undecodable input is exit 2
+    f = tmp_path / "bad.prob"
+    f.write_bytes(b"\xff\xfe order: kbo\n")
+    assert cli.main(["check", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                            "invalid start byte\n")
+
+
+def test_a_value_error_inside_a_command_exits_two(unsat_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("forced for the test")
+
+    monkeypatch.setattr(cli, "run_sup_mo", broken)
+    assert cli.main(["sup", unsat_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: forced for the test\n"

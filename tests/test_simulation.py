@@ -597,6 +597,23 @@ def _trail_reopened(real, *args, **kwargs):
     return run
 
 
+_FOREIGN = Clause([Literal(Atom("Zzz"))])
+
+
+def _foreign_attention(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    seq = run.seqs[1]
+    run.seqs[1] = dataclasses.replace(
+        seq, annotation=dataclasses.replace(seq.annotation, aid=_FOREIGN))
+    return run
+
+
+def _foreign_learned(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    run.states.append(dataclasses.replace(run.states[-1], u=run.states[-1].u + (_FOREIGN,)))
+    return run
+
+
 @pytest.mark.parametrize("engine,wrapper,message", [
     ("run_scl_sup", _pair_index_set_back,
      "boundary 2 (pair index -1): pair-index-in-range: index -1 but only 5 snapshots"),
@@ -609,6 +626,10 @@ def _trail_reopened(real, *args, **kwargs):
     ("run_sup_mo", _last_step_dropped,
      "final: final pair index 4 does not match the 3 saturation steps"),
     ("run_scl_sup", _trail_reopened, "final: refuted trail state is not the closed final shape"),
+    ("run_scl_sup", _foreign_attention,
+     "progress: round 1 (pass): could not evaluate: atom Zzz is outside this problem's universe"),
+    ("run_scl_sup", _foreign_learned,
+     "final: learned clause Zzz: could not evaluate: atom Zzz is outside this problem's universe"),
 ])
 def test_verifier_reports_a_corrupted_run(monkeypatch, engine, wrapper, message):
     real = getattr(simulation, engine)

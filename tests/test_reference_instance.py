@@ -67,3 +67,22 @@ def test_the_15_atom_reference_instance_verifies_within_5_seconds():
     assert result.sup.outcome == superposition.UNSATISFIABLE
     assert len(result.sup.steps) == 1209
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("atoms,seed,outcome,steps", [
+    (18, 1, superposition.SATISFIABLE, 615),
+    (20, 3, superposition.SATISFIABLE, 1059),
+], ids=["18:1", "20:3"])
+def test_hard_instances_verify_within_5_seconds(atoms, seed, outcome, steps):
+    """Two more hard instances, ``ladder_text(18, 1)`` and
+    ``ladder_text(20, 3)``: satisfiable, with 1,811 and 1,275 trail rounds,
+    so most of their verification time goes to the round boundaries."""
+    text, _ = workloads.ladder_text(atoms, seed)
+    problem = parse_problem(text)
+    start = time.perf_counter()
+    result = simulation.lockstep_verify(problem)
+    elapsed = time.perf_counter() - start
+    assert result.ok, result.failures()[:3]
+    assert result.sup.outcome == outcome
+    assert len(result.sup.steps) == steps
+    assert elapsed < 5.0

@@ -11,7 +11,9 @@ import os
 
 import pytest
 
-from lockstep.core import Atom, Clause, EMPTY_CLAUSE, GroundTerm, Literal, parse_problem
+from lockstep.core import (
+    Atom, Clause, EMPTY_CLAUSE, GroundTerm, Literal, is_tautology, parse_problem,
+)
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
 from lockstep.scl import (
@@ -359,28 +361,34 @@ def _falsified_by_scan(state, extra=None):
 
 
 def test_conflict_candidates_assuming_a_literal_matches_a_scan():
-    # every non-conflict state of some trail runs, probed with every literal
-    # whose atom the trail leaves open
+    # every state of some trail runs, conflict mode and refuted states
+    # included, probed with both literals of every atom: an atom the trail
+    # already defines takes the assumed value instead of the trail's; the
+    # problems include tautologies, and each state is probed once more with
+    # the empty clause among its learned clauses
     params = GenParams(preds=("P", "Q", "R"), consts=("a", "b"), clause_count=8,
                        max_len=4)
     problems = [parse_problem(KBO_TEXT)] + [
-        random_problem(dataclasses.replace(params, seed=seed)) for seed in range(40)
+        random_problem(dataclasses.replace(params, seed=seed, allow_tautologies=tauto))
+        for seed in range(40) for tauto in (False, True)
     ]
-    probed = 0
+    assert any(is_tautology(c) for p in problems for c in p.clauses)
+    probed = overridden = in_conflict = refuted = 0
     for p in problems:
         run = run_scl_sup(p)
         for s in run.states:
-            if s.conflict is not None:
-                continue
-            assert conflict_candidates(s) == _falsified_by_scan(s)
-            for a in run.order.atoms_ascending:
-                if is_defined(s, a):
-                    continue
-                for literal in (Literal(a), Literal(a, False)):
-                    got = conflict_candidates(s, assuming=literal)
-                    assert got == _falsified_by_scan(s, literal)
-                    probed += 1
-    assert probed > 100
+            in_conflict += s.conflict is not None
+            refuted += s.conflict == EMPTY_CLAUSE
+            for state in (s, dataclasses.replace(s, u=s.u + (EMPTY_CLAUSE,))):
+                assert conflict_candidates(state) == _falsified_by_scan(state)
+                for a in run.order.atoms_ascending:
+                    for literal in (Literal(a), Literal(a, False)):
+                        got = conflict_candidates(state, assuming=literal)
+                        assert got == _falsified_by_scan(state, literal)
+                        probed += 1
+                        overridden += is_defined(state, a)
+            assert EMPTY_CLAUSE in conflict_candidates(state)
+    assert probed > 100 and overridden > 100 and in_conflict > 10 and refuted > 5
 
 
 def test_the_level_is_the_number_of_decisions():

@@ -497,6 +497,19 @@ def test_corrupted_boundary_reports_its_lines(corrupt, failures):
     assert {r.name: r.detail for r in reports if not r.ok} == failures
 
 
+def test_unsatisfied_prefix_clauses_are_listed_in_state_order():
+    # with the trail emptied, every clause up to the attention clause
+    # -P(b) | Q(a) is unsatisfied; the image order puts -P(a) | Q(a) | Q(a)
+    # before it, the state after it, and the detail follows the state
+    p, po, state, ann, snapshot = _golden_boundary()
+    bad = dataclasses.replace(state, trail=(), conflict=None)
+    moved = dataclasses.replace(ann, aid=p.clauses.by_id(1))
+    reports = {r.name: r for r in check_invariants(po, bad, moved, snapshot)}
+    assert not reports["prefix-satisfied"].ok
+    assert reports["prefix-satisfied"].detail == (
+        "not satisfied yet: ['P(a)', '-P(b) | Q(a)', '-P(a) | Q(a) | Q(a)']")
+
+
 def test_producing_clause_names_an_unforced_literal():
     p, po, state, ann, snapshot = _golden_boundary()
     with pytest.raises(SimulationError, match=r"^no clause can force P\(b\)$"):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CHARS = IDENT_START | set("0123456789")
@@ -99,11 +99,13 @@ class Clause:
     ``without_one``, ``with_count`` and the sum ``+`` act on these runs,
     never on single copies; truth is evaluated over ``distinct``, because
     extra copies cannot change a clause's truth value. ``literals`` and
-    ``text`` spell out every copy, in text order, for rendering. The empty
+    ``text`` spell out every copy, in text order, for rendering, and
+    ``literal_texts`` is the set of the distinct literals' texts, computed
+    on first read so that building a clause never pays for it. The empty
     clause prints as ⊥ and is only ever produced by inference, never parsed.
     """
 
-    __slots__ = ("distinct", "counts", "_hash")
+    __slots__ = ("distinct", "counts", "_hash", "_texts")
 
     def __init__(self, literals: Iterable[Literal] = ()):
         copies: Dict[Literal, int] = {}
@@ -144,6 +146,14 @@ class Clause:
     def literals(self) -> Tuple[Literal, ...]:
         """Every copy, sorted by text."""
         return tuple(l for l, n in zip(self.distinct, self.counts) for _ in range(n))
+
+    @property
+    def literal_texts(self) -> FrozenSet[str]:
+        try:
+            return self._texts
+        except AttributeError:
+            self._texts = frozenset(l.text for l in self.distinct)
+            return self._texts
 
     @property
     def is_empty(self) -> bool:

@@ -120,14 +120,17 @@ def conflict_candidates(state: SclState,
     top of it: the clauses returned are those a propagation or decision of
     the literal would falsify. This is the one false-clause query; callers
     wanting the smallest such clause take the minimum under the order.
+
+    A clause is false when the texts of its distinct literals all lie in
+    the set of literal texts the trail falsifies, a subset test on sets of
+    strings. Atoms are read by text, as atom equality means, and each atom
+    takes its last value on the trail, as in ``assignment``.
     """
-    assignment = state.assignment()
+    value = {e.literal.atom.text: e.literal.positive for e in state.trail}
     if assuming is not None:
-        assignment[assuming.atom] = assuming.positive
-    return [
-        c for c in state.all_clauses()
-        if status_under_assignment(assignment, c) == ClauseStatus.FALSE
-    ]
+        value[assuming.atom.text] = assuming.positive
+    falsified = {"-" + a if positive else a for a, positive in value.items()}
+    return [c for c in state.all_clauses() if c.literal_texts <= falsified]
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,26 @@ snapshot its pair index claims to match. lockstep_verify runs both sides
 independently and checks all round boundaries, strict progress of the
 annotations, regularity of the rule log, and agreement of the final
 verdicts, models, and learned clauses.
+
+Both read a state's clauses through an attention index, one per map
+version. It holds the clauses sorted by their factored-image key (ties in
+state order) with the list of those keys, the set of their images, their
+atoms, and for each map entry whether its image is the clause's factored
+image. It is rebuilt only when the map object or the learned-clause tuple
+changes, tested by identity, since neither is ever changed in place. So
+the walk and invariant (xii) bisect the sorted keys instead of ranking
+every clause at every boundary, and invariant (iv) computes factored
+images once per map version. The verifier builds its own indexes from the
+recorded states and shares none with the driver.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from .core import (
     Atom,
@@ -150,6 +163,75 @@ def _gamma_key(order: ProblemOrder, clause: Clause,
     return (order.clause_key(gamma.get(clause, clause)), order.clause_key(clause))
 
 
+class _AttentionIndex:
+    """A state's clauses in the factored-image order under one map.
+
+    It describes every state with the same input and learned clause tuples
+    under the same map object, the version it was built for; ``_index_for``
+    tests this by identity, since states and maps are never changed in
+    place. Each part is computed on its first read, so a reader pays only
+    for what it reads, once per version:
+
+    - ``ranked``: the keys, state positions and clauses, stably sorted by
+      ``_gamma_key``, so ties keep state order;
+    - ``images``: the set of the clauses' images under the map;
+    - ``atoms``: the atoms of the clauses;
+    - ``map_entries``: each map entry with whether its image is the
+      clause's factored image and whether the clause is in the state.
+
+    A part the order cannot rank raises the order's ValueError on every
+    read, just as a direct computation would.
+    """
+
+    def __init__(self, order: ProblemOrder, state: SclState,
+                 gamma: Dict[Clause, Clause]):
+        self.order = order
+        self.n, self.u = state.n, state.u
+        self.gamma = gamma
+
+    @cached_property
+    def ranked(self) -> Tuple[List[Tuple[ClauseKey, ClauseKey]], List[int], List[Clause]]:
+        order, gamma = self.order, self.gamma
+        keyed = sorted((_gamma_key(order, c, gamma), i, c)
+                       for i, c in enumerate(self.n + self.u))
+        return [k for k, _, _ in keyed], [i for _, i, _ in keyed], [c for _, _, c in keyed]
+
+    @cached_property
+    def images(self) -> FrozenSet[Clause]:
+        return frozenset(self.gamma.get(c, c) for c in self.n + self.u)
+
+    @cached_property
+    def atoms(self) -> FrozenSet[Atom]:
+        return frozenset(atoms_of(self.n + self.u))
+
+    @cached_property
+    def map_entries(self) -> List[Tuple[Clause, Clause, bool, bool]]:
+        own = set(self.n + self.u)
+        return [(c, img, img == sfac(c, self.order), c in own)
+                for c, img in self.gamma.items()]
+
+    def after(self, key: Tuple[ClauseKey, ClauseKey]) -> Optional[Clause]:
+        """The first clause whose key lies strictly above ``key``."""
+        keys, _, clauses = self.ranked
+        i = bisect_right(keys, key)
+        return clauses[i] if i < len(clauses) else None
+
+    def up_to(self, key: Tuple[ClauseKey, ClauseKey]) -> Iterator[Tuple[int, Clause]]:
+        """The clauses whose key is at most ``key``, with their state
+        positions, in the factored-image order."""
+        keys, positions, clauses = self.ranked
+        return islice(zip(positions, clauses), bisect_right(keys, key))
+
+
+def _index_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
+               last: Optional[_AttentionIndex] = None) -> _AttentionIndex:
+    """``last`` if it was built for this map and these clauses, otherwise a
+    new index for them."""
+    if last is not None and last.gamma is gamma and last.u is state.u and last.n is state.n:
+        return last
+    return _AttentionIndex(order, state, gamma)
+
+
 def initial_gamma(problem: Problem, order: ProblemOrder) -> Dict[Clause, Clause]:
     """Map each input clause to its factored image when the input set already
     contains that image and the image differs from the clause."""
@@ -157,14 +239,13 @@ def initial_gamma(problem: Problem, order: ProblemOrder) -> Dict[Clause, Clause]
     return {c: img for c, img in images.items() if img != c and img in problem.clauses}
 
 
-def next_attention(order: ProblemOrder, state: SclState,
-                   ann: Annotation) -> Optional[Clause]:
+def next_attention(order: ProblemOrder, state: SclState, ann: Annotation,
+                   index: Optional[_AttentionIndex] = None) -> Optional[Clause]:
     """The smallest clause, in the factored-image order, strictly past the
-    clause currently holding attention. None once the walk is exhausted."""
-    floor = _gamma_key(order, ann.aid, ann.gamma)
-    keyed = ((_gamma_key(order, c, ann.gamma), c) for c in state.all_clauses())
-    best = min(((key, c) for key, c in keyed if key > floor), key=itemgetter(0), default=None)
-    return None if best is None else best[1]
+    clause currently holding attention. None once the walk is exhausted.
+    ``index`` is read when it fits the state and map, and built otherwise."""
+    index = _index_for(order, state, ann.gamma, index)
+    return index.after(_gamma_key(order, ann.aid, ann.gamma))
 
 
 def filler_decisions(order: ProblemOrder, state: SclState,
@@ -249,8 +330,7 @@ def _producing_clause(order: ProblemOrder, state: SclState,
         rest = img.with_count(literal, 0)
         return status_under_assignment(assignment, rest) == ClauseStatus.FALSE
 
-    best = min(filter(forces, state.all_clauses()),
-               key=lambda c: _gamma_key(order, c, gamma), default=None)
+    best = next(filter(forces, _index_for(order, state, gamma).ranked[2]), None)
     if best is None:
         raise SimulationError(f"no clause can force {literal}")
     return best
@@ -331,6 +411,7 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     order = order or ProblemOrder(problem)
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
     run = SimRun(order, ann, [initial_state(problem)])
+    index = None
 
     while len(run.seqs) < max_sequences:
         start = len(run.apps)
@@ -338,7 +419,8 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
             kind, ann = _round_conflict(run, ann)
             attention = None
         else:
-            attention = next_attention(order, run.state, ann)
+            index = _index_for(order, run.state, ann.gamma, index)
+            attention = next_attention(order, run.state, ann, index)
             if attention is None:
                 run.outcome = SATISFIABLE
                 break
@@ -363,13 +445,16 @@ class InvariantReport:
 
 
 def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
-                     snapshot: SupSnapshot) -> List[InvariantReport]:
+                     snapshot: SupSnapshot,
+                     index: Optional[_AttentionIndex] = None) -> List[InvariantReport]:
     """Confront one annotated trail state with one saturation snapshot.
 
     Returns one report per invariant, in the (i)-(xiv) order below. The
     checks are defensive: a state too broken to even rank its clauses fails
-    the affected invariant instead of raising.
+    the affected invariant instead of raising. ``index`` is read when it
+    fits the state and map, and built otherwise.
     """
+    index = _index_for(order, state, ann.gamma, index)
     reports: List[InvariantReport] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -390,8 +475,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     image = ann.gamma.get(ann.aid, ann.aid)
 
     # (i) every atom the state mentions comes from the input signature
-    mentioned = atoms_of(state.all_clauses())
-    mentioned |= {e.literal.atom for e in state.trail}
+    mentioned = index.atoms | {e.literal.atom for e in state.trail}
     if state.conflict is not None:
         mentioned |= atoms_of([state.conflict])
     foreign = sorted(a.text for a in mentioned - universe)
@@ -411,13 +495,12 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (iv) the map stores exactly factored images that the paired set contains
     def map_shape() -> Tuple[bool, str]:
         problems = []
-        own = set(state.all_clauses())
-        for c, img in ann.gamma.items():
-            if img != sfac(c, order):
+        for c, img, factored, own in index.map_entries:
+            if not factored:
                 problems.append(f"{c} maps to {img}, not its factored image")
             elif not snapshot.contains(img):
                 problems.append(f"image {img} is not in the paired set")
-            elif c not in own:
+            elif not own:
                 problems.append(f"{c} is neither input nor learned")
         return not problems, "; ".join(problems)
     guarded("factored-map-shape", map_shape)
@@ -464,7 +547,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (ix) each producer has a preimage under the map, and propagations
     #      record exactly the producing clause as their justification
     problems9: List[str] = []
-    images = {ann.gamma.get(c, c) for c in state.all_clauses()} if positives else set()
+    images = index.images if positives else frozenset()
     for e in state.trail:
         if not e.literal.positive:
             continue
@@ -524,13 +607,10 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     # (xii) everything up to the attention clause is satisfied
     def prefix_satisfied() -> Tuple[bool, str]:
-        aid_key = _gamma_key(order, ann.aid, ann.gamma)
-        unsat = [
-            c for c in state.all_clauses()
-            if _gamma_key(order, c, ann.gamma) <= aid_key
-            and status_under_assignment(assignment, c) != ClauseStatus.TRUE
-        ]
-        return not unsat, f"not satisfied yet: {[str(c) for c in unsat]}"
+        prefix = index.up_to(_gamma_key(order, ann.aid, ann.gamma))
+        unsat = sorted((i, c) for i, c in prefix
+                       if status_under_assignment(assignment, c) != ClauseStatus.TRUE)
+        return not unsat, f"not satisfied yet: {[str(c) for _, c in unsat]}"
     guarded("prefix-satisfied", prefix_satisfied)
 
     # (xiii) outside conflict mode no clause is false
@@ -635,9 +715,11 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations
+    index = None
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
         if 0 <= ann.index < len(sup.snapshots):
-            reports = check_invariants(order, state, ann, sup.snapshots[ann.index])
+            index = _index_for(order, state, ann.gamma, index)
+            reports = check_invariants(order, state, ann, sup.snapshots[ann.index], index)
         else:
             reports = [InvariantReport(
                 "pair-index-in-range", False,

@@ -19,12 +19,13 @@ Both read a state's clauses through an attention index, one per map
 version. It holds the clauses sorted by their factored-image key (ties in
 state order) with the list of those keys, the set of their images, their
 atoms, and for each map entry whether its image is the clause's factored
-image. It is rebuilt only when the map object or the learned-clause tuple
-changes, tested by identity, since neither is ever changed in place. So
-the walk and invariant (xii) bisect the sorted keys instead of ranking
-every clause at every boundary, and invariant (iv) computes factored
-images once per map version. The verifier builds its own indexes from the
-recorded states and shares none with the driver.
+image. It is rebuilt only when the map object or a clause tuple of the
+state changes (in a run, the input clauses never do), tested by identity,
+since none of them is ever changed in place. So the walk and invariant
+(xii) bisect the sorted keys instead of ranking every clause at every
+boundary, and invariant (iv) computes factored images once per map
+version. The verifier builds its own indexes from the recorded states and
+shares none with the driver.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def _producing_clause(order: ProblemOrder, state: SclState,
         rest = img.with_count(literal, 0)
         return status_under_assignment(assignment, rest) == ClauseStatus.FALSE
 
-    best = next(filter(forces, _index_for(order, state, gamma).ranked[2]), None)
+    best = next(filter(forces, _AttentionIndex(order, state, gamma).ranked[2]), None)
     if best is None:
         raise SimulationError(f"no clause can force {literal}")
     return best
@@ -547,7 +548,6 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (ix) each producer has a preimage under the map, and propagations
     #      record exactly the producing clause as their justification
     problems9: List[str] = []
-    images = index.images if positives else frozenset()
     for e in state.trail:
         if not e.literal.positive:
             continue
@@ -555,7 +555,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         if producer is None:
             problems9.append(f"{e.literal.atom} has no producer")
             continue
-        if producer not in images:
+        if producer not in index.images:
             problems9.append(f"no clause maps onto the producer {producer}")
         if not e.is_decision and e.reason != producer:
             problems9.append(

@@ -365,7 +365,8 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
     # included, probed with both literals of every atom: an atom the trail
     # already defines takes the assumed value instead of the trail's; the
     # problems include tautologies, and each state is probed once more with
-    # the empty clause among its learned clauses
+    # the empty clause among its learned clauses and once with its first
+    # trail atom pushed again with the other sign
     params = GenParams(preds=("P", "Q", "R"), consts=("a", "b"), clause_count=8,
                        max_len=4)
     problems = [parse_problem(KBO_TEXT)] + [
@@ -379,7 +380,12 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
         for s in run.states:
             in_conflict += s.conflict is not None
             refuted += s.conflict == EMPTY_CLAUSE
-            for state in (s, dataclasses.replace(s, u=s.u + (EMPTY_CLAUSE,))):
+            variants = [s, dataclasses.replace(s, u=s.u + (EMPTY_CLAUSE,))]
+            if s.trail:     # an atom on the trail twice: its last value counts
+                first = s.trail[0]
+                flipped = dataclasses.replace(first, literal=first.literal.complement())
+                variants.append(dataclasses.replace(s, trail=s.trail + (flipped,)))
+            for state in variants:
                 assert conflict_candidates(state) == _falsified_by_scan(state)
                 for a in run.order.atoms_ascending:
                     for literal in (Literal(a), Literal(a, False)):
@@ -387,7 +393,7 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
                         assert got == _falsified_by_scan(state, literal)
                         probed += 1
                         overridden += is_defined(state, a)
-            assert EMPTY_CLAUSE in conflict_candidates(state)
+            assert EMPTY_CLAUSE in conflict_candidates(variants[1])
     assert probed > 100 and overridden > 100 and in_conflict > 10 and refuted > 5
 
 

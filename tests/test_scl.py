@@ -397,6 +397,31 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
     assert probed > 100 and overridden > 100 and in_conflict > 10 and refuted > 5
 
 
+@pytest.mark.parametrize("last", [True, False], ids=["last-true", "last-false"])
+def test_an_atom_on_the_trail_twice_takes_its_last_value(kbo, last):
+    # the rules never push an atom twice, so the second push is fabricated:
+    # P(a) is decided with one sign and pushed again with the other, and
+    # only the last value decides the guards of propagate and conflict
+    p, po = kbo
+    c1, c2, _ = p.clauses.clauses()          # P(a) | P(a), -P(a) | Q(b)
+    s = decide(po, initial_state(p), PA if not last else PA.complement())
+    again = dataclasses.replace(s.trail[0], literal=s.trail[0].literal.complement(), level=2)
+    s = dataclasses.replace(s, trail=s.trail + (again,))
+    assert s.trail[-1].literal == (PA if last else PA.complement())
+    if last:
+        # -P(a) is false, so Q(b) is forced, and P(a) | P(a) is true
+        assert propagate(po, s, c2, QB).trail[-1].literal == QB
+        with pytest.raises(RuleError) as e:
+            conflict(po, s, c1)
+        assert e.value.guard == "clause-not-false"
+    else:
+        # -P(a) is true, so Q(b) is not forced, and P(a) | P(a) is false
+        with pytest.raises(RuleError) as e:
+            propagate(po, s, c2, QB)
+        assert e.value.guard == "remainder-not-false"
+        assert conflict(po, s, c1).conflict == c1
+
+
 def test_the_level_is_the_number_of_decisions():
     """On every state of the golden trail runs and of 300 generated
     problems, the top entry's level counts the decisions on the trail, and

@@ -510,6 +510,24 @@ def test_unsatisfied_prefix_clauses_are_listed_in_state_order():
         "not satisfied yet: ['P(a)', '-P(b) | Q(a)', '-P(a) | Q(a) | Q(a)']")
 
 
+@pytest.mark.parametrize("last, unsatisfied", [
+    (PA, "['-P(b) | Q(a)', '-P(a) | Q(a) | Q(a)']"),
+    (PA.complement(), "['P(a)', '-P(b) | Q(a)']"),
+], ids=["last-true", "last-false"])
+def test_an_atom_on_the_trail_twice_takes_its_last_value(last, unsatisfied):
+    # P(a) pushed with one sign and again with the other: the filler
+    # decisions skip it, and the prefix clauses count as satisfied by its
+    # last value only
+    p, po, state, ann, snapshot = _golden_boundary()
+    first = dataclasses.replace(state.trail[0], literal=last.complement())
+    second = dataclasses.replace(state.trail[0], literal=last)
+    bad = dataclasses.replace(state, trail=(first, second), conflict=None)
+    assert filler_decisions(po, bad, QA) == [PB.complement()]
+    moved = dataclasses.replace(ann, aid=p.clauses.by_id(1))
+    reports = {r.name: r for r in check_invariants(po, bad, moved, snapshot)}
+    assert reports["prefix-satisfied"].detail == f"not satisfied yet: {unsatisfied}"
+
+
 def test_producing_clause_names_an_unforced_literal():
     p, po, state, ann, snapshot = _golden_boundary()
     with pytest.raises(SimulationError, match=r"^no clause can force P\(b\)$"):

@@ -20,7 +20,6 @@ derives, not something a problem states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
@@ -220,12 +219,6 @@ class ClauseSet:
         return self._clauses
 
 
-class ClauseStatus(Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNDEFINED = "undefined"
-
-
 def eval_herbrand(model: Set[Atom], clause: Clause) -> bool:
     """Herbrand evaluation: a positive literal holds when its atom is in the
     model, a negative literal when its atom is absent. The empty clause is
@@ -237,22 +230,6 @@ def eval_herbrand(model: Set[Atom], clause: Clause) -> bool:
         elif l.atom not in model:
             return True
     return False
-
-
-def status_under_assignment(assignment: Mapping[Atom, bool], clause: Clause) -> ClauseStatus:
-    """Three-valued clause status under a partial assignment.
-
-    TRUE if some literal is satisfied, FALSE if every literal is falsified,
-    UNDEFINED otherwise (some literal's atom unassigned, none satisfied).
-    """
-    undefined = False
-    for l in clause.distinct:
-        val = assignment.get(l.atom)
-        if val is None:
-            undefined = True
-        elif val == l.positive:
-            return ClauseStatus.TRUE
-    return ClauseStatus.UNDEFINED if undefined else ClauseStatus.FALSE
 
 
 def atoms_of(clauses: Iterable[Clause]) -> Set[Atom]:

@@ -19,22 +19,19 @@ trail). Backtracking pops exactly the topmost decision (which must sit on
 top of the trail), learns the conflict, and returns to level k-1; copies of
 the complement of that decision inside the conflict are exempt from the
 usual lower-level requirement on the rest.
+
+A trail has one valuation, ``SclState.valuation``: the texts of the literals
+it makes true and of those it makes false, each atom taking its last value.
+Whether a clause is true or false on a trail is one set test of its
+``literal_texts`` against these sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .core import (
-    Atom,
-    Clause,
-    ClauseStatus,
-    Literal,
-    Problem,
-    atoms_of,
-    status_under_assignment,
-)
+from .core import Atom, Clause, Literal, Problem, atoms_of
 from .ordering import ProblemOrder
 
 
@@ -77,8 +74,21 @@ class SclState:
     def all_clauses(self) -> Tuple[Clause, ...]:
         return self.n + self.u
 
-    def assignment(self) -> Dict[Atom, bool]:
-        return {e.literal.atom: e.literal.positive for e in self.trail}
+    def valuation(self, assuming: Optional[Literal] = None) -> Tuple[Set[str], Set[str]]:
+        """The texts of the literals the trail makes true, and of those it
+        makes false.
+
+        Each atom takes its last value on the trail, and ``assuming`` is
+        read as if it were pushed on top. Atoms are read by text, as atom
+        equality means. A clause is then true when its ``literal_texts``
+        meet the first set, and false when they lie in the second.
+        """
+        last = {e.literal.atom.text: e.literal for e in self.trail}
+        if assuming is not None:
+            last[assuming.atom.text] = assuming
+        true = {l.text for l in last.values()}
+        false = {"-" + a if l.positive else a for a, l in last.items()}
+        return true, false
 
     def render(self) -> str:
         trail = ", ".join(e.render() for e in self.trail)
@@ -120,17 +130,9 @@ def conflict_candidates(state: SclState,
     top of it: the clauses returned are those a propagation or decision of
     the literal would falsify. This is the one false-clause query; callers
     wanting the smallest such clause take the minimum under the order.
-
-    A clause is false when the texts of its distinct literals all lie in
-    the set of literal texts the trail falsifies, a subset test on sets of
-    strings. Atoms are read by text, as atom equality means, and each atom
-    takes its last value on the trail, as in ``assignment``.
     """
-    value = {e.literal.atom.text: e.literal.positive for e in state.trail}
-    if assuming is not None:
-        value[assuming.atom.text] = assuming.positive
-    falsified = {"-" + a if positive else a for a, positive in value.items()}
-    return [c for c in state.all_clauses() if c.literal_texts <= falsified]
+    _, false = state.valuation(assuming)
+    return [c for c in state.all_clauses() if c.literal_texts <= false]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
     for l in clause.distinct:
         _check_bound("propagate", order, l.atom)
     remainder = clause.with_count(literal, 0)
-    if status_under_assignment(state.assignment(), remainder) != ClauseStatus.FALSE:
+    if not remainder.literal_texts <= state.valuation()[1]:
         raise RuleError(
             "propagate", "remainder-not-false",
             f"{remainder} is not falsified by the trail",
@@ -195,7 +197,7 @@ def conflict(order: ProblemOrder, state: SclState, clause: Clause) -> SclState:
     _need_no_conflict("conflict", state)
     if clause not in state.all_clauses():
         raise RuleError("conflict", "unknown-clause", f"{clause} is not an input or learned clause")
-    if status_under_assignment(state.assignment(), clause) != ClauseStatus.FALSE:
+    if not clause.literal_texts <= state.valuation()[1]:
         raise RuleError("conflict", "clause-not-false", f"{clause} is not falsified by the trail")
     return SclState(
         trail=state.trail, n=state.n, u=state.u,

@@ -39,12 +39,10 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
 from .core import (
     Atom,
     Clause,
-    ClauseStatus,
     EMPTY_CLAUSE,
     Literal,
     Problem,
     atoms_of,
-    status_under_assignment,
 )
 from .ordering import ClauseKey, ProblemOrder
 from .scl import (
@@ -253,8 +251,9 @@ def filler_decisions(order: ProblemOrder, state: SclState,
                      bound: Literal) -> List[Literal]:
     """Negative decisions covering every undefined atom whose positive
     literal sits below ``bound``, in ascending atom order."""
-    assigned = state.assignment()
-    return [Literal(a, False) for a in order.atoms_below(bound) if a not in assigned]
+    true, false = state.valuation()
+    return [Literal(a, False) for a in order.atoms_below(bound)
+            if a.text not in true and a.text not in false]
 
 
 def _act_on_positive_max(run: SimRun, j: int, clause: Clause,
@@ -300,7 +299,7 @@ def _round_no_conflict(run: SimRun, ann: Annotation,
     for f in filler_decisions(order, run.state, top_lit):
         run.apply(RuleApp("decide", literal=f), decide, f)
 
-    if status_under_assignment(run.state.assignment(), g) == ClauseStatus.TRUE:
+    if not g.literal_texts.isdisjoint(run.state.valuation()[0]):
         return "pass", Annotation(ann.index, d, ann.gamma)
     if not top_lit.positive:
         raise SimulationError(
@@ -322,16 +321,15 @@ def _producing_clause(order: ProblemOrder, state: SclState,
     that test can select a clause whose leftover part is true, or never
     false at all because it carries both polarities of some atom.
     """
-    assignment = state.assignment()
+    _, false = state.valuation()
 
     def forces(c: Clause) -> bool:
         img = gamma.get(c, c)
-        if not order.is_strictly_maximal_in(literal, img):
-            return False
-        rest = img.with_count(literal, 0)
-        return status_under_assignment(assignment, rest) == ClauseStatus.FALSE
+        return (order.is_strictly_maximal_in(literal, img)
+                and img.with_count(literal, 0).literal_texts <= false)
 
-    best = next(filter(forces, _AttentionIndex(order, state, gamma).ranked[2]), None)
+    best = min(filter(forces, state.all_clauses()),
+               key=lambda c: _gamma_key(order, c, gamma), default=None)
     if best is None:
         raise SimulationError(f"no clause can force {literal}")
     return best
@@ -470,7 +468,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     universe = set(order.atoms_ascending)
     con = snapshot.construction
-    assignment = state.assignment()
+    true, false = state.valuation()
     positives = {e.literal.atom for e in state.trail if e.literal.positive}
     negatives = {e.literal.atom for e in state.trail if not e.literal.positive}
     image = ann.gamma.get(ann.aid, ann.aid)
@@ -506,10 +504,17 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         return not problems, "; ".join(problems)
     guarded("factored-map-shape", map_shape)
 
+    # (v) and (vi) share the atoms produced below the attention image; when
+    # the order cannot rank it, each of them computes it again and reports
+    try:
+        below: Optional[FrozenSet[Atom]] = con.prefix_below(image)
+    except ValueError:
+        below = None
+
     # (v) positive trail atoms = atoms produced below the attention image,
     #     plus that image's own production
     def positives_match() -> Tuple[bool, str]:
-        expected = set(con.prefix_below(image))
+        expected = set(con.prefix_below(image) if below is None else below)
         delta = con.delta_of(image)
         if delta is not None:
             expected.add(delta)
@@ -525,7 +530,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         if image.is_empty:
             expected = set()
         else:
-            prefix = con.prefix_below(image)
+            prefix = con.prefix_below(image) if below is None else below
             expected = {a for a in order.atoms_below(order.max_literal(image))
                         if a not in prefix}
         return negatives == expected, (
@@ -584,7 +589,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                 f"{con.minimal_false}"
             )
         if not state.conflict.is_empty:
-            if status_under_assignment(assignment, state.conflict) != ClauseStatus.FALSE:
+            if not state.conflict.literal_texts <= false:
                 problems.append("conflict clause is not falsified by the trail")
             top = state.trail[-1] if state.trail else None
             if top is None or top.is_decision:
@@ -608,8 +613,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (xii) everything up to the attention clause is satisfied
     def prefix_satisfied() -> Tuple[bool, str]:
         prefix = index.up_to(_gamma_key(order, ann.aid, ann.gamma))
-        unsat = sorted((i, c) for i, c in prefix
-                       if status_under_assignment(assignment, c) != ClauseStatus.TRUE)
+        unsat = sorted((i, c) for i, c in prefix if c.literal_texts.isdisjoint(true))
         return not unsat, f"not satisfied yet: {[str(c) for _, c in unsat]}"
     guarded("prefix-satisfied", prefix_satisfied)
 

@@ -18,11 +18,9 @@ from lockstep import simulation
 from lockstep.core import (
     Atom,
     Clause,
-    ClauseStatus,
     Literal,
     is_tautology,
     parse_problem,
-    status_under_assignment,
 )
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
@@ -60,15 +58,16 @@ def next_attention_by_scan(order, state, ann):
 
 def producing_clause_by_scan(order, state, gamma, literal):
     """The smallest forcing clause by key over every clause, the first in
-    state order among equal keys."""
-    assignment = state.assignment()
+    state order among equal keys. A literal is false when the last trail
+    entry on its atom has the other sign."""
+    value = {e.literal.atom: e.literal.positive for e in state.trail}
 
     def forces(c):
         img = gamma.get(c, c)
         if not order.is_strictly_maximal_in(literal, img):
             return False
         rest = img.with_count(literal, 0)
-        return status_under_assignment(assignment, rest) == ClauseStatus.FALSE
+        return all(value.get(l.atom) == (not l.positive) for l in rest.literals)
 
     best = min(filter(forces, state.all_clauses()),
                key=lambda c: _gamma_key(order, c, gamma), default=None)

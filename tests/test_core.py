@@ -10,7 +10,6 @@ from lockstep.core import (
     Atom,
     Clause,
     ClauseSet,
-    ClauseStatus,
     EMPTY_CLAUSE,
     GroundTerm,
     Literal,
@@ -22,8 +21,8 @@ from lockstep.core import (
     is_tautology,
     parse_problem,
     print_problem,
-    status_under_assignment,
 )
+from lockstep.scl import SclState, TrailEntry
 
 
 def T(name, *args):
@@ -103,15 +102,38 @@ def test_herbrand_evaluation():
     assert not eval_herbrand({qa}, c)
 
 
+def _status(assignment, clause):
+    """The clause's status on a trail of decisions setting each atom of
+    ``assignment`` in turn, read through the two set tests on the trail's
+    valuation; a clause is never both true and false, and assuming the top
+    literal on the trail below it gives the same valuation."""
+    trail = tuple(TrailEntry(Literal(a, v), i + 1, None)
+                  for i, (a, v) in enumerate(assignment.items()))
+    state = SclState(trail, (), (), None)
+    true, false = state.valuation()
+    if trail:
+        below = SclState(trail[:-1], (), (), None)
+        assert below.valuation(assuming=trail[-1].literal) == (true, false)
+    is_true = not clause.literal_texts.isdisjoint(true)
+    is_false = clause.literal_texts <= false
+    assert not (is_true and is_false)
+    return "true" if is_true else "false" if is_false else "undefined"
+
+
 def test_three_valued_status():
     pa, qa = Atom("P"), Atom("Q")
     c = Clause([Literal(pa), Literal(qa, False)])
-    assert status_under_assignment({}, c) == ClauseStatus.UNDEFINED
-    assert status_under_assignment({pa: True}, c) == ClauseStatus.TRUE
-    assert status_under_assignment({pa: False}, c) == ClauseStatus.UNDEFINED
-    assert status_under_assignment({pa: False, qa: True}, c) == ClauseStatus.FALSE
-    assert status_under_assignment({qa: False}, c) == ClauseStatus.TRUE
-    assert status_under_assignment({}, EMPTY_CLAUSE) == ClauseStatus.FALSE
+    assert _status({}, c) == "undefined"
+    assert _status({pa: True}, c) == "true"
+    assert _status({pa: False}, c) == "undefined"
+    assert _status({pa: False, qa: True}, c) == "false"
+    assert _status({qa: False}, c) == "true"
+    assert _status({}, EMPTY_CLAUSE) == "false"
+    assert _status({pa: True, qa: True}, EMPTY_CLAUSE) == "false"
+    tautology = Clause([Literal(pa), Literal(pa, False), Literal(pa)])
+    assert _status({}, tautology) == "undefined"
+    assert _status({pa: False}, tautology) == "true"
+    assert _status({pa: True}, tautology) == "true"
 
 
 _POOL = [Atom("P"), Atom("Q"), Atom("R"), Atom("S")]
@@ -124,8 +146,8 @@ _assignments = st.fixed_dictionaries({a: st.booleans() for a in _POOL})
 @given(_clauses, _assignments)
 def test_total_assignment_status_matches_herbrand(clause, assignment):
     model = {a for a, v in assignment.items() if v}
-    want = ClauseStatus.TRUE if eval_herbrand(model, clause) else ClauseStatus.FALSE
-    assert status_under_assignment(assignment, clause) == want
+    want = "true" if eval_herbrand(model, clause) else "false"
+    assert _status(assignment, clause) == want
 
 
 # Few distinct literals, many copies: the shape saturation derives.
@@ -143,10 +165,10 @@ def _reference_herbrand(model, clause):
 def _reference_status(assignment, clause):
     values = [(assignment.get(l.atom), l.positive) for l in clause.literals]
     if any(v is not None and v == positive for v, positive in values):
-        return ClauseStatus.TRUE
+        return "true"
     if any(v is None for v, _ in values):
-        return ClauseStatus.UNDEFINED
-    return ClauseStatus.FALSE
+        return "undefined"
+    return "false"
 
 
 @given(_duplicated_clauses, st.sets(st.sampled_from(_POOL)))
@@ -156,7 +178,7 @@ def test_herbrand_evaluation_matches_a_loop_over_every_copy(clause, model):
 
 @given(_duplicated_clauses, _partial_assignments)
 def test_status_matches_a_loop_over_every_copy(clause, assignment):
-    assert status_under_assignment(assignment, clause) == _reference_status(assignment, clause)
+    assert _status(assignment, clause) == _reference_status(assignment, clause)
 
 
 def test_distinct_literals_leave_the_multiset_alone():

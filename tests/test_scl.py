@@ -74,7 +74,7 @@ def test_decide_pushes_a_new_level(kbo):
     assert len(s.trail) == 1
     entry = s.trail[0]
     assert entry.literal == PA and entry.level == 1 and entry.reason is None
-    assert s.assignment() == {PA.atom: True}
+    assert s.valuation() == ({"P(a)"}, {"-P(a)"})
     assert literal_level(s, PA) == 1
 
 

@@ -467,6 +467,17 @@ def _attention_moved(p, state, ann):
     return state, dataclasses.replace(ann, aid=p.clauses.by_id(3))
 
 
+def _conflict_satisfied(p, state, ann):
+    return dataclasses.replace(state, conflict=p.clauses.by_id(3)), ann
+
+
+def _attention_unranked(p, state, ann):
+    return state, dataclasses.replace(ann, aid=Clause([Literal(Atom("Zzz"))]))
+
+
+_UNRANKED = "atom Zzz is outside this problem's universe"
+
+
 # Each corruption of the golden boundary fails exactly these invariants, with
 # these details.
 @pytest.mark.parametrize("corrupt,failures", [
@@ -490,7 +501,20 @@ def _attention_moved(p, state, ann):
             "top justification -P(a) | Q(a) is not the attention image -Q(a) | P(a); "
             "top literal Q(a) is not the image's positive maximum",
     }),
-], ids=["wrong-image", "reason-replaced", "attention-emptied", "attention-moved"])
+    (_conflict_satisfied, {
+        "conflict-is-minimal-false":
+            "conflict is -Q(a) | P(a), construction says -P(a) | -Q(a); "
+            "conflict clause is not falsified by the trail",
+    }),
+    (_attention_unranked, {
+        "membership": "absent from the paired clause set: ['Zzz']",
+        "positives-match-production": f"could not evaluate: {_UNRANKED}",
+        "negatives-cover-gap": f"could not evaluate: {_UNRANKED}",
+        "conflict-is-minimal-false": f"could not evaluate: {_UNRANKED}",
+        "prefix-satisfied": f"could not evaluate: {_UNRANKED}",
+    }),
+], ids=["wrong-image", "reason-replaced", "attention-emptied", "attention-moved",
+        "conflict-satisfied", "attention-unranked"])
 def test_corrupted_boundary_reports_its_lines(corrupt, failures):
     p, po, state, ann, snapshot = _golden_boundary()
     reports = check_invariants(po, *corrupt(p, state, ann), snapshot)

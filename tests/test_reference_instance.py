@@ -72,11 +72,15 @@ def test_the_15_atom_reference_instance_verifies_within_5_seconds():
 @pytest.mark.parametrize("atoms,seed,outcome,steps", [
     (18, 1, superposition.SATISFIABLE, 615),
     (20, 3, superposition.SATISFIABLE, 1059),
-], ids=["18:1", "20:3"])
+    (22, 2, superposition.SATISFIABLE, 75),
+    (30, 2, superposition.SATISFIABLE, 178),
+], ids=["18:1", "20:3", "22:2", "30:2"])
 def test_hard_instances_verify_within_5_seconds(atoms, seed, outcome, steps):
-    """Two more hard instances, ``ladder_text(18, 1)`` and
-    ``ladder_text(20, 3)``: satisfiable, with 1,811 and 1,275 trail rounds,
-    so most of their verification time goes to the round boundaries."""
+    """More hard instances, ``ladder_text(18, 1)``, ``ladder_text(20, 3)``
+    and, past the 20-atom oracle, ``ladder_text(22, 2)`` and
+    ``ladder_text(30, 2)``: satisfiable, with 1,811, 1,275, 933 and 1,590
+    trail rounds, so most of their verification time goes to the round
+    boundaries."""
     text, _ = workloads.ladder_text(atoms, seed)
     problem = parse_problem(text)
     start = time.perf_counter()

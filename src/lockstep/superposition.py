@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import Atom, Clause, Literal, Problem, eval_herbrand
@@ -42,6 +43,8 @@ CAP_EXCEEDED = "cap_exceeded"
 
 FACTORING = "factoring"
 SUPERPOSITION_LEFT = "superposition_left"
+
+_first = itemgetter(0)
 
 
 def sfac(clause: Clause, order: ProblemOrder) -> Clause:
@@ -100,20 +103,22 @@ class ModelEntry:
 
 class _Ledger:
     """A growing clause set in ascending order, shared by the constructions
-    over its stages: ``clauses`` ascend under the order's cached clause key,
-    and ``born`` maps each clause to the stage at which it joined. It refers
-    to no construction, so the records of a run hold no reference cycle."""
+    over its stages: ``keyed`` holds its clauses with their keys under the
+    order's cached clause key, ascending, and ``born`` maps each clause to
+    the stage at which it joined. It refers to no construction, so the
+    records of a run hold no reference cycle."""
 
     def __init__(self, order: ProblemOrder, clauses: Iterable[Clause]):
         self.order = order
-        self.clauses: List[Clause] = sorted(set(clauses), key=order.clause_key)
-        self.born: Dict[Clause, int] = dict.fromkeys(self.clauses, 0)
+        self.keyed: List[Tuple[ClauseKey, Clause]] = sorted(
+            ((order.clause_key(c), c) for c in set(clauses)), key=_first)
+        self.born: Dict[Clause, int] = {c: 0 for _, c in self.keyed}
 
     def insert(self, clause: Clause, stage: int) -> int:
         """Add ``clause`` as of ``stage`` and return its position."""
-        key = self.order.clause_key
-        pos = bisect_left(self.clauses, key(clause), key=key)
-        self.clauses.insert(pos, clause)
+        key = self.order.clause_key(clause)
+        pos = bisect_left(self.keyed, key, key=_first)
+        self.keyed.insert(pos, (key, clause))
         self.born[clause] = stage
         return pos
 
@@ -130,21 +135,24 @@ def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
     return None
 
 
-def _walk(clauses: Iterator[Clause], order: ProblemOrder, producer: Dict[Atom, Clause],
+def _walk(keyed: Iterator[Tuple[ClauseKey, Clause]], order: ProblemOrder,
+          producer: Dict[Atom, Clause], keys: List[ClauseKey],
           produced: Set[Atom]) -> Optional[Clause]:
-    """Extend a construction over ``clauses``, which ascend from above every
-    clause it has seen: each clause that the atoms ``produced`` so far leave
-    false produces its atom when it can, which extends ``producer`` and
-    ``produced`` (the same atoms as a set). Returns the first false clause
-    that produces nothing, leaving the clauses after it in the iterator, or
-    None once the clauses run out."""
-    for c in clauses:
+    """Extend a construction over the ``keyed`` clauses, which ascend from
+    above every clause it has seen: each clause that the atoms ``produced``
+    so far leave false produces its atom when it can, which extends
+    ``producer``, ``keys`` (the producing clauses' keys, in the same order)
+    and ``produced`` (the same atoms as a set). Returns the first false
+    clause that produces nothing, leaving the clauses after it in the
+    iterator, or None once the clauses run out."""
+    for key, c in keyed:
         if eval_herbrand(produced, c):
             continue
         atom = _production(c, order)
         if atom is None:
             return c
         producer[atom] = c
+        keys.append(key)
         produced.add(atom)
     return None
 
@@ -159,7 +167,8 @@ class ModelConstruction:
     ``minimal_false`` is the smallest clause left false (None when the set
     is satisfied), and the walk stops there. Stored: the productions up to
     that point, as an ordered map from each produced atom to its producing
-    clause; the prefix sets and the model are derived from it on read.
+    clause, with the producing clauses' keys in a list beside it; the prefix
+    sets and the model are derived from them on read.
     ``index`` is the stage: the clause set holds the clauses of the ledger
     that joined at or before it.
 
@@ -174,12 +183,13 @@ class ModelConstruction:
     """
 
     def __init__(self, ledger: _Ledger, index: int, producer: Dict[Atom, Clause],
-                 rest: Iterator[Clause]):
+                 keys: List[ClauseKey], rest: Iterator[Tuple[ClauseKey, Clause]]):
         self.order = ledger.order
         self.index = index
         self._ledger = ledger
         self._producer = producer              # atom -> clause, ascending
-        self.minimal_false = _walk(rest, self.order, producer, set(producer))
+        self._keys = keys                      # the clauses' keys, ascending
+        self.minimal_false = _walk(rest, self.order, producer, keys, set(producer))
         self._complete = self.minimal_false is None
 
     def _finish(self) -> None:
@@ -187,32 +197,34 @@ class ModelConstruction:
         unless that is done already."""
         if self._complete:
             return
-        ledger, index, key = self._ledger, self.index, self.order.clause_key
-        start = bisect_right(ledger.clauses, key(self.minimal_false), key=key)
-        rest = (c for c in islice(ledger.clauses, start, None) if ledger.born[c] <= index)
+        ledger, index = self._ledger, self.index
+        start = bisect_right(ledger.keyed, self.order.clause_key(self.minimal_false),
+                             key=_first)
+        rest = ((key, c) for key, c in islice(ledger.keyed, start, None)
+                if ledger.born[c] <= index)
         produced = set(self._producer)
-        while _walk(rest, self.order, self._producer, produced) is not None:
+        while _walk(rest, self.order, self._producer, self._keys, produced) is not None:
             pass
         self._complete = True
 
     def _produced_below(self, key: ClauseKey) -> int:
         """How many stored productions come from clauses below ``key``."""
-        return bisect_left(list(self._producer.values()), key, key=self.order.clause_key)
+        return bisect_left(self._keys, key)
 
     def _resumed(self, index: int, start: int) -> "ModelConstruction":
         """The construction of stage ``index``, whose one new clause sits at
         ledger position ``start``: the productions below it stay, and the
         walk resumes there."""
         ledger = self._ledger
-        j = self._produced_below(self.order.clause_key(ledger.clauses[start]))
+        j = self._produced_below(ledger.keyed[start][0])
         return ModelConstruction(ledger, index, dict(islice(self._producer.items(), j)),
-                                 islice(ledger.clauses, start, None))
+                                 self._keys[:j], islice(ledger.keyed, start, None))
 
     @property
     def clauses(self) -> Tuple[Clause, ...]:
         """The clause set, ascending."""
         born, index = self._ledger.born, self.index
-        return tuple(c for c in self._ledger.clauses if born[c] <= index)
+        return tuple(c for _, c in self._ledger.keyed if born[c] <= index)
 
     def contains(self, clause: Clause) -> bool:
         born = self._ledger.born.get(clause)
@@ -275,7 +287,7 @@ class ModelConstruction:
 def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelConstruction:
     """The complete construction over ``clauses``, walked from scratch."""
     ledger = _Ledger(order, clauses)
-    construction = ModelConstruction(ledger, 0, {}, iter(ledger.clauses))
+    construction = ModelConstruction(ledger, 0, {}, [], iter(ledger.keyed))
     construction._finish()
     return construction
 
@@ -389,7 +401,7 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     order = order or ProblemOrder(problem)
     run = SupRun(order=order)
     ledger = _Ledger(order, problem.clauses)
-    construction = ModelConstruction(ledger, 0, {}, iter(ledger.clauses))
+    construction = ModelConstruction(ledger, 0, {}, [], iter(ledger.keyed))
 
     while True:
         run.snapshots.append(SupSnapshot(construction))

@@ -26,6 +26,21 @@ since none of them is ever changed in place. So the walk and invariant
 boundary, and invariant (iv) computes factored images once per map
 version. The verifier builds its own indexes from the recorded states and
 shares none with the driver.
+
+check_invariants reads each boundary as a version plus an attention
+clause. A version is one trail state under one map, paired with one
+snapshot; a pass round that needs no filler decision changes only the
+attention clause, so the boundary after it has the same version as the one
+before. Whatever the invariants read of the version alone (the valuation,
+the nine reports that do not mention attention, the learned clauses absent
+from the snapshot, and the first clause in the factored-image order that
+the trail leaves unsatisfied) is held in one facts object per version,
+computed on first read and reused while the state, the map and the
+snapshot are the same objects. Reuse is sound because each of these is a
+pure function of those three objects, none of which is ever changed in
+place. Only the attention half is computed at every boundary: membership
+of the attention clause, (v), (vi), (xi), and (xii) from the version's
+first unsatisfied clause up to the attention clause.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .core import (
     Atom,
@@ -215,11 +230,13 @@ class _AttentionIndex:
         i = bisect_right(keys, key)
         return clauses[i] if i < len(clauses) else None
 
-    def up_to(self, key: Tuple[ClauseKey, ClauseKey]) -> Iterator[Tuple[int, Clause]]:
-        """The clauses whose key is at most ``key``, with their state
-        positions, in the factored-image order."""
+    def up_to(self, key: Tuple[ClauseKey, ClauseKey],
+              start: int = 0) -> Iterator[Tuple[int, Clause]]:
+        """The clauses from ranked position ``start`` on whose key is at
+        most ``key``, with their state positions, in the factored-image
+        order."""
         keys, positions, clauses = self.ranked
-        return islice(zip(positions, clauses), bisect_right(keys, key))
+        return islice(zip(positions, clauses), start, bisect_right(keys, key))
 
 
 def _index_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
@@ -443,66 +460,191 @@ class InvariantReport:
     detail: str = ""
 
 
+def _report(name: str, ok: bool, detail: str = "") -> InvariantReport:
+    return InvariantReport(name, bool(ok), "" if ok else detail)
+
+
+def _guarded(name: str, fn: Callable[[], Tuple[bool, str]]) -> InvariantReport:
+    """The report of ``fn``, failing when the order cannot evaluate it."""
+    try:
+        ok, detail = fn()
+    except ValueError as e:
+        ok, detail = False, f"could not evaluate: {e}"
+    return _report(name, ok, detail)
+
+
+class _VersionFacts:
+    """What check_invariants reads of one version: a trail state under a
+    map, paired with a snapshot, whatever clause holds attention.
+
+    ``_facts_for`` reuses it for every boundary of that version, tested by
+    identity: each part is a pure function of the state, the map and the
+    snapshot, and none of them is ever changed in place. The attention
+    index comes from the last version when it fits. Each part is computed
+    on its first read:
+
+    - ``valuation``, ``positives`` and ``negatives``: the trail's valuation
+      and its positive and negative atoms;
+    - ``reports``: invariants (i), (ii), (iv), (vii)-(x), (xiii) and (xiv),
+      in that order;
+    - ``unlearned``: the learned clauses absent from the snapshot, the part
+      of (iii) that is not about attention;
+    - ``first_unsatisfied``: the position in the index's ranked order of the
+      first clause the trail leaves unsatisfied, or the clause count when
+      it satisfies them all.
+    """
+
+    def __init__(self, order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
+                 snapshot: SupSnapshot, index: _AttentionIndex):
+        self.order = order
+        self.state, self.gamma, self.snapshot = state, gamma, snapshot
+        self.index = index
+
+    @cached_property
+    def valuation(self) -> Tuple[Set[str], Set[str]]:
+        return self.state.valuation()
+
+    @cached_property
+    def positives(self) -> FrozenSet[Atom]:
+        return frozenset(e.literal.atom for e in self.state.trail if e.literal.positive)
+
+    @cached_property
+    def negatives(self) -> FrozenSet[Atom]:
+        return frozenset(e.literal.atom for e in self.state.trail if not e.literal.positive)
+
+    @cached_property
+    def unlearned(self) -> List[Clause]:
+        return [c for c in self.state.u if not self.snapshot.contains(c)]
+
+    @cached_property
+    def first_unsatisfied(self) -> int:
+        true, _ = self.valuation
+        clauses = self.index.ranked[2]
+        return next((k for k, c in enumerate(clauses) if c.literal_texts.isdisjoint(true)),
+                    len(clauses))
+
+    @cached_property
+    def reports(self) -> Tuple[InvariantReport, ...]:
+        order, state, index = self.order, self.state, self.index
+        con = self.snapshot.construction
+        positives = self.positives
+
+        # (i) every atom the state mentions comes from the input signature
+        mentioned = index.atoms | {e.literal.atom for e in state.trail}
+        if state.conflict is not None:
+            mentioned |= atoms_of([state.conflict])
+        foreign = sorted(a.text for a in mentioned - set(order.atoms_ascending))
+        scope = _report("atoms-in-scope", not foreign, f"foreign atoms {foreign}")
+
+        # (ii) the trail never reaches the bound
+        beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
+        bound = _report("trail-below-bound", not beyond,
+                        f"atoms at or above the bound: {beyond}")
+
+        # (iv) the map stores exactly factored images that the paired set
+        #      contains
+        def map_shape() -> Tuple[bool, str]:
+            problems = []
+            for c, img, factored, own in index.map_entries:
+                if not factored:
+                    problems.append(f"{c} maps to {img}, not its factored image")
+                elif not self.snapshot.contains(img):
+                    problems.append(f"image {img} is not in the paired set")
+                elif not own:
+                    problems.append(f"{c} is neither input nor learned")
+            return not problems, "; ".join(problems)
+
+        # (vii) trail atoms strictly ascend
+        def ascends() -> Tuple[bool, str]:
+            ranks = [order.atom_rank(e.literal.atom) for e in state.trail]
+            ok = all(a < b for a, b in zip(ranks, ranks[1:]))
+            return ok, f"trail atom ranks {ranks} are not strictly ascending"
+
+        # (viii) every positive trail atom is produced on the paired side
+        unproduced = [a.text for a in positives if con.producer_of(a) is None]
+
+        # (ix) each producer has a preimage under the map, and propagations
+        #      record exactly the producing clause as their justification
+        problems9: List[str] = []
+        for e in state.trail:
+            if not e.literal.positive:
+                continue
+            producer = con.producer_of(e.literal.atom)
+            if producer is None:
+                problems9.append(f"{e.literal.atom} has no producer")
+                continue
+            if producer not in index.images:
+                problems9.append(f"no clause maps onto the producer {producer}")
+            if not e.is_decision and e.reason != producer:
+                problems9.append(
+                    f"justification {e.reason} of {e.literal} differs from the "
+                    f"producer {producer}"
+                )
+
+        # (x) a live conflict always sits on top of a propagation
+        live = state.conflict is not None and not state.conflict.is_empty
+        on_top = bool(state.trail) and not state.trail[-1].is_decision
+
+        # (xiii) outside conflict mode no clause is false
+        overlooked = conflict_candidates(state) if state.conflict is None else []
+
+        # (xiv) the two sides refute together
+        here = state.conflict == EMPTY_CLAUSE
+        there = self.snapshot.contains(EMPTY_CLAUSE)
+
+        return (
+            scope,
+            bound,
+            _guarded("factored-map-shape", map_shape),
+            _guarded("trail-ascends", ascends),
+            _report("producers-exist", not unproduced,
+                    f"no producer for {sorted(unproduced)}"),
+            _report("producer-preimages", not problems9, "; ".join(problems9)),
+            _report("conflict-top-propagation", not live or on_top,
+                    "conflict without a top propagation"),
+            _report("no-missed-conflict", not overlooked,
+                    f"falsified but unclaimed: {[str(c) for c in overlooked]}"),
+            _report("refutation-sync", here == there,
+                    f"trail side refuted: {here}, saturation side refuted: {there}"),
+        )
+
+
+def _facts_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
+               snapshot: SupSnapshot, last: Optional[_VersionFacts] = None) -> _VersionFacts:
+    """``last`` if it was built for this state, map and snapshot, otherwise
+    new facts for them, reading ``last``'s index when it fits."""
+    if (last is not None and last.state is state and last.gamma is gamma
+            and last.snapshot is snapshot):
+        return last
+    index = _index_for(order, state, gamma, None if last is None else last.index)
+    return _VersionFacts(order, state, gamma, snapshot, index)
+
+
 def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                      snapshot: SupSnapshot,
-                     index: Optional[_AttentionIndex] = None) -> List[InvariantReport]:
+                     facts: Optional[_VersionFacts] = None) -> List[InvariantReport]:
     """Confront one annotated trail state with one saturation snapshot.
 
     Returns one report per invariant, in the (i)-(xiv) order below. The
     checks are defensive: a state too broken to even rank its clauses fails
-    the affected invariant instead of raising. ``index`` is read when it
-    fits the state and map, and built otherwise.
+    the affected invariant instead of raising. ``facts`` is read when it
+    fits the state, map and snapshot, and built otherwise; only invariants
+    (iii), (v), (vi), (xi) and (xii) read the attention clause, and only
+    they are computed anew at each boundary of a version.
     """
-    index = _index_for(order, state, ann.gamma, index)
-    reports: List[InvariantReport] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        reports.append(InvariantReport(name, bool(ok), "" if ok else detail))
-
-    def guarded(name: str, fn: Callable[[], Tuple[bool, str]]) -> None:
-        try:
-            ok, detail = fn()
-        except ValueError as e:
-            ok, detail = False, f"could not evaluate: {e}"
-        add(name, ok, detail)
-
-    universe = set(order.atoms_ascending)
+    facts = _facts_for(order, state, ann.gamma, snapshot, facts)
+    (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
+     missed, sync) = facts.reports
     con = snapshot.construction
-    true, false = state.valuation()
-    positives = {e.literal.atom for e in state.trail if e.literal.positive}
-    negatives = {e.literal.atom for e in state.trail if not e.literal.positive}
+    true, false = facts.valuation
     image = ann.gamma.get(ann.aid, ann.aid)
 
-    # (i) every atom the state mentions comes from the input signature
-    mentioned = index.atoms | {e.literal.atom for e in state.trail}
-    if state.conflict is not None:
-        mentioned |= atoms_of([state.conflict])
-    foreign = sorted(a.text for a in mentioned - universe)
-    add("atoms-in-scope", not foreign, f"foreign atoms {foreign}")
-
-    # (ii) the trail never reaches the bound
-    beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
-    add("trail-below-bound", not beyond, f"atoms at or above the bound: {beyond}")
-
     # (iii) the attention clause and all learned clauses exist on the paired side
-    missing = [c for c in state.u if not snapshot.contains(c)]
+    missing = list(facts.unlearned)
     if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
-    add("membership", not missing,
-        f"absent from the paired clause set: {[str(c) for c in missing]}")
-
-    # (iv) the map stores exactly factored images that the paired set contains
-    def map_shape() -> Tuple[bool, str]:
-        problems = []
-        for c, img, factored, own in index.map_entries:
-            if not factored:
-                problems.append(f"{c} maps to {img}, not its factored image")
-            elif not snapshot.contains(img):
-                problems.append(f"image {img} is not in the paired set")
-            elif not own:
-                problems.append(f"{c} is neither input nor learned")
-        return not problems, "; ".join(problems)
-    guarded("factored-map-shape", map_shape)
+    membership = _report("membership", not missing,
+                         f"absent from the paired clause set: {[str(c) for c in missing]}")
 
     # (v) and (vi) share the atoms produced below the attention image; when
     # the order cannot rank it, each of them computes it again and reports
@@ -518,11 +660,12 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         delta = con.delta_of(image)
         if delta is not None:
             expected.add(delta)
-        return positives == expected, (
-            f"trail makes {sorted(a.text for a in positives)} true, "
+        if facts.positives == expected:
+            return True, ""
+        return False, (
+            f"trail makes {sorted(a.text for a in facts.positives)} true, "
             f"construction expects {sorted(a.text for a in expected)}"
         )
-    guarded("positives-match-production", positives_match)
 
     # (vi) negative trail atoms = atoms below the image's maximal literal
     #      that are not produced below it
@@ -533,49 +676,12 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
             prefix = con.prefix_below(image) if below is None else below
             expected = {a for a in order.atoms_below(order.max_literal(image))
                         if a not in prefix}
-        return negatives == expected, (
-            f"trail makes {sorted(a.text for a in negatives)} false, "
+        if facts.negatives == expected:
+            return True, ""
+        return False, (
+            f"trail makes {sorted(a.text for a in facts.negatives)} false, "
             f"expected {sorted(a.text for a in expected)}"
         )
-    guarded("negatives-cover-gap", negatives_match)
-
-    # (vii) trail atoms strictly ascend
-    def ascends() -> Tuple[bool, str]:
-        ranks = [order.atom_rank(e.literal.atom) for e in state.trail]
-        ok = all(a < b for a, b in zip(ranks, ranks[1:]))
-        return ok, f"trail atom ranks {ranks} are not strictly ascending"
-    guarded("trail-ascends", ascends)
-
-    # (viii) every positive trail atom is produced on the paired side
-    unproduced = [a.text for a in positives if con.producer_of(a) is None]
-    add("producers-exist", not unproduced, f"no producer for {sorted(unproduced)}")
-
-    # (ix) each producer has a preimage under the map, and propagations
-    #      record exactly the producing clause as their justification
-    problems9: List[str] = []
-    for e in state.trail:
-        if not e.literal.positive:
-            continue
-        producer = con.producer_of(e.literal.atom)
-        if producer is None:
-            problems9.append(f"{e.literal.atom} has no producer")
-            continue
-        if producer not in index.images:
-            problems9.append(f"no clause maps onto the producer {producer}")
-        if not e.is_decision and e.reason != producer:
-            problems9.append(
-                f"justification {e.reason} of {e.literal} differs from the "
-                f"producer {producer}"
-            )
-    add("producer-preimages", not problems9, "; ".join(problems9))
-
-    # (x) a live conflict always sits on top of a propagation
-    if state.conflict is None or state.conflict.is_empty:
-        add("conflict-top-propagation", True)
-    else:
-        ok10 = bool(state.trail) and not state.trail[-1].is_decision
-        add("conflict-top-propagation", ok10,
-            "conflict without a top propagation")
 
     # (xi) the conflict clause is the smallest false clause of the paired
     #      construction and the top justification is the attention image
@@ -608,30 +714,31 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                         "positive maximum"
                     )
         return not problems, "; ".join(problems)
-    guarded("conflict-is-minimal-false", conflict_shape)
 
-    # (xii) everything up to the attention clause is satisfied
+    # (xii) everything up to the attention clause is satisfied; the clauses
+    #       before the version's first unsatisfied one are
     def prefix_satisfied() -> Tuple[bool, str]:
-        prefix = index.up_to(_gamma_key(order, ann.aid, ann.gamma))
+        prefix = facts.index.up_to(_gamma_key(order, ann.aid, ann.gamma),
+                                   facts.first_unsatisfied)
         unsat = sorted((i, c) for i, c in prefix if c.literal_texts.isdisjoint(true))
         return not unsat, f"not satisfied yet: {[str(c) for _, c in unsat]}"
-    guarded("prefix-satisfied", prefix_satisfied)
 
-    # (xiii) outside conflict mode no clause is false
-    if state.conflict is None:
-        overlooked = conflict_candidates(state)
-        add("no-missed-conflict", not overlooked,
-            f"falsified but unclaimed: {[str(c) for c in overlooked]}")
-    else:
-        add("no-missed-conflict", True)
-
-    # (xiv) the two sides refute together
-    here = state.conflict == EMPTY_CLAUSE
-    there = snapshot.contains(EMPTY_CLAUSE)
-    add("refutation-sync", here == there,
-        f"trail side refuted: {here}, saturation side refuted: {there}")
-
-    return reports
+    return [
+        scope,
+        bound,
+        membership,
+        map_shape,
+        _guarded("positives-match-production", positives_match),
+        _guarded("negatives-cover-gap", negatives_match),
+        ascends,
+        producers,
+        preimages,
+        conflict_top,
+        _guarded("conflict-is-minimal-false", conflict_shape),
+        _guarded("prefix-satisfied", prefix_satisfied),
+        missed,
+        sync,
+    ]
 
 
 def check_progress(order: ProblemOrder, before: Annotation,
@@ -719,11 +826,12 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations
-    index = None
+    facts = None
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
         if 0 <= ann.index < len(sup.snapshots):
-            index = _index_for(order, state, ann.gamma, index)
-            reports = check_invariants(order, state, ann, sup.snapshots[ann.index], index)
+            snapshot = sup.snapshots[ann.index]
+            facts = _facts_for(order, state, ann.gamma, snapshot, facts)
+            reports = check_invariants(order, state, ann, snapshot, facts)
         else:
             reports = [InvariantReport(
                 "pair-index-in-range", False,

@@ -144,34 +144,161 @@ def _parts(index):
     return index.ranked, index.images, index.atoms, index.map_entries
 
 
-def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
-    """At every boundary the verifier checks, its index holds what a fresh
-    index of that boundary holds, and the invariants read through it report
-    exactly what a call without an index reports. Boundaries right after a
-    factoring round, where the map changes and the learned clauses do not,
-    are among them."""
+def _verified_calls(monkeypatch, problems):
+    """For each problem, its verifier result and the arguments of every
+    check_invariants call the verifier made, through the module attribute
+    as the span tracer sees them."""
     calls = []
     real = simulation.check_invariants
 
-    def recorded(order, state, ann, snapshot, index=None):
-        calls.append((order, state, ann, snapshot, index))
-        return real(order, state, ann, snapshot, index)
+    def recorded(order, state, ann, snapshot, facts=None):
+        calls.append((order, state, ann, snapshot, facts))
+        return real(order, state, ann, snapshot, facts)
 
     monkeypatch.setattr(simulation, "check_invariants", recorded)
-    remapped = 0
-    for p in _problems():
+    for p in problems:
         calls.clear()
-        assert lockstep_verify(p).ok
+        result = lockstep_verify(p)
+        yield result, list(calls)
+
+
+def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
+    """At every boundary the verifier checks, the index it reads holds what
+    a fresh index of that boundary holds. Boundaries right after a factoring
+    round, where the map changes and the learned clauses do not, are among
+    them. The verifier calls check_invariants exactly once per boundary
+    whose pair index is in range, which the span tracer's counts rely on."""
+    remapped = 0
+    for result, calls in _verified_calls(monkeypatch, _problems()):
+        assert result.ok
+        assert [ann for _, _, ann, _, _ in calls] == result.sim.annotations
         last = None
-        for order, state, ann, snapshot, index in calls:
-            assert index is not None
-            assert _parts(index) == _parts(_AttentionIndex(order, state, ann.gamma))
-            assert (real(order, state, ann, snapshot, index)
-                    == real(order, state, ann, snapshot))
+        for order, state, ann, snapshot, facts in calls:
+            assert facts.state is state and facts.snapshot is snapshot
+            assert _parts(facts.index) == _parts(_AttentionIndex(order, state, ann.gamma))
             if last is not None and last[0] is not ann.gamma and last[1] is state.u:
                 remapped += 1
             last = ann.gamma, state.u
     assert remapped > 20
+
+
+def _pair_indices_out_of_range(real, *args, **kwargs):
+    run = real(*args, **kwargs)
+    for i, index in ((1, -1), (2, 10**6)):
+        seq = run.seqs[i]
+        run.seqs[i] = dataclasses.replace(
+            seq, annotation=dataclasses.replace(seq.annotation, index=index))
+    return run
+
+
+def test_boundaries_out_of_range_are_not_checked(monkeypatch):
+    real = simulation.run_scl_sup
+    monkeypatch.setattr(simulation, "run_scl_sup",
+                        lambda *a, **k: _pair_indices_out_of_range(real, *a, **k))
+    with open(os.path.join(DATA, "double_conflict.prob"), encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
+    [(result, calls)] = _verified_calls(monkeypatch, [problem])
+    annotations = result.sim.annotations
+    assert [ann for _, _, ann, _, _ in calls] == annotations[:2] + annotations[4:]
+
+
+def _ladder_pool(seed):
+    problems = []
+    for instance in workloads.make_instances("ladder", seed):
+        instance.setup()
+        problems.append(instance.problem)
+    return problems
+
+
+def test_carried_facts_read_as_fresh_ones(monkeypatch):
+    """At every boundary the verifier checks, the invariants read through
+    the facts it carries from the boundary before report exactly what a call
+    without them reports: on the golden files, the generated problems, the
+    15-atom instance and the ladder pool at seed 1. More than half of the
+    ladder boundaries share their version with the boundary before them."""
+    problems, pool = _problems(), _ladder_pool(1)
+    real = simulation.check_invariants
+    reused = checked = 0
+    for n, (result, calls) in enumerate(_verified_calls(monkeypatch, problems + pool)):
+        assert result.ok
+        last = None
+        for order, state, ann, snapshot, facts in calls:
+            assert real(order, state, ann, snapshot, facts) == real(order, state, ann, snapshot)
+            if n >= len(problems):
+                checked += 1
+                reused += facts is last
+            last = facts
+    assert 2 * reused > checked > 5000
+
+
+def test_facts_are_reused_only_for_their_own_version():
+    """Facts are carried to a boundary only when its state, map and snapshot
+    are the objects they were built for: not for the same state paired with
+    another snapshot, nor for a map or a state equal to theirs by value.
+    Read at such a boundary, they report what a fresh call reports."""
+    with open(os.path.join(DATA, "satisfiable.prob"), encoding="utf-8") as fh:
+        p = parse_problem(fh.read())
+    order = ProblemOrder(p)
+    sim, sup = run_scl_sup(p, order), run_sup_mo(p, order)
+    ann, state = sim.annotations[-1], sim.boundary_states[-1]
+    snapshot, other = sup.snapshots[ann.index], sup.snapshots[0]
+    facts = simulation._facts_for(order, state, ann.gamma, snapshot)
+    assert simulation._facts_for(order, state, ann.gamma, snapshot, facts) is facts
+
+    twin_gamma = dict(ann.gamma)
+    twin_state = dataclasses.replace(state)
+    assert twin_gamma == ann.gamma and twin_state == state
+    for s, gamma, snap in ((state, ann.gamma, other), (state, twin_gamma, snapshot),
+                           (twin_state, ann.gamma, snapshot)):
+        carried = simulation._facts_for(order, s, gamma, snap, facts)
+        assert carried is not facts
+        assert (carried.state, carried.gamma, carried.snapshot) == (s, gamma, snap)
+        at = dataclasses.replace(ann, gamma=gamma)
+        assert (check_invariants(order, s, at, snap, facts)
+                == check_invariants(order, s, at, snap))
+    assert (check_invariants(order, state, ann, other)
+            != check_invariants(order, state, ann, snapshot))
+
+
+def _shared_state_dropping_its_top(real, *args, **kwargs):
+    """The run with its state shared by the most boundaries replaced by a
+    copy without the top trail entry."""
+    run = real(*args, **kwargs)
+    ends = [seq.app_range[1] for seq in run.seqs]
+    k = max(ends, key=ends.count)
+    run.states[k] = dataclasses.replace(run.states[k], trail=run.states[k].trail[:-1])
+    return run
+
+
+def test_a_corrupted_shared_state_fails_as_fresh_calls_fail(monkeypatch):
+    """Several consecutive pass boundaries share one state; with its top
+    trail entry dropped, the verifier reports exactly what fresh calls at
+    every boundary report, and prefix-satisfied lists every clause up to the
+    attention clause that the state leaves unsatisfied, in state order."""
+    real = simulation.run_scl_sup
+    monkeypatch.setattr(simulation, "run_scl_sup",
+                        lambda *a, **k: _shared_state_dropping_its_top(real, *a, **k))
+    [problem] = _ladder_pool(0)[:1]
+    result = lockstep_verify(problem)
+    order, sim = result.order, result.sim
+    fresh = [simulation.BoundaryReport(b, ann.index, check_invariants(
+                 order, state, ann, result.sup.snapshots[ann.index]))
+             for b, (ann, state) in enumerate(zip(sim.annotations, sim.boundary_states))]
+    assert result.failures() == dataclasses.replace(result, boundaries=fresh).failures()
+
+    listed = []
+    for ann, state, report in zip(sim.annotations, sim.boundary_states, result.boundaries):
+        floor = _gamma_key(order, ann.aid, ann.gamma)
+        true, _ = state.valuation()
+        unsat = [str(c) for c in state.all_clauses()
+                 if _gamma_key(order, c, ann.gamma) <= floor
+                 and c.literal_texts.isdisjoint(true)]
+        [prefix] = [r for r in report.reports if r.name == "prefix-satisfied"]
+        assert prefix.detail == (f"not satisfied yet: {unsat}" if unsat else "")
+        if unsat:
+            listed.append((state, len(unsat)))
+    shared = [n for state, n in listed if state is listed[-1][0]]
+    assert len(shared) >= 3 and shared == sorted(shared) and shared[0] < shared[-1]
 
 
 TIE_TEXT = """\

@@ -188,7 +188,7 @@ class ModelConstruction:
         self.index = index
         self._ledger = ledger
         self._producer = producer              # atom -> clause, ascending
-        self._keys = keys                      # the clauses' keys, ascending
+        self._keys = keys                      # their keys, ascending
         self.minimal_false = _walk(rest, self.order, producer, keys, set(producer))
         self._complete = self.minimal_false is None
 

@@ -231,7 +231,7 @@ class _AttentionIndex:
         return clauses[i] if i < len(clauses) else None
 
     def up_to(self, key: Tuple[ClauseKey, ClauseKey],
-              start: int = 0) -> Iterator[Tuple[int, Clause]]:
+              start: int) -> Iterator[Tuple[int, Clause]]:
         """The clauses from ranked position ``start`` on whose key is at
         most ``key``, with their state positions, in the factored-image
         order."""

@@ -26,6 +26,12 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tupl
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CHARS = IDENT_START | set("0123456789")
 
+# The most argument lists a term may nest one inside another (``P(f(a))``
+# nests two). The orderings rank terms by recursion, which Python's default
+# recursion limit stops a few hundred levels down; a term at this bound
+# parses, ranks under kbo and lpo, and simulates.
+MAX_TERM_DEPTH = 100
+
 
 class GroundTerm:
     """A ground term: a symbol name applied to zero or more ground terms.
@@ -401,13 +407,22 @@ class _TermScanner:
         return self.text[start:self.pos]
 
     def term(self) -> GroundTerm:
+        """One ground term; a term nesting more than MAX_TERM_DEPTH
+        argument lists is rejected at its first column."""
+        self.skip_ws()
+        return self._term(self.pos, MAX_TERM_DEPTH)
+
+    def _term(self, start: int, room: int) -> GroundTerm:
         name = self.ident()
         if self.peek() == "(":
+            if not room:
+                raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels",
+                                 self.line, self.offset + start, code="term-too-deep")
             self.expect("(")
-            args = [self.term()]
+            args = [self._term(start, room - 1)]
             while self.peek() == ",":
                 self.expect(",")
-                args.append(self.term())
+                args.append(self._term(start, room - 1))
             self.expect(")")
             return GroundTerm(name, tuple(args))
         return GroundTerm(name)
@@ -487,8 +502,10 @@ def parse_problem(text: str) -> Problem:
                 else:
                     weights[name] = w
         elif head == "atoms":
+            col = rest_offset                   # column of each part's first character
             for part in rest.split("<"):
-                scanner = _TermScanner(part, lineno, rest_offset)
+                scanner = _TermScanner(part, lineno, col)
+                col += len(part) + 1
                 atom = scanner.term()
                 if not scanner.at_end():
                     raise scanner.error("trailing input after atom")
@@ -498,8 +515,10 @@ def parse_problem(text: str) -> Problem:
             if not rest.strip():
                 raise ParseError("empty clause in input", lineno, 1, code="empty-clause")
             lits: List[Literal] = []
+            col = rest_offset
             for part in rest.split("|"):
-                scanner = _TermScanner(part, lineno, rest_offset)
+                scanner = _TermScanner(part, lineno, col)
+                col += len(part) + 1
                 scanner.skip_ws()
                 positive = True
                 if scanner.peek() in "-~":

@@ -20,18 +20,19 @@ top of the trail), learns the conflict, and returns to level k-1; copies of
 the complement of that decision inside the conflict are exempt from the
 usual lower-level requirement on the rest.
 
-A trail has one valuation, ``SclState.valuation``: the texts of the literals
-it makes true and of those it makes false, each atom taking its last value.
-Whether a clause is true or false on a trail is one set test of its
-``literal_texts`` against these sets.
+A trail has one valuation, each atom taking its last trail entry. A state
+computes it once and keeps it (states are never changed in place); rules
+and drivers read it only through ``is_true``, ``is_false``,
+``is_defined``, ``literal_level`` and ``conflict_candidates``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import Atom, Clause, Literal, Problem, atoms_of
+from .core import Atom, Clause, Literal, Problem
 from .ordering import ProblemOrder
 
 
@@ -74,21 +75,20 @@ class SclState:
     def all_clauses(self) -> Tuple[Clause, ...]:
         return self.n + self.u
 
-    def valuation(self, assuming: Optional[Literal] = None) -> Tuple[Set[str], Set[str]]:
-        """The texts of the literals the trail makes true, and of those it
-        makes false.
+    @cached_property
+    def _last_entry(self) -> Dict[str, TrailEntry]:
+        return {e.literal.atom.text: e for e in self.trail}
 
-        Each atom takes its last value on the trail, and ``assuming`` is
-        read as if it were pushed on top. Atoms are read by text, as atom
-        equality means. A clause is then true when its ``literal_texts``
-        meet the first set, and false when they lie in the second.
-        """
-        last = {e.literal.atom.text: e.literal for e in self.trail}
-        if assuming is not None:
-            last[assuming.atom.text] = assuming
-        true = {l.text for l in last.values()}
-        false = {"-" + a if l.positive else a for a, l in last.items()}
-        return true, false
+    @cached_property
+    def _valuation(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+        last = self._last_entry
+        return (frozenset(e.literal.text for e in last.values()),
+                frozenset("-" + a if e.literal.positive else a for a, e in last.items()))
+
+    def valuation(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+        """The texts of the literals the trail makes true, and of those it
+        makes false, each atom taking its last value on the trail."""
+        return self._valuation
 
     def render(self) -> str:
         trail = ", ".join(e.render() for e in self.trail)
@@ -107,19 +107,25 @@ def initial_state(problem: Problem) -> SclState:
 
 
 def is_defined(state: SclState, atom: Atom) -> bool:
-    """Whether the trail assigns ``atom``. Here and in literal_level atoms
-    compare by text, which is what their equality means, without a
-    Python-level ``__eq__`` call per trail entry."""
-    text = atom.text
-    return any(e.literal.atom.text == text for e in state.trail)
+    """Whether the trail assigns ``atom``."""
+    return atom.text in state._last_entry
 
 
 def literal_level(state: SclState, literal: Literal) -> int:
-    text = literal.atom.text
-    for e in state.trail:
-        if e.literal.atom.text == text:
-            return e.level
-    raise ValueError(f"literal {literal} is undefined on the trail")
+    entry = state._last_entry.get(literal.atom.text)
+    if entry is None:
+        raise ValueError(f"literal {literal} is undefined on the trail")
+    return entry.level
+
+
+def is_true(state: SclState, clause: Clause) -> bool:
+    """Whether some literal of ``clause`` is true on the trail."""
+    return not clause.literal_texts.isdisjoint(state._valuation[0])
+
+
+def is_false(state: SclState, clause: Clause) -> bool:
+    """Whether every literal of ``clause`` is false on the trail."""
+    return clause.literal_texts <= state._valuation[1]
 
 
 def conflict_candidates(state: SclState,
@@ -131,7 +137,9 @@ def conflict_candidates(state: SclState,
     the literal would falsify. This is the one false-clause query; callers
     wanting the smallest such clause take the minimum under the order.
     """
-    _, false = state.valuation(assuming)
+    false = state._valuation[1]
+    if assuming is not None:
+        false = (false - {assuming.text}) | {assuming.complement().text}
     return [c for c in state.all_clauses() if c.literal_texts <= false]
 
 
@@ -164,7 +172,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
     for l in clause.distinct:
         _check_bound("propagate", order, l.atom)
     remainder = clause.with_count(literal, 0)
-    if not remainder.literal_texts <= state.valuation()[1]:
+    if not is_false(state, remainder):
         raise RuleError(
             "propagate", "remainder-not-false",
             f"{remainder} is not falsified by the trail",
@@ -180,7 +188,8 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
     """Guess ``literal`` and open level k+1. The atom must occur in the
     clauses and lie below the bound."""
     _need_no_conflict("decide", state)
-    if literal.atom not in atoms_of(state.all_clauses()):
+    texts = (literal.text, literal.complement().text)
+    if all(c.literal_texts.isdisjoint(texts) for c in state.all_clauses()):
         raise RuleError("decide", "unknown-atom", f"{literal.atom} occurs in no clause")
     if is_defined(state, literal.atom):
         raise RuleError("decide", "literal-defined", f"{literal.atom} is already on the trail")
@@ -197,7 +206,7 @@ def conflict(order: ProblemOrder, state: SclState, clause: Clause) -> SclState:
     _need_no_conflict("conflict", state)
     if clause not in state.all_clauses():
         raise RuleError("conflict", "unknown-clause", f"{clause} is not an input or learned clause")
-    if not clause.literal_texts <= state.valuation()[1]:
+    if not is_false(state, clause):
         raise RuleError("conflict", "clause-not-false", f"{clause} is not falsified by the trail")
     return SclState(
         trail=state.trail, n=state.n, u=state.u,

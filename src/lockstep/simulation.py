@@ -31,16 +31,16 @@ check_invariants reads each boundary as a version plus an attention
 clause. A version is one trail state under one map, paired with one
 snapshot; a pass round that needs no filler decision changes only the
 attention clause, so the boundary after it has the same version as the one
-before. Whatever the invariants read of the version alone (the valuation,
-the nine reports that do not mention attention, the learned clauses absent
-from the snapshot, and the first clause in the factored-image order that
-the trail leaves unsatisfied) is held in one facts object per version,
-computed on first read and reused while the state, the map and the
-snapshot are the same objects. Reuse is sound because each of these is a
-pure function of those three objects, none of which is ever changed in
-place. Only the attention half is computed at every boundary: membership
-of the attention clause, (v), (vi), (xi), and (xii) from the version's
-first unsatisfied clause up to the attention clause.
+before. Whatever the invariants read of the version alone (the nine
+reports that do not mention attention, the learned clauses absent from the
+snapshot, and the first clause in the factored-image order that the trail
+leaves unsatisfied) is held in one facts object per version, computed on
+first read and reused while the state, the map and the snapshot are the
+same objects. Reuse is sound because each of these is a pure function of
+those three objects, none of which is ever changed in place. Only the
+attention half is computed at every boundary: membership of the attention
+clause, (v), (vi), (xi), and (xii) from the version's first unsatisfied
+clause up to the attention clause.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from .core import (
     Atom,
@@ -70,6 +70,8 @@ from .scl import (
     decide,
     initial_state,
     is_defined,
+    is_false,
+    is_true,
     propagate,
     resolve,
     skip,
@@ -268,9 +270,7 @@ def filler_decisions(order: ProblemOrder, state: SclState,
                      bound: Literal) -> List[Literal]:
     """Negative decisions covering every undefined atom whose positive
     literal sits below ``bound``, in ascending atom order."""
-    true, false = state.valuation()
-    return [Literal(a, False) for a in order.atoms_below(bound)
-            if a.text not in true and a.text not in false]
+    return [Literal(a, False) for a in order.atoms_below(bound) if not is_defined(state, a)]
 
 
 def _act_on_positive_max(run: SimRun, j: int, clause: Clause,
@@ -316,7 +316,7 @@ def _round_no_conflict(run: SimRun, ann: Annotation,
     for f in filler_decisions(order, run.state, top_lit):
         run.apply(RuleApp("decide", literal=f), decide, f)
 
-    if not g.literal_texts.isdisjoint(run.state.valuation()[0]):
+    if is_true(run.state, g):
         return "pass", Annotation(ann.index, d, ann.gamma)
     if not top_lit.positive:
         raise SimulationError(
@@ -338,12 +338,10 @@ def _producing_clause(order: ProblemOrder, state: SclState,
     that test can select a clause whose leftover part is true, or never
     false at all because it carries both polarities of some atom.
     """
-    _, false = state.valuation()
-
     def forces(c: Clause) -> bool:
         img = gamma.get(c, c)
         return (order.is_strictly_maximal_in(literal, img)
-                and img.with_count(literal, 0).literal_texts <= false)
+                and is_false(state, img.with_count(literal, 0)))
 
     best = min(filter(forces, state.all_clauses()),
                key=lambda c: _gamma_key(order, c, gamma), default=None)
@@ -483,8 +481,7 @@ class _VersionFacts:
     index comes from the last version when it fits. Each part is computed
     on its first read:
 
-    - ``valuation``, ``positives`` and ``negatives``: the trail's valuation
-      and its positive and negative atoms;
+    - ``positives`` and ``negatives``: the trail's positive and negative atoms;
     - ``reports``: invariants (i), (ii), (iv), (vii)-(x), (xiii) and (xiv),
       in that order;
     - ``unlearned``: the learned clauses absent from the snapshot, the part
@@ -501,10 +498,6 @@ class _VersionFacts:
         self.index = index
 
     @cached_property
-    def valuation(self) -> Tuple[Set[str], Set[str]]:
-        return self.state.valuation()
-
-    @cached_property
     def positives(self) -> FrozenSet[Atom]:
         return frozenset(e.literal.atom for e in self.state.trail if e.literal.positive)
 
@@ -518,9 +511,8 @@ class _VersionFacts:
 
     @cached_property
     def first_unsatisfied(self) -> int:
-        true, _ = self.valuation
         clauses = self.index.ranked[2]
-        return next((k for k, c in enumerate(clauses) if c.literal_texts.isdisjoint(true)),
+        return next((k for k, c in enumerate(clauses) if not is_true(self.state, c)),
                     len(clauses))
 
     @cached_property
@@ -636,7 +628,6 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
      missed, sync) = facts.reports
     con = snapshot.construction
-    true, false = facts.valuation
     image = ann.gamma.get(ann.aid, ann.aid)
 
     # (iii) the attention clause and all learned clauses exist on the paired side
@@ -695,7 +686,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                 f"{con.minimal_false}"
             )
         if not state.conflict.is_empty:
-            if not state.conflict.literal_texts <= false:
+            if not is_false(state, state.conflict):
                 problems.append("conflict clause is not falsified by the trail")
             top = state.trail[-1] if state.trail else None
             if top is None or top.is_decision:
@@ -720,7 +711,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     def prefix_satisfied() -> Tuple[bool, str]:
         prefix = facts.index.up_to(_gamma_key(order, ann.aid, ann.gamma),
                                    facts.first_unsatisfied)
-        unsat = sorted((i, c) for i, c in prefix if c.literal_texts.isdisjoint(true))
+        unsat = sorted((i, c) for i, c in prefix if not is_true(state, c))
         return not unsat, f"not satisfied yet: {[str(c) for _, c in unsat]}"
 
     return [

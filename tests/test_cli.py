@@ -5,8 +5,9 @@ import json
 import pytest
 
 from lockstep import cli, harness
-from lockstep.core import parse_problem
+from lockstep.core import MAX_TERM_DEPTH, parse_problem
 
+from test_core import deep_problem
 from test_simulation import KBO_TEXT, SAT_TEXT
 
 
@@ -198,6 +199,29 @@ def test_a_non_utf8_file_is_an_error_not_a_verdict(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: 'utf-8' codec can't decode byte 0xff in position 0: "
                             "invalid start byte\n")
+
+
+@pytest.mark.parametrize("kind", ["kbo", "lpo"])
+def test_a_term_at_the_depth_bound_simulates(kind, tmp_path, capsys):
+    f = tmp_path / "deep.prob"
+    f.write_text(deep_problem(kind, MAX_TERM_DEPTH))
+    assert cli.main(["check", str(f)]) == 0
+    assert cli.main(["simulate", "--strict", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert "verification: ok" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 5000])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_term_past_the_depth_bound_is_an_error_not_a_defect(command, depth, tmp_path, capsys):
+    f = tmp_path / "deep.prob"
+    f.write_text(deep_problem("lpo", depth))
+    assert cli.main([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line 3, col 16: term nested deeper than {MAX_TERM_DEPTH} levels\n")
 
 
 def test_a_value_error_inside_a_command_exits_two(unsat_file, capsys, monkeypatch):

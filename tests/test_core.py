@@ -13,6 +13,7 @@ from lockstep.core import (
     EMPTY_CLAUSE,
     GroundTerm,
     Literal,
+    MAX_TERM_DEPTH,
     OrderingConfig,
     ParseError,
     Problem,
@@ -22,7 +23,16 @@ from lockstep.core import (
     parse_problem,
     print_problem,
 )
-from lockstep.scl import SclState, TrailEntry
+from lockstep.ordering import ProblemOrder
+from lockstep.scl import (
+    SclState,
+    TrailEntry,
+    conflict_candidates,
+    is_defined,
+    is_false,
+    is_true,
+    literal_level,
+)
 
 
 def T(name, *args):
@@ -104,20 +114,42 @@ def test_herbrand_evaluation():
 
 def _status(assignment, clause):
     """The clause's status on a trail of decisions setting each atom of
-    ``assignment`` in turn, read through the two set tests on the trail's
-    valuation; a clause is never both true and false, and assuming the top
-    literal on the trail below it gives the same valuation."""
-    trail = tuple(TrailEntry(Literal(a, v), i + 1, None)
-                  for i, (a, v) in enumerate(assignment.items()))
-    state = SclState(trail, (), (), None)
-    true, false = state.valuation()
-    if trail:
-        below = SclState(trail[:-1], (), (), None)
-        assert below.valuation(assuming=trail[-1].literal) == (true, false)
-    is_true = not clause.literal_texts.isdisjoint(true)
-    is_false = clause.literal_texts <= false
-    assert not (is_true and is_false)
-    return "true" if is_true else "false" if is_false else "undefined"
+    ``assignment`` in turn, read through scl's queries. The same trail with
+    its top atom pushed first with the other value gives the same answers,
+    since each atom's last entry counts: a clause is never both true and
+    false, is_defined and literal_level name each atom's last entry, and
+    assuming the top literal on the trail below it falsifies the same
+    clauses mentioning the top atom as the full trail does."""
+    pushes = list(assignment.items())
+    variants = [pushes]
+    if pushes:
+        top_atom, top_value = pushes[-1]
+        variants.append([(top_atom, not top_value)] + pushes)
+    answers = set()
+    for variant in variants:
+        trail = tuple(TrailEntry(Literal(a, v), i + 1, None) for i, (a, v) in enumerate(variant))
+        state = SclState(trail, (clause,), (), None)
+        true, false = is_true(state, clause), is_false(state, clause)
+        assert not (true and false)
+        answers.add("true" if true else "false" if false else "undefined")
+        for a in _POOL:
+            assert is_defined(state, a) == (a in assignment)
+            levels = [e.level for e in trail if e.literal.atom == a]
+            for l in (Literal(a), Literal(a, False)):
+                if levels:
+                    assert literal_level(state, l) == levels[-1]
+                else:
+                    with pytest.raises(ValueError):
+                        literal_level(state, l)
+        if trail:
+            top = trail[-1].literal
+            mentioning = tuple(c for c in (clause, Clause([top]), Clause([top.complement()]))
+                               if top.atom in atoms_of([c]))
+            below = SclState(trail[:-1], mentioning, (), None)
+            assert (conflict_candidates(below, assuming=top)
+                    == conflict_candidates(SclState(trail, mentioning, (), None)))
+    [answer] = answers
+    return answer
 
 
 def test_three_valued_status():
@@ -349,9 +381,12 @@ PARSE_REJECTIONS = [
     ("order: kbo\nprec: a < P\nclause: P(a) | P(a,a)\n", "arity-mismatch", 3, 8,
      "symbol 'P' used with arities 1 and 2"),
     ("order: kbo\nprec: a < P\nclause: P(a\n", "syntax", 3, 12, "expected ')'"),
+    ("order: kbo\nprec: a < P\nclause: P(a) |  -P(a\n", "syntax", 3, 21, "expected ')'"),
     ("order: kbo\nprec: a < P\nclause: P(a) -P(a)\n", "syntax", 3, 14,
      "trailing input after literal"),
     ("order: listed\natoms: P Q\nclause: P\n", "syntax", 2, 10, "trailing input after atom"),
+    ("order: listed\natoms: P < Q R\nclause: P | Q\n", "syntax", 2, 14,
+     "trailing input after atom"),
     ("order: listed\natoms: P < P\nclause: P\n", "syntax", 2, 7,
      "repeated atom in 'atoms:' order"),
     ("order: kbo\nprec: a < < P\nclause: P(a)\n", "syntax", 2, 6,
@@ -384,6 +419,43 @@ def test_problem_rejects_the_empty_clause():
     with pytest.raises(ValueError, match="empty clause"):
         Problem(clauses=clauses,
                 ordering=OrderingConfig(kind="listed", listed_atoms=(Atom("P"),)))
+
+
+def nested_atom(depth):
+    """P(f(...f(a)...)), nesting ``depth`` argument lists."""
+    return "P(" + "f(" * (depth - 1) + "a" + ")" * depth
+
+
+def deep_problem(kind, depth):
+    """An unsatisfiable problem over Q(a) and one atom nesting ``depth``
+    argument lists, which line 3 names at column 16."""
+    atom = nested_atom(depth)
+    return (f"order: {kind}\nprec: a < f < P < Q\n"
+            f"clause: Q(a) | {atom}\nclause: Q(a) | -{atom}\nclause: -Q(a)\n")
+
+
+@pytest.mark.parametrize("kind,ascending", [("kbo", "QP"), ("lpo", "PQ")])
+def test_a_term_at_the_depth_bound_parses_and_ranks(kind, ascending):
+    p = parse_problem(deep_problem(kind, MAX_TERM_DEPTH))
+    assert {a.text for a in p.atom_universe} == {"Q(a)", nested_atom(MAX_TERM_DEPTH)}
+    assert "".join(a.name for a in ProblemOrder(p).atoms_ascending) == ascending
+
+
+@pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 5000])
+@pytest.mark.parametrize("kind", ["kbo", "lpo"])
+def test_a_term_past_the_depth_bound_is_a_parse_error(kind, depth):
+    # far past the bound, the scanner used to overflow Python's stack
+    with pytest.raises(ParseError) as exc:
+        parse_problem(deep_problem(kind, depth))
+    assert (exc.value.code, exc.value.line, exc.value.col, exc.value.message) == (
+        "term-too-deep", 3, 16, f"term nested deeper than {MAX_TERM_DEPTH} levels")
+
+
+def test_a_term_past_the_depth_bound_is_rejected_in_the_atom_list():
+    atom = nested_atom(MAX_TERM_DEPTH + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_problem(f"order: listed\natoms: Q < {atom}\nclause: Q | {atom}\n")
+    assert (exc.value.code, exc.value.line, exc.value.col) == ("term-too-deep", 2, 12)
 
 
 def test_parse_error_carries_position():

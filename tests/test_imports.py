@@ -67,3 +67,16 @@ def test_the_package_root_imports_only_submodules():
             f"__init__.py line {node.lineno} is not 'from . import <submodules>'")
         names = {alias.name for alias in node.names}
         assert names <= submodules, f"__init__.py imports non-modules {sorted(names - submodules)}"
+
+
+def test_the_driver_reads_the_valuation_only_through_scl():
+    # the valuation's format (literal-text sets) stays inside scl: the
+    # driver and verifier ask is_true, is_false, is_defined and
+    # conflict_candidates instead
+    path = os.path.join(SRC, "simulation.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    reads = sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("valuation", "literal_texts"))
+    assert not reads, f"simulation.py reads the valuation's format at {reads}"

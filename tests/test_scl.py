@@ -27,6 +27,8 @@ from lockstep.scl import (
     factorize,
     initial_state,
     is_defined,
+    is_false,
+    is_true,
     literal_level,
     propagate,
     resolve,
@@ -304,6 +306,20 @@ def test_is_defined_and_levels(kbo):
         literal_level(s, Literal(Atom("Z")))
 
 
+def test_a_state_computes_its_valuation_once(kbo):
+    # a state is never changed in place, so it keeps the valuation it
+    # computed; a copy is another state and computes its own
+    p, po = kbo
+    s = propagate(po, decide(po, initial_state(p), PA), p.clauses.by_id(1), QB)
+    true, false = s.valuation()
+    assert true == {"P(a)", "Q(b)"} and false == {"-P(a)", "-Q(b)"}
+    assert s.valuation()[0] is true and s.valuation()[1] is false
+    copy = dataclasses.replace(s)
+    assert copy == s and copy.valuation() == (true, false)
+    assert copy.valuation()[0] is not true and copy.valuation()[1] is not false
+    assert copy.valuation()[0] is copy.valuation()[0]
+
+
 def test_regularity_audit_flags_ignored_conflicts(kbo):
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
@@ -360,13 +376,22 @@ def _falsified_by_scan(state, extra=None):
     ]
 
 
+def _last_entries_by_scan(state):
+    """Each atom's last trail entry, by a plain scan."""
+    last = {}
+    for e in state.trail:
+        last[e.literal.atom] = e
+    return last
+
+
 def test_conflict_candidates_assuming_a_literal_matches_a_scan():
     # every state of some trail runs, conflict mode and refuted states
     # included, probed with both literals of every atom: an atom the trail
     # already defines takes the assumed value instead of the trail's; the
     # problems include tautologies, and each state is probed once more with
     # the empty clause among its learned clauses and once with its first
-    # trail atom pushed again with the other sign
+    # trail atom pushed again with the other sign, one level up; on each,
+    # is_true, is_false, is_defined and literal_level agree with the scan
     params = GenParams(preds=("P", "Q", "R"), consts=("a", "b"), clause_count=8,
                        max_len=4)
     problems = [parse_problem(KBO_TEXT)] + [
@@ -383,12 +408,25 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
             variants = [s, dataclasses.replace(s, u=s.u + (EMPTY_CLAUSE,))]
             if s.trail:     # an atom on the trail twice: its last value counts
                 first = s.trail[0]
-                flipped = dataclasses.replace(first, literal=first.literal.complement())
+                flipped = dataclasses.replace(first, literal=first.literal.complement(),
+                                              level=s.k + 1)
                 variants.append(dataclasses.replace(s, trail=s.trail + (flipped,)))
             for state in variants:
                 assert conflict_candidates(state) == _falsified_by_scan(state)
+                last = _last_entries_by_scan(state)
+                false = _falsified_by_scan(state)
+                for c in state.all_clauses():
+                    assert is_false(state, c) == (c in false)
+                    assert is_true(state, c) == any(
+                        l.atom in last and last[l.atom].literal == l for l in c.literals)
                 for a in run.order.atoms_ascending:
+                    assert is_defined(state, a) == (a in last)
                     for literal in (Literal(a), Literal(a, False)):
+                        if a in last:
+                            assert literal_level(state, literal) == last[a].level
+                        else:
+                            with pytest.raises(ValueError):
+                                literal_level(state, literal)
                         got = conflict_candidates(state, assuming=literal)
                         assert got == _falsified_by_scan(state, literal)
                         probed += 1

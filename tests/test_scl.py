@@ -376,14 +376,6 @@ def _falsified_by_scan(state, extra=None):
     ]
 
 
-def _last_entries_by_scan(state):
-    """Each atom's last trail entry, by a plain scan."""
-    last = {}
-    for e in state.trail:
-        last[e.literal.atom] = e
-    return last
-
-
 def test_conflict_candidates_assuming_a_literal_matches_a_scan():
     # every state of some trail runs, conflict mode and refuted states
     # included, probed with both literals of every atom: an atom the trail
@@ -412,9 +404,9 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
                                               level=s.k + 1)
                 variants.append(dataclasses.replace(s, trail=s.trail + (flipped,)))
             for state in variants:
-                assert conflict_candidates(state) == _falsified_by_scan(state)
-                last = _last_entries_by_scan(state)
                 false = _falsified_by_scan(state)
+                assert conflict_candidates(state) == false
+                last = {e.literal.atom: e for e in state.trail}     # later entries win
                 for c in state.all_clauses():
                     assert is_false(state, c) == (c in false)
                     assert is_true(state, c) == any(

@@ -20,6 +20,7 @@ derives, not something a problem states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
@@ -150,7 +151,7 @@ class Clause:
     @property
     def literals(self) -> Tuple[Literal, ...]:
         """Every copy, sorted by text."""
-        return tuple(l for l, n in zip(self.distinct, self.counts) for _ in range(n))
+        return tuple(chain.from_iterable(map(repeat, self.distinct, self.counts)))
 
     @property
     def literal_texts(self) -> FrozenSet[str]:
@@ -506,10 +507,12 @@ def parse_problem(text: str) -> Problem:
             for part in rest.split("<"):
                 scanner = _TermScanner(part, lineno, col)
                 col += len(part) + 1
+                scanner.skip_ws()
+                term_col = scanner.offset + scanner.pos
                 atom = scanner.term()
                 if not scanner.at_end():
                     raise scanner.error("trailing input after atom")
-                _record_arities(atom, arities, lineno, rest_offset)
+                _record_arities(atom, arities, lineno, term_col)
                 listed.append(interned.setdefault(atom.text, atom))
         elif head == "clause":
             if not rest.strip():
@@ -524,10 +527,12 @@ def parse_problem(text: str) -> Problem:
                 if scanner.peek() in "-~":
                     positive = False
                     scanner.pos += 1
+                    scanner.skip_ws()
+                term_col = scanner.offset + scanner.pos
                 atom = scanner.term()
                 if not scanner.at_end():
                     raise scanner.error("trailing input after literal")
-                _record_arities(atom, arities, lineno, rest_offset)
+                _record_arities(atom, arities, lineno, term_col)
                 lits.append(Literal(interned.setdefault(atom.text, atom), positive))
             clauses.append(Clause(lits))
         else:

@@ -2,7 +2,11 @@
 
 The brute-force routines here never look at the calculi; they enumerate
 assignments directly, so they can arbitrate when the two engines are
-suspected of agreeing on a wrong answer.
+suspected of agreeing on a wrong answer. The enumeration is bit-parallel
+over the lowest INNER_ATOMS atoms, whose every assignment is one bit of a
+clause's truth-table integer, and counts the remaining atoms up one
+assignment at a time; it returns the same first model, in bitmask
+counting order, as a loop over every mask would.
 """
 
 from __future__ import annotations
@@ -32,16 +36,48 @@ from .simulation import lockstep_verify
 from .superposition import SATISFIABLE, UNSATISFIABLE
 
 MAX_ORACLE_ATOMS = 20
+# Atoms per bit-parallel block of the oracle: a clause's truth table over
+# them is a 4,096-bit integer (512 bytes), so the 20-atom cap leaves 256
+# outer assignments to count in Python. A larger block makes every AND
+# longer and tests more inner assignments before an early exit can stop
+# it; a smaller one moves the loop back into Python.
+INNER_ATOMS = 12
 
 
 def _universe(clauses: Iterable[Clause]) -> List[Atom]:
     return sorted(atoms_of(clauses), key=lambda a: a.text)
 
 
+def _columns(width: int) -> List[int]:
+    """Truth-table columns over the lowest ``width`` atoms: a
+    ``2**width``-bit integer per atom ``i`` whose bit ``m`` is bit ``i`` of
+    ``m``. Each is one period of its pattern doubled until it fills the
+    table."""
+    size = 1 << width
+    columns = []
+    for i in range(width):
+        run = 1 << i
+        pattern, period = ((1 << run) - 1) << run, run << 1
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        columns.append(pattern)
+    return columns
+
+
 def brute_force_sat(clauses: Iterable[Clause]) -> Optional[frozenset]:
     """First satisfying model in bitmask counting order, None if there is
     none. Atoms are bit-indexed in text order, so smaller assignments (fewer
-    and textually earlier true atoms) are tried first."""
+    and textually earlier true atoms) are tried first.
+
+    The lowest INNER_ATOMS atoms are enumerated bit-parallel: each clause
+    becomes one truth-table integer over them, the OR of its inner
+    literals' columns, so one AND tests every inner assignment at once. The
+    outer atoms are counted up one assignment at a time; under each, the
+    clauses it does not already satisfy are ANDed until nothing is left,
+    and the lowest surviving bit completes the first model in the same
+    counting order as a plain loop over every mask.
+    """
     clauses = list(clauses)
     atoms = _universe(clauses)
     if len(atoms) > MAX_ORACLE_ATOMS:
@@ -49,19 +85,36 @@ def brute_force_sat(clauses: Iterable[Clause]) -> Optional[frozenset]:
             f"{len(atoms)} atoms exceed the brute-force cap of {MAX_ORACLE_ATOMS}"
         )
     index = {a: i for i, a in enumerate(atoms)}
-    sig = []                       # per clause: its positive and negative atom bits
+    inner = min(len(atoms), INNER_ATOMS)
+    columns = _columns(inner)
+    table = (1 << (1 << inner)) - 1   # every inner assignment
+    always = table                    # AND of the clauses without outer atoms
+    sig = []                          # per other clause: outer pos and neg bits, table
     for c in clauses:
-        pos = neg = 0
+        pos = neg = vec = 0
         for l in c.distinct:
-            bit = 1 << index[l.atom]
-            if l.positive:
-                pos |= bit
+            i = index[l.atom]
+            if i < inner:
+                vec |= columns[i] if l.positive else table ^ columns[i]
+            elif l.positive:
+                pos |= 1 << (i - inner)
             else:
-                neg |= bit
-        sig.append((pos, neg))
-    full = (1 << len(atoms)) - 1
-    for mask in range(1 << len(atoms)):
-        if all(mask & pos or neg & ~mask & full for pos, neg in sig):
+                neg |= 1 << (i - inner)
+        if pos or neg:
+            sig.append((pos, neg, vec))
+        else:
+            always &= vec
+    if not always:
+        return None
+    for high in range(1 << (len(atoms) - inner)):
+        live = always
+        for pos, neg, vec in sig:
+            if not (high & pos or neg & ~high):
+                live &= vec
+                if not live:
+                    break
+        else:
+            mask = (live & -live).bit_length() - 1 | high << inner
             return frozenset(a for a in atoms if mask >> index[a] & 1)
     return None
 

@@ -76,25 +76,48 @@ def _kbo_key(term: GroundTerm, config: OrderingConfig, prec: Dict[str, int]) -> 
     return (weight, _prec_of(term.name, prec), *args)
 
 
-def _lpo_gt(s: GroundTerm, t: GroundTerm, prec: Dict[str, int]) -> bool:
+def _lpo_gt(s: GroundTerm, t: GroundTerm, prec: Dict[str, int],
+            memo: Dict[Tuple[GroundTerm, GroundTerm], bool]) -> bool:
+    """Whether ``s`` is above ``t`` in ground lpo.
+
+    The recursion asks about the same pair of subterms again and again, and
+    without ``memo`` its time doubles with each level of nesting. The memo
+    holds the answer per pair; it is valid for one precedence and is kept
+    for one comparison or one sort."""
+    key = (s, t)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _lpo_decide(s, t, prec, memo)
+    return found
+
+
+def _lpo_decide(s: GroundTerm, t: GroundTerm, prec: Dict[str, int],
+                memo: Dict[Tuple[GroundTerm, GroundTerm], bool]) -> bool:
     if s == t:
         return False
     for si in s.args:
-        if si == t or _lpo_gt(si, t, prec):
+        if si == t or _lpo_gt(si, t, prec, memo):
             return True
     ps = _prec_of(s.name, prec)
     pt = _prec_of(t.name, prec)
     if ps > pt:
-        return all(_lpo_gt(s, tj, prec) for tj in t.args)
+        return all(_lpo_gt(s, tj, prec, memo) for tj in t.args)
     if ps == pt:
         # same symbol, hence same arity: lexicographic on arguments
         for i, (si, ti) in enumerate(zip(s.args, t.args)):
             if si != ti:
-                if not _lpo_gt(si, ti, prec):
+                if not _lpo_gt(si, ti, prec, memo):
                     return False
-                return all(_lpo_gt(s, tj, prec) for tj in t.args[i + 1:])
+                return all(_lpo_gt(s, tj, prec, memo) for tj in t.args[i + 1:])
         return False
     return False
+
+
+def _lpo_compare(t1: GroundTerm, t2: GroundTerm, prec: Dict[str, int],
+                 memo: Dict[Tuple[GroundTerm, GroundTerm], bool]) -> int:
+    if t1 == t2:
+        return EQUAL
+    return GREATER if _lpo_gt(t1, t2, prec, memo) else LESS
 
 
 def compare_terms(t1: GroundTerm, t2: GroundTerm, config: OrderingConfig) -> int:
@@ -104,10 +127,7 @@ def compare_terms(t1: GroundTerm, t2: GroundTerm, config: OrderingConfig) -> int
         k1, k2 = _kbo_key(t1, config, prec), _kbo_key(t2, config, prec)
         return EQUAL if k1 == k2 else LESS if k1 < k2 else GREATER
     if config.kind == "lpo":
-        prec = _prec_table(config)
-        if t1 == t2:
-            return EQUAL
-        return GREATER if _lpo_gt(t1, t2, prec) else LESS
+        return _lpo_compare(t1, t2, _prec_table(config), {})
     raise ValueError("the 'listed' ordering defines no term comparison")
 
 
@@ -169,10 +189,15 @@ def _rank_atoms(problem: Problem) -> List[Atom]:
     if cfg.kind == "kbo":
         prec = _prec_table(cfg)
         return sorted(problem.atom_universe, key=lambda a: _kbo_key(a, cfg, prec))
+    prec, memo = _prec_table(cfg), {}
+
+    def compare(a: Atom, b: Atom) -> int:
+        return _lpo_compare(a, b, prec, memo)
+
     ranked = sorted(sorted(problem.atom_universe, key=lambda a: a.text),
-                    key=cmp_to_key(lambda a, b: compare_atoms(a, b, cfg)))
+                    key=cmp_to_key(compare))
     for left, right in zip(ranked, ranked[1:]):
-        if compare_atoms(left, right, cfg) == EQUAL:
+        if compare(left, right) == EQUAL:
             raise ValueError(f"atoms {left} and {right} are not strictly ordered")
     return ranked
 

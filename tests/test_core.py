@@ -378,7 +378,11 @@ PARSE_REJECTIONS = [
      "'atoms:' is only used by the listed ordering"),
     ("order: listed\nprec: P\natoms: P\nclause: P\n", "syntax", 1, 1,
      "'prec:' is not used by the listed ordering"),
-    ("order: kbo\nprec: a < P\nclause: P(a) | P(a,a)\n", "arity-mismatch", 3, 8,
+    ("order: kbo\nprec: a < P\nclause: P(a) | P(a,a)\n", "arity-mismatch", 3, 16,
+     "symbol 'P' used with arities 1 and 2"),
+    ("order: listed\natoms: P(a) < P(a,a)\nclause: P(a)\n", "arity-mismatch", 2, 15,
+     "symbol 'P' used with arities 1 and 2"),
+    ("order: kbo\nprec: a < P\nclause: P(a) | - P(a,a)\n", "arity-mismatch", 3, 18,
      "symbol 'P' used with arities 1 and 2"),
     ("order: kbo\nprec: a < P\nclause: P(a\n", "syntax", 3, 12, "expected ')'"),
     ("order: kbo\nprec: a < P\nclause: P(a) |  -P(a\n", "syntax", 3, 21, "expected ')'"),

@@ -1,10 +1,12 @@
 """Tests for the oracle, the problem generator, and the fuzz campaign."""
 
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -45,7 +47,13 @@ neg_q = Literal(Q, False)
 
 PA = Atom("P", (GroundTerm("a"),))
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+HERE = os.path.dirname(__file__)
+DATA = os.path.join(HERE, "data")
+WORKLOADS = os.path.join(HERE, os.pardir, "perfbench", "workloads.py")
+
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def _order_pq():
@@ -99,6 +107,99 @@ def test_golden_verdicts_match_the_oracle():
     }
 
 
+def _brute_force_by_loop(clauses):
+    """Reference: the plain loop over every bitmask that the bit-parallel
+    oracle replaced, one assignment per ``all(...)``."""
+    clauses = list(clauses)
+    atoms = harness._universe(clauses)
+    if len(atoms) > MAX_ORACLE_ATOMS:
+        raise ValueError(
+            f"{len(atoms)} atoms exceed the brute-force cap of {MAX_ORACLE_ATOMS}"
+        )
+    index = {a: i for i, a in enumerate(atoms)}
+    sig = []                       # per clause: its positive and negative atom bits
+    for c in clauses:
+        pos = neg = 0
+        for l in c.distinct:
+            bit = 1 << index[l.atom]
+            if l.positive:
+                pos |= bit
+            else:
+                neg |= bit
+        sig.append((pos, neg))
+    full = (1 << len(atoms)) - 1
+    for mask in range(1 << len(atoms)):
+        if all(mask & pos or neg & ~mask & full for pos, neg in sig):
+            return frozenset(a for a in atoms if mask >> index[a] & 1)
+    return None
+
+
+def test_oracle_matches_the_loop_on_campaign_problems():
+    # the acceptance campaign's problems, with the default ones beside them
+    campaign = GenParams(preds=("P", "Q", "R", "S"), consts=("a", "b"),
+                         max_arity=1, clause_count=10, max_len=4)
+    for seed, params in itertools.product(range(10000, 11000), (campaign, GenParams())):
+        clauses = random_problem(dataclasses.replace(params, seed=seed)).clauses.clauses()
+        assert brute_force_sat(clauses) == _brute_force_by_loop(clauses), seed
+
+
+@pytest.mark.parametrize("atom_count", [*range(15), 16])
+def test_oracle_matches_the_loop_on_random_clause_sets(atom_count):
+    # 12 atoms fill the bit-parallel block exactly; from 13 on, the outer
+    # atoms are counted one assignment at a time
+    rng = random.Random(atom_count)
+    atoms = [Atom(f"A{i:02d}") for i in range(atom_count)]
+    verdicts = set()
+    for _ in range(40 if atom_count <= 13 else 10):
+        clauses = [Clause(Literal(rng.choice(atoms), rng.random() < 0.5)
+                          for _ in range(rng.randint(1, 4)))
+                   for _ in range(rng.randint(0, round(4.5 * atom_count)))] if atoms else []
+        expected = _brute_force_by_loop(clauses)
+        assert brute_force_sat(clauses) == expected, clauses
+        verdicts.add(expected is None)
+    if atom_count > 1:
+        assert verdicts == {False, True}    # both answers were exercised
+
+
+def test_oracle_matches_the_loop_on_edge_clause_sets():
+    atoms = [Atom(f"A{i:02d}") for i in range(15)]
+    inner, outer = atoms[:harness.INNER_ATOMS], atoms[harness.INNER_ATOMS:]
+    only_outer = [Clause([Literal(outer[0]), Literal(outer[1], False)]),
+                  Clause([Literal(outer[1]), Literal(outer[2])]),
+                  Clause([Literal(outer[2], False)])]
+    cases = [
+        [],
+        [EMPTY_CLAUSE],
+        [Clause([Literal(inner[0])]), EMPTY_CLAUSE],
+        [Clause([Literal(outer[0])]), EMPTY_CLAUSE],
+        [Clause([Literal(inner[3]), Literal(inner[3], False)])],
+        [Clause([Literal(outer[2]), Literal(outer[2], False), Literal(inner[0])]),
+         Clause([Literal(inner[0], False)])],
+        [Clause([Literal(inner[5]), Literal(outer[1], False), Literal(outer[1])])]
+        + [Clause([Literal(a, False)]) for a in inner],
+        only_outer,
+        only_outer + [Clause([Literal(a)]) for a in inner],
+        only_outer + [Clause([Literal(outer[0], False)])],
+        [Clause([Literal(a)]) for a in atoms],
+    ]
+    for clauses in cases:
+        assert brute_force_sat(clauses) == _brute_force_by_loop(clauses), clauses
+
+
+@pytest.mark.parametrize("seed,satisfiable", [(4, False), (2, True)])
+def test_the_oracle_decides_20_atom_ladders_within_half_a_second(seed, satisfiable):
+    # the loop takes about 1.5 s on each
+    text, _ = workloads.ladder_text(MAX_ORACLE_ATOMS, seed)
+    clauses = parse_problem(text).clauses.clauses()
+    started = time.monotonic()
+    model = brute_force_sat(clauses)
+    elapsed = time.monotonic() - started
+    assert (model is not None) == satisfiable
+    if satisfiable:
+        assert model == _brute_force_by_loop(clauses)
+    assert elapsed < 0.5, f"decided in {elapsed:.2f} s"
+
+
 # ---------------------------------------------------------------------------
 # Entailment and redundancy
 # ---------------------------------------------------------------------------
@@ -131,19 +232,22 @@ def _entails_by_enumeration(premises, conclusion):
 
 def test_entailment_matches_enumeration_on_random_clause_sets():
     rng = random.Random(20231)
-    pool = [Literal(Atom(name), positive) for name in "PQRS" for positive in (True, False)]
 
-    def random_clause(min_len):
+    def random_clause(pool, min_len):
         return Clause(rng.choice(pool) for _ in range(rng.randint(min_len, 4)))
 
-    entailed = 0
-    for _ in range(400):
-        premises = [random_clause(1) for _ in range(rng.randint(0, 5))]
-        conclusion = random_clause(0)
-        expected = _entails_by_enumeration(premises, conclusion)
-        assert entails(premises, conclusion) == expected, (premises, conclusion)
-        entailed += expected
-    assert 0 < entailed < 400           # both answers were exercised
+    # the 14-atom pool reaches past the oracle's 12-atom bit-parallel block
+    for names, rounds, most_premises in (("PQRS", 400, 5),
+                                         ([f"A{i:02d}" for i in range(14)], 16, 40)):
+        pool = [Literal(Atom(name), positive) for name in names for positive in (True, False)]
+        entailed = 0
+        for _ in range(rounds):
+            premises = [random_clause(pool, 1) for _ in range(rng.randint(0, most_premises))]
+            conclusion = random_clause(pool, 0)
+            expected = _entails_by_enumeration(premises, conclusion)
+            assert entails(premises, conclusion) == expected, (premises, conclusion)
+            entailed += expected
+        assert 0 < entailed < rounds    # both answers were exercised
 
 
 def test_entailment_edge_conclusions():

@@ -8,7 +8,9 @@ KBO against a direct recursion on weight, precedence and arguments.
 """
 
 import os
+import random
 import re
+import time
 from collections import Counter
 from functools import cmp_to_key
 
@@ -22,6 +24,7 @@ from lockstep.core import (
     EMPTY_CLAUSE,
     GroundTerm,
     Literal,
+    MAX_TERM_DEPTH,
     OrderingConfig,
     OrderingError,
     Problem,
@@ -184,6 +187,79 @@ def test_kbo_ranking_matches_the_direct_recursion(config, atoms):
                       ordering=config)
     expected = sorted(set(atoms), key=cmp_to_key(lambda s, t: _ref_kbo(s, t, config)))
     assert ProblemOrder(problem).atoms_ascending == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# Ground LPO against the unmemoised recursion
+# ---------------------------------------------------------------------------
+
+
+def _ref_lpo_gt(s, t, prec):
+    """Ground LPO as a plain recursion, without a memo; its time doubles
+    with each level of nesting, so it is run only on shallow terms."""
+    if s == t:
+        return False
+    for si in s.args:
+        if si == t or _ref_lpo_gt(si, t, prec):
+            return True
+    ps = prec[s.name]
+    pt = prec[t.name]
+    if ps > pt:
+        return all(_ref_lpo_gt(s, tj, prec) for tj in t.args)
+    if ps == pt:
+        for i, (si, ti) in enumerate(zip(s.args, t.args)):
+            if si != ti:
+                if not _ref_lpo_gt(si, ti, prec):
+                    return False
+                return all(_ref_lpo_gt(s, tj, prec) for tj in t.args[i + 1:])
+        return False
+    return False
+
+
+def _ref_lpo(s, t, config):
+    prec = {name: i for i, name in enumerate(config.precedence)}
+    return EQUAL if s == t else GREATER if _ref_lpo_gt(s, t, prec) else LESS
+
+
+def _random_term(rng, depth):
+    """A term over a, b, c, unary f and h, and binary g, at most ``depth``
+    argument lists deep; terms that share subterms are common."""
+    if depth == 0 or rng.random() < 0.2:
+        return T(rng.choice("abc"))
+    if rng.random() < 0.15:
+        return T("g", _random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    return T(rng.choice("fh"), _random_term(rng, depth - 1))
+
+
+def test_lpo_comparison_matches_the_unmemoised_recursion():
+    rng = random.Random(8)
+    symbols = list("abcfgh") + ["P"]
+    for _ in range(60):
+        rng.shuffle(symbols)
+        config = OrderingConfig(kind="lpo", precedence=tuple(symbols))
+        atoms = [T("P", _random_term(rng, 7)) for _ in range(6)]
+        for s in atoms + [a.args[0] for a in atoms]:
+            for t in atoms + [a.args[0] for a in atoms]:
+                assert compare_terms(s, t, config) == _ref_lpo(s, t, config), (s, t)
+        problem = Problem(clauses=ClauseSet([Clause([Literal(a)]) for a in atoms]),
+                          ordering=config)
+        expected = sorted(set(atoms), key=cmp_to_key(lambda s, t: _ref_lpo(s, t, config)))
+        assert ProblemOrder(problem).atoms_ascending == tuple(expected)
+
+
+def test_lpo_ranks_atoms_at_the_depth_bound_quickly():
+    # the two atoms differ only at the bottom of MAX_TERM_DEPTH levels; the
+    # unmemoised recursion doubles its time with each level
+    atoms = ["P(" + "f(" * (MAX_TERM_DEPTH - 1) + c + ")" * MAX_TERM_DEPTH for c in "ab"]
+    text = (f"order: lpo\nprec: a < b < f < P\n"
+            f"clause: {atoms[0]} | {atoms[1]}\nclause: -{atoms[1]}\n")
+    started = time.monotonic()
+    problem = parse_problem(text)
+    ranked = ProblemOrder(problem).atoms_ascending
+    assert compare_terms(*problem.atom_universe, problem.ordering) != EQUAL
+    elapsed = time.monotonic() - started
+    assert [a.text for a in ranked] == atoms
+    assert elapsed < 1.0, f"ranked in {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

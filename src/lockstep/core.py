@@ -20,7 +20,7 @@ derives, not something a problem states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
@@ -126,6 +126,16 @@ class Clause:
         self._hash = hash((self.distinct, self.counts))
         return self
 
+    @classmethod
+    def from_runs(cls, distinct: Tuple[Literal, ...], counts: Tuple[int, ...]) -> "Clause":
+        """The clause with ``counts[i]`` copies of ``distinct[i]``, taken as
+        given: the caller vouches that ``distinct`` is in text order without
+        repeats and that every count is positive."""
+        clause = cls.__new__(cls)
+        clause.distinct, clause.counts = distinct, counts
+        clause._hash = hash((distinct, counts))
+        return clause
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Clause) and self.counts == other.counts
                 and self.distinct == other.distinct)
@@ -150,8 +160,14 @@ class Clause:
 
     @property
     def literals(self) -> Tuple[Literal, ...]:
-        """Every copy, sorted by text."""
-        return tuple(chain.from_iterable(map(repeat, self.distinct, self.counts)))
+        """Every copy, sorted by text. The list grows by runs of known
+        length; a tuple built from an iterator of unknown length grows by
+        reallocation, which fragments the heap when such tuples are built
+        and dropped one after another."""
+        copies: List[Literal] = []
+        for l, n in zip(self.distinct, self.counts):
+            copies += repeat(l, n)
+        return tuple(copies)
 
     @property
     def literal_texts(self) -> FrozenSet[str]:

@@ -226,6 +226,38 @@ def random_problem(params: GenParams) -> Problem:
     return Problem(clauses=clause_set, ordering=cfg)
 
 
+def pigeonhole(n: int, kind: str) -> Problem:
+    """PHP(n+1, n): n + 1 pigeons in n holes, unsatisfiable by counting,
+    whose resolution refutations grow exponentially with n (Haken, "The
+    Intractability of Resolution", TCS 1985).
+
+    Atom ``In(p,h)`` says that pigeon ``p`` sits in hole ``h``; pigeons are
+    ``p1``..``p(n+1)`` and holes ``h1``..``hn``, n(n+1) atoms in all. One
+    clause per pigeon puts it in some hole, and one clause per hole and
+    pair of pigeons keeps the two from sharing it. ``kind`` is 'kbo' or
+    'lpo', under the precedence ``h1 < .. < hn < p1 < .. < p(n+1) < In``;
+    both compare two atoms by their arguments left to right, so both rank
+    the atoms by pigeon, then hole. An ``n`` below 1 or another kind raises
+    ValueError.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    if kind not in ("kbo", "lpo"):
+        raise ValueError(f"kind must be 'kbo' or 'lpo', not {kind!r}")
+    pigeons = [GroundTerm(f"p{i}") for i in range(1, n + 2)]
+    holes = [GroundTerm(f"h{j}") for j in range(1, n + 1)]
+
+    def sits(p: GroundTerm, h: GroundTerm, positive: bool = True) -> Literal:
+        return Literal(Atom("In", (p, h)), positive)
+
+    clauses = [Clause([sits(p, h) for h in holes]) for p in pigeons]
+    clauses += [Clause([sits(p, h, False), sits(q, h, False)])
+                for h in holes for p, q in itertools.combinations(pigeons, 2)]
+    precedence = tuple(t.name for t in holes + pigeons) + ("In",)
+    return Problem(clauses=ClauseSet(clauses),
+                   ordering=OrderingConfig(kind=kind, precedence=precedence))
+
+
 # ---------------------------------------------------------------------------
 # Trace emission and fuzzing
 # ---------------------------------------------------------------------------

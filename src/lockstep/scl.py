@@ -21,9 +21,10 @@ the complement of that decision inside the conflict are exempt from the
 usual lower-level requirement on the rest.
 
 A trail has one valuation, each atom taking its last trail entry. A state
-computes it once and keeps it (states are never changed in place); rules
-and drivers read it only through ``is_true``, ``is_false``,
-``is_defined``, ``literal_level`` and ``conflict_candidates``.
+computes it once and keeps it (states are never changed in place), and
+likewise the clauses it falsifies; rules and drivers read them only
+through ``is_true``, ``is_false``, ``is_defined``, ``literal_level`` and
+``conflict_candidates``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ class SclState:
         return (frozenset(e.literal.text for e in last.values()),
                 frozenset("-" + a if e.literal.positive else a for a, e in last.items()))
 
+    @cached_property
+    def _false_clauses(self) -> Tuple[Clause, ...]:
+        false = self._valuation[1]
+        return tuple(c for c in self.all_clauses() if c.literal_texts <= false)
+
     def valuation(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
         """The texts of the literals the trail makes true, and of those it
         makes false, each atom taking its last value on the trail."""
@@ -136,10 +142,13 @@ def conflict_candidates(state: SclState,
     top of it: the clauses returned are those a propagation or decision of
     the literal would falsify. This is the one false-clause query; callers
     wanting the smallest such clause take the minimum under the order.
+    Without ``assuming`` the state keeps the answer, and each call returns
+    a fresh list of it.
     """
+    if assuming is None:
+        return list(state._false_clauses)
     false = state._valuation[1]
-    if assuming is not None:
-        false = (false - {assuming.text}) | {assuming.complement().text}
+    false = (false - {assuming.text}) | {assuming.complement().text}
     return [c for c in state.all_clauses() if c.literal_texts <= false]
 
 

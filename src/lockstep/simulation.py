@@ -458,17 +458,32 @@ class InvariantReport:
     detail: str = ""
 
 
-def _report(name: str, ok: bool, detail: str = "") -> InvariantReport:
-    return InvariantReport(name, bool(ok), "" if ok else detail)
+# The invariants check_invariants reports on, in its (i)-(xiv) order.
+INVARIANTS = (
+    "atoms-in-scope", "trail-below-bound", "membership", "factored-map-shape",
+    "positives-match-production", "negatives-cover-gap", "trail-ascends",
+    "producers-exist", "producer-preimages", "conflict-top-propagation",
+    "conflict-is-minimal-false", "prefix-satisfied", "no-missed-conflict",
+    "refutation-sync",
+)
+_PASSED = {name: InvariantReport(name, True) for name in INVARIANTS}
 
 
-def _guarded(name: str, fn: Callable[[], Tuple[bool, str]]) -> InvariantReport:
-    """The report of ``fn``, failing when the order cannot evaluate it."""
+def _report(name: str, ok: bool, detail: Callable[[], str]) -> InvariantReport:
+    """A passing invariant's one shared report, or a failing one's report
+    with its detail, which ``detail`` builds only then."""
+    return _PASSED[name] if ok else InvariantReport(name, False, detail())
+
+
+def _guarded(name: str, fn: Callable[[], Optional[str]]) -> InvariantReport:
+    """The report of ``fn``, which returns None when the invariant holds
+    and its failure detail otherwise, failing as well when the order cannot
+    evaluate it."""
     try:
-        ok, detail = fn()
+        detail = fn()
     except ValueError as e:
-        ok, detail = False, f"could not evaluate: {e}"
-    return _report(name, ok, detail)
+        detail = f"could not evaluate: {e}"
+    return _report(name, detail is None, lambda: detail)
 
 
 class _VersionFacts:
@@ -525,17 +540,18 @@ class _VersionFacts:
         mentioned = index.atoms | {e.literal.atom for e in state.trail}
         if state.conflict is not None:
             mentioned |= atoms_of([state.conflict])
-        foreign = sorted(a.text for a in mentioned - set(order.atoms_ascending))
-        scope = _report("atoms-in-scope", not foreign, f"foreign atoms {foreign}")
+        foreign = mentioned.difference(order.atoms_ascending)
+        scope = _report("atoms-in-scope", not foreign,
+                        lambda: f"foreign atoms {sorted(a.text for a in foreign)}")
 
         # (ii) the trail never reaches the bound
         beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
         bound = _report("trail-below-bound", not beyond,
-                        f"atoms at or above the bound: {beyond}")
+                        lambda: f"atoms at or above the bound: {beyond}")
 
         # (iv) the map stores exactly factored images that the paired set
         #      contains
-        def map_shape() -> Tuple[bool, str]:
+        def map_shape() -> Optional[str]:
             problems = []
             for c, img, factored, own in index.map_entries:
                 if not factored:
@@ -544,13 +560,14 @@ class _VersionFacts:
                     problems.append(f"image {img} is not in the paired set")
                 elif not own:
                     problems.append(f"{c} is neither input nor learned")
-            return not problems, "; ".join(problems)
+            return "; ".join(problems) if problems else None
 
         # (vii) trail atoms strictly ascend
-        def ascends() -> Tuple[bool, str]:
+        def ascends() -> Optional[str]:
             ranks = [order.atom_rank(e.literal.atom) for e in state.trail]
-            ok = all(a < b for a, b in zip(ranks, ranks[1:]))
-            return ok, f"trail atom ranks {ranks} are not strictly ascending"
+            if all(a < b for a, b in zip(ranks, ranks[1:])):
+                return None
+            return f"trail atom ranks {ranks} are not strictly ascending"
 
         # (viii) every positive trail atom is produced on the paired side
         unproduced = [a.text for a in positives if con.producer_of(a) is None]
@@ -590,14 +607,14 @@ class _VersionFacts:
             _guarded("factored-map-shape", map_shape),
             _guarded("trail-ascends", ascends),
             _report("producers-exist", not unproduced,
-                    f"no producer for {sorted(unproduced)}"),
-            _report("producer-preimages", not problems9, "; ".join(problems9)),
+                    lambda: f"no producer for {sorted(unproduced)}"),
+            _report("producer-preimages", not problems9, lambda: "; ".join(problems9)),
             _report("conflict-top-propagation", not live or on_top,
-                    "conflict without a top propagation"),
+                    lambda: "conflict without a top propagation"),
             _report("no-missed-conflict", not overlooked,
-                    f"falsified but unclaimed: {[str(c) for c in overlooked]}"),
+                    lambda: f"falsified but unclaimed: {[str(c) for c in overlooked]}"),
             _report("refutation-sync", here == there,
-                    f"trail side refuted: {here}, saturation side refuted: {there}"),
+                    lambda: f"trail side refuted: {here}, saturation side refuted: {there}"),
         )
 
 
@@ -635,7 +652,7 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
     membership = _report("membership", not missing,
-                         f"absent from the paired clause set: {[str(c) for c in missing]}")
+                         lambda: f"absent from the paired clause set: {[str(c) for c in missing]}")
 
     # (v) and (vi) share the atoms produced below the attention image; when
     # the order cannot rank it, each of them computes it again and reports
@@ -646,21 +663,21 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     # (v) positive trail atoms = atoms produced below the attention image,
     #     plus that image's own production
-    def positives_match() -> Tuple[bool, str]:
+    def positives_match() -> Optional[str]:
         expected = set(con.prefix_below(image) if below is None else below)
         delta = con.delta_of(image)
         if delta is not None:
             expected.add(delta)
         if facts.positives == expected:
-            return True, ""
-        return False, (
+            return None
+        return (
             f"trail makes {sorted(a.text for a in facts.positives)} true, "
             f"construction expects {sorted(a.text for a in expected)}"
         )
 
     # (vi) negative trail atoms = atoms below the image's maximal literal
     #      that are not produced below it
-    def negatives_match() -> Tuple[bool, str]:
+    def negatives_match() -> Optional[str]:
         if image.is_empty:
             expected = set()
         else:
@@ -668,17 +685,17 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
             expected = {a for a in order.atoms_below(order.max_literal(image))
                         if a not in prefix}
         if facts.negatives == expected:
-            return True, ""
-        return False, (
+            return None
+        return (
             f"trail makes {sorted(a.text for a in facts.negatives)} false, "
             f"expected {sorted(a.text for a in expected)}"
         )
 
     # (xi) the conflict clause is the smallest false clause of the paired
     #      construction and the top justification is the attention image
-    def conflict_shape() -> Tuple[bool, str]:
+    def conflict_shape() -> Optional[str]:
         if state.conflict is None:
-            return True, ""
+            return None
         problems = []
         if con.minimal_false != state.conflict:
             problems.append(
@@ -704,15 +721,17 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                         f"top literal {top.literal} is not the image's "
                         "positive maximum"
                     )
-        return not problems, "; ".join(problems)
+        return "; ".join(problems) if problems else None
 
     # (xii) everything up to the attention clause is satisfied; the clauses
     #       before the version's first unsatisfied one are
-    def prefix_satisfied() -> Tuple[bool, str]:
+    def prefix_satisfied() -> Optional[str]:
         prefix = facts.index.up_to(_gamma_key(order, ann.aid, ann.gamma),
                                    facts.first_unsatisfied)
-        unsat = sorted((i, c) for i, c in prefix if not is_true(state, c))
-        return not unsat, f"not satisfied yet: {[str(c) for _, c in unsat]}"
+        unsat = [(i, c) for i, c in prefix if not is_true(state, c)]
+        if not unsat:
+            return None
+        return f"not satisfied yet: {[str(c) for _, c in sorted(unsat)]}"
 
     return [
         scope,
@@ -854,10 +873,10 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
                 f"final pair index {final_index} does not match the "
                 f"{len(sup.steps)} saturation steps"
             )
-        images = {sfac(c, order) for c in sup.snapshots[-1].clauses}
+        final = sup.snapshots[-1]
         for c in sim.learned:
             try:
-                if sfac(c, order) not in images:
+                if not final.contains(sfac(c, order)):
                     ff.append(
                         f"learned clause {c} has no factored twin among the "
                         "derived clauses"
@@ -865,7 +884,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
             except ValueError as e:
                 ff.append(f"learned clause {c}: could not evaluate: {e}")
         here = EMPTY_CLAUSE in sim.learned
-        there = EMPTY_CLAUSE in sup.snapshots[-1].clauses
+        there = final.contains(EMPTY_CLAUSE)
         if here != there:
             ff.append("only one side of the pair refuted")
         if sim.outcome == SATISFIABLE and sim.model != sup.model:

@@ -24,14 +24,39 @@ from there only to the next smallest false clause. A snapshot stores those
 productions alone, as an ordered map from each produced atom to its
 producing clause, and completes its construction only when a read needs
 more.
+
+It also makes steps come in chains. When the maximal literal of the
+smallest false clause M has k copies, the conclusion is false, smaller than
+M, and sits over the same construction, so it is the next smallest false
+clause, with the same maximal literal and the same producer: the inference
+repeats on the same side premise and pivot. A factoring chain takes k - 1
+steps and ends at ``M.with_count(top, 1)``, which produces ``top``. A
+superposition chain on ``¬A`` takes k steps and ends at
+``M.with_count(¬A, 0) + k·(S - A)``, S being the producer of A. The run
+records a chain as one ``SupChain`` with its step count and computes its end
+in closed form; a chain that would pass the step cap is cut short there, so
+the cap still counts single steps.
+
+The clause list holds the chain ends alone. A chain's intermediate
+conclusions never matter to a later walk: each holds every distinct literal
+of the chain's end, and a clause that produces between the end and them
+produces an atom at or above the end's maximal literal. So they are true
+whenever the end is true or produces, and lie above it when it is left
+false: none of them is ever the smallest false clause, and none produces.
+The walks skip them. Membership, the ordered clause set and the
+construction's rows add them back in closed form, and ``SupRun.steps`` and
+``SupRun.snapshots`` expand each record into its single steps and snapshots
+on read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from heapq import merge
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import Atom, Clause, Literal, Problem, eval_herbrand
@@ -45,6 +70,8 @@ FACTORING = "factoring"
 SUPERPOSITION_LEFT = "superposition_left"
 
 _first = itemgetter(0)
+_text = attrgetter("text")
+_index = attrgetter("index")
 
 
 def sfac(clause: Clause, order: ProblemOrder) -> Clause:
@@ -71,14 +98,10 @@ def factoring_step(clause: Clause, order: ProblemOrder) -> Optional[Clause]:
     return None
 
 
-def superposition_left(false_clause: Clause, producer: Clause, order: ProblemOrder) -> Clause:
-    """Resolve the maximal negative literal of ``false_clause`` against the
-    strictly maximal positive occurrence of the same atom in ``producer``.
-
-    Exactly one occurrence is removed on each side; remaining duplicates are
-    kept. Misuse (wrong polarity, wrong atom, non-maximal occurrences) is
-    rejected rather than silently repaired.
-    """
+def _superposable(false_clause: Clause, producer: Clause, order: ProblemOrder) -> Literal:
+    """The maximal literal ``¬A`` of ``false_clause``, once it is checked
+    that ``producer`` holds ``A`` strictly maximal; misuse raises
+    ValueError."""
     if false_clause.is_empty:
         raise ValueError("cannot superpose into the empty clause")
     m = order.max_literal(false_clause)
@@ -89,7 +112,118 @@ def superposition_left(false_clause: Clause, producer: Clause, order: ProblemOrd
         raise ValueError(f"producer {producer} has no positive occurrence of {m.atom}")
     if not order.is_strictly_maximal_in(b, producer):
         raise ValueError(f"{b} is not strictly maximal in producer {producer}")
-    return false_clause.without_one(m) + producer.without_one(b)
+    return m
+
+
+def superposition_left(false_clause: Clause, producer: Clause, order: ProblemOrder) -> Clause:
+    """Resolve the maximal negative literal of ``false_clause`` against the
+    strictly maximal positive occurrence of the same atom in ``producer``.
+
+    Exactly one occurrence is removed on each side; remaining duplicates are
+    kept. Misuse (wrong polarity, wrong atom, non-maximal occurrences) is
+    rejected rather than silently repaired.
+    """
+    m = _superposable(false_clause, producer, order)
+    return false_clause.without_one(m) + producer.without_one(m.complement())
+
+
+@dataclass(frozen=True)
+class SupStep:
+    """One recorded inference: what was false, what repaired it, the result."""
+
+    kind: str                      # FACTORING or SUPERPOSITION_LEFT
+    main: Clause                   # the smallest false clause
+    side: Optional[Clause]         # producing clause (superposition only)
+    pivot: Optional[Atom]          # atom resolved on / factored
+    conclusion: Clause
+
+
+@dataclass(frozen=True)
+class SupChain:
+    """``count`` inferences of one kind on one side premise and one pivot,
+    each on the previous one's conclusion: ``main`` is the first main
+    premise and ``conclusion`` the last conclusion."""
+
+    kind: str                      # FACTORING or SUPERPOSITION_LEFT
+    main: Clause
+    side: Optional[Clause]         # producing clause (superposition only)
+    pivot: Atom
+    count: int
+    conclusion: Clause
+
+
+class _Path:
+    """The clauses a chain passes through, in closed form: after ``j``
+    steps the main premise holds ``base[i] + j * delta[i]`` copies of
+    ``distinct[i]``. ``delta`` is -1 on the pivot literal, the maximal
+    literal of every clause on the path, and for superposition the copies
+    of ``S - A`` elsewhere. ``stage`` is the run's step count before the
+    chain and ``count`` its length, so the conclusion of step ``j`` joins
+    at stage ``stage + j``; the intermediates are those of ``0 < j <
+    count``, and every count of theirs is positive."""
+
+    __slots__ = ("distinct", "base", "delta", "pivot", "stage", "count")
+
+    def __init__(self, kind: str, main: Clause, side: Optional[Clause], pivot: Atom,
+                 stage: int = 0, count: int = 0):
+        top = Literal(pivot, kind == FACTORING)
+        copies = dict(zip(main.distinct, main.counts))
+        step: Dict[Literal, int] = {top: -1}
+        if kind == SUPERPOSITION_LEFT:
+            rest = side.without_one(top.complement())
+            for l, n in zip(rest.distinct, rest.counts):
+                step[l] = step.get(l, 0) + n
+        for l in step:
+            copies.setdefault(l, 0)
+        self.distinct = tuple(sorted(copies, key=_text))
+        self.base = tuple(copies[l] for l in self.distinct)
+        self.delta = tuple(step.get(l, 0) for l in self.distinct)
+        self.pivot = self.distinct.index(top)
+        self.stage, self.count = stage, count
+
+    @classmethod
+    def of(cls, chain: SupChain, stage: int = 0) -> "_Path":
+        return cls(chain.kind, chain.main, chain.side, chain.pivot, stage, chain.count)
+
+    def counts(self, j: int) -> Tuple[int, ...]:
+        return tuple(b + j * d for b, d in zip(self.base, self.delta))
+
+    def at(self, j: int) -> Clause:
+        """The conclusion of step ``j``."""
+        counts = self.counts(j)
+        if 0 in counts:
+            kept = [(l, n) for l, n in zip(self.distinct, counts) if n]
+            return Clause.from_runs(tuple(l for l, _ in kept), tuple(n for _, n in kept))
+        return Clause.from_runs(self.distinct, counts)
+
+    def step_of(self, clause: Clause) -> Optional[int]:
+        """The ``j`` of the intermediate equal to ``clause``, which holds
+        the same distinct literals, or None."""
+        j = self.base[self.pivot] - clause.counts[self.pivot]
+        if 0 < j < self.count and clause.counts == self.counts(j):
+            return j
+        return None
+
+    def meets(self, other: "_Path") -> Optional[int]:
+        """The first ``j`` whose intermediate is also one of ``other``'s,
+        which holds the same distinct literals, or None. Equal clauses
+        have the same maximal literal, so the pivots agree, and the pivot
+        counts tie ``other``'s step to ``j + s``; each literal then asks
+        ``j * (d - d') == b' + s * d' - b``."""
+        if other.pivot != self.pivot:
+            return None
+        s = other.base[self.pivot] - self.base[self.pivot]
+        lo, hi = max(1, 1 - s), min(self.count - 1, other.count - 1 - s)
+        for b, d, b2, d2 in zip(self.base, self.delta, other.base, other.delta):
+            a, r = d - d2, b2 + s * d2 - b
+            if a == 0:
+                if r:
+                    return None
+            elif r % a:
+                return None
+            else:
+                lo, hi = max(lo, r // a), min(hi, r // a)
+        return lo if lo <= hi else None
 
 
 @dataclass(frozen=True)
@@ -103,16 +237,19 @@ class ModelEntry:
 
 class _Ledger:
     """A growing clause set in ascending order, shared by the constructions
-    over its stages: ``keyed`` holds its clauses with their keys under the
-    order's cached clause key, ascending, and ``born`` maps each clause to
-    the stage at which it joined. It refers to no construction, so the
-    records of a run hold no reference cycle."""
+    over its stages: ``keyed`` holds the input clauses and the chain ends
+    with their keys under the order's cached clause key, ascending, and
+    ``born`` maps each of them to the stage at which it joined. ``paths``
+    holds, by their distinct literals, the chains whose intermediates the
+    set also holds. It refers to no construction, so the records of a run
+    hold no reference cycle."""
 
     def __init__(self, order: ProblemOrder, clauses: Iterable[Clause]):
         self.order = order
         self.keyed: List[Tuple[ClauseKey, Clause]] = sorted(
             ((order.clause_key(c), c) for c in set(clauses)), key=_first)
         self.born: Dict[Clause, int] = {c: 0 for _, c in self.keyed}
+        self.paths: Dict[Tuple[Literal, ...], List[_Path]] = {}
 
     def insert(self, clause: Clause, stage: int) -> int:
         """Add ``clause`` as of ``stage`` and return its position."""
@@ -121,6 +258,45 @@ class _Ledger:
         self.keyed.insert(pos, (key, clause))
         self.born[clause] = stage
         return pos
+
+    def add_path(self, path: _Path) -> None:
+        """Hold ``path``'s intermediates from its stages on."""
+        self.paths.setdefault(path.distinct, []).append(path)
+
+    def stage_of(self, clause: Clause) -> Optional[int]:
+        """The stage at which ``clause`` joined, or None if it never did."""
+        born = self.born.get(clause)
+        if born is None and self.paths:
+            for path in self.paths.get(clause.distinct, ()):
+                j = path.step_of(clause)
+                if j is not None:
+                    return path.stage + j
+        return born
+
+    def present_on(self, path: _Path, low: ClauseKey, high: ClauseKey) -> Optional[Clause]:
+        """An intermediate of ``path`` that the set already holds, or None:
+        a stored clause strictly between the keys ``low`` and ``high``,
+        where the intermediates lie, or an intermediate of an earlier chain
+        over the same distinct literals."""
+        lo = bisect_right(self.keyed, low, key=_first)
+        for _, c in islice(self.keyed, lo, bisect_left(self.keyed, high, key=_first)):
+            if c.distinct == path.distinct and path.step_of(c) is not None:
+                return c
+        for other in self.paths.get(path.distinct, ()):
+            j = path.meets(other)
+            if j is not None:
+                return path.at(j)
+        return None
+
+    def members(self, index: int) -> Iterator[Tuple[ClauseKey, Clause]]:
+        """The clauses joined at or before ``index`` with their keys,
+        ascending, intermediates included."""
+        born, key = self.born, self.order.clause_key
+        stored = ((k, c) for k, c in self.keyed if born[c] <= index)
+        inner = sorted(((key(c), c) for paths in self.paths.values() for path in paths
+                        for c in map(path.at, range(1, min(path.count, index - path.stage + 1)))),
+                       key=_first)
+        return merge(stored, inner, key=_first) if inner else stored
 
 
 def _production(false_clause: Clause, order: ProblemOrder) -> Optional[Atom]:
@@ -170,7 +346,8 @@ class ModelConstruction:
     clause, with the producing clauses' keys in a list beside it; the prefix
     sets and the model are derived from them on read.
     ``index`` is the stage: the clause set holds the clauses of the ledger
-    that joined at or before it.
+    that joined at or before it. The walks visit the stored clauses alone,
+    since chain intermediates never produce (see the module docstring).
 
     Reads inside the built part are answered from the stored productions:
     ``minimal_false``, ``producer_of`` an atom produced below it, and
@@ -211,23 +388,36 @@ class ModelConstruction:
         """How many stored productions come from clauses below ``key``."""
         return bisect_left(self._keys, key)
 
+    def _from(self, index: int, key: ClauseKey,
+              rest: Iterator[Tuple[ClauseKey, Clause]]) -> "ModelConstruction":
+        """The construction of stage ``index``, which agrees with this one
+        below ``key`` and walks ``rest`` from there."""
+        j = self._produced_below(key)
+        return ModelConstruction(self._ledger, index, dict(islice(self._producer.items(), j)),
+                                 self._keys[:j], rest)
+
     def _resumed(self, index: int, start: int) -> "ModelConstruction":
         """The construction of stage ``index``, whose one new clause sits at
         ledger position ``start``: the productions below it stay, and the
         walk resumes there."""
-        ledger = self._ledger
-        j = self._produced_below(ledger.keyed[start][0])
-        return ModelConstruction(ledger, index, dict(islice(self._producer.items(), j)),
-                                 self._keys[:j], islice(ledger.keyed, start, None))
+        keyed = self._ledger.keyed
+        return self._from(index, keyed[start][0], islice(keyed, start, None))
+
+    def _inside(self, index: int, clause: Clause) -> "ModelConstruction":
+        """The construction of stage ``index`` inside the chain that starts
+        at this one, whose intermediate ``clause`` is then the smallest
+        false clause: the productions below it stay, and the rest is this
+        stage's, since intermediates never produce."""
+        key = self.order.clause_key(clause)
+        return self._from(index, key, iter(((key, clause),)))
 
     @property
     def clauses(self) -> Tuple[Clause, ...]:
         """The clause set, ascending."""
-        born, index = self._ledger.born, self.index
-        return tuple(c for _, c in self._ledger.keyed if born[c] <= index)
+        return tuple(c for _, c in self._ledger.members(self.index))
 
     def contains(self, clause: Clause) -> bool:
-        born = self._ledger.born.get(clause)
+        born = self._ledger.stage_of(clause)
         return born is not None and born <= self.index
 
     @property
@@ -292,22 +482,13 @@ def construct_model(clauses: Iterable[Clause], order: ProblemOrder) -> ModelCons
     return construction
 
 
-@dataclass(frozen=True)
-class SupStep:
-    """One recorded inference: what was false, what repaired it, the result."""
-
-    kind: str                      # FACTORING or SUPERPOSITION_LEFT
-    main: Clause                   # the smallest false clause
-    side: Optional[Clause]         # producing clause (superposition only)
-    pivot: Optional[Atom]          # atom resolved on / factored
-    conclusion: Clause
-
-
-def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupStep:
-    """The unique inference the construction prescribes.
+def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupChain:
+    """The chain of inferences the construction prescribes, run to its end.
 
     Requires a nonempty minimal false clause; the caller handles the
-    satisfiable (no false clause) and refuted (empty clause) ends.
+    satisfiable (no false clause) and refuted (empty clause) ends. The
+    chain's conclusion is computed in closed form (see the module
+    docstring).
     """
     c = construction.minimal_false
     if c is None:
@@ -315,26 +496,24 @@ def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupS
     if c.is_empty:
         raise ValueError("the empty clause is already present")
     m = order.max_literal(c)
+    copies = order.max_multiplicity(c)
     if not m.positive:
         d = construction.producer_of(m.atom)
         if d is None:
             raise RuntimeError(
                 f"false clause {c} has maximal literal {m} but {m.atom} has no producer"
             )
-        return SupStep(
-            kind=SUPERPOSITION_LEFT,
-            main=c,
-            side=d,
-            pivot=m.atom,
-            conclusion=superposition_left(c, d, order),
-        )
-    reduced = factoring_step(c, order)
-    if reduced is None:
+        _superposable(c, d, order)
+        kind, side, count = SUPERPOSITION_LEFT, d, copies
+    elif copies >= 2:
+        kind, side, count = FACTORING, None, copies - 1
+    else:
         raise RuntimeError(
             f"false clause {c} has a strictly maximal positive literal; "
             "it should have produced"
         )
-    return SupStep(kind=FACTORING, main=c, side=None, pivot=m.atom, conclusion=reduced)
+    conclusion = _Path(kind, c, side, m.atom).at(count)
+    return SupChain(kind, c, side, m.atom, count, conclusion)
 
 
 @dataclass(frozen=True)
@@ -354,24 +533,128 @@ class SupSnapshot:
         return self.construction.clauses
 
     def contains(self, clause: Clause) -> bool:
-        """Membership in the clause set, in constant time."""
+        """Membership in the clause set, without building it."""
         return self.construction.contains(clause)
+
+
+class _RunView(Sequence):
+    """A read-only sequence over a run's single steps or snapshots,
+    expanded from its records on read."""
+
+    def __init__(self, run: "SupRun"):
+        self._run = run
+
+    def _locate(self, i: int) -> Tuple[int, int]:
+        """The record holding position ``i`` (a nonnegative position
+        below the length), and ``i``'s offset from that record's start."""
+        snapshots = self._run.record_snapshots
+        r = bisect_right(snapshots, i, key=_index) - 1
+        return r, i - snapshots[r].index
+
+    def _step_count(self) -> int:
+        return sum(chain.count for chain in self._run.records)
+
+    def _position(self, i: int) -> int:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("index out of range")
+        return i
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return self._item(self._position(i))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} {type(self).__name__[1:]}>"
+
+
+class _Steps(_RunView):
+    """``SupRun.steps``: the single steps, record by record."""
+
+    def __len__(self) -> int:
+        return self._step_count()
+
+    def _item(self, i: int) -> SupStep:
+        r, j = self._locate(i)
+        chain = self._run.records[r]
+        path = _Path.of(chain) if chain.count > 1 else None
+        main = chain.main if j == 0 else path.at(j)
+        conclusion = chain.conclusion if j + 1 == chain.count else path.at(j + 1)
+        return SupStep(chain.kind, main, chain.side, chain.pivot, conclusion)
+
+    def __iter__(self) -> Iterator[SupStep]:
+        for chain in self._run.records:
+            kind, side, pivot, main = chain.kind, chain.side, chain.pivot, chain.main
+            if chain.count > 1:
+                path = _Path.of(chain)
+                for j in range(1, chain.count):
+                    conclusion = path.at(j)
+                    yield SupStep(kind, main, side, pivot, conclusion)
+                    main = conclusion
+            yield SupStep(kind, main, side, pivot, chain.conclusion)
+
+
+class _Snapshots(_RunView):
+    """``SupRun.snapshots``: the stored snapshot at each record boundary,
+    and inside a record one built on read from the snapshot at its start."""
+
+    def __len__(self) -> int:
+        return self._step_count() + 1
+
+    def _item(self, i: int) -> SupSnapshot:
+        r, j = self._locate(i)
+        start = self._run.record_snapshots[r]
+        if j == 0:
+            return start
+        inner = _Path.of(self._run.records[r]).at(j)
+        return SupSnapshot(start.construction._inside(i, inner))
+
+    def __iter__(self) -> Iterator[SupSnapshot]:
+        run = self._run
+        for start, chain in zip(run.record_snapshots, run.records):
+            yield start
+            if chain.count > 1:
+                path = _Path.of(chain)
+                for j in range(1, chain.count):
+                    yield SupSnapshot(start.construction._inside(start.index + j, path.at(j)))
+        yield run.record_snapshots[-1]
 
 
 @dataclass
 class SupRun:
-    """A saturation run, recorded once.
+    """A saturation run, recorded once, chain by chain.
 
-    Stored: one snapshot per step boundary, the steps between them (step
-    ``i`` leads from snapshot ``i`` to snapshot ``i + 1``) and the outcome.
-    Derived: ``derived``, the step conclusions in order, and ``model``, the
-    last snapshot's model when the run is satisfiable.
+    Stored: the chain records and the snapshot at each record boundary
+    (``record_snapshots[r]`` is the one before ``records[r]``, and the last
+    one follows the last record), and the outcome. Derived, on read:
+    ``steps``, the single steps, and ``snapshots``, one per step boundary
+    (step ``i`` leads from snapshot ``i`` to snapshot ``i + 1``), both
+    read-only sequences that expand the records; ``derived``, the step
+    conclusions in order; and ``model``, the last snapshot's model when the
+    run is satisfiable. Only a read builds a snapshot or a conclusion
+    inside a chain; the clause list holds the chain ends alone.
     """
 
     order: ProblemOrder
-    snapshots: List[SupSnapshot] = field(default_factory=list)
-    steps: List[SupStep] = field(default_factory=list)
+    records: List[SupChain] = field(default_factory=list)
+    record_snapshots: List[SupSnapshot] = field(default_factory=list)
     outcome: str = CAP_EXCEEDED
+
+    @property
+    def steps(self) -> Sequence:
+        return _Steps(self)
+
+    @property
+    def snapshots(self) -> Sequence:
+        return _Snapshots(self)
 
     @property
     def derived(self) -> Tuple[Clause, ...]:
@@ -381,7 +664,7 @@ class SupRun:
     def model(self) -> Optional[FrozenSet[Atom]]:
         if self.outcome != SATISFIABLE:
             return None
-        return self.snapshots[-1].construction.model
+        return self.record_snapshots[-1].construction.model
 
 
 def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
@@ -389,12 +672,17 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     """Run the model-driven strategy to a verdict or the step cap.
 
     Termination is by verdict on every ground input; the cap only guards
-    against defects. Each step inserts its conclusion into the run's one
-    ascending clause list and resumes the construction there (see the
-    module docstring); only a satisfiable run's last construction walks to
-    the end. A derived clause that is already present or not smaller than
-    its main premise raises RuntimeError, and a negative cap raises
-    ValueError.
+    against defects. It counts single steps: a chain that would pass it is
+    cut short there. Each chain is recorded once, its end computed in
+    closed form (``M.with_count(top, 1)`` for factoring,
+    ``M.with_count(¬A, 0) + m·(S - A)`` for superposition). The end is
+    inserted into the run's one ascending clause list and the construction
+    resumes there; the intermediates are never stored, since none of them
+    is ever the smallest false clause or produces at a later stage (see
+    the module docstring). Only a satisfiable run's last construction walks
+    to the end. A chain end or intermediate that is already present, or an
+    end not smaller than its main premise, raises RuntimeError, and a
+    negative cap raises ValueError.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, not {max_steps}")
@@ -402,30 +690,45 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
     run = SupRun(order=order)
     ledger = _Ledger(order, problem.clauses)
     construction = ModelConstruction(ledger, 0, {}, [], iter(ledger.keyed))
+    steps = 0
 
     while True:
-        run.snapshots.append(SupSnapshot(construction))
+        run.record_snapshots.append(SupSnapshot(construction))
         if construction.minimal_false is None:
             run.outcome = SATISFIABLE
             break
         if construction.minimal_false.is_empty:
             run.outcome = UNSATISFIABLE
             break
-        if len(run.steps) >= max_steps:
+        if steps >= max_steps:
             run.outcome = CAP_EXCEEDED
             break
-        step = next_inference(construction, order)
-        if step.conclusion in ledger.born:
+        chain = next_inference(construction, order)
+        if chain.count > max_steps - steps:
+            count = max_steps - steps
+            chain = replace(chain, count=count, conclusion=_Path.of(chain).at(count))
+        if ledger.stage_of(chain.conclusion) is not None:
             raise RuntimeError(
-                f"derived clause {step.conclusion} is already present; "
+                f"derived clause {chain.conclusion} is already present; "
                 "the strategy must always produce a new clause"
             )
-        if order.clause_key(step.conclusion) >= order.clause_key(step.main):
+        low, high = order.clause_key(chain.conclusion), order.clause_key(chain.main)
+        if low >= high:
             raise RuntimeError(
-                f"derived clause {step.conclusion} is not smaller than the "
-                f"clause {step.main} it repairs"
+                f"derived clause {chain.conclusion} is not smaller than the "
+                f"clause {chain.main} it repairs"
             )
-        run.steps.append(step)
-        start = ledger.insert(step.conclusion, len(run.steps))
-        construction = construction._resumed(len(run.steps), start)
+        if chain.count > 1:
+            path = _Path.of(chain, steps)
+            again = ledger.present_on(path, low, high)
+            if again is not None:
+                raise RuntimeError(
+                    f"derived clause {again} is already present; "
+                    "the strategy must always produce a new clause"
+                )
+            ledger.add_path(path)
+        run.records.append(chain)
+        steps += chain.count
+        start = ledger.insert(chain.conclusion, steps)
+        construction = construction._resumed(steps, start)
     return run

@@ -24,6 +24,7 @@ from lockstep.core import (
     print_problem,
 )
 from lockstep.ordering import ProblemOrder
+from lockstep.superposition import sfac
 from lockstep.scl import (
     SclState,
     TrailEntry,
@@ -222,6 +223,27 @@ def test_distinct_literals_leave_the_multiset_alone():
     assert c != Clause([lit("P"), lit("-Q")])
     assert c.without_one(lit("P")) == Clause([lit("-Q"), lit("P"), lit("P")])
     assert EMPTY_CLAUSE.distinct == ()
+
+
+def test_a_clause_past_the_machine_word_works_on_its_runs():
+    # saturation conclusions pass sys.maxsize copies of one literal; what
+    # the engines read of a clause acts on its runs, never on single copies
+    giant = 2 ** 70
+    p = parse_problem("order: listed\natoms: P < Q\nclause: P | Q\n")
+    po = ProblemOrder(p)
+    c = Clause([lit("P"), lit("-Q")]).with_count(lit("P"), giant)
+    assert c.counts == (1, giant)
+    assert po.clause_key(c) == ((3, 1), (0, giant))
+    assert po.max_literal(c) == lit("-Q") and po.max_multiplicity(c) == 1
+    top = c.with_count(lit("Q"), giant).with_count(lit("-Q"), 0)
+    assert po.max_literal(top) == lit("Q") and po.max_multiplicity(top) == giant
+    assert sfac(top, po) == Clause([lit("P"), lit("Q")]).with_count(lit("P"), giant)
+    assert sfac(c, po) is c
+    assert eval_herbrand({Atom("P")}, c) and not eval_herbrand({Atom("Q")}, c)
+    doubled = c + c
+    assert doubled.counts == (2, 2 * giant) and doubled == c.with_count(lit("-Q"), 2).with_count(
+        lit("P"), 2 * giant)
+    assert hash(doubled) == hash(Clause.from_runs(doubled.distinct, doubled.counts))
 
 
 @given(_duplicated_clauses, _duplicated_clauses)

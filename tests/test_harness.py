@@ -512,3 +512,41 @@ def test_forcing_source_must_have_a_false_leftover():
         result = lockstep_verify(problem)
         assert result.ok, result.failures()
         assert result.sim.outcome == "satisfiable"
+
+
+# ---------------------------------------------------------------------------
+# The pigeonhole family
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["kbo", "lpo"])
+def test_pigeonhole_prints_and_parses_back(n, kind):
+    problem = harness.pigeonhole(n, kind)
+    again = parse_problem(print_problem(problem))
+    assert again.clauses.clauses() == problem.clauses.clauses()
+    assert again.ordering == problem.ordering
+    assert len(problem.atom_universe) == n * (n + 1)
+    # one clause per pigeon, one per hole and pair of pigeons
+    assert len(problem.clauses) == (n + 1) + n * (n + 1) * n // 2
+    # both kinds rank the atoms by pigeon, then hole
+    assert [a.text for a in ProblemOrder(again).atoms_ascending] == [
+        f"In(p{i},h{j})" for i in range(1, n + 2) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n,steps", [(2, 13), (3, 166)], ids=["PHP(3,2)", "PHP(4,3)"])
+@pytest.mark.parametrize("kind", ["kbo", "lpo"])
+def test_small_pigeonhole_problems_verify_and_the_oracle_agrees(n, steps, kind):
+    problem = harness.pigeonhole(n, kind)
+    result = lockstep_verify(problem)
+    assert result.ok, result.failures()[:3]
+    assert result.sup.outcome == result.sim.outcome == "unsatisfiable"
+    assert len(result.sup.steps) == steps
+    assert brute_force_sat(problem.clauses.clauses()) is None
+
+
+def test_pigeonhole_rejects_what_it_cannot_build():
+    with pytest.raises(ValueError, match="at least 1"):
+        harness.pigeonhole(0, "kbo")
+    with pytest.raises(ValueError, match="'listed'"):
+        harness.pigeonhole(2, "listed")

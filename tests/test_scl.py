@@ -320,6 +320,32 @@ def test_a_state_computes_its_valuation_once(kbo):
     assert copy.valuation()[0] is copy.valuation()[0]
 
 
+def test_a_state_finds_its_false_clauses_once(kbo):
+    # the answer without an assumption is kept on the state, and each call
+    # hands out a list of its own; the assuming form is answered afresh
+    p, po = kbo
+    c1, c2, c3 = p.clauses.clauses()
+    s = propagate(po, decide(po, initial_state(p), PA), c2, QB)
+    scans = []
+    texts = type(c3).literal_texts
+
+    class Counted(type(c3)):
+        @property
+        def literal_texts(self):
+            scans.append(self)
+            return texts.fget(self)
+
+    s = dataclasses.replace(s, n=tuple(Counted.from_runs(c.distinct, c.counts) for c in s.n))
+    first = conflict_candidates(s)
+    assert first == [c3] and len(scans) == 3
+    second = conflict_candidates(s)
+    assert second == first and second is not first and len(scans) == 3
+    second.append(c1)
+    assert conflict_candidates(s) == [c3]
+    assert conflict_candidates(s, assuming=PA) == [c3] and len(scans) == 6
+    assert conflict_candidates(dataclasses.replace(s)) == [c3] and len(scans) == 9
+
+
 def test_regularity_audit_flags_ignored_conflicts(kbo):
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()

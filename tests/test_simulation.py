@@ -358,6 +358,28 @@ def test_every_boundary_of_every_golden_run_checks_out():
             assert all(r.ok for r in reports), (text, b, [r for r in reports if not r.ok])
 
 
+def test_a_passing_invariant_shares_one_report_and_builds_no_detail(monkeypatch):
+    # every boundary of a sound run passes each invariant with the same
+    # report object, and no failure detail is built
+    real, built = simulation._report, []
+
+    def watched(name, ok, detail):
+        def spy():
+            built.append(name)
+            return detail()
+        return real(name, ok, spy)
+
+    monkeypatch.setattr(simulation, "_report", watched)
+    shared = {}
+    for text in (KBO_TEXT, LPO_TEXT, THIRD_TEXT, SAT_TEXT):
+        result = lockstep_verify(parse_problem(text))
+        for b in result.boundaries:
+            for r in b.reports:
+                assert r.ok and r.detail == ""
+                assert shared.setdefault(r.name, r) is r
+    assert list(shared) == list(simulation.INVARIANTS) == INVARIANT_NAMES and built == []
+
+
 def test_reversed_trail_is_caught():
     p, po, state, ann, snapshot = _golden_boundary()
     bad = dataclasses.replace(state, trail=tuple(reversed(state.trail)))
@@ -602,7 +624,7 @@ def test_pair_index_past_the_snapshots_is_reported(monkeypatch):
 
     def truncated(*args, **kwargs):
         run = real(*args, **kwargs)
-        run.snapshots = run.snapshots[:1]
+        del run.records[:], run.record_snapshots[1:]
         return run
 
     monkeypatch.setattr(simulation, "run_sup_mo", truncated)
@@ -642,7 +664,7 @@ def _verdict_flipped(real, *args, **kwargs):
 
 def _last_step_dropped(real, *args, **kwargs):
     run = real(*args, **kwargs)
-    run.steps.pop()
+    run.records[-1] = dataclasses.replace(run.records[-1], count=run.records[-1].count - 1)
     return run
 
 

@@ -7,9 +7,9 @@ verification campaign.
 
 Exit codes: 0 satisfiable (or success), 1 unsatisfiable and nothing else,
 2 for everything else: an unreadable or non-UTF-8 file, a parse error, a
-bad flag, an engine defect, a reached cap and a strict-mode verification
-failure. Commands raise; ``main`` alone turns an error into one
-``error: ...`` line on stderr.
+bad flag, an engine defect, a reached cap, running out of memory and a
+strict-mode verification failure. Commands raise; ``main`` alone turns an
+error into one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import sys
 from typing import List, Optional
 
+from . import harness
 from .core import ParseError, Problem, parse_problem, print_problem
 from .harness import (
     GenParams,
@@ -94,26 +95,29 @@ def _cmd_scl(args) -> int:
 
 def _cmd_simulate(args) -> int:
     problem = _load(args.file)
-    trace = emit_trace(problem, max_sequences=args.max_rounds)
     if args.json:
+        trace = emit_trace(problem, max_sequences=args.max_rounds)
         print(json.dumps(trace, indent=2))
+        ok, outcome = trace["ok"], trace["outcome"]
     else:
-        for i, r in enumerate(trace["rounds"]):
-            attention = f" attention={r['attention']}" if r["attention"] is not None else ""
-            print(f"round {i}: {r['kind']}{attention} pair_index={r['pair_index']}")
-        if trace["ok"]:
-            boundaries = sum(e["event"] == "boundary" for e in trace["verify_events"])
-            print(f"verification: ok ({boundaries} boundaries checked)")
+        # the text report reads the verifier's result and serializes no event
+        result = harness.lockstep_verify(problem, max_sequences=args.max_rounds)
+        sim, ok, outcome = result.sim, result.ok, result.sim.outcome
+        for i, seq in enumerate(sim.seqs):
+            attention = f" attention={seq.attention}" if seq.attention is not None else ""
+            print(f"round {i}: {seq.kind}{attention} pair_index={seq.annotation.index}")
+        if ok:
+            print(f"verification: ok ({len(result.boundaries)} boundaries checked)")
         else:
             print("verification: FAILED")
-            for line in trace["failures"]:
+            for line in result.failures():
                 print(f"  {line}", file=sys.stderr)
-        print(f"verdict: {trace['outcome']}")
-        if trace["model"] is not None:
-            _print_model(trace["model"])
-    if args.strict and not trace["ok"]:
+        print(f"verdict: {outcome}")
+        if sim.model is not None:
+            _print_model(a.text for a in sim.model)
+    if args.strict and not ok:
         return 2
-    return _verdict_exit(trace["outcome"])
+    return _verdict_exit(outcome)
 
 
 def _cmd_oracle(args) -> int:
@@ -249,6 +253,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (RuleError, RuntimeError, SimulationError) as e:
         print(f"error: engine defect: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

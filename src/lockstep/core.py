@@ -107,8 +107,9 @@ class Clause:
     extra copies cannot change a clause's truth value. ``literals`` and
     ``text`` spell out every copy, in text order, for rendering, and
     ``literal_texts`` is the set of the distinct literals' texts, computed
-    on first read so that building a clause never pays for it. The empty
-    clause prints as ⊥ and is only ever produced by inference, never parsed.
+    on first read so that building a clause never pays for it. A clause has
+    no ``len()``, as its copies may pass ``sys.maxsize``. The empty clause
+    prints as ⊥ and is only ever produced by inference, never parsed.
     """
 
     __slots__ = ("distinct", "counts", "_hash", "_texts")
@@ -147,9 +148,6 @@ class Clause:
         return " | ".join(l.text for l in self.literals) if self.distinct else "⊥"
 
     text = property(__repr__)
-
-    def __len__(self) -> int:
-        return sum(self.counts)
 
     def __add__(self, other: "Clause") -> "Clause":
         """Multiset sum: the copies of both clauses."""

@@ -78,6 +78,7 @@ from .scl import (
 )
 from .superposition import (
     CAP_EXCEEDED,
+    MAX_STEPS,
     SATISFIABLE,
     UNSATISFIABLE,
     SupRun,
@@ -828,11 +829,13 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
     snapshot its pair index names; on top of that the verifier demands
     strictly advancing annotations, a regular rule log, matching verdicts
     and models, equal step counts, and learned clauses whose factored images
-    all occur among the derived ones.
+    all occur among the derived ones. The saturation run's step cap is the
+    trail run's last pair index, or ``run_sup_mo``'s default if that is
+    larger: the trail run states how many steps it paired.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
-    sup = run_sup_mo(problem, order)
+    sup = run_sup_mo(problem, order, max_steps=max(MAX_STEPS, sim.annotations[-1].index))
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations

@@ -32,10 +32,11 @@ clause, with the same maximal literal and the same producer: the inference
 repeats on the same side premise and pivot. A factoring chain takes k - 1
 steps and ends at ``M.with_count(top, 1)``, which produces ``top``. A
 superposition chain on ``¬A`` takes k steps and ends at
-``M.with_count(¬A, 0) + k·(S - A)``, S being the producer of A. The run
-records a chain as one ``SupChain`` with its step count and computes its end
-in closed form; a chain that would pass the step cap is cut short there, so
-the cap still counts single steps.
+``M.with_count(¬A, 0) + k·(S - A)``, S being the producer of A. ``SupChain``
+is the one record of inferences: it holds a chain's premises, step count and
+end, and the closed form of every clause on it, built once on first read. A
+single step is a chain of one. A chain that would pass the step cap is cut
+short there, so the cap still counts single steps.
 
 The clause list holds the chain ends alone. A chain's intermediate
 conclusions never matter to a later walk: each holds every distinct literal
@@ -54,6 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from heapq import merge
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -65,6 +67,7 @@ from .ordering import ClauseKey, ProblemOrder
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
 CAP_EXCEEDED = "cap_exceeded"
+MAX_STEPS = 10000                  # run_sup_mo's default step cap
 
 FACTORING = "factoring"
 SUPERPOSITION_LEFT = "superposition_left"
@@ -128,93 +131,85 @@ def superposition_left(false_clause: Clause, producer: Clause, order: ProblemOrd
 
 
 @dataclass(frozen=True)
-class SupStep:
-    """One recorded inference: what was false, what repaired it, the result."""
-
-    kind: str                      # FACTORING or SUPERPOSITION_LEFT
-    main: Clause                   # the smallest false clause
-    side: Optional[Clause]         # producing clause (superposition only)
-    pivot: Optional[Atom]          # atom resolved on / factored
-    conclusion: Clause
-
-
-@dataclass(frozen=True)
 class SupChain:
     """``count`` inferences of one kind on one side premise and one pivot,
     each on the previous one's conclusion: ``main`` is the first main
-    premise and ``conclusion`` the last conclusion."""
+    premise and ``conclusion`` the last, computed in closed form when left
+    out. A single step is a chain of one.
+
+    The closed form is built once, on first read: after ``j`` steps the
+    main premise holds ``base[i] + j * delta[i]`` copies of
+    ``distinct[i]``. ``delta`` is -1 on the pivot literal, the maximal
+    literal of every clause on the chain, and for superposition the copies
+    of ``S - A`` elsewhere. The intermediates are the conclusions of the
+    steps ``0 < j < count``, and every count of theirs is positive."""
 
     kind: str                      # FACTORING or SUPERPOSITION_LEFT
     main: Clause
     side: Optional[Clause]         # producing clause (superposition only)
     pivot: Atom
     count: int
-    conclusion: Clause
+    conclusion: Optional[Clause] = None   # computed when left out
 
+    def __post_init__(self) -> None:
+        if self.conclusion is None:
+            object.__setattr__(self, "conclusion", self.at(self.count))
 
-class _Path:
-    """The clauses a chain passes through, in closed form: after ``j``
-    steps the main premise holds ``base[i] + j * delta[i]`` copies of
-    ``distinct[i]``. ``delta`` is -1 on the pivot literal, the maximal
-    literal of every clause on the path, and for superposition the copies
-    of ``S - A`` elsewhere. ``stage`` is the run's step count before the
-    chain and ``count`` its length, so the conclusion of step ``j`` joins
-    at stage ``stage + j``; the intermediates are those of ``0 < j <
-    count``, and every count of theirs is positive."""
-
-    __slots__ = ("distinct", "base", "delta", "pivot", "stage", "count")
-
-    def __init__(self, kind: str, main: Clause, side: Optional[Clause], pivot: Atom,
-                 stage: int = 0, count: int = 0):
-        top = Literal(pivot, kind == FACTORING)
-        copies = dict(zip(main.distinct, main.counts))
+    @cached_property
+    def _form(self) -> Tuple[Tuple[Literal, ...], Tuple[int, ...], Tuple[int, ...], int]:
+        """``distinct``, ``base``, ``delta``, the pivot literal's position."""
+        top = Literal(self.pivot, self.kind == FACTORING)
+        copies = dict(zip(self.main.distinct, self.main.counts))
         step: Dict[Literal, int] = {top: -1}
-        if kind == SUPERPOSITION_LEFT:
-            rest = side.without_one(top.complement())
+        if self.kind == SUPERPOSITION_LEFT:
+            rest = self.side.without_one(top.complement())
             for l, n in zip(rest.distinct, rest.counts):
                 step[l] = step.get(l, 0) + n
         for l in step:
             copies.setdefault(l, 0)
-        self.distinct = tuple(sorted(copies, key=_text))
-        self.base = tuple(copies[l] for l in self.distinct)
-        self.delta = tuple(step.get(l, 0) for l in self.distinct)
-        self.pivot = self.distinct.index(top)
-        self.stage, self.count = stage, count
+        distinct = tuple(sorted(copies, key=_text))
+        return (distinct, tuple(copies[l] for l in distinct),
+                tuple(step.get(l, 0) for l in distinct), distinct.index(top))
 
-    @classmethod
-    def of(cls, chain: SupChain, stage: int = 0) -> "_Path":
-        return cls(chain.kind, chain.main, chain.side, chain.pivot, stage, chain.count)
+    @property
+    def distinct(self) -> Tuple[Literal, ...]:
+        """The distinct literals of every clause the chain passes through."""
+        return self._form[0]
 
-    def counts(self, j: int) -> Tuple[int, ...]:
-        return tuple(b + j * d for b, d in zip(self.base, self.delta))
+    def _counts(self, j: int) -> Tuple[int, ...]:
+        _, base, delta, _ = self._form
+        return tuple(b + j * d for b, d in zip(base, delta))
 
     def at(self, j: int) -> Clause:
         """The conclusion of step ``j``."""
-        counts = self.counts(j)
+        distinct, counts = self._form[0], self._counts(j)
         if 0 in counts:
-            kept = [(l, n) for l, n in zip(self.distinct, counts) if n]
+            kept = [(l, n) for l, n in zip(distinct, counts) if n]
             return Clause.from_runs(tuple(l for l, _ in kept), tuple(n for _, n in kept))
-        return Clause.from_runs(self.distinct, counts)
+        return Clause.from_runs(distinct, counts)
 
     def step_of(self, clause: Clause) -> Optional[int]:
         """The ``j`` of the intermediate equal to ``clause``, which holds
         the same distinct literals, or None."""
-        j = self.base[self.pivot] - clause.counts[self.pivot]
-        if 0 < j < self.count and clause.counts == self.counts(j):
+        _, base, _, top = self._form
+        j = base[top] - clause.counts[top]
+        if 0 < j < self.count and clause.counts == self._counts(j):
             return j
         return None
 
-    def meets(self, other: "_Path") -> Optional[int]:
+    def meets(self, other: "SupChain") -> Optional[int]:
         """The first ``j`` whose intermediate is also one of ``other``'s,
         which holds the same distinct literals, or None. Equal clauses
         have the same maximal literal, so the pivots agree, and the pivot
         counts tie ``other``'s step to ``j + s``; each literal then asks
         ``j * (d - d') == b' + s * d' - b``."""
-        if other.pivot != self.pivot:
+        _, base, delta, top = self._form
+        _, base2, delta2, top2 = other._form
+        if top2 != top:
             return None
-        s = other.base[self.pivot] - self.base[self.pivot]
+        s = base2[top] - base[top]
         lo, hi = max(1, 1 - s), min(self.count - 1, other.count - 1 - s)
-        for b, d, b2, d2 in zip(self.base, self.delta, other.base, other.delta):
+        for b, d, b2, d2 in zip(base, delta, base2, delta2):
             a, r = d - d2, b2 + s * d2 - b
             if a == 0:
                 if r:
@@ -239,17 +234,18 @@ class _Ledger:
     """A growing clause set in ascending order, shared by the constructions
     over its stages: ``keyed`` holds the input clauses and the chain ends
     with their keys under the order's cached clause key, ascending, and
-    ``born`` maps each of them to the stage at which it joined. ``paths``
-    holds, by their distinct literals, the chains whose intermediates the
-    set also holds. It refers to no construction, so the records of a run
-    hold no reference cycle."""
+    ``born`` maps each of them to the stage at which it joined. ``chains``
+    holds, by their distinct literals, a ``(stage, chain)`` pair for each
+    chain whose intermediates the set also holds: the conclusion of its
+    step ``j`` joins at ``stage + j``. It refers to no construction, so the
+    records of a run hold no reference cycle."""
 
     def __init__(self, order: ProblemOrder, clauses: Iterable[Clause]):
         self.order = order
         self.keyed: List[Tuple[ClauseKey, Clause]] = sorted(
             ((order.clause_key(c), c) for c in set(clauses)), key=_first)
         self.born: Dict[Clause, int] = {c: 0 for _, c in self.keyed}
-        self.paths: Dict[Tuple[Literal, ...], List[_Path]] = {}
+        self.chains: Dict[Tuple[Literal, ...], List[Tuple[int, SupChain]]] = {}
 
     def insert(self, clause: Clause, stage: int) -> int:
         """Add ``clause`` as of ``stage`` and return its position."""
@@ -259,33 +255,33 @@ class _Ledger:
         self.born[clause] = stage
         return pos
 
-    def add_path(self, path: _Path) -> None:
-        """Hold ``path``'s intermediates from its stages on."""
-        self.paths.setdefault(path.distinct, []).append(path)
+    def add_chain(self, stage: int, chain: SupChain) -> None:
+        """Hold ``chain``'s intermediates from its stages on."""
+        self.chains.setdefault(chain.distinct, []).append((stage, chain))
 
     def stage_of(self, clause: Clause) -> Optional[int]:
         """The stage at which ``clause`` joined, or None if it never did."""
         born = self.born.get(clause)
-        if born is None and self.paths:
-            for path in self.paths.get(clause.distinct, ()):
-                j = path.step_of(clause)
+        if born is None and self.chains:
+            for stage, chain in self.chains.get(clause.distinct, ()):
+                j = chain.step_of(clause)
                 if j is not None:
-                    return path.stage + j
+                    return stage + j
         return born
 
-    def present_on(self, path: _Path, low: ClauseKey, high: ClauseKey) -> Optional[Clause]:
-        """An intermediate of ``path`` that the set already holds, or None:
+    def present_on(self, chain: SupChain, low: ClauseKey, high: ClauseKey) -> Optional[Clause]:
+        """An intermediate of ``chain`` that the set already holds, or None:
         a stored clause strictly between the keys ``low`` and ``high``,
         where the intermediates lie, or an intermediate of an earlier chain
         over the same distinct literals."""
         lo = bisect_right(self.keyed, low, key=_first)
         for _, c in islice(self.keyed, lo, bisect_left(self.keyed, high, key=_first)):
-            if c.distinct == path.distinct and path.step_of(c) is not None:
+            if c.distinct == chain.distinct and chain.step_of(c) is not None:
                 return c
-        for other in self.paths.get(path.distinct, ()):
-            j = path.meets(other)
+        for _, other in self.chains.get(chain.distinct, ()):
+            j = chain.meets(other)
             if j is not None:
-                return path.at(j)
+                return chain.at(j)
         return None
 
     def members(self, index: int) -> Iterator[Tuple[ClauseKey, Clause]]:
@@ -293,8 +289,8 @@ class _Ledger:
         ascending, intermediates included."""
         born, key = self.born, self.order.clause_key
         stored = ((k, c) for k, c in self.keyed if born[c] <= index)
-        inner = sorted(((key(c), c) for paths in self.paths.values() for path in paths
-                        for c in map(path.at, range(1, min(path.count, index - path.stage + 1)))),
+        inner = sorted(((key(c), c) for chains in self.chains.values() for stage, chain in chains
+                        for c in map(chain.at, range(1, min(chain.count, index - stage + 1)))),
                        key=_first)
         return merge(stored, inner, key=_first) if inner else stored
 
@@ -512,8 +508,7 @@ def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupC
             f"false clause {c} has a strictly maximal positive literal; "
             "it should have produced"
         )
-    conclusion = _Path(kind, c, side, m.atom).at(count)
-    return SupChain(kind, c, side, m.atom, count, conclusion)
+    return SupChain(kind, c, side, m.atom, count)
 
 
 @dataclass(frozen=True)
@@ -577,29 +572,31 @@ class _RunView(Sequence):
 
 
 class _Steps(_RunView):
-    """``SupRun.steps``: the single steps, record by record."""
+    """``SupRun.steps``: the single steps, record by record, each a chain
+    of one."""
 
     def __len__(self) -> int:
         return self._step_count()
 
-    def _item(self, i: int) -> SupStep:
+    def _item(self, i: int) -> SupChain:
         r, j = self._locate(i)
         chain = self._run.records[r]
-        path = _Path.of(chain) if chain.count > 1 else None
-        main = chain.main if j == 0 else path.at(j)
-        conclusion = chain.conclusion if j + 1 == chain.count else path.at(j + 1)
-        return SupStep(chain.kind, main, chain.side, chain.pivot, conclusion)
+        if chain.count == 1:
+            return chain
+        main = chain.main if j == 0 else chain.at(j)
+        conclusion = chain.conclusion if j + 1 == chain.count else chain.at(j + 1)
+        return SupChain(chain.kind, main, chain.side, chain.pivot, 1, conclusion)
 
-    def __iter__(self) -> Iterator[SupStep]:
+    def __iter__(self) -> Iterator[SupChain]:
         for chain in self._run.records:
             kind, side, pivot, main = chain.kind, chain.side, chain.pivot, chain.main
+            for j in range(1, chain.count):
+                conclusion = chain.at(j)
+                yield SupChain(kind, main, side, pivot, 1, conclusion)
+                main = conclusion
             if chain.count > 1:
-                path = _Path.of(chain)
-                for j in range(1, chain.count):
-                    conclusion = path.at(j)
-                    yield SupStep(kind, main, side, pivot, conclusion)
-                    main = conclusion
-            yield SupStep(kind, main, side, pivot, chain.conclusion)
+                chain = SupChain(kind, main, side, pivot, 1, chain.conclusion)
+            yield chain
 
 
 class _Snapshots(_RunView):
@@ -614,17 +611,14 @@ class _Snapshots(_RunView):
         start = self._run.record_snapshots[r]
         if j == 0:
             return start
-        inner = _Path.of(self._run.records[r]).at(j)
-        return SupSnapshot(start.construction._inside(i, inner))
+        return SupSnapshot(start.construction._inside(i, self._run.records[r].at(j)))
 
     def __iter__(self) -> Iterator[SupSnapshot]:
         run = self._run
         for start, chain in zip(run.record_snapshots, run.records):
             yield start
-            if chain.count > 1:
-                path = _Path.of(chain)
-                for j in range(1, chain.count):
-                    yield SupSnapshot(start.construction._inside(start.index + j, path.at(j)))
+            for j in range(1, chain.count):
+                yield SupSnapshot(start.construction._inside(start.index + j, chain.at(j)))
         yield run.record_snapshots[-1]
 
 
@@ -635,12 +629,13 @@ class SupRun:
     Stored: the chain records and the snapshot at each record boundary
     (``record_snapshots[r]`` is the one before ``records[r]``, and the last
     one follows the last record), and the outcome. Derived, on read:
-    ``steps``, the single steps, and ``snapshots``, one per step boundary
-    (step ``i`` leads from snapshot ``i`` to snapshot ``i + 1``), both
-    read-only sequences that expand the records; ``derived``, the step
-    conclusions in order; and ``model``, the last snapshot's model when the
-    run is satisfiable. Only a read builds a snapshot or a conclusion
-    inside a chain; the clause list holds the chain ends alone.
+    ``steps``, the single steps as chains of one (a record of count 1 is
+    its own step; ``len(steps)`` sums the record counts), and
+    ``snapshots``, one per step boundary (step ``i`` leads from snapshot
+    ``i`` to snapshot ``i + 1``), both read-only sequences that expand the
+    records through their closed forms; and ``model``, the last snapshot's
+    model when the run is satisfiable. Only a read builds a snapshot or a
+    conclusion inside a chain; the clause list holds the chain ends alone.
     """
 
     order: ProblemOrder
@@ -657,10 +652,6 @@ class SupRun:
         return _Snapshots(self)
 
     @property
-    def derived(self) -> Tuple[Clause, ...]:
-        return tuple(step.conclusion for step in self.steps)
-
-    @property
     def model(self) -> Optional[FrozenSet[Atom]]:
         if self.outcome != SATISFIABLE:
             return None
@@ -668,7 +659,7 @@ class SupRun:
 
 
 def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
-               max_steps: int = 10000) -> SupRun:
+               max_steps: int = MAX_STEPS) -> SupRun:
     """Run the model-driven strategy to a verdict or the step cap.
 
     Termination is by verdict on every ground input; the cap only guards
@@ -705,8 +696,7 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
             break
         chain = next_inference(construction, order)
         if chain.count > max_steps - steps:
-            count = max_steps - steps
-            chain = replace(chain, count=count, conclusion=_Path.of(chain).at(count))
+            chain = replace(chain, count=max_steps - steps, conclusion=None)
         if ledger.stage_of(chain.conclusion) is not None:
             raise RuntimeError(
                 f"derived clause {chain.conclusion} is already present; "
@@ -719,14 +709,13 @@ def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,
                 f"clause {chain.main} it repairs"
             )
         if chain.count > 1:
-            path = _Path.of(chain, steps)
-            again = ledger.present_on(path, low, high)
+            again = ledger.present_on(chain, low, high)
             if again is not None:
                 raise RuntimeError(
                     f"derived clause {again} is already present; "
                     "the strategy must always produce a new clause"
                 )
-            ledger.add_path(path)
+            ledger.add_chain(steps, chain)
         run.records.append(chain)
         steps += chain.count
         start = ledger.insert(chain.conclusion, steps)

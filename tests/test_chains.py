@@ -1,11 +1,12 @@
 """Chain records against the single-step engine they replace.
 
 ``_single_step`` is the saturation loop as it was before chain records: one
-ledger insert and one resumed walk per inference. ``run_sup_mo`` records a
-run of identical inferences as one ``SupChain`` and expands it on read, so
-every single step and every snapshot it reports must equal the reference's,
-chain ends and intermediates alike, and so must every run cut short by a
-step cap inside a chain.
+ledger insert and one resumed walk per inference, each step a ``SupChain``
+of count 1. ``run_sup_mo`` records a run of identical inferences as one
+``SupChain`` and expands it on read, so every single step and every
+snapshot it reports must equal the reference's, chain ends and
+intermediates alike, and so must every run cut short by a step cap inside a
+chain.
 """
 
 import dataclasses
@@ -20,15 +21,15 @@ import pytest
 from lockstep import harness, superposition
 from lockstep.core import Clause, Literal, Atom, eval_herbrand, parse_problem
 from lockstep.ordering import ProblemOrder
-from lockstep.simulation import run_scl_sup
+from lockstep.simulation import lockstep_verify, run_scl_sup
 from lockstep.superposition import (
     CAP_EXCEEDED,
     FACTORING,
+    MAX_STEPS,
     SATISFIABLE,
     SUPERPOSITION_LEFT,
     UNSATISFIABLE,
     SupChain,
-    SupStep,
     factoring_step,
     run_sup_mo,
     sfac,
@@ -67,10 +68,10 @@ def _single_step(problem, order, max_steps=10000):
             return steps, constructions, CAP_EXCEEDED
         m = order.max_literal(c)
         if m.positive:
-            step = SupStep(FACTORING, c, None, m.atom, factoring_step(c, order))
+            step = SupChain(FACTORING, c, None, m.atom, 1, factoring_step(c, order))
         else:
             d = construction.producer_of(m.atom)
-            step = SupStep(SUPERPOSITION_LEFT, c, d, m.atom, superposition_left(c, d, order))
+            step = SupChain(SUPERPOSITION_LEFT, c, d, m.atom, 1, superposition_left(c, d, order))
         assert step.conclusion not in ledger.born
         assert order.clause_key(step.conclusion) < order.clause_key(c)
         steps.append(step)
@@ -113,7 +114,7 @@ def _assert_matches(problem, max_steps=10000, indexed=True, sampled=False):
     assert len(run.steps) == len(ref_steps)
     assert len(run.snapshots) == len(ref_cons) == len(ref_steps) + 1
     assert list(run.steps) == ref_steps
-    assert run.derived == tuple(s.conclusion for s in ref_steps)
+    assert all(type(s) is SupChain and s.count == 1 for s in run.steps)
     born = ref_cons[-1]._ledger.born
     everything = list(born)
     snapshots = list(run.snapshots)
@@ -125,6 +126,7 @@ def _assert_matches(problem, max_steps=10000, indexed=True, sampled=False):
         for i, step in enumerate(ref_steps):
             assert run.steps[i] == step
             assert run.steps[i - len(ref_steps)] == step
+            assert type(run.steps[i]) is SupChain and run.steps[i].count == 1
         for i, ref in enumerate(ref_cons):
             _same_snapshot(run.snapshots[i], ref, i, born, everything)
     assert run.model == (ref_cons[-1].model if outcome == SATISFIABLE else None)
@@ -231,6 +233,34 @@ def test_a_record_covers_a_whole_chain():
     assert run.steps[4].side == run.steps[3].side == first.conclusion
 
 
+def test_a_record_builds_its_closed_form_once(monkeypatch):
+    # the run builds each record's form when it draws the chain; reading
+    # every step and snapshot, by iteration and by index, and the clause
+    # set and rows that merge in the intermediates, reuses it. A step of
+    # one is handed its conclusion, and a record of count 1 is its own step
+    form = SupChain.__dict__["_form"]
+    real, built = form.func, []
+
+    def counting(chain):
+        built.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(form, "func", counting)
+    run = run_sup_mo(_ladder(15, 1))
+    assert sorted(map(id, built)) == sorted(map(id, run.records))
+    for _ in range(2):
+        list(run.steps), list(run.snapshots)
+    for i in range(len(run.steps)):
+        run.steps[i], run.snapshots[i]
+    last = run.snapshots[-1]
+    assert all(last.contains(s.conclusion) for s in run.steps)
+    last.clauses, last.construction.entries
+    assert sorted(map(id, built)) == sorted(map(id, run.records))
+    for start, chain in zip(run.record_snapshots, run.records):
+        if chain.count == 1:
+            assert run.steps[start.index] is chain
+
+
 def _patched_chains(monkeypatch, chains):
     """Make ``next_inference`` hand out ``chains``, in order, whatever the
     construction says."""
@@ -256,12 +286,10 @@ def test_an_intermediate_of_an_earlier_chain_is_rejected(monkeypatch):
                       "clause: B\nclause: -B\n")
     first, second, s1, s2 = p.clauses.clauses()[:4]
     a = Atom("A")
-    chains = [SupChain(SUPERPOSITION_LEFT, main, side, a, 2,
-                       superposition._Path(SUPERPOSITION_LEFT, main, side, a).at(2))
+    chains = [SupChain(SUPERPOSITION_LEFT, main, side, a, 2)
               for main, side in ((first, s1), (second, s2))]
-    paths = [superposition._Path.of(c) for c in chains]
-    assert paths[1].meets(paths[0]) == 1 and paths[0].meets(paths[1]) == 1
-    assert paths[0].meets(superposition._Path.of(dataclasses.replace(chains[0], count=1))) is None
+    assert chains[1].meets(chains[0]) == 1 and chains[0].meets(chains[1]) == 1
+    assert chains[0].meets(dataclasses.replace(chains[0], count=1, conclusion=None)) is None
     _patched_chains(monkeypatch, chains)
     with pytest.raises(RuntimeError, match=r"derived clause -A \| B \| C is already present"):
         run_sup_mo(p)
@@ -310,6 +338,37 @@ def test_the_5_pigeon_problem_saturates_within_2_seconds(kind):
     assert elapsed < 2.0
     assert harness.brute_force_sat(problem.clauses.clauses()) is None
     assert run_scl_sup(problem).annotations[-1].index == len(run.steps)
+
+
+@pytest.mark.parametrize("kind", ["kbo", "lpo"])
+def test_the_5_pigeon_problem_verifies_within_2_seconds(kind):
+    # the trail run pairs 423,509,398 saturation steps, far past
+    # run_sup_mo's default cap; the verifier takes its cap from that. The
+    # asserts read plain values: one on a run would render its clauses copy
+    # by copy when it fails
+    problem = harness.pigeonhole(4, kind)
+    start = time.perf_counter()
+    result = lockstep_verify(problem)
+    elapsed = time.perf_counter() - start
+    failures, outcomes = result.failures(), (result.sim.outcome, result.sup.outcome)
+    final_index, steps = result.sim.annotations[-1].index, len(result.sup.steps)
+    assert failures == []
+    assert outcomes == (UNSATISFIABLE, UNSATISFIABLE)
+    assert final_index == steps == 423_509_398
+    assert harness.brute_force_sat(problem.clauses.clauses()) is None
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("atoms,seed", [(30, 1), (22, 4)], ids=["30:1", "22:4"])
+def test_ladders_past_the_default_step_cap_verify(atoms, seed):
+    problem = _ladder(atoms, seed)
+    result = lockstep_verify(problem)
+    failures, outcome, model = result.failures(), result.sim.outcome, result.sim.model
+    steps = len(result.sup.steps)
+    assert failures == []
+    assert steps > MAX_STEPS
+    assert outcome == SATISFIABLE
+    assert all(eval_herbrand(model, c) for c in problem.clauses)
 
 
 def test_a_conclusion_past_the_machine_word_is_recorded():

@@ -80,6 +80,28 @@ def test_simulate_strict_escalates_verification_failures(unsat_file, capsys, mon
     assert cli.main(["simulate", unsat_file]) == 1   # without --strict only the verdict counts
 
 
+def test_running_out_of_memory_exits_two_with_one_error_line(unsat_file, capsys, monkeypatch):
+    # exit 1 would read as a refutation
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(harness, "lockstep_verify", exhausted)
+    for argv in (["simulate", unsat_file], ["simulate", "--json", unsat_file]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory\n"
+
+
+def test_simulate_text_serializes_no_trace(unsat_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text report built a trace")
+
+    monkeypatch.setattr(cli, "emit_trace", refuse)
+    assert cli.main(["simulate", "--strict", unsat_file]) == 1
+    out = capsys.readouterr().out
+    assert "verification: ok (" in out and out.endswith("verdict: unsatisfiable\n")
+
+
 def test_simulate_strict_is_quiet_on_a_clean_run(sat_file, capsys):
     assert cli.main(["simulate", "--strict", sat_file]) == 0
 

@@ -298,7 +298,7 @@ def test_run_kbo_refutation_trace():
     assert [s.kind for s in run.steps] == [
         "factoring", "superposition_left", "superposition_left",
     ]
-    assert run.derived == (
+    assert tuple(s.conclusion for s in run.steps) == (
         Clause([pa]),
         Clause([pa.complement()]),
         EMPTY_CLAUSE,
@@ -328,7 +328,7 @@ def test_run_lpo_refutation_trace():
     c7 = Clause([npa, npa])
     c8 = Clause([npa])
     assert run.outcome == UNSATISFIABLE
-    assert run.derived == (c6, c7, c8, EMPTY_CLAUSE)
+    assert tuple(s.conclusion for s in run.steps) == (c6, c7, c8, EMPTY_CLAUSE)
     assert [s.kind for s in run.steps] == [
         "factoring", "superposition_left", "superposition_left", "superposition_left",
     ]
@@ -356,7 +356,7 @@ def test_run_third_example_refutation():
     c5 = Clause([npa, pb])
     c6 = Clause([npa])
     assert run.outcome == UNSATISFIABLE
-    assert run.derived == (c5, c6, EMPTY_CLAUSE)
+    assert tuple(s.conclusion for s in run.steps) == (c5, c6, EMPTY_CLAUSE)
     assert [s.main for s in run.steps] == [c4, c2, c6]
     assert [s.side for s in run.steps] == [c3, c5, c1]
 
@@ -368,7 +368,7 @@ def test_run_third_example_without_the_block_is_satisfiable():
     pa, pb, qa = T("P", T("a")), T("P", T("b")), T("Q", T("a"))
     assert run.outcome == SATISFIABLE
     assert run.model == frozenset({pa, pb, qa})
-    assert run.derived == (Clause([Literal(pa, False), Literal(pb)]),)
+    assert tuple(s.conclusion for s in run.steps) == (Clause([Literal(pa, False), Literal(pb)]),)
     assert len(run.snapshots) == 2
     for c in p.clauses:
         assert eval_herbrand(set(run.model), c)
@@ -430,10 +430,10 @@ def test_random_runs_agree_with_exhaustive_search(cls):
         for c in prob.clauses:
             assert eval_herbrand(set(run.model), c)
     else:
-        assert run.derived[-1] == EMPTY_CLAUSE
+        assert run.steps[-1].conclusion == EMPTY_CLAUSE
     # every conclusion is genuinely new at the moment it is derived
     seen = set(prob.clauses)
-    for d in run.derived:
+    for d in (s.conclusion for s in run.steps):
         assert d not in seen
         seen.add(d)
 

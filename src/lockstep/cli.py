@@ -30,8 +30,8 @@ from .harness import (
 )
 from .ordering import ProblemOrder
 from .scl import RuleError
-from .simulation import SimulationError, run_scl_sup
-from .superposition import SATISFIABLE, UNSATISFIABLE, run_sup_mo
+from .simulation import MAX_ROUNDS, SimulationError, run_scl_sup
+from .superposition import MAX_STEPS, SATISFIABLE, UNSATISFIABLE, run_sup_mo
 
 
 def _load(path: str) -> Problem:
@@ -202,12 +202,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sup", help="run the saturation engine on a problem file")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS)
     p.set_defaults(fn=_cmd_sup)
 
     p = sub.add_parser("scl", help="run the trail engine on a problem file")
     p.add_argument("file")
-    p.add_argument("--max-rounds", type=int, default=10000)
+    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS)
     p.set_defaults(fn=_cmd_scl)
 
     p = sub.add_parser("simulate", help="run both engines in lockstep and verify")
@@ -215,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when any verification check fails")
     p.add_argument("--json", action="store_true", help="emit the full trace as JSON")
-    p.add_argument("--max-rounds", type=int, default=10000)
+    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("oracle", help="brute-force the verdict, no calculi involved")
@@ -236,7 +236,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help="seed of the first instance")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-rounds", type=int, default=10000)
+    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS)
     _add_gen_flags(p)
     p.set_defaults(fn=_cmd_fuzz)
 

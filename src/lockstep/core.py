@@ -216,16 +216,13 @@ def is_tautology(clause: Clause) -> bool:
 class ClauseSet:
     """An immutable clause collection, built once from an iterable.
 
-    Duplicate clause content is dropped, the first position winning, and a
-    clause's identifier is its position.
+    Duplicate clause content is dropped, the first position winning;
+    ``clauses()`` lists the rest in input order.
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
         self._members: Dict[Clause, None] = dict.fromkeys(clauses)
         self._clauses: Tuple[Clause, ...] = tuple(self._members)
-
-    def by_id(self, cid: int) -> Clause:
-        return self._clauses[cid]
 
     def __contains__(self, clause: Clause) -> bool:
         return clause in self._members

@@ -32,7 +32,7 @@ from .core import (
     print_problem,
 )
 from .ordering import ProblemOrder
-from .simulation import lockstep_verify
+from .simulation import MAX_ROUNDS, lockstep_verify
 from .superposition import SATISFIABLE, UNSATISFIABLE
 
 MAX_ORACLE_ATOMS = 20
@@ -263,7 +263,7 @@ def pigeonhole(n: int, kind: str) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def emit_trace(problem: Problem, max_sequences: int = 10000) -> dict:
+def emit_trace(problem: Problem, max_sequences: int = MAX_ROUNDS) -> dict:
     """Run the lockstep verifier and serialize everything that happened as
     one JSON-ready dictionary."""
     result = lockstep_verify(problem, max_sequences=max_sequences)
@@ -352,7 +352,7 @@ class FuzzReport:
 
 def fuzz_campaign(count: int, base_seed: int = 0,
                   params: Optional[GenParams] = None,
-                  max_sequences: int = 10000) -> FuzzReport:
+                  max_sequences: int = MAX_ROUNDS) -> FuzzReport:
     """Generate ``count`` problems, verify each in lockstep, and arbitrate
     every verdict against the brute-force oracle. A negative count or round
     cap, or bad generator parameters, raise ValueError before any instance

@@ -134,7 +134,7 @@ class SimRun:
     round boundary (boundary ``i + 1`` is the end of round ``i``); the
     ``learned`` clauses, the final state's plus the empty clause when the
     run is unsatisfiable; and ``model``, the positive trail atoms when it is
-    satisfiable.
+    satisfiable. The ``repr`` gives the outcome and sizes, never a clause.
     """
 
     order: ProblemOrder
@@ -171,6 +171,9 @@ class SimRun:
         """Apply ``rule`` to the current state and record it as ``app``."""
         self.states.append(rule(self.order, self.state, *args))
         self.apps.append(app)
+
+    def __repr__(self) -> str:
+        return f"<SimRun {self.outcome}: {len(self.seqs)} rounds, {len(self.apps)} rule apps>"
 
 
 def _gamma_key(order: ProblemOrder, clause: Clause,
@@ -413,8 +416,11 @@ def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
     return "learn_negative", Annotation(j, source, ann.gamma)
 
 
+MAX_ROUNDS = 10000                 # run_scl_sup's default round cap
+
+
 def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
-                max_sequences: int = 10000) -> SimRun:
+                max_sequences: int = MAX_ROUNDS) -> SimRun:
     """Run the trail calculus under the lockstep strategy to a verdict.
 
     The cap bounds the number of rounds and only guards against defects;
@@ -821,8 +827,12 @@ class VerifyResult:
         out.extend(f"final: {m}" for m in self.final_failures)
         return out
 
+    def __repr__(self) -> str:
+        return (f"<VerifyResult {'ok' if self.ok else 'failed'}: "
+                f"{len(self.boundaries)} boundaries, {self.sim!r}, {self.sup!r}>")
 
-def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResult:
+
+def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> VerifyResult:
     """Run both calculi independently and check them against each other.
 
     Every round boundary of the trail run is confronted with the saturation
@@ -839,16 +849,17 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations
+    snapshots = sup.snapshots
     facts = None
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
-        if 0 <= ann.index < len(sup.snapshots):
-            snapshot = sup.snapshots[ann.index]
+        if 0 <= ann.index < len(snapshots):
+            snapshot = snapshots[ann.index]
             facts = _facts_for(order, state, ann.gamma, snapshot, facts)
             reports = check_invariants(order, state, ann, snapshot, facts)
         else:
             reports = [InvariantReport(
                 "pair-index-in-range", False,
-                f"index {ann.index} but only {len(sup.snapshots)} snapshots",
+                f"index {ann.index} but only {len(snapshots)} snapshots",
             )]
         result.boundaries.append(BoundaryReport(b, ann.index, reports))
 
@@ -870,13 +881,13 @@ def lockstep_verify(problem: Problem, max_sequences: int = 10000) -> VerifyResul
                 f"verdicts disagree: trail side {sim.outcome}, "
                 f"saturation side {sup.outcome}"
             )
-        final_index = annotations[-1].index
-        if final_index != len(sup.steps):
+        final_index, steps = annotations[-1].index, len(snapshots) - 1
+        if final_index != steps:
             ff.append(
                 f"final pair index {final_index} does not match the "
-                f"{len(sup.steps)} saturation steps"
+                f"{steps} saturation steps"
             )
-        final = sup.snapshots[-1]
+        final = snapshots[-1]
         for c in sim.learned:
             try:
                 if not final.contains(sfac(c, order)):

@@ -202,11 +202,11 @@ class SupChain:
         which holds the same distinct literals, or None. Equal clauses
         have the same maximal literal, so the pivots agree, and the pivot
         counts tie ``other``'s step to ``j + s``; each literal then asks
-        ``j * (d - d') == b' + s * d' - b``."""
+        ``j * (d - d') == b' + s * d' - b``. Where the pivots differ, this
+        chain's pivot asks ``(1 + d') * (j + s) == 0`` with ``d' >= 0``,
+        which puts ``other``'s step at 0, outside its range: None."""
         _, base, delta, top = self._form
-        _, base2, delta2, top2 = other._form
-        if top2 != top:
-            return None
+        _, base2, delta2, _ = other._form
         s = base2[top] - base[top]
         lo, hi = max(1, 1 - s), min(self.count - 1, other.count - 1 - s)
         for b, d, b2, d2 in zip(base, delta, base2, delta2):
@@ -534,52 +534,39 @@ class SupSnapshot:
 
 class _RunView(Sequence):
     """A read-only sequence over a run's single steps or snapshots,
-    expanded from its records on read."""
+    expanded from its records on read. It sums the record counts once, when
+    it is made, and describes the records as they stood then (a run is
+    complete once ``run_sup_mo`` returns); ``len`` is then constant time and
+    an index costs one bisect, which finds the record ``r`` holding it and
+    its offset ``j`` from that record's start for ``_item(r, j)``. It
+    supports ``len``, integer indexing, negative included, and iteration,
+    not slices."""
+
+    _past_last = 0                 # positions after the last record's steps
 
     def __init__(self, run: "SupRun"):
         self._run = run
+        self._len = sum(chain.count for chain in run.records) + self._past_last
 
-    def _locate(self, i: int) -> Tuple[int, int]:
-        """The record holding position ``i`` (a nonnegative position
-        below the length), and ``i``'s offset from that record's start."""
-        snapshots = self._run.record_snapshots
-        r = bisect_right(snapshots, i, key=_index) - 1
-        return r, i - snapshots[r].index
+    def __len__(self) -> int:
+        return self._len
 
-    def _step_count(self) -> int:
-        return sum(chain.count for chain in self._run.records)
-
-    def _position(self, i: int) -> int:
-        n = len(self)
+    def __getitem__(self, i: int):
         if i < 0:
-            i += n
-        if not 0 <= i < n:
+            i += self._len
+        if not 0 <= i < self._len:
             raise IndexError("index out of range")
-        return i
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        return self._item(self._position(i))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} {type(self).__name__[1:]}>"
+        starts = self._run.record_snapshots
+        r = bisect_right(starts, i, key=_index) - 1
+        return self._item(r, i - starts[r].index)
 
 
 class _Steps(_RunView):
     """``SupRun.steps``: the single steps, record by record, each a chain
-    of one."""
+    of one. It keeps its own iteration, which builds each intermediate once
+    and passes it on as the next main premise, where an index builds two."""
 
-    def __len__(self) -> int:
-        return self._step_count()
-
-    def _item(self, i: int) -> SupChain:
-        r, j = self._locate(i)
+    def _item(self, r: int, j: int) -> SupChain:
         chain = self._run.records[r]
         if chain.count == 1:
             return chain
@@ -601,25 +588,16 @@ class _Steps(_RunView):
 
 class _Snapshots(_RunView):
     """``SupRun.snapshots``: the stored snapshot at each record boundary,
-    and inside a record one built on read from the snapshot at its start."""
+    and inside a record one built on read from the snapshot at its start.
+    Iteration reads by index, one position at a time."""
 
-    def __len__(self) -> int:
-        return self._step_count() + 1
+    _past_last = 1                 # the snapshot after the last step
 
-    def _item(self, i: int) -> SupSnapshot:
-        r, j = self._locate(i)
+    def _item(self, r: int, j: int) -> SupSnapshot:
         start = self._run.record_snapshots[r]
         if j == 0:
             return start
-        return SupSnapshot(start.construction._inside(i, self._run.records[r].at(j)))
-
-    def __iter__(self) -> Iterator[SupSnapshot]:
-        run = self._run
-        for start, chain in zip(run.record_snapshots, run.records):
-            yield start
-            for j in range(1, chain.count):
-                yield SupSnapshot(start.construction._inside(start.index + j, chain.at(j)))
-        yield run.record_snapshots[-1]
+        return SupSnapshot(start.construction._inside(start.index + j, self._run.records[r].at(j)))
 
 
 @dataclass
@@ -636,6 +614,10 @@ class SupRun:
     records through their closed forms; and ``model``, the last snapshot's
     model when the run is satisfiable. Only a read builds a snapshot or a
     conclusion inside a chain; the clause list holds the chain ends alone.
+
+    Each read of ``steps`` or ``snapshots`` makes a view of the records as
+    they stand then (``_RunView``), so a caller that reads many positions
+    keeps one. The ``repr`` gives the outcome and sizes, never a clause.
     """
 
     order: ProblemOrder
@@ -656,6 +638,9 @@ class SupRun:
         if self.outcome != SATISFIABLE:
             return None
         return self.record_snapshots[-1].construction.model
+
+    def __repr__(self) -> str:
+        return f"<SupRun {self.outcome}: {len(self.records)} records, {len(self.steps)} steps>"
 
 
 def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,

@@ -12,13 +12,14 @@ chain.
 import dataclasses
 import glob
 import importlib.util
+import itertools
 import os
 import sys
 import time
 
 import pytest
 
-from lockstep import harness, superposition
+from lockstep import harness, simulation, superposition
 from lockstep.core import Clause, Literal, Atom, eval_herbrand, parse_problem
 from lockstep.ordering import ProblemOrder
 from lockstep.simulation import lockstep_verify, run_scl_sup
@@ -295,12 +296,97 @@ def test_an_intermediate_of_an_earlier_chain_is_rejected(monkeypatch):
         run_sup_mo(p)
 
 
+def test_an_end_already_stored_is_rejected(monkeypatch):
+    p = parse_problem("order: listed\natoms: Q\nclause: Q | Q | Q\nclause: -Q\n")
+    q = Literal(Atom("Q"))
+    _patched_chains(monkeypatch, [
+        SupChain(FACTORING, Clause([q] * 3), None, q.atom, 2, Clause([q.complement()]))])
+    with pytest.raises(RuntimeError, match=r"derived clause -Q is already present"):
+        run_sup_mo(p)
+
+
+def test_an_end_not_below_its_main_premise_is_rejected(monkeypatch):
+    p = parse_problem("order: listed\natoms: Q\nclause: Q | Q\n")
+    q = Literal(Atom("Q"))
+    _patched_chains(monkeypatch, [
+        SupChain(FACTORING, Clause([q] * 2), None, q.atom, 1, Clause([q] * 3))])
+    with pytest.raises(RuntimeError, match=r"derived clause Q \| Q \| Q is not smaller than "
+                                           r"the clause Q \| Q it repairs"):
+        run_sup_mo(p)
+
+
+def _clause(**copies):
+    """``_clause(nA=2, B=1)`` is -A | -A | B."""
+    return Clause([Literal(Atom(name[-1]), name[0] != "n")
+                   for name, n in copies.items() for _ in range(n)])
+
+
+def _intermediates(chain):
+    return [chain.at(j) for j in range(1, chain.count)]
+
+
+def _first_shared(chain, other):
+    """``meets`` by enumeration: the first ``j`` whose intermediate is one
+    of ``other``'s, or None."""
+    theirs = set(_intermediates(other))
+    return next((j for j, c in enumerate(_intermediates(chain), 1) if c in theirs), None)
+
+
+def _small_chains():
+    """Every chain the order B < C < A can draw on small clauses: -A
+    resolved against A | B^x | C^y, and A factored."""
+    a = Atom("A")
+    for m, b, c, x, y in itertools.product(range(1, 4), range(2), range(2), range(3), range(3)):
+        main, side = _clause(nA=m, B=b, C=c), _clause(A=1, B=x, C=y)
+        yield from (SupChain(SUPERPOSITION_LEFT, main, side, a, k) for k in range(1, m + 1))
+    for k, b, c in itertools.product(range(2, 5), range(3), range(3)):
+        main = _clause(A=k, B=b, C=c)
+        yield from (SupChain(FACTORING, main, None, a, n) for n in range(1, k))
+
+
+def test_meets_and_step_of_agree_with_enumeration():
+    by_literals = {}
+    for chain in _small_chains():
+        by_literals.setdefault(chain.distinct, []).append(chain)
+    pairs = [(x, y) for chains in by_literals.values() for x in chains for y in chains]
+    assert len(pairs) > 20_000
+    met = [x.meets(y) for x, y in pairs]
+    assert met == [_first_shared(x, y) for x, y in pairs]
+    assert set(met) == {None, 1, 2}
+    for chains in by_literals.values():
+        for chain in chains:
+            steps = {c: j for j, c in enumerate(_intermediates(chain), 1)}
+            for counts in itertools.product(range(1, 6), repeat=len(chain.distinct)):
+                clause = Clause.from_runs(chain.distinct, counts)
+                assert chain.step_of(clause) == steps.get(clause)
+
+
+@pytest.mark.parametrize("first,second", [
+    # pivots differ: A factored on one chain, B on the other
+    (SupChain(FACTORING, _clause(A=3, B=1), None, Atom("A"), 2),
+     SupChain(FACTORING, _clause(A=1, B=3), None, Atom("B"), 2)),
+    # B's counts never agree: 1 on every clause of one chain, 2 on the other's
+    (SupChain(FACTORING, _clause(A=3, B=1), None, Atom("A"), 2),
+     SupChain(FACTORING, _clause(A=3, B=2), None, Atom("A"), 2)),
+    # B holds 2j copies on one chain and 1 on the other: no integral step
+    (SupChain(SUPERPOSITION_LEFT, _clause(nA=3), _clause(A=1, B=2), Atom("A"), 3),
+     SupChain(SUPERPOSITION_LEFT, _clause(nA=3, B=1), _clause(A=1), Atom("A"), 3)),
+    # B holds 2j copies on one chain and 6 on the other: j = 3, past both ends
+    (SupChain(SUPERPOSITION_LEFT, _clause(nA=3), _clause(A=1, B=2), Atom("A"), 3),
+     SupChain(SUPERPOSITION_LEFT, _clause(nA=3, B=6), _clause(A=1), Atom("A"), 3)),
+], ids=["pivots-differ", "counts-never-agree", "no-integral-step", "outside-both-ranges"])
+def test_chains_that_share_no_intermediate_do_not_meet(first, second):
+    assert first.distinct == second.distinct
+    assert _first_shared(first, second) is None and _first_shared(second, first) is None
+    assert first.meets(second) is None and second.meets(first) is None
+    for clause in _intermediates(second):
+        assert first.step_of(clause) is None
+
+
 def test_snapshot_and_step_views_are_read_only_sequences():
     p = _ladder(15, 1)
     run = run_sup_mo(p)
     assert run.steps[-1] == list(run.steps)[-1]
-    assert [s.index for s in run.snapshots[1:3]] == [1, 2]
-    assert run.steps[1:3] == [run.steps[1], run.steps[2]]
     with pytest.raises(IndexError):
         run.steps[len(run.steps)]
     with pytest.raises(IndexError):
@@ -357,6 +443,51 @@ def test_the_5_pigeon_problem_verifies_within_2_seconds(kind):
     assert final_index == steps == 423_509_398
     assert harness.brute_force_sat(problem.clauses.clauses()) is None
     assert elapsed < 2.0
+
+
+class _CountedRecords(list):
+    """A record list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_the_verifier_reads_the_run_length_a_constant_number_of_times(monkeypatch):
+    # a view sums the record counts once, when it is made; the verifier
+    # keeps one snapshot view for its 2,977 boundaries and its final checks
+    real, runs = simulation.run_sup_mo, []
+
+    def counted(*args, **kwargs):
+        run = real(*args, **kwargs)
+        run.records = _CountedRecords(run.records)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(simulation, "run_sup_mo", counted)
+    result = lockstep_verify(harness.pigeonhole(4, "kbo"))
+    ok, boundaries, walks = result.ok, len(result.boundaries), runs[0].records.walks
+    assert ok and boundaries == 2977
+    assert walks <= 3
+
+
+def test_runs_render_as_their_outcome_and_sizes():
+    # pytest renders the operands of a failing assert with repr, so a run's
+    # repr must not spell out its clauses copy by copy
+    runs = [run_sup_mo(_ladder(22, 1), max_steps=10 ** 13),
+            lockstep_verify(harness.pigeonhole(4, "kbo"))]
+    texts, seconds = [], []
+    for run in runs:
+        start = time.perf_counter()
+        texts.append(repr(run))
+        seconds.append(time.perf_counter() - start)
+    assert texts == [
+        "<SupRun satisfiable: 222 records, 2195850681651 steps>",
+        "<VerifyResult ok: 2977 boundaries, <SimRun unsatisfiable: 2976 rounds, 4363 rule apps>, "
+        "<SupRun unsatisfiable: 245 records, 423509398 steps>>"]
+    assert all(len(text) < 200 for text in texts) and max(seconds) < 0.1
 
 
 @pytest.mark.parametrize("atoms,seed", [(30, 1), (22, 4)], ids=["30:1", "22:4"])

@@ -100,7 +100,7 @@ def test_clause_set_ids_are_stable_and_deduplicated():
     c2 = Clause([lit("Q")])
     cs = ClauseSet([c1, c2, Clause([lit("P")])])
     assert len(cs) == 2
-    assert cs.by_id(1) == c2
+    assert cs.clauses()[1] == c2
     assert list(cs) == [c1, c2]
 
 
@@ -303,8 +303,8 @@ def test_parse_kbo_problem():
     assert p.ordering.weights == {"Q": 2}
     assert p.ordering.default_weight == 1
     assert len(p.clauses) == 3
-    assert p.clauses.by_id(0).count(Literal(T("P", T("a")))) == 2
-    assert p.clauses.by_id(2) == Clause([Literal(T("Q", T("b")), False)])
+    assert p.clauses.clauses()[0].count(Literal(T("P", T("a")))) == 2
+    assert p.clauses.clauses()[2] == Clause([Literal(T("Q", T("b")), False)])
     assert p.symbol_arities == {"P": 1, "Q": 1, "a": 0, "b": 0}
     assert p.atom_universe == {T("P", T("a")), T("Q", T("b"))}
 

@@ -94,7 +94,7 @@ def test_decide_guards(kbo):
 
 def test_propagate_dedups_the_justification(kbo):
     p, po = kbo
-    c1 = p.clauses.by_id(0)          # P(a) | P(a)
+    c1 = p.clauses.clauses()[0]          # P(a) | P(a)
     s = propagate(po, initial_state(p), c1, PA)
     entry = s.trail[0]
     assert entry.literal == PA
@@ -105,7 +105,7 @@ def test_propagate_dedups_the_justification(kbo):
 
 def test_propagate_after_a_decision_records_the_current_level(kbo):
     p, po = kbo
-    c2 = p.clauses.by_id(1)          # -P(a) | Q(b)
+    c2 = p.clauses.clauses()[1]          # -P(a) | Q(b)
     s = decide(po, initial_state(p), PA)
     s = propagate(po, s, c2, QB)
     assert s.trail[1].literal == QB
@@ -157,7 +157,7 @@ def test_conflict_rule(kbo):
 def _conflict_state(kbo):
     """Trail [P(a)^1, Q(b)^(-P(a)|Q(b))], conflict -Q(b)."""
     p, po = kbo
-    c2, c3 = p.clauses.by_id(1), p.clauses.by_id(2)
+    c2, c3 = p.clauses.clauses()[1], p.clauses.clauses()[2]
     s = decide(po, initial_state(p), PA)
     s = propagate(po, s, c2, QB)
     return po, p, conflict(po, s, c3)
@@ -252,8 +252,8 @@ clause: -Q(a)
     po = ProblemOrder(p)
     qa = Literal(T("Q", T("a")))
     s = decide(po, initial_state(p), PA)
-    s = propagate(po, s, p.clauses.by_id(1), qa)
-    s = conflict(po, s, p.clauses.by_id(2))
+    s = propagate(po, s, p.clauses.clauses()[1], qa)
+    s = conflict(po, s, p.clauses.clauses()[2])
     s = resolve(po, s)                   # conflict becomes bottom
     assert s.conflict == EMPTY_CLAUSE
     s = skip(po, s)                      # pops the propagation
@@ -278,9 +278,9 @@ clause: Q(a)
     p = parse_problem(text)
     po = ProblemOrder(p)
     qa = Literal(T("Q", T("a")))
-    c1 = p.clauses.by_id(0)
-    s = propagate(po, initial_state(p), p.clauses.by_id(1), PA)
-    s = propagate(po, s, p.clauses.by_id(2), qa)
+    c1 = p.clauses.clauses()[0]
+    s = propagate(po, initial_state(p), p.clauses.clauses()[1], PA)
+    s = propagate(po, s, p.clauses.clauses()[2], qa)
     s = conflict(po, s, c1)
     s2 = factorize(po, s)
     assert s2.conflict == Clause([PA.complement(), qa.complement()])
@@ -296,7 +296,7 @@ clause: Q(a)
 
 def test_is_defined_and_levels(kbo):
     p, po = kbo
-    c2 = p.clauses.by_id(1)
+    c2 = p.clauses.clauses()[1]
     s = decide(po, initial_state(p), PA)
     s = propagate(po, s, c2, QB)
     assert is_defined(s, PA.atom) and is_defined(s, QB.atom)
@@ -310,7 +310,7 @@ def test_a_state_computes_its_valuation_once(kbo):
     # a state is never changed in place, so it keeps the valuation it
     # computed; a copy is another state and computes its own
     p, po = kbo
-    s = propagate(po, decide(po, initial_state(p), PA), p.clauses.by_id(1), QB)
+    s = propagate(po, decide(po, initial_state(p), PA), p.clauses.clauses()[1], QB)
     true, false = s.valuation()
     assert true == {"P(a)", "Q(b)"} and false == {"-P(a)", "-Q(b)"}
     assert s.valuation()[0] is true and s.valuation()[1] is false

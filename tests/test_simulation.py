@@ -404,7 +404,7 @@ def test_missing_filler_decision_is_caught():
 
 def test_wrong_conflict_clause_is_caught():
     p, po, state, ann, snapshot = _golden_boundary()
-    c4 = p.clauses.by_id(3)
+    c4 = p.clauses.clauses()[3]
     bad = dataclasses.replace(state, conflict=c4)
     v = _verdicts(check_invariants(po, bad, ann, snapshot))
     assert not v["conflict-is-minimal-false"]
@@ -450,7 +450,7 @@ def test_atoms_past_the_bound_are_rejected():
         decide(po, s0, q)
     assert e.value.guard == "atom-beyond-bound"
     with pytest.raises(RuleError) as e:
-        propagate(po, s0, p.clauses.by_id(0), q)
+        propagate(po, s0, p.clauses.clauses()[0], q)
     assert e.value.guard == "atom-beyond-bound"
     state = decide(ProblemOrder(p), s0, q)
     snapshot = run_sup_mo(small, po).snapshots[0]
@@ -473,11 +473,11 @@ def test_producer_without_a_preimage_is_caught():
 
 
 def _wrong_image(p, state, ann):
-    return state, dataclasses.replace(ann, gamma={**ann.gamma, p.clauses.by_id(1): p.clauses.by_id(0)})
+    return state, dataclasses.replace(ann, gamma={**ann.gamma, p.clauses.clauses()[1]: p.clauses.clauses()[0]})
 
 
 def _reason_replaced(p, state, ann):
-    top = dataclasses.replace(state.trail[-1], reason=p.clauses.by_id(1))
+    top = dataclasses.replace(state.trail[-1], reason=p.clauses.clauses()[1])
     return dataclasses.replace(state, trail=state.trail[:-1] + (top,)), ann
 
 
@@ -486,11 +486,11 @@ def _attention_emptied(p, state, ann):
 
 
 def _attention_moved(p, state, ann):
-    return state, dataclasses.replace(ann, aid=p.clauses.by_id(3))
+    return state, dataclasses.replace(ann, aid=p.clauses.clauses()[3])
 
 
 def _conflict_satisfied(p, state, ann):
-    return dataclasses.replace(state, conflict=p.clauses.by_id(3)), ann
+    return dataclasses.replace(state, conflict=p.clauses.clauses()[3]), ann
 
 
 def _attention_unranked(p, state, ann):
@@ -549,7 +549,7 @@ def test_unsatisfied_prefix_clauses_are_listed_in_state_order():
     # before it, the state after it, and the detail follows the state
     p, po, state, ann, snapshot = _golden_boundary()
     bad = dataclasses.replace(state, trail=(), conflict=None)
-    moved = dataclasses.replace(ann, aid=p.clauses.by_id(1))
+    moved = dataclasses.replace(ann, aid=p.clauses.clauses()[1])
     reports = {r.name: r for r in check_invariants(po, bad, moved, snapshot)}
     assert not reports["prefix-satisfied"].ok
     assert reports["prefix-satisfied"].detail == (
@@ -569,7 +569,7 @@ def test_an_atom_on_the_trail_twice_takes_its_last_value(last, unsatisfied):
     second = dataclasses.replace(state.trail[0], literal=last)
     bad = dataclasses.replace(state, trail=(first, second), conflict=None)
     assert filler_decisions(po, bad, QA) == [PB.complement()]
-    moved = dataclasses.replace(ann, aid=p.clauses.by_id(1))
+    moved = dataclasses.replace(ann, aid=p.clauses.clauses()[1])
     reports = {r.name: r for r in check_invariants(po, bad, moved, snapshot)}
     assert reports["prefix-satisfied"].detail == f"not satisfied yet: {unsatisfied}"
 

@@ -253,11 +253,11 @@ def test_construct_model_with_production():
 def test_prefix_and_delta_queries():
     p = parse_problem(LPO_TEXT)
     po = ProblemOrder(p)
-    c3 = p.clauses.by_id(2)
+    c3 = p.clauses.clauses()[2]
     with_factor = list(p.clauses) + [sfac(c3, po)]
     mc = construct_model(with_factor, po)
     pa, pb, qa = T("P", T("a")), T("P", T("b")), T("Q", T("a"))
-    c2 = p.clauses.by_id(1)
+    c2 = p.clauses.clauses()[1]
     c6 = sfac(c3, po)
     assert mc.prefix_below(c2) == frozenset({pa, qa})
     assert mc.delta_of(c6) == qa
@@ -271,7 +271,7 @@ def test_prefix_and_delta_queries():
 def test_produced_atoms_ascend_along_the_clause_order():
     p = parse_problem(LPO_TEXT)
     po = ProblemOrder(p)
-    c3 = p.clauses.by_id(2)
+    c3 = p.clauses.clauses()[2]
     mc = construct_model(list(p.clauses) + [sfac(c3, po)], po)
     produced_by = {c: a for a, c in mc.producer.items()}
     produced = [produced_by[e.clause] for e in mc.entries if e.clause in produced_by]
@@ -379,7 +379,7 @@ def test_tautologies_are_never_selected():
     run = run_sup_mo(prob)
     assert run.outcome == SATISFIABLE
     assert run.model == frozenset({Atom("Q")})
-    assert run.steps == []
+    assert len(run.steps) == 0
 
 
 def test_cap_is_reported():

@@ -19,13 +19,19 @@ Both read a state's clauses through an attention index, one per map
 version. It holds the clauses sorted by their factored-image key (ties in
 state order) with the list of those keys, the set of their images, their
 atoms, and for each map entry whether its image is the clause's factored
-image. It is rebuilt only when the map object or a clause tuple of the
-state changes (in a run, the input clauses never do), tested by identity,
-since none of them is ever changed in place. So the walk and invariant
-(xii) bisect the sorted keys instead of ranking every clause at every
-boundary, and invariant (iv) computes factored images once per map
-version. The verifier builds its own indexes from the recorded states and
-shares none with the driver.
+image. It follows what changed since the last index: it is reused while
+the map object and the state's clauses are the same objects, and derived
+from the last one when the state's learned clauses extend the last ones
+object by object (in a run, the input clauses never change), whatever the
+map. A derived index inserts the keys of the new clauses by bisection and
+moves only the clauses whose image object changed, instead of sorting
+again; see ``_AttentionIndex`` for each part and why its derivation is
+sound. Any other state gets a new index. All tests are by identity, since
+no state, clause or map is ever changed in place. So the walk and
+invariant (xii) bisect the sorted keys instead of ranking every clause at
+every boundary, and invariant (iv) computes a factored image only for a
+map entry whose image changed. The verifier builds its own indexes from
+the recorded states and shares none with the driver.
 
 check_invariants reads each boundary as a version plus an attention
 clause. A version is one trail state under one map, paired with one
@@ -37,18 +43,20 @@ snapshot, and the first clause in the factored-image order that the trail
 leaves unsatisfied) is held in one facts object per version, computed on
 first read and reused while the state, the map and the snapshot are the
 same objects. Reuse is sound because each of these is a pure function of
-those three objects, none of which is ever changed in place. Only the
-attention half is computed at every boundary: membership of the attention
-clause, (v), (vi), (xi), and (xii) from the version's first unsatisfied
-clause up to the attention clause.
+those three objects, none of which is ever changed in place. A new
+version's facts are computed afresh over an index that the version before
+lends or derives. Only the attention half is computed at every boundary:
+membership of the attention clause, (v), (vi), (xi), and (xii) from the
+version's first unsatisfied clause up to the attention clause.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from operator import is_
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from .core import (
@@ -183,52 +191,134 @@ def _gamma_key(order: ProblemOrder, clause: Clause,
     return (order.clause_key(gamma.get(clause, clause)), order.clause_key(clause))
 
 
+def _extends(old: tuple, new: tuple) -> bool:
+    """Whether ``new`` holds the very objects of ``old``, position by
+    position, possibly followed by more."""
+    return old is new or (len(new) >= len(old) and all(map(is_, old, new)))
+
+
 class _AttentionIndex:
     """A state's clauses in the factored-image order under one map.
 
-    It describes every state with the same input and learned clause tuples
-    under the same map object, the version it was built for; ``_index_for``
-    tests this by identity, since states and maps are never changed in
-    place. Each part is computed on its first read, so a reader pays only
-    for what it reads, once per version:
+    It describes every state whose input clause tuple and learned clauses
+    are those it was built for, object by object, under the same map
+    object: its version. ``_index_for`` tests this by identity, since
+    states, clauses and maps are never changed in place. Each part is
+    computed on its first read, so a reader pays only for what it reads,
+    once per version:
 
     - ``ranked``: the keys, state positions and clauses, stably sorted by
       ``_gamma_key``, so ties keep state order;
     - ``images``: the set of the clauses' images under the map;
     - ``atoms``: the atoms of the clauses;
+    - ``own``: the set of the clauses;
     - ``map_entries``: each map entry with whether its image is the
       clause's factored image and whether the clause is in the state.
 
-    A part the order cannot rank raises the order's ValueError on every
-    read, just as a direct computation would.
+    An index made from ``last``, the index of a state whose learned clauses
+    this state's extend, derives each part ``last`` has computed from it
+    instead of computing it afresh:
+
+    - ``ranked``: each new clause's key is inserted by bisection after its
+      equal keys, since it follows every old clause in state order; each
+      clause whose image object differs between the two maps is taken out
+      at its old key and put back at its new one, among equal keys by
+      state position. The other clauses keep their keys and so their
+      relative order.
+    - ``atoms`` and ``own``: the old ones plus the new clauses'.
+    - ``images``: the old ones plus the new clauses' when the map is the
+      same object. Under another map it is built again: an image that
+      left with one clause may still be another clause's.
+    - ``map_entries``: an entry whose clause maps to the same image object
+      keeps its ``factored`` flag, which depends on the two alone; any
+      other entry computes it again. Whether the clause is in the state is
+      read from ``own``.
+
+    The new index keeps ``last``'s computed parts, not ``last``, and drops
+    each when its own part is read, so indexes never hold a chain of their
+    predecessors. A part the order cannot rank raises the order's
+    ValueError on every read, just as a direct computation would: the
+    derivation keys the clauses it has to in state order, the order in
+    which a full sort keys them.
     """
 
+    _PARTS = ("ranked", "images", "atoms", "own", "map_entries")
+
     def __init__(self, order: ProblemOrder, state: SclState,
-                 gamma: Dict[Clause, Clause]):
+                 gamma: Dict[Clause, Clause], last: Optional["_AttentionIndex"] = None):
         self.order = order
         self.n, self.u = state.n, state.u
         self.gamma = gamma
+        self._prior = {} if last is None else {
+            name: last.__dict__[name] for name in self._PARTS if name in last.__dict__}
+        if self._prior:
+            self._prior_gamma, self._since = last.gamma, len(last.u)
 
     @cached_property
     def ranked(self) -> Tuple[List[Tuple[ClauseKey, ClauseKey]], List[int], List[Clause]]:
-        order, gamma = self.order, self.gamma
-        keyed = sorted((_gamma_key(order, c, gamma), i, c)
-                       for i, c in enumerate(self.n + self.u))
-        return [k for k, _, _ in keyed], [i for _, i, _ in keyed], [c for _, _, c in keyed]
+        order, gamma, clauses = self.order, self.gamma, self.n + self.u
+        prior = self._prior.pop("ranked", None)
+        if prior is None:
+            keyed = sorted((_gamma_key(order, c, gamma), i, c) for i, c in enumerate(clauses))
+            return [k for k, _, _ in keyed], [i for _, i, _ in keyed], [c for _, _, c in keyed]
+        keys, positions, ranked = (list(part) for part in prior)
+
+        def place(key: Tuple[ClauseKey, ClauseKey], i: int) -> None:
+            lo = bisect_left(keys, key)
+            at = bisect_left(positions, i, lo, bisect_right(keys, key, lo))
+            keys.insert(at, key)
+            positions.insert(at, i)
+            ranked.insert(at, clauses[i])
+
+        old, held = self._prior_gamma, len(self.n) + self._since
+        if old is not gamma:
+            moved = {c for c in old.keys() | gamma.keys() if old.get(c, c) is not gamma.get(c, c)}
+            for i, c in enumerate(clauses[:held]):
+                if c in moved:
+                    at = positions.index(i, bisect_left(keys, _gamma_key(order, c, old)))
+                    del keys[at], positions[at], ranked[at]
+                    place(_gamma_key(order, c, gamma), i)
+        for i in range(held, len(clauses)):
+            place(_gamma_key(order, clauses[i], gamma), i)
+        return keys, positions, ranked
 
     @cached_property
     def images(self) -> FrozenSet[Clause]:
-        return frozenset(self.gamma.get(c, c) for c in self.n + self.u)
+        prior = self._prior.pop("images", None)
+        if prior is None or self._prior_gamma is not self.gamma:
+            return frozenset(self.gamma.get(c, c) for c in self.n + self.u)
+        return prior.union(self.gamma.get(c, c) for c in self._added)
 
     @cached_property
     def atoms(self) -> FrozenSet[Atom]:
-        return frozenset(atoms_of(self.n + self.u))
+        prior = self._prior.pop("atoms", None)
+        if prior is None:
+            return frozenset(atoms_of(self.n + self.u))
+        return prior.union(atoms_of(self._added))
+
+    @cached_property
+    def own(self) -> FrozenSet[Clause]:
+        prior = self._prior.pop("own", None)
+        if prior is None:
+            return frozenset(self.n + self.u)
+        return prior.union(self._added)
 
     @cached_property
     def map_entries(self) -> List[Tuple[Clause, Clause, bool, bool]]:
-        own = set(self.n + self.u)
-        return [(c, img, img == sfac(c, self.order), c in own)
-                for c, img in self.gamma.items()]
+        prior = self._prior.pop("map_entries", ())
+        known = {c: (img, factored) for c, img, factored, _ in prior}
+        own, entries = self.own, []
+        for c, img in self.gamma.items():
+            before = known.get(c)
+            factored = (before[1] if before is not None and before[0] is img
+                        else img == sfac(c, self.order))
+            entries.append((c, img, factored, c in own))
+        return entries
+
+    @property
+    def _added(self) -> Tuple[Clause, ...]:
+        """The learned clauses past ``last``'s."""
+        return self.u[self._since:]
 
     def after(self, key: Tuple[ClauseKey, ClauseKey]) -> Optional[Clause]:
         """The first clause whose key lies strictly above ``key``."""
@@ -247,11 +337,15 @@ class _AttentionIndex:
 
 def _index_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
                last: Optional[_AttentionIndex] = None) -> _AttentionIndex:
-    """``last`` if it was built for this map and these clauses, otherwise a
-    new index for them."""
-    if last is not None and last.gamma is gamma and last.u is state.u and last.n is state.n:
+    """``last`` if it was built for this map and these clause tuples; an
+    index derived from ``last`` if the input clause tuple is ``last``'s and
+    the learned clauses extend ``last``'s object by object, whatever the
+    map; otherwise a new index for them."""
+    if last is None or last.n is not state.n:
+        return _AttentionIndex(order, state, gamma)
+    if last.u is state.u and last.gamma is gamma:
         return last
-    return _AttentionIndex(order, state, gamma)
+    return _AttentionIndex(order, state, gamma, last if _extends(last.u, state.u) else None)
 
 
 def initial_gamma(problem: Problem, order: ProblemOrder) -> Dict[Clause, Clause]:
@@ -500,8 +594,8 @@ class _VersionFacts:
     ``_facts_for`` reuses it for every boundary of that version, tested by
     identity: each part is a pure function of the state, the map and the
     snapshot, and none of them is ever changed in place. The attention
-    index comes from the last version when it fits. Each part is computed
-    on its first read:
+    index comes from the last version's, reused or derived when it fits.
+    Each part is computed on its first read:
 
     - ``positives`` and ``negatives``: the trail's positive and negative atoms;
     - ``reports``: invariants (i), (ii), (iv), (vii)-(x), (xiii) and (xiv),
@@ -511,6 +605,11 @@ class _VersionFacts:
     - ``first_unsatisfied``: the position in the index's ranked order of the
       first clause the trail leaves unsatisfied, or the clause count when
       it satisfies them all.
+
+    A new version's parts are computed afresh, not carried from the
+    version before: resuming the ``first_unsatisfied`` scan and asking only
+    about newly learned clauses saves as much on long derivations as its
+    guards cost on short ones.
     """
 
     def __init__(self, order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
@@ -628,7 +727,7 @@ class _VersionFacts:
 def _facts_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
                snapshot: SupSnapshot, last: Optional[_VersionFacts] = None) -> _VersionFacts:
     """``last`` if it was built for this state, map and snapshot, otherwise
-    new facts for them, reading ``last``'s index when it fits."""
+    new facts for them, over an index reused or derived from ``last``'s."""
     if (last is not None and last.state is state and last.gamma is gamma
             and last.snapshot is snapshot):
         return last
@@ -671,8 +770,9 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     # (v) positive trail atoms = atoms produced below the attention image,
     #     plus that image's own production
     def positives_match() -> Optional[str]:
-        expected = set(con.prefix_below(image) if below is None else below)
-        delta = con.delta_of(image)
+        prefix = con.prefix_below(image) if below is None else below
+        expected = set(prefix)
+        delta = con.delta_of(image, prefix)
         if delta is not None:
             expected.add(delta)
         if facts.positives == expected:
@@ -849,17 +949,17 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
     annotations = sim.annotations
-    snapshots = sup.snapshots
+    snapshots, steps = sup.snapshots, sup.step_count
     facts = None
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
-        if 0 <= ann.index < len(snapshots):
+        if 0 <= ann.index <= steps:
             snapshot = snapshots[ann.index]
             facts = _facts_for(order, state, ann.gamma, snapshot, facts)
             reports = check_invariants(order, state, ann, snapshot, facts)
         else:
             reports = [InvariantReport(
                 "pair-index-in-range", False,
-                f"index {ann.index} but only {len(snapshots)} snapshots",
+                f"index {ann.index} but only {steps + 1} snapshots",
             )]
         result.boundaries.append(BoundaryReport(b, ann.index, reports))
 
@@ -881,7 +981,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
                 f"verdicts disagree: trail side {sim.outcome}, "
                 f"saturation side {sup.outcome}"
             )
-        final_index, steps = annotations[-1].index, len(snapshots) - 1
+        final_index = annotations[-1].index
         if final_index != steps:
             ff.append(
                 f"final pair index {final_index} does not match the "

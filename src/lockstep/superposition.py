@@ -458,14 +458,19 @@ class ModelConstruction:
             self._finish()
         return frozenset(islice(self._producer, self._produced_below(key)))
 
-    def delta_of(self, clause: Clause) -> Optional[Atom]:
+    def delta_of(self, clause: Clause,
+                 below: Optional[FrozenSet[Atom]] = None) -> Optional[Atom]:
         """The atom ``clause`` would produce over this set, or None.
 
         For set members this coincides with the construction; for outside
         clauses it applies the same production condition relative to the
-        atoms produced below them.
+        atoms produced below them. ``below``, when given, is those atoms as
+        ``prefix_below(clause)`` returns them, so that a caller that has
+        read them already does not read them again.
         """
-        if eval_herbrand(self.prefix_below(clause), clause):
+        if below is None:
+            below = self.prefix_below(clause)
+        if eval_herbrand(below, clause):
             return None
         return _production(clause, self.order)
 
@@ -546,7 +551,7 @@ class _RunView(Sequence):
 
     def __init__(self, run: "SupRun"):
         self._run = run
-        self._len = sum(chain.count for chain in run.records) + self._past_last
+        self._len = run.step_count + self._past_last
 
     def __len__(self) -> int:
         return self._len
@@ -607,8 +612,10 @@ class SupRun:
     Stored: the chain records and the snapshot at each record boundary
     (``record_snapshots[r]`` is the one before ``records[r]``, and the last
     one follows the last record), and the outcome. Derived, on read:
-    ``steps``, the single steps as chains of one (a record of count 1 is
-    its own step; ``len(steps)`` sums the record counts), and
+    ``step_count``, the sum of the record counts, a plain ``int`` that may
+    pass ``sys.maxsize``; ``steps``, the single steps as chains of one (a
+    record of count 1 is its own step; ``len(steps)`` is ``step_count``
+    while that fits the machine word), and
     ``snapshots``, one per step boundary (step ``i`` leads from snapshot
     ``i`` to snapshot ``i + 1``), both read-only sequences that expand the
     records through their closed forms; and ``model``, the last snapshot's
@@ -626,6 +633,10 @@ class SupRun:
     outcome: str = CAP_EXCEEDED
 
     @property
+    def step_count(self) -> int:
+        return sum(chain.count for chain in self.records)
+
+    @property
     def steps(self) -> Sequence:
         return _Steps(self)
 
@@ -640,7 +651,7 @@ class SupRun:
         return self.record_snapshots[-1].construction.model
 
     def __repr__(self) -> str:
-        return f"<SupRun {self.outcome}: {len(self.records)} records, {len(self.steps)} steps>"
+        return f"<SupRun {self.outcome}: {len(self.records)} records, {self.step_count} steps>"
 
 
 def run_sup_mo(problem: Problem, order: Optional[ProblemOrder] = None,

@@ -9,10 +9,14 @@ exactly as a fresh one.
 """
 
 import dataclasses
+import gc
 import glob
 import importlib.util
 import os
+import weakref
 from operator import itemgetter
+
+import pytest
 
 from lockstep import simulation
 from lockstep.core import (
@@ -25,7 +29,7 @@ from lockstep.core import (
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
 from lockstep.scl import TrailEntry, initial_state
-from lockstep.superposition import run_sup_mo
+from lockstep.superposition import run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
     SimulationError,
@@ -270,6 +274,16 @@ def _shared_state_dropping_its_top(real, *args, **kwargs):
     return run
 
 
+def _fresh_failures(result):
+    """The failures of ``result`` with every boundary checked by a fresh
+    check_invariants call, carrying nothing from the boundary before."""
+    order, sim = result.order, result.sim
+    fresh = [simulation.BoundaryReport(b, ann.index, check_invariants(
+                 order, state, ann, result.sup.snapshots[ann.index]))
+             for b, (ann, state) in enumerate(zip(sim.annotations, sim.boundary_states))]
+    return dataclasses.replace(result, boundaries=fresh).failures()
+
+
 def test_a_corrupted_shared_state_fails_as_fresh_calls_fail(monkeypatch):
     """Several consecutive pass boundaries share one state; with its top
     trail entry dropped, the verifier reports exactly what fresh calls at
@@ -281,10 +295,7 @@ def test_a_corrupted_shared_state_fails_as_fresh_calls_fail(monkeypatch):
     [problem] = _ladder_pool(0)[:1]
     result = lockstep_verify(problem)
     order, sim = result.order, result.sim
-    fresh = [simulation.BoundaryReport(b, ann.index, check_invariants(
-                 order, state, ann, result.sup.snapshots[ann.index]))
-             for b, (ann, state) in enumerate(zip(sim.annotations, sim.boundary_states))]
-    assert result.failures() == dataclasses.replace(result, boundaries=fresh).failures()
+    assert result.failures() == _fresh_failures(result)
 
     listed = []
     for ann, state, report in zip(sim.annotations, sim.boundary_states, result.boundaries):
@@ -299,6 +310,95 @@ def test_a_corrupted_shared_state_fails_as_fresh_calls_fail(monkeypatch):
             listed.append((state, len(unsat)))
     shared = [n for state, n in listed if state is listed[-1][0]]
     assert len(shared) >= 3 and shared == sorted(shared) and shared[0] < shared[-1]
+
+
+def _corrupt_boundary(pick, edit):
+    """A wrapper of run_scl_sup that replaces the state of the first round
+    boundary ``pick(before, after)`` accepts, given the states of the
+    boundary before it and of it, by ``edit(before, after)``."""
+    def wrapper(real, *args, **kwargs):
+        run = real(*args, **kwargs)
+        states = run.boundary_states
+        b = next(b for b in range(1, len(states)) if pick(states[b - 1], states[b]))
+        k = run.seqs[b - 1].app_range[1]
+        run.states[k] = edit(states[b - 1], states[b])
+        return run
+    return wrapper
+
+
+def _copied(clause):
+    return Clause.from_runs(clause.distinct, clause.counts)
+
+
+def _reassigning(before, after):
+    """``before``'s trail extended by the complement of its first entry."""
+    first = before.trail[0]
+    entry = TrailEntry(first.literal.complement(), after.k, None)
+    return dataclasses.replace(after, trail=before.trail + (entry,))
+
+
+_LEARNED_COPIED = _corrupt_boundary(
+    lambda before, after: len(after.u) > len(before.u) >= 1,
+    lambda before, after: dataclasses.replace(after, u=tuple(map(_copied, after.u))))
+_LEARNED_DROPPED = _corrupt_boundary(
+    lambda before, after: len(after.u) > len(before.u) >= 1,
+    lambda before, after: dataclasses.replace(after, u=after.u[1:]))
+_ATOM_REASSIGNED = _corrupt_boundary(
+    lambda before, after: (after.u is before.u and before.trail
+                           and len(after.trail) > len(before.trail)
+                           and after.trail[:len(before.trail)] == before.trail
+                           and len(before.trail) >= 4),
+    _reassigning)
+
+
+@pytest.mark.parametrize("wrapper,unsatisfied", [
+    (_LEARNED_COPIED, False), (_LEARNED_DROPPED, False), (_ATOM_REASSIGNED, True),
+], ids=["learned-copied", "learned-dropped", "atom-reassigned"])
+def test_a_corrupted_version_fails_as_fresh_calls_fail(monkeypatch, wrapper, unsatisfied):
+    """A boundary state whose learned clauses are equal by value to the
+    run's but other objects, one missing a learned clause, and one whose
+    trail extension re-assigns an atom already on the trail: whatever the
+    verifier reuses or derives from the boundary before, it reports
+    exactly what fresh calls at every boundary report. The first
+    two break no invariant at a single boundary; the re-assigned atom
+    leaves clauses below the attention clause unsatisfied."""
+    real = simulation.run_scl_sup
+    monkeypatch.setattr(simulation, "run_scl_sup", lambda *a, **k: wrapper(real, *a, **k))
+    problem = _ladder_pool(0)[3]              # learns 11 clauses
+    result = lockstep_verify(problem)
+    failures = result.failures()
+    assert failures == _fresh_failures(result)
+    assert any("prefix-satisfied: not satisfied yet" in f for f in failures) == unsatisfied
+
+
+class _Watched(_AttentionIndex):
+    """An attention index that notes each derivation: the index, the state
+    it is for, and whether both the learned clauses and the map changed."""
+
+    derived = []
+
+    def __init__(self, order, state, gamma, last=None):
+        super().__init__(order, state, gamma, last)
+        if last is not None:
+            both = len(last.u) < len(state.u) and last.gamma is not gamma
+            self.derived.append((self, state, both))
+
+
+def test_indexes_are_derived_from_their_predecessors(monkeypatch):
+    """Over the ladder pool at seed 1, the driver and the verifier derive
+    more than 300 indexes from the one before, more than 100 of them across
+    a learned clause and a map change at once, and each reads as a fresh
+    index of its state, holding the state's own clause objects."""
+    monkeypatch.setattr(simulation, "_AttentionIndex", _Watched)
+    monkeypatch.setattr(_Watched, "derived", [])
+    for problem in _ladder_pool(1):
+        assert lockstep_verify(problem).ok
+    derived = _Watched.derived
+    for index, state, _ in derived:
+        assert _parts(index) == _parts(_AttentionIndex(index.order, state, index.gamma))
+        _, positions, clauses = index.ranked
+        assert all(c is state.all_clauses()[i] for i, c in zip(positions, clauses))
+    assert len(derived) > 300 and sum(both for _, _, both in derived) > 100
 
 
 TIE_TEXT = """\
@@ -338,3 +438,61 @@ def test_equal_keys_keep_state_order():
     reports = {x.name: x for x in check_invariants(order, state, past, snapshot)}
     assert reports["prefix-satisfied"].detail == (
         "not satisfied yet: ['-P | R', 'P | Q', '-P | R']")
+
+
+def test_a_derived_index_does_not_keep_its_predecessor_alive():
+    p = parse_problem(TIE_TEXT)
+    order = ProblemOrder(p)
+    pr = p.clauses.clauses()[1]
+    last = _AttentionIndex(order, initial_state(p), {})
+    _parts(last)
+    gone = weakref.ref(last)
+    state = dataclasses.replace(initial_state(p), u=(Clause(pr.literals),))
+    index = _index_for(order, state, {}, last)
+    assert index is not last
+    del last
+    _parts(index)
+    gc.collect()
+    assert gone() is None
+
+
+DERIVE_TEXT = """\
+order: listed
+atoms: P < Q < R
+clause: -P | R
+clause: P | Q
+clause: -Q | R
+clause: Q | R | R
+"""
+
+
+def test_a_derived_index_reads_as_a_fresh_one():
+    """Across each edit, whether derived or built afresh because a guard
+    fails, an index holds what a fresh index of the new state holds, with
+    the state's own clause objects: a learned twin of an input clause
+    follows it among equal keys; a map entry whose image object changes
+    computes its flag again, right or wrong, and the images are rebuilt;
+    learned clauses equal by value to the last ones but other objects, or
+    one fewer, are not taken from the last index."""
+    p = parse_problem(DERIVE_TEXT)
+    order = ProblemOrder(p)
+    by_text = {str(c): c for c in p.clauses.clauses()}
+    pr, qr, qrr = by_text["-P | R"], by_text["-Q | R"], by_text["Q | R | R"]
+    twin, other = Clause(pr.literals), Clause(qr.literals)
+    right, wrong = {qrr: sfac(qrr, order)}, {qrr: Clause([Literal(Atom("R"))])}
+    edits = [
+        (((), {}), ((twin,), {})),
+        (((), wrong), ((), right)),
+        (((), right), ((), wrong)),
+        (((twin,), {}), ((twin, other), right)),
+        (((twin,), {}), ((Clause(twin.literals),), {})),
+        (((twin, other), {}), ((other,), {})),
+    ]
+    for (u0, gamma0), (u1, gamma1) in edits:
+        last = _AttentionIndex(order, dataclasses.replace(initial_state(p), u=u0), gamma0)
+        _parts(last)
+        state = dataclasses.replace(initial_state(p), u=u1)
+        index = _index_for(order, state, gamma1, last)
+        assert _parts(index) == _parts(_AttentionIndex(order, state, gamma1))
+        _, positions, clauses = index.ranked
+        assert all(c is state.all_clauses()[i] for i, c in zip(positions, clauses))

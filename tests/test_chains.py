@@ -490,6 +490,19 @@ def test_runs_render_as_their_outcome_and_sizes():
     assert all(len(text) < 200 for text in texts) and max(seconds) < 0.1
 
 
+def test_a_run_past_the_machine_word_renders_and_counts_its_steps():
+    # len() must fit sys.maxsize; the step count is a plain int
+    run = run_sup_mo(_ladder(28, 4), max_steps=10 ** 30)
+    start = time.perf_counter()
+    text = repr(run)
+    seconds = time.perf_counter() - start
+    assert text == "<SupRun unsatisfiable: 498 records, 1760389478696513857865 steps>"
+    assert len(text) < 200 and seconds < 0.1
+    assert run.step_count == sum(chain.count for chain in run.records) > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(run.steps)
+
+
 @pytest.mark.parametrize("atoms,seed", [(30, 1), (22, 4)], ids=["30:1", "22:4"])
 def test_ladders_past_the_default_step_cap_verify(atoms, seed):
     problem = _ladder(atoms, seed)

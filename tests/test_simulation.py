@@ -27,8 +27,16 @@ from lockstep.core import (
 )
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
-from lockstep.scl import RuleError, decide, initial_state, is_defined, literal_level, propagate
-from lockstep.superposition import SATISFIABLE, run_sup_mo, sfac
+from lockstep.scl import (
+    RuleError,
+    TrailEntry,
+    decide,
+    initial_state,
+    is_defined,
+    literal_level,
+    propagate,
+)
+from lockstep.superposition import SATISFIABLE, ModelConstruction, run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
     SimulationError,
@@ -380,6 +388,22 @@ def test_a_passing_invariant_shares_one_report_and_builds_no_detail(monkeypatch)
     assert list(shared) == list(simulation.INVARIANTS) == INVARIANT_NAMES and built == []
 
 
+def test_each_boundary_reads_its_attention_prefix_once(monkeypatch):
+    # invariants (v) and (vi) share the atoms produced below the attention
+    # image, and (v) derives the image's own production from them
+    real, reads = ModelConstruction.prefix_below, []
+
+    def counted(self, clause):
+        reads.append(clause)
+        return real(self, clause)
+
+    monkeypatch.setattr(ModelConstruction, "prefix_below", counted)
+    for text in (KBO_TEXT, LPO_TEXT, THIRD_TEXT, SAT_TEXT):
+        reads.clear()
+        result = lockstep_verify(parse_problem(text))
+        assert result.ok and len(reads) == len(result.boundaries)
+
+
 def test_reversed_trail_is_caught():
     p, po, state, ann, snapshot = _golden_boundary()
     bad = dataclasses.replace(state, trail=tuple(reversed(state.trail)))
@@ -601,6 +625,74 @@ def test_progress_check():
     assert regressed is not None
     changed = check_progress(po, Annotation(1, c1, g), Annotation(1, c2, {c1: Clause([PA])}))
     assert changed is not None and "map" in changed
+
+
+# ---------------------------------------------------------------------------
+# Strategy dead ends
+# ---------------------------------------------------------------------------
+
+# Each row puts the driver in a state shape that no sound run reaches, over
+# the clauses P, -P | Q and -Q with P < Q, and pins the error it raises.
+
+DEAD_END_TEXT = """\
+order: listed
+atoms: P < Q
+clause: P
+clause: -P | Q
+clause: -Q
+"""
+
+
+def _decided(literal):
+    return TrailEntry(lit(literal), 1, None)
+
+
+def _propagated(literal, reason):
+    return TrailEntry(lit(literal), 0, Clause([lit(t) for t in reason.split(" | ")]))
+
+
+@pytest.mark.parametrize("trail,conflict,attention,message", [
+    ((_decided("P"),), None, "-P",
+     "attention clause -P is unsatisfied although its maximal literal -P is negative"),
+    ((_decided("-P"),), None, "P", "attention clause P is false at its own turn"),
+    ((), "-P", None, "conflict mode without a top propagation"),
+    ((_decided("P"),), "-P", None, "conflict mode without a top propagation"),
+    ((_propagated("P", "P"),), "-Q", None, "conflict -Q does not mention the propagated P"),
+    ((_propagated("P", "P"),), "-P | Q", None, "nowhere to backtrack for the resolvent Q"),
+    ((_propagated("P", "P"), _propagated("Q", "-P | Q")), "-Q", None,
+     "resolvent -P blocks on the propagation P instead of a decision"),
+], ids=["negative-maximum", "false-at-its-turn", "empty-trail", "top-decision",
+        "unmentioned-propagation", "nowhere-to-backtrack", "blocks-on-propagation"])
+def test_a_dead_end_of_the_strategy_raises(trail, conflict, attention, message):
+    p = parse_problem(DEAD_END_TEXT)
+    order = ProblemOrder(p)
+    state = dataclasses.replace(
+        initial_state(p), trail=trail,
+        conflict=None if conflict is None else Clause([lit(t) for t in conflict.split(" | ")]))
+    ann = Annotation(0, EMPTY_CLAUSE, {})
+    run = simulation.SimRun(order, ann, [state])
+    with pytest.raises(SimulationError) as raised:
+        if attention is None:
+            simulation._round_conflict(run, ann)
+        else:
+            simulation._round_no_conflict(run, ann, Clause([lit(attention)]))
+    assert str(raised.value) == message
+
+
+def test_a_repropagation_that_exposes_no_conflict_raises(monkeypatch):
+    # the learned clause is false once its negated maximum is forced again;
+    # with the false-clause query emptied for that one call shape, the
+    # first learn_negative round of double_conflict.prob has no conflict
+    real = simulation.conflict_candidates
+    monkeypatch.setattr(simulation, "conflict_candidates",
+                        lambda state, assuming=None: [] if assuming is None
+                        else real(state, assuming))
+    with open(os.path.join(os.path.dirname(__file__), "data", "double_conflict.prob"),
+              encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
+    with pytest.raises(SimulationError) as raised:
+        run_scl_sup(problem)
+    assert str(raised.value) == "forcing P(a) from P(a) exposed no conflict"
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,21 @@ version's facts are computed afresh over an index that the version before
 lends or derives. Only the attention half is computed at every boundary:
 membership of the attention clause, (v), (vi), (xi), and (xii) from the
 version's first unsatisfied clause up to the attention clause.
+
+Most rounds are such pass rounds, and they come in runs: the model
+construction walks the clauses in ascending order, and a clause that is
+already true produces nothing. The driver records a run of them with one
+walk of the version's attention index (``_sweep_passes``): a clause passes
+without a rule application exactly when its image is true and no atom
+below its maximal literal is undefined. The state does not change, so the
+atoms known to be defined only grow along the walk, and most clauses take
+a single rank comparison.
+The verifier still checks every boundary, but at the later boundaries of a
+version that breaks none of the version's invariants it first tries a lean
+test of the attention half (``_VersionFacts.passes_at``), exact in the
+sense that it passes only where every invariant holds. Anything it cannot
+show falls through to the full checks, so every failure line comes from
+the same code as before.
 """
 
 from __future__ import annotations
@@ -510,6 +525,46 @@ def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
     return "learn_negative", Annotation(j, source, ann.gamma)
 
 
+def _sweep_passes(run: SimRun, ann: Annotation, index: _AttentionIndex,
+                  max_sequences: int) -> Tuple[Annotation, Optional[Clause]]:
+    """Record the pass rounds that follow a pass round with no filler
+    decision; return the last annotation and the next attention clause,
+    None at the end of the walk.
+
+    Such a round leaves the state and the map alone, so ``index`` still
+    fits them and the next attention clause is the next key of its ranked
+    order. Each clause from there on is one more "pass" round with no rule
+    application, exactly as ``_round_no_conflict`` would record it, while
+    its image is true on the trail and needs no filler decision: every
+    atom whose positive literal lies below the image's maximal literal is
+    defined. The round just played needed none, so every atom below its
+    image's bound is defined; images only climb, so a clause whose bound is
+    no higher is one rank comparison, and a higher bound asks only about
+    the atoms between the two. The sweep stops at the first clause that
+    fails either test, which it hands over for its round to run as usual,
+    at the end of the walk, or at the round cap.
+    """
+    order, state, gamma = run.order, run.state, ann.gamma
+    keys, _, clauses = index.ranked
+    key = _gamma_key(order, ann.aid, gamma)
+    # an image's bound: (its maximal literal rank + 1) // 2 atoms lie below it
+    defined = (key[0][0][0] + 1) // 2
+    at, i = len(run.apps), bisect_right(keys, key)
+    while i < len(clauses) and len(run.seqs) < max_sequences:
+        d = clauses[i]
+        if not is_true(state, gamma.get(d, d)):
+            break
+        bound = (keys[i][0][0][0] + 1) // 2
+        if bound > defined:
+            if not all(is_defined(state, a) for a in order.atoms_ascending[defined:bound]):
+                break
+            defined = bound
+        ann = Annotation(ann.index, d, gamma)
+        run.seqs.append(SimSeq("pass", d, ann, (at, at)))
+        i = bisect_right(keys, keys[i], i)
+    return ann, clauses[i] if i < len(clauses) else None
+
+
 MAX_ROUNDS = 10000                 # run_scl_sup's default round cap
 
 
@@ -520,13 +575,22 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     The cap bounds the number of rounds and only guards against defects;
     on sound inputs the strategy terminates with a verdict by itself. A
     negative cap raises ValueError.
+
+    A pass round that needs no filler decision changes neither the state
+    nor the map, and so does every pass round after it until one needs a
+    filler decision or meets a clause the trail leaves unsatisfied. Such a
+    run of rounds is recorded by one walk of the version's attention index
+    (``_sweep_passes``) instead of one index lookup and one
+    ``_round_no_conflict`` call per round. It records the same rounds and
+    annotations as those calls would, and the round cap counts each of
+    them.
     """
     if max_sequences < 0:
         raise ValueError(f"max_sequences must be at least 0, not {max_sequences}")
     order = order or ProblemOrder(problem)
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
     run = SimRun(order, ann, [initial_state(problem)])
-    index = None
+    index, swept = None, False
 
     while len(run.seqs) < max_sequences:
         start = len(run.apps)
@@ -534,8 +598,9 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
             kind, ann = _round_conflict(run, ann)
             attention = None
         else:
-            index = _index_for(order, run.state, ann.gamma, index)
-            attention = next_attention(order, run.state, ann, index)
+            if not swept:        # else the sweep has handed over the next clause
+                index = _index_for(order, run.state, ann.gamma, index)
+                attention = next_attention(order, run.state, ann, index)
             if attention is None:
                 run.outcome = SATISFIABLE
                 break
@@ -544,6 +609,9 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
         if kind == "refute":
             run.outcome = UNSATISFIABLE
             break
+        swept = kind == "pass" and len(run.apps) == start
+        if swept:
+            ann, attention = _sweep_passes(run, ann, index, max_sequences)
     return run
 
 
@@ -604,7 +672,12 @@ class _VersionFacts:
       of (iii) that is not about attention;
     - ``first_unsatisfied``: the position in the index's ranked order of the
       first clause the trail leaves unsatisfied, or the clause count when
-      it satisfies them all.
+      it satisfies them all;
+    - ``quiet``: for a version that breaks none of the invariants above and
+      can be read by ``passes_at``, what that test reads of the trail.
+
+    ``checked`` is set once ``check_invariants`` has run the full checks at
+    a boundary of the version, so ``reports`` is known from then on.
 
     A new version's parts are computed afresh, not carried from the
     version before: resuming the ``first_unsatisfied`` scan and asking only
@@ -617,6 +690,7 @@ class _VersionFacts:
         self.order = order
         self.state, self.gamma, self.snapshot = state, gamma, snapshot
         self.index = index
+        self.checked = False
 
     @cached_property
     def positives(self) -> FrozenSet[Atom]:
@@ -635,6 +709,66 @@ class _VersionFacts:
         clauses = self.index.ranked[2]
         return next((k for k, c in enumerate(clauses) if not is_true(self.state, c)),
                     len(clauses))
+
+    @cached_property
+    def quiet(self) -> Optional[Tuple[int, int]]:
+        """For a version outside conflict mode whose nine reports pass and
+        whose learned clauses are all in the snapshot: the rank of the
+        smallest atom the trail leaves undefined, and the largest rank of a
+        negative trail atom (-1 when there is none). None for any other
+        version.
+
+        Since (vii) passes, the trail's atom ranks strictly ascend: no atom
+        has both signs, the last negative entry has the largest negative
+        rank, and the trail defines every atom below its length exactly
+        when its last rank is its length less one."""
+        if (self.state.conflict is not None or self.unlearned
+                or not all(r.ok for r in self.reports)):
+            return None
+        trail, rank = self.state.trail, self.order.atom_rank
+        deepest = next((rank(e.literal.atom) for e in reversed(trail)
+                        if not e.literal.positive), -1)
+        if not trail or rank(trail[-1].literal.atom) == len(trail) - 1:
+            return len(trail), deepest
+        atoms = self.order.atoms_ascending
+        return next((r for r, a in enumerate(atoms) if not is_defined(self.state, a)),
+                    len(atoms)), deepest
+
+    def passes_at(self, aid: Clause, image: Clause, below: FrozenSet[Atom]) -> bool:
+        """Whether all fourteen invariants hold at a boundary of this quiet
+        version whose attention clause is ``aid``, with image ``image`` and
+        ``below`` produced below the image. False means "not shown", never
+        "fails"; a ValueError counts as False.
+
+        It is exact: True only where ``check_invariants`` passes all of
+        them. The nine reports pass, no learned clause is missing and there
+        is no conflict, so (xi) holds and (iii) asks only for ``aid``. (v)
+        is the same set comparison. For (vi), with P = ``below`` plus the
+        image's production and N the negative atoms, which are disjoint
+        from P, N equals the atoms of rank below h that are not in
+        ``below`` (h halves the image's maximal literal rank, rounded up)
+        when all of N lies below h, every atom below h is defined, and the
+        production is in ``below`` or not below h: an atom below h and not
+        in ``below`` is then on the trail, not positive, so negative. (xii)
+        holds when no clause up to ``aid`` in the ranked order lies at or
+        past the first unsatisfied one.
+        """
+        try:
+            if aid.is_empty or image.is_empty or not self.snapshot.contains(aid):
+                return False
+            order = self.order
+            delta = self.snapshot.construction.delta_of(image, below)
+            if self.positives != (below if delta is None else below | {delta}):
+                return False
+            gap, deepest = self.quiet
+            h = (order.clause_key(image)[0][0] + 1) // 2
+            if not deepest < h <= gap or (
+                    delta is not None and delta not in below and order.atom_rank(delta) < h):
+                return False
+            keys = self.index.ranked[0]
+            return self.first_unsatisfied >= bisect_right(keys, _gamma_key(order, aid, self.gamma))
+        except ValueError:
+            return False
 
     @cached_property
     def reports(self) -> Tuple[InvariantReport, ...]:
@@ -746,19 +880,22 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     fits the state, map and snapshot, and built otherwise; only invariants
     (iii), (v), (vi), (xi) and (xii) read the attention clause, and only
     they are computed anew at each boundary of a version.
+
+    At a boundary of a version that an earlier boundary has fully checked
+    (``_VersionFacts.checked``), and which breaks none of the version's
+    invariants (``_VersionFacts.quiet``), the attention half is first tried
+    by ``_VersionFacts.passes_at``, a lean test that passes only where all
+    fourteen invariants hold; then the passing reports are returned. When
+    it does not pass, the full checks below run, so every failure is
+    reported by the code that reports it on any other boundary. Either way
+    the atoms produced below the attention image are read once per
+    boundary. A version's first boundary never tries the lean test: it
+    computes the reports anyway, and on short versions the attempt would
+    not repay itself.
     """
     facts = _facts_for(order, state, ann.gamma, snapshot, facts)
-    (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
-     missed, sync) = facts.reports
     con = snapshot.construction
     image = ann.gamma.get(ann.aid, ann.aid)
-
-    # (iii) the attention clause and all learned clauses exist on the paired side
-    missing = list(facts.unlearned)
-    if not ann.aid.is_empty and not snapshot.contains(ann.aid):
-        missing.append(ann.aid)
-    membership = _report("membership", not missing,
-                         lambda: f"absent from the paired clause set: {[str(c) for c in missing]}")
 
     # (v) and (vi) share the atoms produced below the attention image; when
     # the order cannot rank it, each of them computes it again and reports
@@ -766,6 +903,22 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         below: Optional[FrozenSet[Atom]] = con.prefix_below(image)
     except ValueError:
         below = None
+
+    # a later boundary of a quiet version: the lean test first
+    if (below is not None and facts.checked and facts.quiet is not None
+            and facts.passes_at(ann.aid, image, below)):
+        return list(_PASSED.values())         # built in INVARIANTS order
+    facts.checked = True
+
+    (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
+     missed, sync) = facts.reports
+
+    # (iii) the attention clause and all learned clauses exist on the paired side
+    missing = list(facts.unlearned)
+    if not ann.aid.is_empty and not snapshot.contains(ann.aid):
+        missing.append(ann.aid)
+    membership = _report("membership", not missing,
+                         lambda: f"absent from the paired clause set: {[str(c) for c in missing]}")
 
     # (v) positive trail atoms = atoms produced below the attention image,
     #     plus that image's own production
@@ -941,7 +1094,10 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     and models, equal step counts, and learned clauses whose factored images
     all occur among the derived ones. The saturation run's step cap is the
     trail run's last pair index, or ``run_sup_mo``'s default if that is
-    larger: the trail run states how many steps it paired.
+    larger: the trail run states how many steps it paired. The trail rules
+    never forget a learned clause, so the learned clauses of each boundary
+    must extend those of the boundary before, by value; a regularity line
+    names each boundary where they do not.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
@@ -950,8 +1106,13 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
 
     annotations = sim.annotations
     snapshots, steps = sup.snapshots, sup.step_count
-    facts = None
+    facts, learned, forgotten = None, (), []
     for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
+        if state.u is not learned and not (_extends(learned, state.u)
+                                           or state.u[:len(learned)] == learned):
+            forgotten.append(f"boundary {b}: the learned clauses do not extend "
+                             f"those of boundary {b - 1}")
+        learned = state.u
         if 0 <= ann.index <= steps:
             snapshot = snapshots[ann.index]
             facts = _facts_for(order, state, ann.gamma, snapshot, facts)
@@ -968,7 +1129,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
         if msg is not None:
             result.progress_failures.append(f"round {idx} ({seq.kind}): {msg}")
 
-    result.regularity_failures = audit_regular(sim.states, sim.apps)
+    result.regularity_failures = audit_regular(sim.states, sim.apps) + forgotten
 
     ff = result.final_failures
     if sim.outcome == CAP_EXCEEDED:

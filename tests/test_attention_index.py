@@ -351,17 +351,29 @@ _ATOM_REASSIGNED = _corrupt_boundary(
     _reassigning)
 
 
-@pytest.mark.parametrize("wrapper,unsatisfied", [
-    (_LEARNED_COPIED, False), (_LEARNED_DROPPED, False), (_ATOM_REASSIGNED, True),
+_FORGOTTEN = [
+    "regularity: boundary 25: the learned clauses do not extend those of boundary 24",
+    "regularity: boundary 30: the learned clauses do not extend those of boundary 29",
+]
+
+
+@pytest.mark.parametrize("wrapper,unsatisfied,regularity", [
+    (_LEARNED_COPIED, False, []), (_LEARNED_DROPPED, False, _FORGOTTEN),
+    (_ATOM_REASSIGNED, True, []),
 ], ids=["learned-copied", "learned-dropped", "atom-reassigned"])
-def test_a_corrupted_version_fails_as_fresh_calls_fail(monkeypatch, wrapper, unsatisfied):
+def test_a_corrupted_version_fails_as_fresh_calls_fail(monkeypatch, wrapper, unsatisfied,
+                                                      regularity):
     """A boundary state whose learned clauses are equal by value to the
     run's but other objects, one missing a learned clause, and one whose
     trail extension re-assigns an atom already on the trail: whatever the
     verifier reuses or derives from the boundary before, it reports
     exactly what fresh calls at every boundary report. The first
     two break no invariant at a single boundary; the re-assigned atom
-    leaves clauses below the attention clause unsatisfied."""
+    leaves clauses below the attention clause unsatisfied. The missing
+    clause is a regularity failure, since the trail rules never forget a
+    learned clause: at the boundary that drops it (25), and at the first
+    boundary after it with a state of its own (30), whose learned clauses
+    hold it again."""
     real = simulation.run_scl_sup
     monkeypatch.setattr(simulation, "run_scl_sup", lambda *a, **k: wrapper(real, *a, **k))
     problem = _ladder_pool(0)[3]              # learns 11 clauses
@@ -369,6 +381,7 @@ def test_a_corrupted_version_fails_as_fresh_calls_fail(monkeypatch, wrapper, uns
     failures = result.failures()
     assert failures == _fresh_failures(result)
     assert any("prefix-satisfied: not satisfied yet" in f for f in failures) == unsatisfied
+    assert [f for f in failures if f.startswith("regularity: ")] == regularity
 
 
 class _Watched(_AttentionIndex):

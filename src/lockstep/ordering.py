@@ -29,7 +29,7 @@ and ``Problem`` checks that it covers the clauses (see ``lockstep.core``).
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .core import (
     Atom,
@@ -252,6 +252,11 @@ class ProblemOrder:
     def below_beta(self, atom: Atom) -> bool:
         """Whether ``atom`` lies below the trail bound, that is, is ranked."""
         return atom in self._atom_rank
+
+    def unranked(self, atoms: FrozenSet[Atom]) -> FrozenSet[Atom]:
+        """The atoms of ``atoms`` that the order does not rank. The set
+        keeps its atoms' hashes, so no atom is hashed again."""
+        return atoms.difference(self._atom_rank)
 
     # -- literals ----------------------------------------------------------
 

@@ -24,12 +24,14 @@ A trail has one valuation, each atom taking its last trail entry. A state
 computes it once and keeps it (states are never changed in place), and
 likewise the clauses it falsifies; rules and drivers read them only
 through ``is_true``, ``is_false``, ``is_defined``, ``literal_level`` and
-``conflict_candidates``.
+``conflict_candidates``. The set of its clauses, which the guards of
+propagate and conflict test membership in, passes from each state to the
+state a rule makes of it, so a run builds it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -67,6 +69,11 @@ class SclState:
     n: Tuple[Clause, ...]          # input clauses
     u: Tuple[Clause, ...]          # learned clauses, in learning order
     conflict: Optional[Clause]     # None = no conflict, EMPTY_CLAUSE = refuted
+    # the input and learned clauses as a set, once ``clause_set`` has built
+    # it or ``_successor`` handed it on; a copy made by ``dataclasses.replace``
+    # starts without it, so it never holds another state's clauses
+    _clauses: Optional[FrozenSet[Clause]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -85,6 +92,15 @@ class SclState:
         last = self._last_entry
         return (frozenset(e.literal.text for e in last.values()),
                 frozenset("-" + a if e.literal.positive else a for a, e in last.items()))
+
+    @property
+    def clause_set(self) -> FrozenSet[Clause]:
+        """The input and learned clauses, for the membership guards. A rule's
+        successor state takes it over (see ``_successor``), so a run builds
+        it once and adds each learned clause to it."""
+        if self._clauses is None:
+            object.__setattr__(self, "_clauses", frozenset(self.n + self.u))
+        return self._clauses
 
     @cached_property
     def _false_clauses(self) -> Tuple[Clause, ...]:
@@ -105,6 +121,19 @@ class SclState:
 
 def initial_state(problem: Problem) -> SclState:
     return SclState(trail=(), n=problem.clauses.clauses(), u=(), conflict=None)
+
+
+def _successor(state: SclState, trail: Tuple[TrailEntry, ...], u: Tuple[Clause, ...],
+               conflict: Optional[Clause]) -> SclState:
+    """The state a rule leaves behind ``state``: the same input clauses,
+    with ``trail``, ``u`` and ``conflict``. It takes over ``state``'s clause
+    set, plus the clauses ``u`` learns past ``state.u``, so a run builds
+    the set once."""
+    after = SclState(trail=trail, n=state.n, u=u, conflict=conflict)
+    known = state.clause_set
+    object.__setattr__(after, "_clauses",
+                       known if u is state.u else known.union(u[len(state.u):]))
+    return after
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +201,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
     clause is false on the trail. The recorded justification drops duplicate
     copies of the propagated literal."""
     _need_no_conflict("propagate", state)
-    if clause not in state.all_clauses():
+    if clause not in state.clause_set:
         raise RuleError("propagate", "unknown-clause", f"{clause} is not an input or learned clause")
     if not clause.contains(literal):
         raise RuleError("propagate", "literal-not-in-clause", f"{literal} does not occur in {clause}")
@@ -187,10 +216,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
             f"{remainder} is not falsified by the trail",
         )
     entry = TrailEntry(literal=literal, level=state.k, reason=clause.with_count(literal, 1))
-    return SclState(
-        trail=state.trail + (entry,),
-        n=state.n, u=state.u, conflict=None,
-    )
+    return _successor(state, state.trail + (entry,), state.u, None)
 
 
 def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
@@ -204,23 +230,17 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
         raise RuleError("decide", "literal-defined", f"{literal.atom} is already on the trail")
     _check_bound("decide", order, literal.atom)
     entry = TrailEntry(literal=literal, level=state.k + 1, reason=None)
-    return SclState(
-        trail=state.trail + (entry,),
-        n=state.n, u=state.u, conflict=None,
-    )
+    return _successor(state, state.trail + (entry,), state.u, None)
 
 
 def conflict(order: ProblemOrder, state: SclState, clause: Clause) -> SclState:
     """Enter conflict mode on a clause the trail falsifies."""
     _need_no_conflict("conflict", state)
-    if clause not in state.all_clauses():
+    if clause not in state.clause_set:
         raise RuleError("conflict", "unknown-clause", f"{clause} is not an input or learned clause")
     if not is_false(state, clause):
         raise RuleError("conflict", "clause-not-false", f"{clause} is not falsified by the trail")
-    return SclState(
-        trail=state.trail, n=state.n, u=state.u,
-        conflict=clause,
-    )
+    return _successor(state, state.trail, state.u, clause)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +270,7 @@ def skip(order: ProblemOrder, state: SclState) -> SclState:
             "skip", "complement-in-conflict",
             f"{top.literal.complement()} occurs in the conflict {d}",
         )
-    return SclState(
-        trail=state.trail[:-1], n=state.n, u=state.u, conflict=d,
-    )
+    return _successor(state, state.trail[:-1], state.u, d)
 
 
 def factorize(order: ProblemOrder, state: SclState, literal: Optional[Literal] = None) -> SclState:
@@ -271,10 +289,7 @@ def factorize(order: ProblemOrder, state: SclState, literal: Optional[Literal] =
             "factorize", "literal-not-duplicated",
             f"{literal} does not occur twice in {d}",
         )
-    return SclState(
-        trail=state.trail, n=state.n, u=state.u,
-        conflict=d.without_one(literal),
-    )
+    return _successor(state, state.trail, state.u, d.without_one(literal))
 
 
 def resolve(order: ProblemOrder, state: SclState) -> SclState:
@@ -296,10 +311,7 @@ def resolve(order: ProblemOrder, state: SclState) -> SclState:
         )
     assert top.reason is not None
     resolvent = d.without_one(comp) + top.reason.without_one(top.literal)
-    return SclState(
-        trail=state.trail, n=state.n, u=state.u,
-        conflict=resolvent,
-    )
+    return _successor(state, state.trail, state.u, resolvent)
 
 
 def backtrack(order: ProblemOrder, state: SclState) -> SclState:
@@ -329,9 +341,7 @@ def backtrack(order: ProblemOrder, state: SclState) -> SclState:
                 f"{l} sits at level {literal_level(state, l)}, not below {state.k}",
             )
     new_u = state.u if d in state.u else state.u + (d,)
-    return SclState(
-        trail=state.trail[:-1], n=state.n, u=new_u, conflict=None,
-    )
+    return _successor(state, state.trail[:-1], new_u, None)
 
 
 # ---------------------------------------------------------------------------

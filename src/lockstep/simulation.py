@@ -57,12 +57,18 @@ without a rule application exactly when its image is true and no atom
 below its maximal literal is undefined. The state does not change, so the
 atoms known to be defined only grow along the walk, and most clauses take
 a single rank comparison.
-The verifier still checks every boundary, but at the later boundaries of a
-version that breaks none of the version's invariants it first tries a lean
-test of the attention half (``_VersionFacts.passes_at``), exact in the
-sense that it passes only where every invariant holds. Anything it cannot
-show falls through to the full checks, so every failure line comes from
-the same code as before.
+The verifier checks a version's first boundary in full. The boundaries of
+the same version that follow it form a pass run, which it decides with one
+range test (``_VersionFacts.passes_run``) instead of one invariant check
+and one progress check per boundary: the state is fixed and the attention
+images climb, so what the attention half demands only grows along the
+run, and a run whose first boundary passes, whose last boundary passes the
+lean test of the attention half (``_VersionFacts.passes_at``), whose
+attention clauses are in the snapshot and whose attention keys strictly
+ascend passes at every boundary in between. The test is exact in the sense
+that it passes only where every invariant and every progress check holds.
+A run it cannot show is checked in full at every boundary, so every
+failure line comes from the same code as before.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import is_
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .core import (
     Atom,
@@ -676,8 +683,8 @@ class _VersionFacts:
     - ``quiet``: for a version that breaks none of the invariants above and
       can be read by ``passes_at``, what that test reads of the trail.
 
-    ``checked`` is set once ``check_invariants`` has run the full checks at
-    a boundary of the version, so ``reports`` is known from then on.
+    ``passes_run`` decides a run of the version's boundaries at once, with
+    ``passes_at`` deciding its last boundary.
 
     A new version's parts are computed afresh, not carried from the
     version before: resuming the ``first_unsatisfied`` scan and asking only
@@ -690,7 +697,6 @@ class _VersionFacts:
         self.order = order
         self.state, self.gamma, self.snapshot = state, gamma, snapshot
         self.index = index
-        self.checked = False
 
     @cached_property
     def positives(self) -> FrozenSet[Atom]:
@@ -752,6 +758,8 @@ class _VersionFacts:
         in ``below`` is then on the trail, not positive, so negative. (xii)
         holds when no clause up to ``aid`` in the ranked order lies at or
         past the first unsatisfied one.
+
+        ``passes_run`` reads it at the last boundary of a run.
         """
         try:
             if aid.is_empty or image.is_empty or not self.snapshot.contains(aid):
@@ -770,24 +778,76 @@ class _VersionFacts:
         except ValueError:
             return False
 
+    def passes_run(self, first: List[InvariantReport], run: Sequence[Annotation]) -> bool:
+        """Whether every boundary of ``run`` after its first passes all
+        fourteen invariants and every round between two of its boundaries
+        passes ``check_progress``. ``run[0]`` is this version's first
+        boundary, whose reports are ``first``; the others share its
+        version: this state, this map object and this pair index. False
+        means "not shown", never "fails".
+
+        It holds when ``first`` passes, the version is quiet, the attention
+        keys strictly ascend along ``run``, each later attention clause is
+        in the snapshot, and ``passes_at`` passes the last boundary. Then
+        each boundary in between passes as well:
+
+        - the nine reports, the learned clauses missing from the snapshot
+          and (xi), trivial without a conflict, are the version's; (iii)
+          adds the attention clause, which is in the snapshot;
+        - each attention image is in the snapshot: the clause itself or,
+          by (iv), its map image; only the first may instead be the empty
+          clause, which produces nothing. A member's production lies below
+          every larger member, so E, the atoms produced below the image
+          plus its own production, only grows with the image. (v) asks
+          that E be the positive atoms, which it is at both ends, so in
+          between;
+        - (vi) asks that N, the negative atoms, be B less P, with B the
+          atoms below the image's bound and P those produced below the
+          image; B and P only grow. N lies in the first boundary's B, so in
+          each later B, and outside the last boundary's P, so outside each
+          earlier P. An atom of B less P in between that is in the last
+          boundary's P is positive by (v) there, so by (v) in between it
+          is that image's own production, whose atom is not below its bound;
+        - (xii) asks that the clauses up to the attention clause be
+          satisfied, a prefix of those up to the last boundary's;
+        - progress: the pair index and the map stand still and the key
+          climbs.
+        """
+        if not all(r.ok for r in first) or self.quiet is None:
+            return False
+        order, gamma, contains = self.order, self.gamma, self.snapshot.contains
+        try:
+            key = _gamma_key(order, run[0].aid, gamma)
+            for ann in run[1:]:
+                climbed = _gamma_key(order, ann.aid, gamma)
+                if climbed <= key or not contains(ann.aid):
+                    return False
+                key = climbed
+            last = run[-1].aid
+            image = gamma.get(last, last)
+            below = self.snapshot.construction.prefix_below(image)
+        except ValueError:
+            return False
+        return self.passes_at(last, image, below)
+
     @cached_property
     def reports(self) -> Tuple[InvariantReport, ...]:
         order, state, index = self.order, self.state, self.index
         con = self.snapshot.construction
         positives = self.positives
 
-        # (i) every atom the state mentions comes from the input signature
-        mentioned = index.atoms | {e.literal.atom for e in state.trail}
-        if state.conflict is not None:
-            mentioned |= atoms_of([state.conflict])
-        foreign = mentioned.difference(order.atoms_ascending)
-        scope = _report("atoms-in-scope", not foreign,
-                        lambda: f"foreign atoms {sorted(a.text for a in foreign)}")
-
         # (ii) the trail never reaches the bound
         beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
         bound = _report("trail-below-bound", not beyond,
                         lambda: f"atoms at or above the bound: {beyond}")
+
+        # (i) every atom the state mentions comes from the input signature:
+        #     the ranked atoms, so the trail's foreign atoms are those of (ii)
+        foreign = order.unranked(index.atoms).union(beyond)
+        if state.conflict is not None:
+            foreign |= {a for a in atoms_of([state.conflict]) if not order.below_beta(a)}
+        scope = _report("atoms-in-scope", not foreign,
+                        lambda: f"foreign atoms {sorted(a.text for a in foreign)}")
 
         # (iv) the map stores exactly factored images that the paired set
         #      contains
@@ -858,6 +918,13 @@ class _VersionFacts:
         )
 
 
+def _same_version(ann: Annotation, state: SclState,
+                  other: Annotation, other_state: SclState) -> bool:
+    """Whether two boundaries share one version: the state object, the map
+    object and the pair index."""
+    return other_state is state and other.gamma is ann.gamma and other.index == ann.index
+
+
 def _facts_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
                snapshot: SupSnapshot, last: Optional[_VersionFacts] = None) -> _VersionFacts:
     """``last`` if it was built for this state, map and snapshot, otherwise
@@ -880,18 +947,6 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     fits the state, map and snapshot, and built otherwise; only invariants
     (iii), (v), (vi), (xi) and (xii) read the attention clause, and only
     they are computed anew at each boundary of a version.
-
-    At a boundary of a version that an earlier boundary has fully checked
-    (``_VersionFacts.checked``), and which breaks none of the version's
-    invariants (``_VersionFacts.quiet``), the attention half is first tried
-    by ``_VersionFacts.passes_at``, a lean test that passes only where all
-    fourteen invariants hold; then the passing reports are returned. When
-    it does not pass, the full checks below run, so every failure is
-    reported by the code that reports it on any other boundary. Either way
-    the atoms produced below the attention image are read once per
-    boundary. A version's first boundary never tries the lean test: it
-    computes the reports anyway, and on short versions the attempt would
-    not repay itself.
     """
     facts = _facts_for(order, state, ann.gamma, snapshot, facts)
     con = snapshot.construction
@@ -903,12 +958,6 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         below: Optional[FrozenSet[Atom]] = con.prefix_below(image)
     except ValueError:
         below = None
-
-    # a later boundary of a quiet version: the lean test first
-    if (below is not None and facts.checked and facts.quiet is not None
-            and facts.passes_at(ann.aid, image, below)):
-        return list(_PASSED.values())         # built in INVARIANTS order
-    facts.checked = True
 
     (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
      missed, sync) = facts.reports
@@ -1098,16 +1147,32 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     never forget a learned clause, so the learned clauses of each boundary
     must extend those of the boundary before, by value; a regularity line
     names each boundary where they do not.
+
+    A version's first boundary is checked in full. The boundaries after it
+    that share its version (``_same_version``) form a pass run, decided by ``_VersionFacts.passes_run``: where
+    it passes, each of them gets the passing reports and the rounds between
+    them no progress check, since the test shows both to hold. A run it
+    cannot show is checked in full at every boundary, so every report and
+    every progress line is the one a check of each boundary on its own
+    gives.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
     sup = run_sup_mo(problem, order, max_steps=max(MAX_STEPS, sim.annotations[-1].index))
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
-    annotations = sim.annotations
+    annotations, states = sim.annotations, sim.boundary_states
     snapshots, steps = sup.snapshots, sup.step_count
     facts, learned, forgotten = None, (), []
-    for b, (ann, state) in enumerate(zip(annotations, sim.boundary_states)):
+    shown = -1                 # the last boundary of a run passes_run has shown
+    for b, (ann, state) in enumerate(zip(annotations, states)):
+        if b <= shown:
+            result.boundaries.append(BoundaryReport(b, ann.index, list(_PASSED.values())))
+            continue
+        if b:
+            msg = check_progress(order, annotations[b - 1], ann)
+            if msg is not None:
+                result.progress_failures.append(f"round {b - 1} ({sim.seqs[b - 1].kind}): {msg}")
         if state.u is not learned and not (_extends(learned, state.u)
                                            or state.u[:len(learned)] == learned):
             forgotten.append(f"boundary {b}: the learned clauses do not extend "
@@ -1115,19 +1180,21 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
         learned = state.u
         if 0 <= ann.index <= steps:
             snapshot = snapshots[ann.index]
-            facts = _facts_for(order, state, ann.gamma, snapshot, facts)
+            last, facts = facts, _facts_for(order, state, ann.gamma, snapshot, facts)
             reports = check_invariants(order, state, ann, snapshot, facts)
+            if facts is not last:
+                end = b + 1
+                while end < len(states) and _same_version(ann, state, annotations[end],
+                                                          states[end]):
+                    end += 1
+                if end > b + 1 and facts.passes_run(reports, annotations[b:end]):
+                    shown = end - 1
         else:
             reports = [InvariantReport(
                 "pair-index-in-range", False,
                 f"index {ann.index} but only {steps + 1} snapshots",
             )]
         result.boundaries.append(BoundaryReport(b, ann.index, reports))
-
-    for idx, seq in enumerate(sim.seqs):
-        msg = check_progress(order, annotations[idx], annotations[idx + 1])
-        if msg is not None:
-            result.progress_failures.append(f"round {idx} ({seq.kind}): {msg}")
 
     result.regularity_failures = audit_regular(sim.states, sim.apps) + forgotten
 

@@ -37,6 +37,7 @@ from lockstep.simulation import (
     _gamma_key,
     _index_for,
     check_invariants,
+    check_progress,
     lockstep_verify,
     next_attention,
     run_scl_sup,
@@ -166,16 +167,28 @@ def _verified_calls(monkeypatch, problems):
         yield result, list(calls)
 
 
+def version_starts(sim):
+    """The boundaries of ``sim`` that start a version: the first one, and
+    each that does not share its version with the boundary before."""
+    anns, states = sim.annotations, sim.boundary_states
+    return [b for b in range(len(anns))
+            if b == 0 or not simulation._same_version(anns[b - 1], states[b - 1],
+                                                      anns[b], states[b])]
+
+
 def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
     """At every boundary the verifier checks, the index it reads holds what
     a fresh index of that boundary holds. Boundaries right after a factoring
     round, where the map changes and the learned clauses do not, are among
-    them. The verifier calls check_invariants exactly once per boundary
-    whose pair index is in range, which the span tracer's counts rely on."""
+    them. On a sound run the verifier calls check_invariants exactly once
+    per version, at its first boundary, and decides the boundaries after it
+    by the range test, which the span tracer's counts rely on."""
     remapped = 0
     for result, calls in _verified_calls(monkeypatch, _problems()):
         assert result.ok
-        assert [ann for _, _, ann, _, _ in calls] == result.sim.annotations
+        annotations = result.sim.annotations
+        assert ([ann for _, _, ann, _, _ in calls]
+                == [annotations[b] for b in version_starts(result.sim)])
         last = None
         for order, state, ann, snapshot, facts in calls:
             assert facts.state is state and facts.snapshot is snapshot
@@ -218,8 +231,11 @@ def test_carried_facts_read_as_fresh_ones(monkeypatch):
     """At every boundary the verifier checks, the invariants read through
     the facts it carries from the boundary before report exactly what a call
     without them reports: on the golden files, the generated problems, the
-    15-atom instance and the ladder pool at seed 1. More than half of the
-    ladder boundaries share their version with the boundary before them."""
+    15-atom instance and the ladder pool at seed 1. The range test declines
+    every run here, as it does a run it cannot show, so each boundary is
+    checked on its own; more than half of the ladder boundaries share their
+    version with the boundary before them."""
+    monkeypatch.setattr(simulation._VersionFacts, "passes_run", lambda *args: False)
     problems, pool = _problems(), _ladder_pool(1)
     real = simulation.check_invariants
     reused = checked = 0
@@ -276,12 +292,16 @@ def _shared_state_dropping_its_top(real, *args, **kwargs):
 
 def _fresh_failures(result):
     """The failures of ``result`` with every boundary checked by a fresh
-    check_invariants call, carrying nothing from the boundary before."""
+    check_invariants call, carrying nothing from the boundary before, and
+    every round by a check_progress call."""
     order, sim = result.order, result.sim
+    anns = sim.annotations
     fresh = [simulation.BoundaryReport(b, ann.index, check_invariants(
                  order, state, ann, result.sup.snapshots[ann.index]))
-             for b, (ann, state) in enumerate(zip(sim.annotations, sim.boundary_states))]
-    return dataclasses.replace(result, boundaries=fresh).failures()
+             for b, (ann, state) in enumerate(zip(anns, sim.boundary_states))]
+    progress = [f"round {i} ({seq.kind}): {msg}" for i, seq in enumerate(sim.seqs)
+                if (msg := check_progress(order, anns[i], anns[i + 1])) is not None]
+    return dataclasses.replace(result, boundaries=fresh, progress_failures=progress).failures()
 
 
 def test_a_corrupted_shared_state_fails_as_fresh_calls_fail(monkeypatch):

@@ -1,16 +1,24 @@
-"""Runs of pass rounds, walked once by the driver and checked leanly by the
-verifier, against the round-by-round forms they replace.
+"""Runs of pass rounds, walked once by the driver and decided as one range by
+the verifier, against the round-by-round forms they replace.
 
 The driver records a run of pass rounds that need no filler decision by one
 walk of the version's attention index; the reference loop below plays every
 round through ``_round_no_conflict`` and finds each attention clause by a scan
-over every clause. The verifier tries a lean test of the attention half at a
-later boundary of a version that breaks nothing else; it must pass exactly
-where a fresh full ``check_invariants`` call passes, and a corrupted pass run
-must be reported exactly as fresh calls report it.
+over every clause. The verifier decides the boundaries of a version after its
+first by one range test, whose end check is a lean test of the attention
+half; a run the range test cannot show is checked in full at every
+boundary. Every report and progress line must be what fresh
+``check_invariants`` and ``check_progress`` calls give, the lean test must
+pass exactly where such a call passes, a corrupted pass run must be reported
+exactly as fresh calls report it, and each mutant of the range test must be
+caught.
 """
 
+import __future__
 import dataclasses
+import inspect
+import textwrap
+import types
 
 import pytest
 
@@ -29,6 +37,7 @@ from lockstep.simulation import (
     _VersionFacts,
     _gamma_key,
     check_invariants,
+    check_progress,
     initial_gamma,
     lockstep_verify,
     next_attention,
@@ -40,7 +49,6 @@ from test_attention_index import (
     _ladder_pool,
     _problems,
     _shared_state_dropping_its_top,
-    _verified_calls,
     next_attention_by_scan,
     workloads,
 )
@@ -167,29 +175,56 @@ def test_the_sweep_passes_equal_keys_once_as_the_walk_does():
     assert reference.seqs == run.seqs
 
 
-def _lean_agrees(reports, order, state, ann, snapshot, facts):
-    """Checks one boundary: the verifier's ``reports`` are those of a call
-    that carries nothing from the boundary before but the attention index
-    (which ``test_attention_index.py`` checks against fresh ones), and on a
-    quiet version with an attention clause the lean test passes exactly
-    where every such report passes. Returns whether the lean test was
-    read."""
-    unshared = _VersionFacts(order, state, ann.gamma, snapshot, facts.index)
-    fresh = check_invariants(order, state, ann, snapshot, unshared)
-    assert reports == fresh
-    if facts.quiet is None or ann.aid.is_empty:
-        return False
-    image = ann.gamma.get(ann.aid, ann.aid)
-    below = snapshot.construction.prefix_below(image)
-    assert facts.passes_at(ann.aid, image, below) == all(r.ok for r in fresh)
-    return True
+def _agrees_with_fresh_calls(result):
+    """Checks a sound verifier result against fresh calls: at every
+    boundary its reports are those of a ``check_invariants`` call over
+    facts of the boundary's own, whose index is derived along the run
+    (``test_attention_index.py`` checks derived indexes against fresh
+    ones); its progress lines are those of a ``check_progress`` call per
+    round; and wherever the version is quiet and attention is on a clause,
+    the lean test passes exactly where every fresh report passes. Returns
+    how often the lean test was read."""
+    order, sim, snapshots = result.order, result.sim, result.sup.snapshots
+    anns, index, read = sim.annotations, None, 0
+    assert len(result.boundaries) == len(anns)
+    for ann, state, boundary in zip(anns, sim.boundary_states, result.boundaries):
+        snapshot = snapshots[ann.index]
+        index = simulation._index_for(order, state, ann.gamma, index)
+        facts = _VersionFacts(order, state, ann.gamma, snapshot, index)
+        fresh = check_invariants(order, state, ann, snapshot, facts)
+        assert boundary.reports == fresh
+        if facts.quiet is not None and not ann.aid.is_empty:
+            image = ann.gamma.get(ann.aid, ann.aid)
+            below = snapshot.construction.prefix_below(image)
+            assert facts.passes_at(ann.aid, image, below) == all(r.ok for r in fresh)
+            read += 1
+    assert result.progress_failures == [
+        f"round {i} ({seq.kind}): {msg}" for i, seq in enumerate(sim.seqs)
+        if (msg := check_progress(order, anns[i], anns[i + 1])) is not None]
+    return read
 
 
-def _verified_and_replayed(monkeypatch, problems):
-    """``_verified_calls`` over ``problems``, with each trail run the
-    verifier makes compared with the reference loop's run of the same
-    problem: one pass over the problems checks both the driver and the
-    verifier."""
+def _ranges(monkeypatch):
+    """Counts, from now on, the runs the range test is tried on, those it
+    passes and the boundaries those cover."""
+    counts = {"tried": 0, "passed": 0, "covered": 0}
+    real = _VersionFacts.passes_run
+
+    def counted(self, first, run):
+        shown = real(self, first, run)
+        counts["tried"] += 1
+        counts["passed"] += shown
+        counts["covered"] += shown and len(run) - 1
+        return shown
+
+    monkeypatch.setattr(_VersionFacts, "passes_run", counted)
+    return counts
+
+
+def _replayed(monkeypatch):
+    """From now on, each trail run the verifier makes is compared with the
+    reference loop's run of the same problem, so one pass over the problems
+    checks both the driver and the verifier."""
     real = simulation.run_scl_sup
 
     def replayed(problem, order=None, max_sequences=MAX_ROUNDS):
@@ -199,54 +234,68 @@ def _verified_and_replayed(monkeypatch, problems):
         return run
 
     monkeypatch.setattr(simulation, "run_scl_sup", replayed)
-    return _verified_calls(monkeypatch, problems)
+
+
+def _verify_against_fresh_calls(monkeypatch, problems):
+    """Verifies each problem, replayed, against fresh calls; returns how
+    often the lean test was read and the range counts."""
+    _replayed(monkeypatch)
+    ranges, read = _ranges(monkeypatch), 0
+    for p in problems:
+        result = lockstep_verify(p)
+        assert result.ok
+        read += _agrees_with_fresh_calls(result)
+    return read, ranges
 
 
 def test_the_lean_test_passes_exactly_where_fresh_calls_pass(monkeypatch):
     """On the golden files, the generated problems, 15:1, PHP(5,4) and the
     ladder pool at seeds 0 and 1, the driver records what the reference
-    loop records; at every boundary the verifier checks, its reports equal
-    those of a call with facts of its own, and on a quiet version the lean
-    test passes exactly where those all pass."""
-    read = 0
-    for result, calls in _verified_and_replayed(monkeypatch,
-                                                _hard_problems() + _ladder_pool(0)):
-        assert result.ok and len(calls) == len(result.boundaries)
-        for call, boundary in zip(calls, result.boundaries):
-            read += _lean_agrees(boundary.reports, *call)
-    assert read > 10000
+    loop records; at every boundary the verifier's reports, most of them
+    decided by the range test, equal those of a call with facts of its
+    own, and its progress lines those of a call per round; and on a quiet
+    version the lean test passes exactly where those all pass."""
+    read, ranges = _verify_against_fresh_calls(monkeypatch, _hard_problems() + _ladder_pool(0))
+    assert read > 10000 and ranges["covered"] > 8000
 
 
 def test_the_lean_test_agrees_on_the_campaign_pools(monkeypatch):
     """The same on the campaign pools at seeds 0 and 1."""
-    read = 0
-    for result, calls in _verified_and_replayed(monkeypatch,
-                                                _campaign_pool(0) + _campaign_pool(1)):
-        assert result.ok and len(calls) == len(result.boundaries)
-        for call, boundary in zip(calls, result.boundaries):
-            read += _lean_agrees(boundary.reports, *call)
-    assert read > 10000
+    read, ranges = _verify_against_fresh_calls(monkeypatch,
+                                               _campaign_pool(0) + _campaign_pool(1))
+    assert read > 10000 and ranges["covered"] > 8000
 
 
 def test_the_lean_test_decides_the_boundaries_after_empty_pass_rounds(monkeypatch):
     """On the ladder pool at seed 0 the verifier checks 5,131 boundaries.
-    It tries the lean test at the 3,830 that follow an empty pass round,
-    the later boundaries of a version, and it passes at all of them; the
-    other 1,301 take the full checks."""
-    tried = []
-    real = _VersionFacts.passes_at
+    The 3,830 that follow an empty pass round share their version with the
+    boundary before; they fall in 813 pass runs, one after the first
+    boundary of each such version. The range test is tried on each run and
+    passes each, reading the lean test once, at the run's last boundary;
+    ``check_invariants`` runs at the other 1,301 boundaries, each its
+    version's first."""
+    ranges = _ranges(monkeypatch)
+    tried, checked = [], []
+    real_lean, real_check = _VersionFacts.passes_at, simulation.check_invariants
 
-    def counted(self, *args):
-        tried.append(real(self, *args))
+    def lean(self, *args):
+        tried.append(real_lean(self, *args))
         return tried[-1]
 
-    monkeypatch.setattr(_VersionFacts, "passes_at", counted)
+    def check(*args):
+        checked.append(args)
+        return real_check(*args)
+
+    monkeypatch.setattr(_VersionFacts, "passes_at", lean)
+    monkeypatch.setattr(simulation, "check_invariants", check)
     boundaries = 0
     for p in _ladder_pool(0):
         result = lockstep_verify(p)
         assert result.ok
         boundaries += len(result.boundaries)
-    assert (boundaries, len(tried), sum(tried)) == (5131, 3830, 3830)
+    assert (boundaries, len(checked), ranges) == (
+        5131, 1301, {"tried": 813, "passed": 813, "covered": 3830})
+    assert (len(tried), sum(tried)) == (813, 813)
 
 
 def _in_pass_run(edit):
@@ -347,6 +396,116 @@ def _lowest_positive_justified_by_itself(state):
     return dataclasses.replace(state, trail=trail[:i] + (entry,) + trail[i + 1:])
 
 
+def _empty_pass(seq):
+    return seq.kind == "pass" and seq.app_range[0] == seq.app_range[1]
+
+
+def _repeated(run, seq, problem):
+    """Attention kept on the clause of the boundary before."""
+    r = next(r for r, s in enumerate(run.seqs) if s is seq)
+    return dataclasses.replace(seq.annotation, aid=run.seqs[r - 1].annotation.aid)
+
+
+def _index_moved_back(run, seq, problem):
+    """The pair index one step back, where there is one."""
+    ann = seq.annotation
+    return dataclasses.replace(ann, index=ann.index - 1) if ann.index else None
+
+
+def _at_run_end(edit):
+    """A wrapper of run_scl_sup that replaces the annotation of the last
+    boundary of the first pass run (an empty pass round after another one,
+    followed by none) that ``edit(run, seq, problem)`` returns one for."""
+    def wrapper(real, problem, *args, **kwargs):
+        run = real(problem, *args, **kwargs)
+        seqs = run.seqs
+        for r in range(1, len(seqs)):
+            if (_empty_pass(seqs[r - 1]) and _empty_pass(seqs[r])
+                    and (r + 1 == len(seqs) or not _empty_pass(seqs[r + 1]))):
+                ann = edit(run, seqs[r], problem)
+                if ann is not None:
+                    seqs[r] = dataclasses.replace(seqs[r], annotation=ann)
+                    return run
+        return run
+    return wrapper
+
+
+def _run_start_moved_down(real, problem, *args, **kwargs):
+    """The trail run with attention at the first boundary of a version
+    (after a round that changes the state, before two empty pass rounds)
+    and at the boundary after it moved down onto the two clauses ranked
+    just below the first's attention clause, in order: at the first
+    version where a fresh call then fails at the second of them."""
+    run = real(problem, *args, **kwargs)
+    seqs, order = run.seqs, run.order
+    sup = run_sup_mo(problem, order)
+    for r in range(len(seqs) - 2):
+        if _empty_pass(seqs[r]) or not (_empty_pass(seqs[r + 1]) and _empty_pass(seqs[r + 2])):
+            continue
+        ann, state = seqs[r].annotation, run.states[seqs[r].app_range[1]]
+        _, _, clauses = _AttentionIndex(order, state, ann.gamma).ranked
+        at = next(i for i, c in enumerate(clauses) if c is ann.aid)
+        if at < 2:
+            continue
+        low, high = (dataclasses.replace(ann, aid=c) for c in clauses[at - 2:at])
+        snapshot = sup.snapshots[ann.index]
+        if all(report.ok for report in check_invariants(order, state, high, snapshot)):
+            continue
+        seqs[r] = dataclasses.replace(seqs[r], annotation=low)
+        seqs[r + 1] = dataclasses.replace(seqs[r + 1], annotation=high)
+        return run
+    return run
+
+
+def _reported(monkeypatch, wrapper):
+    """Over the first six ladder problems at seed 0 and the first sixty
+    generated ones, with the trail runs rewritten by ``wrapper``: each
+    problem's verifier failures and those of fresh calls at every boundary
+    and round."""
+    real = simulation.run_scl_sup
+    monkeypatch.setattr(simulation, "run_scl_sup", lambda *a, **k: wrapper(real, *a, **k))
+    for problem in _ladder_pool(0)[:6] + _problems()[4:64]:
+        result = simulation.lockstep_verify(problem)
+        yield result.failures(), _fresh_failures(result)
+
+
+RANGE_ROWS = {
+    "attention-repeated": (
+        _in_pass_run(_repeated), 13,
+        "progress: round 8 (pass): attention clause did not advance"),
+    "pair-index-moved-back": (
+        _in_pass_run(_index_moved_back), 41,
+        "boundary 9 (pair index 1): factored-map-shape: image p2 | p4 | p9 is not in the "
+        "paired set"),
+    "run-end-on-false-clause": (
+        _at_run_end(_onto_a_false_clause), 62,
+        "boundary 10 (pair index 2): negatives-cover-gap: trail makes "
+        "['p2', 'p3', 'p4', 'p8'] false, expected ['p2', 'p3', 'p4', 'p5', 'p6', 'p8']"),
+    "run-start-moved-down": (
+        _run_start_moved_down, 81,
+        "boundary 7 (pair index 2): positives-match-production: trail makes ['p9'] true, "
+        "construction expects []"),
+}
+
+
+@pytest.mark.parametrize("row", list(RANGE_ROWS))
+def test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail(monkeypatch, row):
+    """At either end of a pass run, or inside one: attention kept on the
+    clause of the boundary before, or the pair index one step back; at the
+    run's last boundary, attention moved on
+    to an unsatisfied clause; at a version's first boundary and the one
+    after it, moved down below the first's attention clause. The verifier
+    reports exactly what fresh calls at every boundary and round report,
+    and what it reported before it had the range test: as many lines over
+    the problems, the first of them pinned."""
+    wrapper, count, first = RANGE_ROWS[row]
+    reported = []
+    for failures, fresh in _reported(monkeypatch, wrapper):
+        assert failures == fresh
+        reported += failures
+    assert (len(reported), reported[:1]) == (count, [first])
+
+
 @pytest.mark.parametrize("wrapper,line", [
     (_in_pass_run(_onto_a_false_clause), "prefix-satisfied: not satisfied yet"),
     (_in_pass_run(_outside_the_set), "membership: absent from the paired clause set"),
@@ -381,3 +540,56 @@ def test_a_corrupted_pass_run_fails_as_fresh_calls_fail(monkeypatch, wrapper, li
         assert failures == _fresh_failures(result)
         reported += failures
     assert any(line in f for f in reported)
+
+
+def _mutated(owner, name, old, new):
+    """``owner.name`` with its one occurrence of ``old`` replaced by
+    ``new``, reading the module's names as they stand when it runs."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(simulation))
+    exec(compile(source.replace(old, new), simulation.__file__, "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    fn = namespace[name]
+    return types.FunctionType(fn.__code__, vars(simulation), name, fn.__defaults__)
+
+
+# each mutant of the range test or of the version test: the
+# function, the text it replaces, and the corrupted run that catches it, a
+# row of test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail or, for the
+# membership test, the attention-outside-the-set row of
+# test_a_corrupted_pass_run_fails_as_fresh_calls_fail
+MUTANTS = {
+    "end-check-skipped": (
+        _VersionFacts, "passes_run",
+        "return self.passes_at(last, image, below)", "return True",
+        RANGE_ROWS["run-end-on-false-clause"][0]),
+    "first-trusted-although-it-failed": (
+        _VersionFacts, "passes_run",
+        "if not all(r.ok for r in first) or self.quiet is None:", "if self.quiet is None:",
+        RANGE_ROWS["run-start-moved-down"][0]),
+    "membership-skipped": (
+        _VersionFacts, "passes_run",
+        "if climbed <= key or not contains(ann.aid):", "if climbed <= key:",
+        _in_pass_run(_outside_the_set)),
+    "non-ascending-keys-accepted": (
+        _VersionFacts, "passes_run",
+        "if climbed <= key or not contains(ann.aid):", "if not contains(ann.aid):",
+        RANGE_ROWS["attention-repeated"][0]),
+    "pair-index-left-out-of-the-version": (
+        simulation, "_same_version", " and other.index == ann.index", "",
+        RANGE_ROWS["pair-index-moved-back"][0]),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_each_mutant_of_the_range_test_is_caught(monkeypatch, mutant):
+    """The range test with one of its conditions dropped passes a run that
+    fresh calls fail: the end check on the run's last boundary, the first
+    boundary's reports, the membership of each attention clause, or the
+    ascent of the attention keys; and so does a run that takes in a
+    boundary with another pair index. On the corrupted runs that catch it,
+    the verifier then reports something other than fresh calls."""
+    owner, name, old, new, wrapper = MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, _mutated(owner, name, old, new))
+    assert any(failures != fresh for failures, fresh in _reported(monkeypatch, wrapper))

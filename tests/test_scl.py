@@ -132,6 +132,37 @@ def test_propagate_guards(kbo):
     assert e.value.guard == "literal-defined"
 
 
+def test_membership_guards_read_one_clause_set_per_run(kbo):
+    """propagate and conflict test membership in the state's clause set,
+    which each rule's successor takes over, with the clauses it learns
+    added. A clause from nowhere raises the same guard and message as
+    before; an equal copy of a member passes; a state made by hand with
+    other clauses builds its own set."""
+    p, po = kbo
+    c1, c2, c3 = p.clauses.clauses()
+    s0 = initial_state(p)
+    stray = Clause([QB])
+    for rule, args in ((propagate, (stray, QB)), (conflict, (stray,))):
+        with pytest.raises(RuleError) as e:
+            rule(po, s0, *args)
+        assert (e.value.guard, str(e.value)) == (
+            "unknown-clause",
+            f"{rule.__name__}: Q(b) is not an input or learned clause [unknown-clause]")
+
+    s = propagate(po, decide(po, s0, PA), Clause(list(c2.literals)), QB)  # an equal copy
+    s = skip(po, resolve(po, conflict(po, s, c3)))
+    assert s.clause_set is s0.clause_set
+    learned = backtrack(po, s)
+    unit = Clause([PA.complement()])
+    assert learned.clause_set == frozenset((c1, c2, c3, unit))
+    assert propagate(po, learned, unit, PA.complement()).clause_set is learned.clause_set
+    forgetful = dataclasses.replace(learned, u=())
+    for rule, args in ((propagate, (unit, PA.complement())), (conflict, (unit,))):
+        with pytest.raises(RuleError) as e:
+            rule(po, forgetful, *args)
+        assert e.value.guard == "unknown-clause"
+
+
 def test_conflict_rule(kbo):
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()

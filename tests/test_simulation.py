@@ -47,6 +47,7 @@ from lockstep.simulation import (
     next_attention,
     run_scl_sup,
 )
+from test_attention_index import workloads
 
 
 def T(name, *args):
@@ -390,18 +391,32 @@ def test_a_passing_invariant_shares_one_report_and_builds_no_detail(monkeypatch)
 
 def test_each_boundary_reads_its_attention_prefix_once(monkeypatch):
     # invariants (v) and (vi) share the atoms produced below the attention
-    # image, and (v) derives the image's own production from them
+    # image, and (v) derives the image's own production from them; a pass
+    # run that the range test shows reads it once, at its last boundary
     real, reads = ModelConstruction.prefix_below, []
+    real_run, covered = simulation._VersionFacts.passes_run, []
 
     def counted(self, clause):
         reads.append(clause)
         return real(self, clause)
 
+    def counted_run(self, first, run):
+        shown = real_run(self, first, run)
+        covered.append(len(run) - 1 if shown else 0)
+        return shown
+
     monkeypatch.setattr(ModelConstruction, "prefix_below", counted)
-    for text in (KBO_TEXT, LPO_TEXT, THIRD_TEXT, SAT_TEXT):
+    monkeypatch.setattr(simulation._VersionFacts, "passes_run", counted_run)
+    counts = []
+    for text in (KBO_TEXT, LPO_TEXT, THIRD_TEXT, SAT_TEXT, workloads.ladder_text(15, 1)[0]):
         reads.clear()
+        covered.clear()
         result = lockstep_verify(parse_problem(text))
-        assert result.ok and len(reads) == len(result.boundaries)
+        assert result.ok
+        assert len(reads) == len(result.boundaries) - sum(covered) + len(covered)
+        counts.append((len(result.boundaries), len(covered), sum(covered)))
+    # on 15:1, 649 of the 857 boundaries lie in 131 pass runs; 339 reads
+    assert counts == [(5, 0, 0), (6, 0, 0), (7, 0, 0), (6, 1, 1), (857, 131, 649)]
 
 
 def test_reversed_trail_is_caught():
@@ -459,6 +474,24 @@ def test_out_of_scope_atom_is_caught():
     bad = dataclasses.replace(state, u=(rogue,))
     v = _verdicts(check_invariants(po, bad, ann, snapshot))
     assert not v["atoms-in-scope"]
+
+
+def test_foreign_atoms_are_named_wherever_the_state_holds_them():
+    """Invariant (i) names, sorted, the foreign atoms of the clauses, of
+    the trail and of the conflict, each once."""
+    p, po, state, ann, snapshot = _golden_boundary()
+    zz, yy, xx = (Literal(Atom(a)) for a in ("Zz", "Yy", "Xx"))
+    bad = dataclasses.replace(
+        state, u=(Clause([zz.complement(), yy]),),
+        trail=state.trail + (TrailEntry(yy, state.k + 1, None), TrailEntry(xx, state.k + 1, None)),
+        conflict=Clause([xx, zz]))
+    failed = [(r.name, r.detail) for r in check_invariants(po, bad, ann, snapshot) if not r.ok]
+    assert failed[:2] == [("atoms-in-scope", "foreign atoms ['Xx', 'Yy', 'Zz']"),
+                          ("trail-below-bound", "atoms at or above the bound: [Yy, Xx]")]
+    assert [name for name, _ in failed[2:]] == [
+        "membership", "positives-match-production", "trail-ascends", "producers-exist",
+        "producer-preimages", "conflict-top-propagation", "conflict-is-minimal-false",
+        "prefix-satisfied"]
 
 
 def test_atoms_past_the_bound_are_rejected():

@@ -62,13 +62,12 @@ the same version that follow it form a pass run, which it decides with one
 range test (``_VersionFacts.passes_run``) instead of one invariant check
 and one progress check per boundary: the state is fixed and the attention
 images climb, so what the attention half demands only grows along the
-run, and a run whose first boundary passes, whose last boundary passes the
-lean test of the attention half (``_VersionFacts.passes_at``), whose
-attention clauses are in the snapshot and whose attention keys strictly
-ascend passes at every boundary in between. The test is exact in the sense
-that it passes only where every invariant and every progress check holds.
-A run it cannot show is checked in full at every boundary, so every
-failure line comes from the same code as before.
+run, and a run that passes check_invariants at both ends, whose attention
+clauses are in the snapshot and whose attention keys strictly ascend
+passes at every boundary in between. The test is exact in the sense that
+it passes only where every invariant and every progress check holds. A
+run it cannot show is checked in full at every boundary, so every failure
+line comes from check_invariants and check_progress.
 """
 
 from __future__ import annotations
@@ -679,12 +678,10 @@ class _VersionFacts:
       of (iii) that is not about attention;
     - ``first_unsatisfied``: the position in the index's ranked order of the
       first clause the trail leaves unsatisfied, or the clause count when
-      it satisfies them all;
-    - ``quiet``: for a version that breaks none of the invariants above and
-      can be read by ``passes_at``, what that test reads of the trail.
+      it satisfies them all.
 
-    ``passes_run`` decides a run of the version's boundaries at once, with
-    ``passes_at`` deciding its last boundary.
+    ``passes_run`` decides a run of the version's boundaries at once, from
+    ``check_invariants`` at its first and last boundary.
 
     A new version's parts are computed afresh, not carried from the
     version before: resuming the ``first_unsatisfied`` scan and asking only
@@ -716,68 +713,6 @@ class _VersionFacts:
         return next((k for k, c in enumerate(clauses) if not is_true(self.state, c)),
                     len(clauses))
 
-    @cached_property
-    def quiet(self) -> Optional[Tuple[int, int]]:
-        """For a version outside conflict mode whose nine reports pass and
-        whose learned clauses are all in the snapshot: the rank of the
-        smallest atom the trail leaves undefined, and the largest rank of a
-        negative trail atom (-1 when there is none). None for any other
-        version.
-
-        Since (vii) passes, the trail's atom ranks strictly ascend: no atom
-        has both signs, the last negative entry has the largest negative
-        rank, and the trail defines every atom below its length exactly
-        when its last rank is its length less one."""
-        if (self.state.conflict is not None or self.unlearned
-                or not all(r.ok for r in self.reports)):
-            return None
-        trail, rank = self.state.trail, self.order.atom_rank
-        deepest = next((rank(e.literal.atom) for e in reversed(trail)
-                        if not e.literal.positive), -1)
-        if not trail or rank(trail[-1].literal.atom) == len(trail) - 1:
-            return len(trail), deepest
-        atoms = self.order.atoms_ascending
-        return next((r for r, a in enumerate(atoms) if not is_defined(self.state, a)),
-                    len(atoms)), deepest
-
-    def passes_at(self, aid: Clause, image: Clause, below: FrozenSet[Atom]) -> bool:
-        """Whether all fourteen invariants hold at a boundary of this quiet
-        version whose attention clause is ``aid``, with image ``image`` and
-        ``below`` produced below the image. False means "not shown", never
-        "fails"; a ValueError counts as False.
-
-        It is exact: True only where ``check_invariants`` passes all of
-        them. The nine reports pass, no learned clause is missing and there
-        is no conflict, so (xi) holds and (iii) asks only for ``aid``. (v)
-        is the same set comparison. For (vi), with P = ``below`` plus the
-        image's production and N the negative atoms, which are disjoint
-        from P, N equals the atoms of rank below h that are not in
-        ``below`` (h halves the image's maximal literal rank, rounded up)
-        when all of N lies below h, every atom below h is defined, and the
-        production is in ``below`` or not below h: an atom below h and not
-        in ``below`` is then on the trail, not positive, so negative. (xii)
-        holds when no clause up to ``aid`` in the ranked order lies at or
-        past the first unsatisfied one.
-
-        ``passes_run`` reads it at the last boundary of a run.
-        """
-        try:
-            if aid.is_empty or image.is_empty or not self.snapshot.contains(aid):
-                return False
-            order = self.order
-            delta = self.snapshot.construction.delta_of(image, below)
-            if self.positives != (below if delta is None else below | {delta}):
-                return False
-            gap, deepest = self.quiet
-            h = (order.clause_key(image)[0][0] + 1) // 2
-            if not deepest < h <= gap or (
-                    delta is not None and delta not in below and order.atom_rank(delta) < h):
-                return False
-            keys = self.index.ranked[0]
-            return self.first_unsatisfied >= bisect_right(keys, _gamma_key(order, aid, self.gamma))
-        except ValueError:
-            return False
-
     def passes_run(self, first: List[InvariantReport], run: Sequence[Annotation]) -> bool:
         """Whether every boundary of ``run`` after its first passes all
         fourteen invariants and every round between two of its boundaries
@@ -786,14 +721,18 @@ class _VersionFacts:
         version: this state, this map object and this pair index. False
         means "not shown", never "fails".
 
-        It holds when ``first`` passes, the version is quiet, the attention
-        keys strictly ascend along ``run``, each later attention clause is
-        in the snapshot, and ``passes_at`` passes the last boundary. Then
-        each boundary in between passes as well:
+        It holds when ``first`` passes, the attention keys strictly ascend
+        along ``run``, each later attention clause is in the snapshot, and
+        ``check_invariants`` passes the last boundary. Then each boundary in
+        between passes as well:
 
-        - the nine reports, the learned clauses missing from the snapshot
-          and (xi), trivial without a conflict, are the version's; (iii)
-          adds the attention clause, which is in the snapshot;
+        - the nine reports and the learned clauses missing from the
+          snapshot are the version's; (iii) adds the attention clause,
+          which is in the snapshot;
+        - (xi) reads the attention image only under a live conflict, and
+          passes there only where the image is the top justification: both
+          ends have that one image, and the keys, which rank by image
+          first, give it to every boundary in between;
         - each attention image is in the snapshot: the clause itself or,
           by (iv), its map image; only the first may instead be the empty
           clause, which produces nothing. A member's production lies below
@@ -813,7 +752,7 @@ class _VersionFacts:
         - progress: the pair index and the map stand still and the key
           climbs.
         """
-        if not all(r.ok for r in first) or self.quiet is None:
+        if not all(r.ok for r in first):
             return False
         order, gamma, contains = self.order, self.gamma, self.snapshot.contains
         try:
@@ -823,12 +762,9 @@ class _VersionFacts:
                 if climbed <= key or not contains(ann.aid):
                     return False
                 key = climbed
-            last = run[-1].aid
-            image = gamma.get(last, last)
-            below = self.snapshot.construction.prefix_below(image)
         except ValueError:
             return False
-        return self.passes_at(last, image, below)
+        return all(r.ok for r in check_invariants(order, self.state, run[-1], self.snapshot, self))
 
     @cached_property
     def reports(self) -> Tuple[InvariantReport, ...]:
@@ -1149,12 +1085,13 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     names each boundary where they do not.
 
     A version's first boundary is checked in full. The boundaries after it
-    that share its version (``_same_version``) form a pass run, decided by ``_VersionFacts.passes_run``: where
-    it passes, each of them gets the passing reports and the rounds between
-    them no progress check, since the test shows both to hold. A run it
-    cannot show is checked in full at every boundary, so every report and
-    every progress line is the one a check of each boundary on its own
-    gives.
+    that share its version (``_same_version``) form a pass run, decided by
+    ``_VersionFacts.passes_run`` with one more full check, at the run's last
+    boundary: where it passes, each of them gets the passing reports and
+    the rounds between them no progress check, since the test shows both
+    to hold. A run it cannot show is checked in full at every boundary, so
+    every report and every progress line is the one a check of each
+    boundary on its own gives.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)

@@ -176,19 +176,28 @@ def version_starts(sim):
                                                       anns[b], states[b])]
 
 
+def version_ends(sim):
+    """The boundaries of ``sim`` that end a version of more than one
+    boundary."""
+    starts = version_starts(sim)
+    ends = [b - 1 for b in starts[1:] + [len(sim.annotations)]]
+    return [end for start, end in zip(starts, ends) if end > start]
+
+
 def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
     """At every boundary the verifier checks, the index it reads holds what
     a fresh index of that boundary holds. Boundaries right after a factoring
     round, where the map changes and the learned clauses do not, are among
-    them. On a sound run the verifier calls check_invariants exactly once
-    per version, at its first boundary, and decides the boundaries after it
-    by the range test, which the span tracer's counts rely on."""
+    them. On a sound run the verifier calls check_invariants exactly at the
+    first boundary of each version and at the last of each version that
+    has more, and decides the boundaries in between by the range test,
+    which the span tracer's counts rely on."""
     remapped = 0
     for result, calls in _verified_calls(monkeypatch, _problems()):
         assert result.ok
         annotations = result.sim.annotations
-        assert ([ann for _, _, ann, _, _ in calls]
-                == [annotations[b] for b in version_starts(result.sim)])
+        checked = sorted(version_starts(result.sim) + version_ends(result.sim))
+        assert [ann for _, _, ann, _, _ in calls] == [annotations[b] for b in checked]
         last = None
         for order, state, ann, snapshot, facts in calls:
             assert facts.state is state and facts.snapshot is snapshot

@@ -157,6 +157,22 @@ def test_fuzz_with_tautologies(capsys):
     assert "agreed" in capsys.readouterr().out
 
 
+def test_fuzz_reports_the_seeds_with_failures_and_exits_two(monkeypatch, capsys):
+    real, calls = harness.lockstep_verify, []
+
+    def crashing_on_the_second(problem, max_sequences):
+        calls.append(problem)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(problem, max_sequences=max_sequences)
+
+    monkeypatch.setattr(harness, "lockstep_verify", crashing_on_the_second)
+    assert cli.main(["fuzz", "--count", "2", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "2 instances, 1 with failures\n"
+    assert captured.err == "  seed 8: crash: RuntimeError('boom')\n"
+
+
 def test_fuzz_over_the_oracle_cap_is_an_error_not_a_verdict(capsys):
     # exit 1 would read as "unsatisfiable"; an unusable pool is exit 2
     code = cli.main(["fuzz", "--count", "2", "--preds", "P,Q,R,S,T,U,V,W,X,Y,Z",

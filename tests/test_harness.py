@@ -7,6 +7,7 @@ import json
 import os
 import random
 import time
+import types
 
 import pytest
 
@@ -495,6 +496,45 @@ def test_fuzz_campaign_reports_seeds_with_failures():
     report = fuzz_campaign(3, base_seed=0, max_sequences=0)
     assert not report.ok
     assert [seed for seed, _ in report.failures] == [0, 1, 2]
+
+
+def test_fuzz_campaign_reports_each_kind_of_finding(monkeypatch):
+    """A verifier that crashes, a saturation verdict the oracle
+    contradicts, and a claimed model that leaves clauses false are each
+    reported under their seed, the campaign going on past the crash."""
+    params = GenParams()
+    problems = [random_problem(dataclasses.replace(params, seed=s)) for s in (3, 4, 5)]
+    verdicts = ["unsatisfiable" if brute_force_sat(p.clauses.clauses()) is None
+                else "satisfiable" for p in problems]
+    other = {"satisfiable": "unsatisfiable", "unsatisfiable": "satisfiable"}
+
+    def verified(verdict, *, sup=None, model=None):
+        return types.SimpleNamespace(
+            failures=lambda: [],
+            sim=types.SimpleNamespace(outcome=verdict, model=model),
+            sup=types.SimpleNamespace(outcome=sup or verdict))
+
+    seeds = iter((3, 4, 5))
+
+    def fake(problem, max_sequences):
+        seed = next(seeds)
+        assert print_problem(problem) == print_problem(problems[seed - 3])
+        if seed == 3:
+            raise RuntimeError("boom")
+        if seed == 4:
+            return verified(verdicts[1], sup=other[verdicts[1]])
+        return verified(verdicts[2], model=frozenset())
+
+    monkeypatch.setattr(harness, "lockstep_verify", fake)
+    report = fuzz_campaign(3, base_seed=3, params=params)
+    unsatisfied = [f"claimed model does not satisfy {c}" for c in problems[2].clauses
+                   if not eval_herbrand(frozenset(), c)]
+    assert unsatisfied
+    assert report.failures == [
+        (3, ["crash: RuntimeError('boom')"]),
+        (4, [f"saturation verdict {other[verdicts[1]]}, oracle says {verdicts[1]}"]),
+        (5, unsatisfied),
+    ]
 
 
 def test_forcing_source_must_have_a_false_leftover():

@@ -5,13 +5,12 @@ The driver records a run of pass rounds that need no filler decision by one
 walk of the version's attention index; the reference loop below plays every
 round through ``_round_no_conflict`` and finds each attention clause by a scan
 over every clause. The verifier decides the boundaries of a version after its
-first by one range test, whose end check is a lean test of the attention
-half; a run the range test cannot show is checked in full at every
+first by one range test, which checks the run's last boundary in full as it
+did the first; a run the range test cannot show is checked in full at every
 boundary. Every report and progress line must be what fresh
-``check_invariants`` and ``check_progress`` calls give, the lean test must
-pass exactly where such a call passes, a corrupted pass run must be reported
-exactly as fresh calls report it, and each mutant of the range test must be
-caught.
+``check_invariants`` and ``check_progress`` calls give, a corrupted pass run
+must be reported exactly as fresh calls report it, and each mutant of the
+range test must be caught.
 """
 
 import __future__
@@ -19,6 +18,7 @@ import dataclasses
 import inspect
 import textwrap
 import types
+from bisect import bisect_right
 
 import pytest
 
@@ -113,7 +113,7 @@ def test_the_sweep_records_what_round_by_round_play_records(monkeypatch):
     annotations, rule applications and boundary states the reference loop
     records. 3,830 of its 5,098 rounds are empty pass rounds, in 813
     maximal runs: one sweep follows the first round of each run and records
-    the other 3,017. The lean test's tests below compare every other trail
+    the other 3,017. The verifier's tests below compare every other trail
     run they verify with the reference loop's as well."""
     swept = []
     real = simulation._sweep_passes
@@ -180,28 +180,20 @@ def _agrees_with_fresh_calls(result):
     boundary its reports are those of a ``check_invariants`` call over
     facts of the boundary's own, whose index is derived along the run
     (``test_attention_index.py`` checks derived indexes against fresh
-    ones); its progress lines are those of a ``check_progress`` call per
-    round; and wherever the version is quiet and attention is on a clause,
-    the lean test passes exactly where every fresh report passes. Returns
-    how often the lean test was read."""
+    ones); and its progress lines are those of a ``check_progress`` call
+    per round. Returns how many boundaries it compared."""
     order, sim, snapshots = result.order, result.sim, result.sup.snapshots
-    anns, index, read = sim.annotations, None, 0
+    anns, index = sim.annotations, None
     assert len(result.boundaries) == len(anns)
     for ann, state, boundary in zip(anns, sim.boundary_states, result.boundaries):
         snapshot = snapshots[ann.index]
         index = simulation._index_for(order, state, ann.gamma, index)
         facts = _VersionFacts(order, state, ann.gamma, snapshot, index)
-        fresh = check_invariants(order, state, ann, snapshot, facts)
-        assert boundary.reports == fresh
-        if facts.quiet is not None and not ann.aid.is_empty:
-            image = ann.gamma.get(ann.aid, ann.aid)
-            below = snapshot.construction.prefix_below(image)
-            assert facts.passes_at(ann.aid, image, below) == all(r.ok for r in fresh)
-            read += 1
+        assert boundary.reports == check_invariants(order, state, ann, snapshot, facts)
     assert result.progress_failures == [
         f"round {i} ({seq.kind}): {msg}" for i, seq in enumerate(sim.seqs)
         if (msg := check_progress(order, anns[i], anns[i + 1])) is not None]
-    return read
+    return len(anns)
 
 
 def _ranges(monkeypatch):
@@ -238,55 +230,50 @@ def _replayed(monkeypatch):
 
 def _verify_against_fresh_calls(monkeypatch, problems):
     """Verifies each problem, replayed, against fresh calls; returns how
-    often the lean test was read and the range counts."""
+    many boundaries were compared and the range counts."""
     _replayed(monkeypatch)
-    ranges, read = _ranges(monkeypatch), 0
+    ranges, compared = _ranges(monkeypatch), 0
     for p in problems:
         result = lockstep_verify(p)
         assert result.ok
-        read += _agrees_with_fresh_calls(result)
-    return read, ranges
+        compared += _agrees_with_fresh_calls(result)
+    return compared, ranges
 
 
-def test_the_lean_test_passes_exactly_where_fresh_calls_pass(monkeypatch):
+def test_the_verifier_reports_what_fresh_calls_report(monkeypatch):
     """On the golden files, the generated problems, 15:1, PHP(5,4) and the
     ladder pool at seeds 0 and 1, the driver records what the reference
     loop records; at every boundary the verifier's reports, most of them
     decided by the range test, equal those of a call with facts of its
-    own, and its progress lines those of a call per round; and on a quiet
-    version the lean test passes exactly where those all pass."""
-    read, ranges = _verify_against_fresh_calls(monkeypatch, _hard_problems() + _ladder_pool(0))
-    assert read > 10000 and ranges["covered"] > 8000
+    own, and its progress lines those of a call per round."""
+    compared, ranges = _verify_against_fresh_calls(monkeypatch,
+                                                   _hard_problems() + _ladder_pool(0))
+    assert compared > 10000 and ranges["covered"] > 8000
 
 
-def test_the_lean_test_agrees_on_the_campaign_pools(monkeypatch):
+def test_the_verifier_reports_what_fresh_calls_report_on_the_campaign_pools(monkeypatch):
     """The same on the campaign pools at seeds 0 and 1."""
-    read, ranges = _verify_against_fresh_calls(monkeypatch,
-                                               _campaign_pool(0) + _campaign_pool(1))
-    assert read > 10000 and ranges["covered"] > 8000
+    compared, ranges = _verify_against_fresh_calls(monkeypatch,
+                                                   _campaign_pool(0) + _campaign_pool(1))
+    assert compared > 10000 and ranges["covered"] > 8000
 
 
-def test_the_lean_test_decides_the_boundaries_after_empty_pass_rounds(monkeypatch):
+def test_the_range_test_decides_the_boundaries_after_empty_pass_rounds(monkeypatch):
     """On the ladder pool at seed 0 the verifier checks 5,131 boundaries.
     The 3,830 that follow an empty pass round share their version with the
     boundary before; they fall in 813 pass runs, one after the first
     boundary of each such version. The range test is tried on each run and
-    passes each, reading the lean test once, at the run's last boundary;
-    ``check_invariants`` runs at the other 1,301 boundaries, each its
-    version's first."""
+    passes each, with one ``check_invariants`` call at the run's last
+    boundary; the other 1,301 calls are at the boundaries that start a
+    version: 2,114 calls in all."""
     ranges = _ranges(monkeypatch)
-    tried, checked = [], []
-    real_lean, real_check = _VersionFacts.passes_at, simulation.check_invariants
-
-    def lean(self, *args):
-        tried.append(real_lean(self, *args))
-        return tried[-1]
+    checked = []
+    real_check = simulation.check_invariants
 
     def check(*args):
         checked.append(args)
         return real_check(*args)
 
-    monkeypatch.setattr(_VersionFacts, "passes_at", lean)
     monkeypatch.setattr(simulation, "check_invariants", check)
     boundaries = 0
     for p in _ladder_pool(0):
@@ -294,8 +281,7 @@ def test_the_lean_test_decides_the_boundaries_after_empty_pass_rounds(monkeypatc
         assert result.ok
         boundaries += len(result.boundaries)
     assert (boundaries, len(checked), ranges) == (
-        5131, 1301, {"tried": 813, "passed": 813, "covered": 3830})
-    assert (len(tried), sum(tried)) == (813, 813)
+        5131, 2114, {"tried": 813, "passed": 813, "covered": 3830})
 
 
 def _in_pass_run(edit):
@@ -457,6 +443,26 @@ def _run_start_moved_down(real, problem, *args, **kwargs):
     return run
 
 
+def _conflict_run(real, problem, *args, **kwargs):
+    """The trail run with two empty pass rounds inserted after the first
+    round that ends in a live conflict with two clauses ranked above its
+    attention clause: the same state, pair index and map, with attention
+    moved on to those two clauses, in order."""
+    run = real(problem, *args, **kwargs)
+    for r, seq in enumerate(run.seqs):
+        ann, end = seq.annotation, seq.app_range[1]
+        state = run.states[end]
+        if state.conflict is None or state.conflict.is_empty:
+            continue
+        keys, _, clauses = _AttentionIndex(run.order, state, ann.gamma).ranked
+        at = bisect_right(keys, _gamma_key(run.order, ann.aid, ann.gamma))
+        if at + 2 <= len(clauses):
+            run.seqs[r + 1:r + 1] = [SimSeq("pass", c, dataclasses.replace(ann, aid=c), (end, end))
+                                     for c in clauses[at:at + 2]]
+            return run
+    return run
+
+
 def _reported(monkeypatch, wrapper):
     """Over the first six ladder problems at seed 0 and the first sixty
     generated ones, with the trail runs rewritten by ``wrapper``: each
@@ -485,6 +491,11 @@ RANGE_ROWS = {
         _run_start_moved_down, 81,
         "boundary 7 (pair index 2): positives-match-production: trail makes ['p9'] true, "
         "construction expects []"),
+    "run-in-conflict-mode": (
+        _conflict_run, 65,
+        "boundary 7 (pair index 0): conflict-is-minimal-false: top justification "
+        "p4 | p6 | p9 is not the attention image -p2 | -p6 | p3; top literal p6 is not "
+        "the image's positive maximum"),
 }
 
 
@@ -494,16 +505,53 @@ def test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail(monkeypatch, row):
     clause of the boundary before, or the pair index one step back; at the
     run's last boundary, attention moved on
     to an unsatisfied clause; at a version's first boundary and the one
-    after it, moved down below the first's attention clause. The verifier
-    reports exactly what fresh calls at every boundary and round report,
-    and what it reported before it had the range test: as many lines over
-    the problems, the first of them pinned."""
+    after it, moved down below the first's attention clause; or a pass run
+    on a state in conflict mode, with attention moved on past the clause
+    whose image justifies the top. The verifier reports exactly what fresh
+    calls at every boundary and round report, and what it reported before
+    it had the range test: as many lines over the problems, the first of
+    them pinned."""
     wrapper, count, first = RANGE_ROWS[row]
     reported = []
     for failures, fresh in _reported(monkeypatch, wrapper):
         assert failures == fresh
         reported += failures
     assert (len(reported), reported[:1]) == (count, [first])
+
+
+# P | P and P | P | P both map to their factored image P, an input clause
+TWINS_TEXT = """\
+order: listed
+atoms: P < Q
+clause: P
+clause: P | P
+clause: P | P | P
+clause: -P | Q
+clause: -Q
+"""
+
+
+def test_a_pass_run_in_conflict_mode_can_pass(monkeypatch):
+    """P is forced from P and conflicts with the learned -P; attention then
+    moves on to P | P and P | P | P on that state. Their image is P, the
+    top justification, so (xi) holds at every boundary: the range test
+    passes the run although the state is in conflict mode, and neither the
+    verifier nor fresh calls report anything."""
+    real = simulation.run_scl_sup
+    monkeypatch.setattr(simulation, "run_scl_sup",
+                        lambda *a, **k: _conflict_run(real, *a, **k))
+    shown = []
+    real_run = _VersionFacts.passes_run
+
+    def watched(self, first, run):
+        shown.append((str(self.state.conflict), [str(ann.aid) for ann in run],
+                      real_run(self, first, run)))
+        return shown[-1][-1]
+
+    monkeypatch.setattr(_VersionFacts, "passes_run", watched)
+    result = lockstep_verify(parse_problem(TWINS_TEXT))
+    assert result.ok and result.failures() == _fresh_failures(result) == []
+    assert ("-P", ["P", "P | P", "P | P | P"], True) in shown
 
 
 @pytest.mark.parametrize("wrapper,line", [
@@ -562,11 +610,12 @@ def _mutated(owner, name, old, new):
 MUTANTS = {
     "end-check-skipped": (
         _VersionFacts, "passes_run",
-        "return self.passes_at(last, image, below)", "return True",
+        "return all(r.ok for r in check_invariants(order, self.state, run[-1], "
+        "self.snapshot, self))", "return True",
         RANGE_ROWS["run-end-on-false-clause"][0]),
     "first-trusted-although-it-failed": (
         _VersionFacts, "passes_run",
-        "if not all(r.ok for r in first) or self.quiet is None:", "if self.quiet is None:",
+        "if not all(r.ok for r in first):", "if not first:",
         RANGE_ROWS["run-start-moved-down"][0]),
     "membership-skipped": (
         _VersionFacts, "passes_run",

@@ -252,6 +252,30 @@ def test_backtrack_guards(kbo):
     assert e.value.guard == "top-not-decision"
 
 
+def test_backtrack_guards_on_the_conflict(kbo):
+    """With a decision on top, backtracking needs its complement in the
+    conflict and every other conflict literal below the current level."""
+    p, po = kbo
+    _, c2, c3 = p.clauses.clauses()          # -P(a) | Q(b), -Q(b)
+    s = decide(po, decide(po, initial_state(p), QB), PA)
+    s = conflict(po, s, c3)                  # false since level 1; P(a) is not in it
+    with pytest.raises(RuleError) as e:
+        backtrack(po, s)
+    assert (e.value.guard, str(e.value)) == (
+        "decision-not-complemented",
+        "backtrack: -P(a) does not occur in the conflict -Q(b) [decision-not-complemented]")
+    # the rules open a level with each decision, so only the top decision
+    # sits at the top level; -Q(b) decided at level 2 is fabricated
+    s = decide(po, decide(po, initial_state(p), QB.complement()), PA)
+    s = conflict(po, s, c2)
+    relabelled = dataclasses.replace(s.trail[0], level=2)
+    s = dataclasses.replace(s, trail=(relabelled,) + s.trail[1:])
+    with pytest.raises(RuleError) as e:
+        backtrack(po, s)
+    assert (e.value.guard, str(e.value)) == (
+        "residue-level", "backtrack: Q(b) sits at level 2, not below 2 [residue-level]")
+
+
 def test_duplicate_conflict_literals_do_not_block_backtracking():
     """A conflict D | L | L with comp(L) the top decision must backtrack:
     the copies of the decision's complement are exempt from the level rule."""

@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import glob
 import os
+import types
 import weakref
 
 import pytest
@@ -194,6 +195,8 @@ def test_superposition_left_rejects_misuse():
     with pytest.raises(ValueError):
         # producer's positive occurrence is not strictly maximal
         superposition_left(clause("-R", "P"), clause("-R", "R", "Q"), po)
+    with pytest.raises(ValueError, match="^cannot superpose into the empty clause$"):
+        superposition_left(EMPTY_CLAUSE, clause("R", "Q"), po)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +400,27 @@ def test_next_inference_requires_a_false_clause():
     assert mc.minimal_false is None
     with pytest.raises(ValueError):
         next_inference(mc, po)
+    refuted = construct_model([EMPTY_CLAUSE, clause("P")], po)
+    assert refuted.minimal_false == EMPTY_CLAUSE
+    with pytest.raises(ValueError, match="^the empty clause is already present$"):
+        next_inference(refuted, po)
+
+
+@pytest.mark.parametrize("false_clause,message", [
+    ("-P", "false clause -P has maximal literal -P but P has no producer"),
+    ("P", "false clause P has a strictly maximal positive literal; it should have produced"),
+], ids=["no-producer", "should-have-produced"])
+def test_next_inference_rejects_a_construction_no_walk_builds(false_clause, message):
+    """A walk never leaves a clause false whose negative maximum nothing
+    produced, nor one that could have produced its strictly maximal
+    positive literal; a hand-built construction claiming either is
+    rejected."""
+    po = pqr_order([clause("P")])
+    claimed = types.SimpleNamespace(minimal_false=clause(false_clause),
+                                    producer_of=lambda atom: None)
+    with pytest.raises(RuntimeError) as e:
+        next_inference(claimed, po)
+    assert str(e.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ The problem file format is line oriented::
 
 An empty clause in the input is rejected: refutations are something a run
 derives, not something a problem states.
+
+Terms, atoms and literals are interned: one object per text, so their
+equality is identity and their hash the interpreter's, and every set or dict
+lookup on them, the innermost operation of both engines, runs without a
+Python-level call. Clauses are values: most are built once and dropped, and
+the verifier compares clauses of separate runs by content.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from weakref import WeakValueDictionary
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CHARS = IDENT_START | set("0123456789")
@@ -38,25 +45,32 @@ class GroundTerm:
     """A ground term: a symbol name applied to zero or more ground terms.
 
     Atoms reuse this representation with the predicate as root symbol, so a
-    single structural comparison covers both terms and atoms.
+    single comparison covers both terms and atoms.
+
+    Terms are interned (hash-consed): building a term whose text a live term
+    already has returns that term, so two terms are equal exactly when they
+    are one object. Equality is identity and hashing is the interpreter's
+    own, with no Python-level call on a set or dict hit. The table holds
+    its terms weakly, so a term that nothing else refers to leaves it.
+    Each term holds its two literals, see ``Literal``. ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild a term through the table, so they
+    return the interned term, also in another process.
     """
 
-    __slots__ = ("name", "args", "text", "_hash")
+    __slots__ = ("name", "args", "text", "_pos", "_neg", "__weakref__")
 
-    def __init__(self, name: str, args: Tuple["GroundTerm", ...] = ()):
-        self.name = name
-        self.args = args
-        if args:
-            self.text = name + "(" + ",".join(a.text for a in args) + ")"
-        else:
-            self.text = name
-        self._hash = hash(self.text)
+    def __new__(cls, name: str, args: Tuple["GroundTerm", ...] = ()) -> "GroundTerm":
+        text = name + "(" + ",".join(a.text for a in args) + ")" if args else name
+        term = _TERMS.get(text)
+        if term is None:
+            term = object.__new__(cls)
+            term.name, term.args, term.text = name, args, text
+            term._pos, term._neg = Literal._pair(term)
+            _TERMS[text] = term
+        return term
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroundTerm) and self.text == other.text
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> Tuple[type, Tuple[str, Tuple["GroundTerm", ...]]]:
+        return GroundTerm, (self.name, self.args)
 
     def __repr__(self) -> str:
         return self.text
@@ -68,29 +82,40 @@ class GroundTerm:
             yield from a.symbols()
 
 
+# every live term, by its text
+_TERMS: WeakValueDictionary[str, GroundTerm] = WeakValueDictionary()
+
 # An atom is a ground term whose root symbol is the predicate.
 Atom = GroundTerm
 
 
 class Literal:
-    """A ground literal: an atom with a sign."""
+    """A ground literal: an atom with a sign.
 
-    __slots__ = ("atom", "positive", "text", "_hash")
+    Literals are interned with their atom, which holds both of them:
+    ``Literal(atom, positive)`` returns one and ``complement()`` the other,
+    so like atoms they are equal exactly when they are one object, and
+    ``copy``, ``deepcopy`` and ``pickle`` return the interned literal.
+    """
 
-    def __init__(self, atom: Atom, positive: bool = True):
-        self.atom = atom
-        self.positive = positive
-        self.text = atom.text if positive else "-" + atom.text
-        self._hash = hash(self.text)
+    __slots__ = ("atom", "positive", "text", "_complement")
+
+    def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
+        return atom._pos if positive else atom._neg
+
+    @classmethod
+    def _pair(cls, atom: Atom) -> Tuple["Literal", "Literal"]:
+        """The positive and the negative literal of a new atom."""
+        pos, neg = object.__new__(cls), object.__new__(cls)
+        pos.atom, pos.positive, pos.text, pos._complement = atom, True, atom.text, neg
+        neg.atom, neg.positive, neg.text, neg._complement = atom, False, "-" + atom.text, pos
+        return pos, neg
 
     def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
+        return self._complement
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Literal) and self.text == other.text
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> Tuple[type, Tuple[Atom, bool]]:
+        return Literal, (self.atom, self.positive)
 
     def __repr__(self) -> str:
         return self.text
@@ -110,6 +135,13 @@ class Clause:
     on first read so that building a clause never pays for it. A clause has
     no ``len()``, as its copies may pass ``sys.maxsize``. The empty clause
     prints as ⊥ and is only ever produced by inference, never parsed.
+
+    Unlike atoms and literals, clauses are not interned: the engines build
+    most clauses once and drop them, and a clause equals another of the
+    same multiset whatever object holds it, so equality and the cached hash
+    compare values. ``copy``, ``deepcopy`` and ``pickle`` return an equal
+    clause whose hash is taken afresh, since the literals' hashes differ
+    from one process to the next.
     """
 
     __slots__ = ("distinct", "counts", "_hash", "_texts")
@@ -136,6 +168,9 @@ class Clause:
         clause.distinct, clause.counts = distinct, counts
         clause._hash = hash((distinct, counts))
         return clause
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Tuple[Literal, ...], Tuple[int, ...]]]:
+        return Clause.from_runs, (self.distinct, self.counts)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Clause) and self.counts == other.counts
@@ -217,7 +252,8 @@ class ClauseSet:
     """An immutable clause collection, built once from an iterable.
 
     Duplicate clause content is dropped, the first position winning;
-    ``clauses()`` lists the rest in input order.
+    ``clauses()`` lists the rest in input order. Two sets are equal when
+    they list equal clauses in the same order.
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
@@ -226,6 +262,12 @@ class ClauseSet:
 
     def __contains__(self, clause: Clause) -> bool:
         return clause in self._members
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ClauseSet) and self._clauses == other._clauses
+
+    def __hash__(self) -> int:
+        return hash(self._clauses)
 
     def __len__(self) -> int:
         return len(self._clauses)
@@ -287,7 +329,9 @@ class OrderingConfig:
     does not use (weights outside kbo, a precedence under listed, listed
     atoms under kbo and lpo), a weight below 1 and a repeated precedence
     symbol or listed atom; ``weights`` is held read-only, so a built
-    declaration cannot change behind these checks.
+    declaration cannot change behind these checks. A read-only mapping
+    cannot be pickled, so ``copy``, ``deepcopy`` and ``pickle`` rebuild the
+    declaration from its fields, through these checks.
     """
 
     kind: str
@@ -315,6 +359,10 @@ class OrderingConfig:
             raise OrderingError("repeated symbol in precedence", "syntax", "prec")
         if len(set(self.listed_atoms)) != len(self.listed_atoms):
             raise OrderingError("repeated atom in 'atoms:' order", "syntax", "atoms")
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return OrderingConfig, (self.kind, self.precedence, dict(self.weights),
+                                self.default_weight, self.listed_atoms)
 
 
 @dataclass(frozen=True)
@@ -473,7 +521,6 @@ def parse_problem(text: str) -> Problem:
     listed: List[Atom] = []
     clauses: List[Clause] = []
     arities: Dict[str, int] = {}
-    interned: Dict[str, Atom] = {}     # one object per atom text
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = _strip_comment(raw).strip()
@@ -524,7 +571,7 @@ def parse_problem(text: str) -> Problem:
                 if not scanner.at_end():
                     raise scanner.error("trailing input after atom")
                 _record_arities(atom, arities, lineno, term_col)
-                listed.append(interned.setdefault(atom.text, atom))
+                listed.append(atom)
         elif head == "clause":
             if not rest.strip():
                 raise ParseError("empty clause in input", lineno, 1, code="empty-clause")
@@ -544,7 +591,7 @@ def parse_problem(text: str) -> Problem:
                 if not scanner.at_end():
                     raise scanner.error("trailing input after literal")
                 _record_arities(atom, arities, lineno, term_col)
-                lits.append(Literal(interned.setdefault(atom.text, atom), positive))
+                lits.append(Literal(atom, positive))
             clauses.append(Clause(lits))
         else:
             raise ParseError(f"unknown directive '{head}'", lineno, 1)

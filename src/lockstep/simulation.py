@@ -66,8 +66,9 @@ run, and a run that passes check_invariants at both ends, whose attention
 clauses are in the snapshot and whose attention keys strictly ascend
 passes at every boundary in between. The test is exact in the sense that
 it passes only where every invariant and every progress check holds. A
-run it cannot show is checked in full at every boundary, so every failure
-line comes from check_invariants and check_progress.
+run it cannot show is checked in full at every boundary, the last one by
+the test's own end check, so every failure line comes from
+check_invariants and check_progress.
 """
 
 from __future__ import annotations
@@ -681,7 +682,9 @@ class _VersionFacts:
       it satisfies them all.
 
     ``passes_run`` decides a run of the version's boundaries at once, from
-    ``check_invariants`` at its first and last boundary.
+    ``check_invariants`` at its first and last boundary. ``check`` gives a
+    boundary's reports, those of the last end check where it declined a
+    run at that boundary, so that no boundary is checked twice.
 
     A new version's parts are computed afresh, not carried from the
     version before: resuming the ``first_unsatisfied`` scan and asking only
@@ -694,6 +697,15 @@ class _VersionFacts:
         self.order = order
         self.state, self.gamma, self.snapshot = state, gamma, snapshot
         self.index = index
+        self._end: Tuple[Optional[Annotation], List[InvariantReport]] = (None, [])
+
+    def check(self, ann: Annotation) -> List[InvariantReport]:
+        """``check_invariants`` at the version's boundary annotated ``ann``,
+        kept from ``passes_run``'s end check where that was its boundary."""
+        end, reports = self._end
+        if end is ann:
+            return reports
+        return check_invariants(self.order, self.state, ann, self.snapshot, self)
 
     @cached_property
     def positives(self) -> FrozenSet[Atom]:
@@ -764,7 +776,8 @@ class _VersionFacts:
                 key = climbed
         except ValueError:
             return False
-        return all(r.ok for r in check_invariants(order, self.state, run[-1], self.snapshot, self))
+        self._end = (run[-1], check_invariants(order, self.state, run[-1], self.snapshot, self))
+        return all(r.ok for r in self._end[1])
 
     @cached_property
     def reports(self) -> Tuple[InvariantReport, ...]:
@@ -1089,9 +1102,10 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     ``_VersionFacts.passes_run`` with one more full check, at the run's last
     boundary: where it passes, each of them gets the passing reports and
     the rounds between them no progress check, since the test shows both
-    to hold. A run it cannot show is checked in full at every boundary, so
-    every report and every progress line is the one a check of each
-    boundary on its own gives.
+    to hold. A run it cannot show is checked in full at every boundary but
+    the last one the test checked, whose reports are kept, so every report
+    and every progress line is the one a check of each boundary on its own
+    gives.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
@@ -1118,7 +1132,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
         if 0 <= ann.index <= steps:
             snapshot = snapshots[ann.index]
             last, facts = facts, _facts_for(order, state, ann.gamma, snapshot, facts)
-            reports = check_invariants(order, state, ann, snapshot, facts)
+            reports = facts.check(ann)
             if facts is not last:
                 end = b + 1
                 while end < len(states) and _same_version(ann, state, annotations[end],

@@ -1,11 +1,18 @@
 """Syntax, problem parsing, and evaluation semantics."""
 
+import copy
+import gc
+import json
 import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lockstep import core
 from lockstep.core import (
     Atom,
     Clause,
@@ -23,6 +30,7 @@ from lockstep.core import (
     parse_problem,
     print_problem,
 )
+from lockstep.harness import emit_trace
 from lockstep.ordering import ProblemOrder
 from lockstep.superposition import sfac
 from lockstep.scl import (
@@ -62,6 +70,57 @@ def test_literal_text_and_complement():
     n = p.complement()
     assert n.text == "-P(a)"
     assert n.complement() == p
+
+
+def test_atoms_and_literals_are_interned():
+    a = T("P", T("a"))
+    assert T("P", T("a")) is a and a.args[0] is T("a")
+    assert Literal(a) is Literal(a) is Literal(a, True)
+    assert Literal(a, False) is Literal(a).complement()
+    for l in (Literal(a), Literal(a, False)):
+        assert l.complement().complement() is l
+        assert l.complement() is not l and l.complement().atom is a
+
+
+def test_equality_and_hashing_of_atoms_and_literals_are_the_interpreter_s():
+    # identity equality and a C-level hash: a Python-level method here
+    # would run on every set or dict hit of both engines
+    for cls in (GroundTerm, Literal):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_a_problem_parsed_twice_shares_its_atoms_and_literals():
+    path = os.path.join(os.path.dirname(__file__), "data", "double_conflict.prob")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    first, second = parse_problem(text), parse_problem(text)
+    for c, d in zip(first.clauses, second.clauses, strict=True):
+        assert all(l is m and l.atom is m.atom for l, m in zip(c.distinct, d.distinct))
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, _pickled],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_atoms_and_literals_are_the_interned_objects(copier):
+    a = T("P", T("f", T("a")), T("b"))
+    assert copier(a) is a
+    assert copier(Literal(a)) is Literal(a) and copier(Literal(a, False)) is Literal(a, False)
+    c = Clause([Literal(a), Literal(a), lit("-Q")])
+    twin = copier(c)
+    assert twin == c and hash(twin) == hash(c)
+    assert all(l is m for l, m in zip(twin.distinct, c.distinct, strict=True))
+    assert twin in {c} and twin.count(Literal(a)) == 2
+
+
+def test_an_unreferenced_atom_leaves_the_table():
+    atom = T("Unreferenced", T("c7"))
+    assert core._TERMS.get("Unreferenced(c7)") is atom
+    del atom
+    gc.collect()
+    assert "Unreferenced(c7)" not in core._TERMS and "c7" not in core._TERMS
 
 
 def test_clause_is_a_multiset():
@@ -437,6 +496,56 @@ def test_parse_rejections(text, code, line, col, message):
         parse_problem(text)
     assert (exc.value.code, exc.value.line, exc.value.col, exc.value.message) == (
         code, line, col, message)
+
+
+COPY_PROBLEMS = {
+    "kbo": "order: kbo\nprec: a < b < P < Q\nweights: default=2 P=3\n"
+           "clause: P(a) | Q(b)\nclause: -P(a) | Q(a)\nclause: -Q(a) | -Q(b)\nclause: -Q(b)\n",
+    "lpo": "order: lpo\nprec: a < b < P < Q\n"
+           "clause: P(a) | P(a)\nclause: -P(a) | Q(b)\nclause: -Q(b)\n",
+    "listed": "order: listed\natoms: Q < P(a,b)\nclause: P(a,b) | -Q\nclause: Q | Q\n",
+}
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("kind", list(COPY_PROBLEMS))
+def test_a_copied_problem_is_equal_and_verifies_identically(kind, copier):
+    # the read-only weights mapping cannot be pickled itself, so the
+    # ordering declaration is rebuilt from its fields
+    problem = parse_problem(COPY_PROBLEMS[kind])
+    twin = copier(problem)
+    assert twin == problem and twin.ordering.kind == kind
+    assert twin.clauses.clauses() == problem.clauses.clauses()
+    assert twin.ordering.weights == problem.ordering.weights
+    assert print_problem(twin) == print_problem(problem)
+    assert (json.dumps(emit_trace(twin), sort_keys=True)
+            == json.dumps(emit_trace(problem), sort_keys=True))
+
+
+# reads a pickled list of problems on standard input; prints, for each, whether
+# every clause rebuilt from its literals is found in the problem's clause set
+# and whether the problem verifies
+UNPICKLE_AND_VERIFY = """\
+import pickle, sys
+from lockstep.core import Clause
+from lockstep.simulation import lockstep_verify
+for p in pickle.load(sys.stdin.buffer):
+    print(all(Clause(c.literals) in p.clauses for c in p.clauses), lockstep_verify(p).ok)
+"""
+
+
+def test_a_problem_pickled_in_one_process_works_in_another():
+    # hashes differ from process to process: an unpickled clause must hash
+    # as a clause built there does, and its atoms must be that process's
+    problems = [parse_problem(text) for text in COPY_PROBLEMS.values()]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", UNPICKLE_AND_VERIFY],
+                          input=pickle.dumps(problems), env=env, capture_output=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == ["True True"] * len(problems)
 
 
 def test_problem_rejects_the_empty_clause():

@@ -213,6 +213,20 @@ def _ranges(monkeypatch):
     return counts
 
 
+def _checks(monkeypatch):
+    """Lists, from now on, the arguments of each check_invariants call the
+    verifier makes."""
+    checked = []
+    real = simulation.check_invariants
+
+    def check(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "check_invariants", check)
+    return checked
+
+
 def _replayed(monkeypatch):
     """From now on, each trail run the verifier makes is compared with the
     reference loop's run of the same problem, so one pass over the problems
@@ -266,15 +280,7 @@ def test_the_range_test_decides_the_boundaries_after_empty_pass_rounds(monkeypat
     passes each, with one ``check_invariants`` call at the run's last
     boundary; the other 1,301 calls are at the boundaries that start a
     version: 2,114 calls in all."""
-    ranges = _ranges(monkeypatch)
-    checked = []
-    real_check = simulation.check_invariants
-
-    def check(*args):
-        checked.append(args)
-        return real_check(*args)
-
-    monkeypatch.setattr(simulation, "check_invariants", check)
+    ranges, checked = _ranges(monkeypatch), _checks(monkeypatch)
     boundaries = 0
     for p in _ladder_pool(0):
         result = lockstep_verify(p)
@@ -475,27 +481,29 @@ def _reported(monkeypatch, wrapper):
         yield result.failures(), _fresh_failures(result)
 
 
+# each row: the wrapper, the count of lines reported, the first of them and
+# the count of the verifier's check_invariants calls
 RANGE_ROWS = {
     "attention-repeated": (
         _in_pass_run(_repeated), 13,
-        "progress: round 8 (pass): attention clause did not advance"),
+        "progress: round 8 (pass): attention clause did not advance", 670),
     "pair-index-moved-back": (
         _in_pass_run(_index_moved_back), 41,
         "boundary 9 (pair index 1): factored-map-shape: image p2 | p4 | p9 is not in the "
-        "paired set"),
+        "paired set", 652),
     "run-end-on-false-clause": (
         _at_run_end(_onto_a_false_clause), 62,
         "boundary 10 (pair index 2): negatives-cover-gap: trail makes "
-        "['p2', 'p3', 'p4', 'p8'] false, expected ['p2', 'p3', 'p4', 'p5', 'p6', 'p8']"),
+        "['p2', 'p3', 'p4', 'p8'] false, expected ['p2', 'p3', 'p4', 'p5', 'p6', 'p8']", 667),
     "run-start-moved-down": (
         _run_start_moved_down, 81,
         "boundary 7 (pair index 2): positives-match-production: trail makes ['p9'] true, "
-        "construction expects []"),
+        "construction expects []", 673),
     "run-in-conflict-mode": (
         _conflict_run, 65,
         "boundary 7 (pair index 0): conflict-is-minimal-false: top justification "
         "p4 | p6 | p9 is not the attention image -p2 | -p6 | p3; top literal p6 is not "
-        "the image's positive maximum"),
+        "the image's positive maximum", 671),
 }
 
 
@@ -510,13 +518,15 @@ def test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail(monkeypatch, row):
     whose image justifies the top. The verifier reports exactly what fresh
     calls at every boundary and round report, and what it reported before
     it had the range test: as many lines over the problems, the first of
-    them pinned."""
-    wrapper, count, first = RANGE_ROWS[row]
-    reported = []
+    them pinned. The count of its check_invariants calls is pinned too: a
+    run the range test declines at its end check keeps that check's
+    reports for the run's last boundary instead of checking it again."""
+    wrapper, count, first, calls = RANGE_ROWS[row]
+    reported, checked = [], _checks(monkeypatch)
     for failures, fresh in _reported(monkeypatch, wrapper):
         assert failures == fresh
         reported += failures
-    assert (len(reported), reported[:1]) == (count, [first])
+    assert (len(reported), reported[:1], len(checked)) == (count, [first], calls)
 
 
 # P | P and P | P | P both map to their factored image P, an input clause
@@ -610,8 +620,7 @@ def _mutated(owner, name, old, new):
 MUTANTS = {
     "end-check-skipped": (
         _VersionFacts, "passes_run",
-        "return all(r.ok for r in check_invariants(order, self.state, run[-1], "
-        "self.snapshot, self))", "return True",
+        "return all(r.ok for r in self._end[1])", "return True",
         RANGE_ROWS["run-end-on-false-clause"][0]),
     "first-trusted-although-it-failed": (
         _VersionFacts, "passes_run",

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from weakref import WeakValueDictionary
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -39,6 +39,37 @@ IDENT_CHARS = IDENT_START | set("0123456789")
 # recursion limit stops a few hundred levels down; a term at this bound
 # parses, ranks under kbo and lpo, and simulates.
 MAX_TERM_DEPTH = 100
+
+
+class memo:
+    """A part an object computes on its first read and keeps: the decorated
+    method runs once per object, and its value goes into the object's
+    ``__dict__`` under the attribute's own name, where every later read
+    finds it without calling this descriptor. Frozen dataclasses keep their
+    parts this way too, since the value bypasses ``__setattr__``. Read on
+    the class, the attribute is the descriptor itself, whose ``func`` is the
+    method.
+
+    This is the standard library's cached property as Python 3.12 has it.
+    Before 3.12 that descriptor takes a lock shared by every instance of the
+    class on each first read; the engines make and read parts from one thread,
+    and a part is a pure function of its object, so two threads that both
+    computed one would store equal values.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class GroundTerm:
@@ -130,10 +161,8 @@ class Clause:
     ``without_one``, ``with_count`` and the sum ``+`` act on these runs,
     never on single copies; truth is evaluated over ``distinct``, because
     extra copies cannot change a clause's truth value. ``literals`` and
-    ``text`` spell out every copy, in text order, for rendering, and
-    ``literal_texts`` is the set of the distinct literals' texts, computed
-    on first read so that building a clause never pays for it. A clause has
-    no ``len()``, as its copies may pass ``sys.maxsize``. The empty clause
+    ``text`` spell out every copy, in text order, for rendering. A clause
+    has no ``len()``, as its copies may pass ``sys.maxsize``. The empty clause
     prints as ⊥ and is only ever produced by inference, never parsed.
 
     Unlike atoms and literals, clauses are not interned: the engines build
@@ -144,7 +173,7 @@ class Clause:
     from one process to the next.
     """
 
-    __slots__ = ("distinct", "counts", "_hash", "_texts")
+    __slots__ = ("distinct", "counts", "_hash")
 
     def __init__(self, literals: Iterable[Literal] = ()):
         copies: Dict[Literal, int] = {}
@@ -203,23 +232,12 @@ class Clause:
         return tuple(copies)
 
     @property
-    def literal_texts(self) -> FrozenSet[str]:
-        try:
-            return self._texts
-        except AttributeError:
-            self._texts = frozenset(l.text for l in self.distinct)
-            return self._texts
-
-    @property
     def is_empty(self) -> bool:
         return not self.distinct
 
     def count(self, literal: Literal) -> int:
-        t = literal.text
-        for l, n in zip(self.distinct, self.counts):
-            if l.text == t:
-                return n
-        return 0
+        distinct = self.distinct
+        return self.counts[distinct.index(literal)] if literal in distinct else 0
 
     def contains(self, literal: Literal) -> bool:
         return self.count(literal) > 0
@@ -331,7 +349,9 @@ class OrderingConfig:
     symbol or listed atom; ``weights`` is held read-only, so a built
     declaration cannot change behind these checks. A read-only mapping
     cannot be pickled, so ``copy``, ``deepcopy`` and ``pickle`` rebuild the
-    declaration from its fields, through these checks.
+    declaration from its fields, through these checks; nor hashed, so the
+    hash takes the weights as sorted pairs, and equal declarations, and
+    the problems holding them, hash equal.
     """
 
     kind: str
@@ -359,6 +379,10 @@ class OrderingConfig:
             raise OrderingError("repeated symbol in precedence", "syntax", "prec")
         if len(set(self.listed_atoms)) != len(self.listed_atoms):
             raise OrderingError("repeated atom in 'atoms:' order", "syntax", "atoms")
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.precedence, tuple(sorted(self.weights.items())),
+                     self.default_weight, self.listed_atoms))
 
     def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
         return OrderingConfig, (self.kind, self.precedence, dict(self.weights),

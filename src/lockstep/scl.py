@@ -20,22 +20,25 @@ top of the trail), learns the conflict, and returns to level k-1; copies of
 the complement of that decision inside the conflict are exempt from the
 usual lower-level requirement on the rest.
 
-A trail has one valuation, each atom taking its last trail entry. A state
-computes it once and keeps it (states are never changed in place), and
-likewise the clauses it falsifies; rules and drivers read them only
-through ``is_true``, ``is_false``, ``is_defined``, ``literal_level`` and
+A trail has one valuation, each atom taking its last trail entry: the set
+of the literals it makes true and the set of those it makes false. Literals
+are interned, so a clause is tested against these sets on its distinct
+literals themselves. A state computes its valuation once and keeps it
+(states are never changed in place), and likewise the clauses it
+falsifies; rules and drivers read them only through ``is_true``,
+``is_false``, ``is_defined``, ``literal_level`` and
 ``conflict_candidates``. The set of its clauses, which the guards of
-propagate and conflict test membership in, passes from each state to the
-state a rule makes of it, so a run builds it once.
+propagate and conflict test membership in, and the set of their atoms,
+which the guard of decide tests, pass from each state to the state a rule
+makes of it, so a run builds each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import Atom, Clause, Literal, Problem
+from .core import Atom, Clause, Literal, Problem, atoms_of, memo
 from .ordering import ProblemOrder
 
 
@@ -74,6 +77,10 @@ class SclState:
     # starts without it, so it never holds another state's clauses
     _clauses: Optional[FrozenSet[Clause]] = field(
         default=None, init=False, compare=False, repr=False)
+    # likewise the atoms of those clauses, once ``atoms`` has built them or
+    # ``_successor`` handed them on
+    _atoms: Optional[FrozenSet[Atom]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -83,15 +90,14 @@ class SclState:
     def all_clauses(self) -> Tuple[Clause, ...]:
         return self.n + self.u
 
-    @cached_property
-    def _last_entry(self) -> Dict[str, TrailEntry]:
-        return {e.literal.atom.text: e for e in self.trail}
+    @memo
+    def _last_entry(self) -> Dict[Atom, TrailEntry]:
+        return {e.literal.atom: e for e in self.trail}
 
-    @cached_property
-    def _valuation(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        last = self._last_entry
-        return (frozenset(e.literal.text for e in last.values()),
-                frozenset("-" + a if e.literal.positive else a for a, e in last.items()))
+    @memo
+    def _valuation(self) -> Tuple[FrozenSet[Literal], FrozenSet[Literal]]:
+        true = frozenset(e.literal for e in self._last_entry.values())
+        return true, frozenset(map(Literal.complement, true))
 
     @property
     def clause_set(self) -> FrozenSet[Clause]:
@@ -102,14 +108,22 @@ class SclState:
             object.__setattr__(self, "_clauses", frozenset(self.n + self.u))
         return self._clauses
 
-    @cached_property
-    def _false_clauses(self) -> Tuple[Clause, ...]:
-        false = self._valuation[1]
-        return tuple(c for c in self.all_clauses() if c.literal_texts <= false)
+    @property
+    def atoms(self) -> FrozenSet[Atom]:
+        """The atoms of the input and learned clauses, for the guard of
+        decide; handed on like ``clause_set``."""
+        if self._atoms is None:
+            object.__setattr__(self, "_atoms", frozenset(atoms_of(self.n + self.u)))
+        return self._atoms
 
-    def valuation(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        """The texts of the literals the trail makes true, and of those it
-        makes false, each atom taking its last value on the trail."""
+    @memo
+    def _false_clauses(self) -> Tuple[Clause, ...]:
+        false = self._valuation[1].issuperset
+        return tuple(c for c in self.all_clauses() if false(c.distinct))
+
+    def valuation(self) -> Tuple[FrozenSet[Literal], FrozenSet[Literal]]:
+        """The literals the trail makes true, and those it makes false, each
+        atom taking its last value on the trail."""
         return self._valuation
 
     def render(self) -> str:
@@ -127,12 +141,15 @@ def _successor(state: SclState, trail: Tuple[TrailEntry, ...], u: Tuple[Clause, 
                conflict: Optional[Clause]) -> SclState:
     """The state a rule leaves behind ``state``: the same input clauses,
     with ``trail``, ``u`` and ``conflict``. It takes over ``state``'s clause
-    set, plus the clauses ``u`` learns past ``state.u``, so a run builds
-    the set once."""
+    set and atom set, plus the clauses ``u`` learns past ``state.u`` and
+    their atoms, so a run builds each set once."""
     after = SclState(trail=trail, n=state.n, u=u, conflict=conflict)
-    known = state.clause_set
-    object.__setattr__(after, "_clauses",
-                       known if u is state.u else known.union(u[len(state.u):]))
+    clauses, atoms = state.clause_set, state.atoms
+    if u is not state.u:
+        learned = u[len(state.u):]
+        clauses, atoms = clauses.union(learned), atoms.union(atoms_of(learned))
+    object.__setattr__(after, "_clauses", clauses)
+    object.__setattr__(after, "_atoms", atoms)
     return after
 
 
@@ -143,11 +160,11 @@ def _successor(state: SclState, trail: Tuple[TrailEntry, ...], u: Tuple[Clause, 
 
 def is_defined(state: SclState, atom: Atom) -> bool:
     """Whether the trail assigns ``atom``."""
-    return atom.text in state._last_entry
+    return atom in state._last_entry
 
 
 def literal_level(state: SclState, literal: Literal) -> int:
-    entry = state._last_entry.get(literal.atom.text)
+    entry = state._last_entry.get(literal.atom)
     if entry is None:
         raise ValueError(f"literal {literal} is undefined on the trail")
     return entry.level
@@ -155,12 +172,12 @@ def literal_level(state: SclState, literal: Literal) -> int:
 
 def is_true(state: SclState, clause: Clause) -> bool:
     """Whether some literal of ``clause`` is true on the trail."""
-    return not clause.literal_texts.isdisjoint(state._valuation[0])
+    return not state._valuation[0].isdisjoint(clause.distinct)
 
 
 def is_false(state: SclState, clause: Clause) -> bool:
     """Whether every literal of ``clause`` is false on the trail."""
-    return clause.literal_texts <= state._valuation[1]
+    return state._valuation[1].issuperset(clause.distinct)
 
 
 def conflict_candidates(state: SclState,
@@ -176,9 +193,8 @@ def conflict_candidates(state: SclState,
     """
     if assuming is None:
         return list(state._false_clauses)
-    false = state._valuation[1]
-    false = (false - {assuming.text}) | {assuming.complement().text}
-    return [c for c in state.all_clauses() if c.literal_texts <= false]
+    false = ((state._valuation[1] - {assuming}) | {assuming.complement()}).issuperset
+    return [c for c in state.all_clauses() if false(c.distinct)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +239,7 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
     """Guess ``literal`` and open level k+1. The atom must occur in the
     clauses and lie below the bound."""
     _need_no_conflict("decide", state)
-    texts = (literal.text, literal.complement().text)
-    if all(c.literal_texts.isdisjoint(texts) for c in state.all_clauses()):
+    if literal.atom not in state.atoms:
         raise RuleError("decide", "unknown-atom", f"{literal.atom} occurs in no clause")
     if is_defined(state, literal.atom):
         raise RuleError("decide", "literal-defined", f"{literal.atom} is already on the trail")

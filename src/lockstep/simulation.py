@@ -17,21 +17,23 @@ verdicts, models, and learned clauses.
 
 Both read a state's clauses through an attention index, one per map
 version. It holds the clauses sorted by their factored-image key (ties in
-state order) with the list of those keys, the set of their images, their
-atoms, and for each map entry whether its image is the clause's factored
-image. It follows what changed since the last index: it is reused while
-the map object and the state's clauses are the same objects, and derived
-from the last one when the state's learned clauses extend the last ones
-object by object (in a run, the input clauses never change), whatever the
-map. A derived index inserts the keys of the new clauses by bisection and
-moves only the clauses whose image object changed, instead of sorting
-again; see ``_AttentionIndex`` for each part and why its derivation is
-sound. Any other state gets a new index. All tests are by identity, since
-no state, clause or map is ever changed in place. So the walk and
-invariant (xii) bisect the sorted keys instead of ranking every clause at
-every boundary, and invariant (iv) computes a factored image only for a
-map entry whose image changed. The verifier builds its own indexes from
-the recorded states and shares none with the driver.
+state order) with the list of those keys, the set of their images, and
+for each map entry whether its image is the clause's factored image; the
+set of the clauses and the set of their atoms are the state's, which each
+state hands on to its successors. It follows what changed since the last
+index: it is reused while the map object and the state's clauses are the
+same objects, and derived from the last one when the state's learned
+clauses extend the last ones object by object (in a run, the input
+clauses never change), whatever the map. A derived index inserts the
+keys of the new clauses by bisection and moves only the clauses whose
+image object changed, instead of sorting again; see ``_AttentionIndex``
+for each part and why its derivation is sound. Any other state gets a new
+index. All tests are by identity, since no state, clause or map is ever
+changed in place. So the walk and invariant (xii) bisect the sorted keys
+instead of ranking every clause at every boundary, and invariant (iv)
+computes a factored image only for a map entry whose image changed. The
+verifier builds its own indexes from the recorded states and shares none
+with the driver.
 
 check_invariants reads each boundary as a version plus an attention
 clause. A version is one trail state under one map, paired with one
@@ -75,7 +77,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from operator import is_
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
@@ -88,6 +89,7 @@ from .core import (
     Literal,
     Problem,
     atoms_of,
+    memo,
 )
 from .ordering import ClauseKey, ProblemOrder
 from .scl import (
@@ -232,10 +234,9 @@ class _AttentionIndex:
     - ``ranked``: the keys, state positions and clauses, stably sorted by
       ``_gamma_key``, so ties keep state order;
     - ``images``: the set of the clauses' images under the map;
-    - ``atoms``: the atoms of the clauses;
-    - ``own``: the set of the clauses;
     - ``map_entries``: each map entry with whether its image is the
-      clause's factored image and whether the clause is in the state.
+      clause's factored image and whether the clause is in the state,
+      read from the state's clause set, ``own``.
 
     An index made from ``last``, the index of a state whose learned clauses
     this state's extend, derives each part ``last`` has computed from it
@@ -247,14 +248,12 @@ class _AttentionIndex:
       at its old key and put back at its new one, among equal keys by
       state position. The other clauses keep their keys and so their
       relative order.
-    - ``atoms`` and ``own``: the old ones plus the new clauses'.
     - ``images``: the old ones plus the new clauses' when the map is the
       same object. Under another map it is built again: an image that
       left with one clause may still be another clause's.
     - ``map_entries``: an entry whose clause maps to the same image object
       keeps its ``factored`` flag, which depends on the two alone; any
-      other entry computes it again. Whether the clause is in the state is
-      read from ``own``.
+      other entry computes it again.
 
     The new index keeps ``last``'s computed parts, not ``last``, and drops
     each when its own part is read, so indexes never hold a chain of their
@@ -264,19 +263,19 @@ class _AttentionIndex:
     which a full sort keys them.
     """
 
-    _PARTS = ("ranked", "images", "atoms", "own", "map_entries")
+    _PARTS = ("ranked", "images", "map_entries")
 
     def __init__(self, order: ProblemOrder, state: SclState,
                  gamma: Dict[Clause, Clause], last: Optional["_AttentionIndex"] = None):
         self.order = order
-        self.n, self.u = state.n, state.u
+        self.n, self.u, self.own = state.n, state.u, state.clause_set
         self.gamma = gamma
         self._prior = {} if last is None else {
             name: last.__dict__[name] for name in self._PARTS if name in last.__dict__}
         if self._prior:
             self._prior_gamma, self._since = last.gamma, len(last.u)
 
-    @cached_property
+    @memo
     def ranked(self) -> Tuple[List[Tuple[ClauseKey, ClauseKey]], List[int], List[Clause]]:
         order, gamma, clauses = self.order, self.gamma, self.n + self.u
         prior = self._prior.pop("ranked", None)
@@ -304,28 +303,14 @@ class _AttentionIndex:
             place(_gamma_key(order, clauses[i], gamma), i)
         return keys, positions, ranked
 
-    @cached_property
+    @memo
     def images(self) -> FrozenSet[Clause]:
         prior = self._prior.pop("images", None)
         if prior is None or self._prior_gamma is not self.gamma:
             return frozenset(self.gamma.get(c, c) for c in self.n + self.u)
         return prior.union(self.gamma.get(c, c) for c in self._added)
 
-    @cached_property
-    def atoms(self) -> FrozenSet[Atom]:
-        prior = self._prior.pop("atoms", None)
-        if prior is None:
-            return frozenset(atoms_of(self.n + self.u))
-        return prior.union(atoms_of(self._added))
-
-    @cached_property
-    def own(self) -> FrozenSet[Clause]:
-        prior = self._prior.pop("own", None)
-        if prior is None:
-            return frozenset(self.n + self.u)
-        return prior.union(self._added)
-
-    @cached_property
+    @memo
     def map_entries(self) -> List[Tuple[Clause, Clause, bool, bool]]:
         prior = self._prior.pop("map_entries", ())
         known = {c: (img, factored) for c, img, factored, _ in prior}
@@ -707,19 +692,19 @@ class _VersionFacts:
             return reports
         return check_invariants(self.order, self.state, ann, self.snapshot, self)
 
-    @cached_property
+    @memo
     def positives(self) -> FrozenSet[Atom]:
         return frozenset(e.literal.atom for e in self.state.trail if e.literal.positive)
 
-    @cached_property
+    @memo
     def negatives(self) -> FrozenSet[Atom]:
         return frozenset(e.literal.atom for e in self.state.trail if not e.literal.positive)
 
-    @cached_property
+    @memo
     def unlearned(self) -> List[Clause]:
         return [c for c in self.state.u if not self.snapshot.contains(c)]
 
-    @cached_property
+    @memo
     def first_unsatisfied(self) -> int:
         clauses = self.index.ranked[2]
         return next((k for k, c in enumerate(clauses) if not is_true(self.state, c)),
@@ -779,7 +764,7 @@ class _VersionFacts:
         self._end = (run[-1], check_invariants(order, self.state, run[-1], self.snapshot, self))
         return all(r.ok for r in self._end[1])
 
-    @cached_property
+    @memo
     def reports(self) -> Tuple[InvariantReport, ...]:
         order, state, index = self.order, self.state, self.index
         con = self.snapshot.construction
@@ -792,7 +777,7 @@ class _VersionFacts:
 
         # (i) every atom the state mentions comes from the input signature:
         #     the ranked atoms, so the trail's foreign atoms are those of (ii)
-        foreign = order.unranked(index.atoms).union(beyond)
+        foreign = order.unranked(state.atoms).union(beyond)
         if state.conflict is not None:
             foreign |= {a for a in atoms_of([state.conflict]) if not order.below_beta(a)}
         scope = _report("atoms-in-scope", not foreign,

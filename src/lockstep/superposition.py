@@ -55,13 +55,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from heapq import merge
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .core import Atom, Clause, Literal, Problem, eval_herbrand
+from .core import Atom, Clause, Literal, Problem, eval_herbrand, memo
 from .ordering import ClauseKey, ProblemOrder
 
 SATISFIABLE = "satisfiable"
@@ -155,7 +154,7 @@ class SupChain:
         if self.conclusion is None:
             object.__setattr__(self, "conclusion", self.at(self.count))
 
-    @cached_property
+    @memo
     def _form(self) -> Tuple[Tuple[Literal, ...], Tuple[int, ...], Tuple[int, ...], int]:
         """``distinct``, ``base``, ``delta``, the pivot literal's position."""
         top = Literal(self.pivot, self.kind == FACTORING)

@@ -146,7 +146,7 @@ def test_the_index_names_what_the_scans_name(monkeypatch):
 
 
 def _parts(index):
-    return index.ranked, index.images, index.atoms, index.map_entries
+    return index.ranked, index.images, index.map_entries
 
 
 def _verified_calls(monkeypatch, problems):
@@ -332,7 +332,7 @@ def test_a_corrupted_shared_state_fails_as_fresh_calls_fail(monkeypatch):
         true, _ = state.valuation()
         unsat = [str(c) for c in state.all_clauses()
                  if _gamma_key(order, c, ann.gamma) <= floor
-                 and c.literal_texts.isdisjoint(true)]
+                 and true.isdisjoint(c.distinct)]
         [prefix] = [r for r in report.reports if r.name == "prefix-satisfied"]
         assert prefix.detail == (f"not satisfied yet: {unsat}" if unsat else "")
         if unsat:

@@ -1,6 +1,7 @@
 """Syntax, problem parsing, and evaluation semantics."""
 
 import copy
+import dataclasses
 import gc
 import json
 import os
@@ -52,6 +53,39 @@ def lit(text):
     positive = not text.startswith("-")
     name = text.lstrip("-")
     return Literal(Atom(name), positive)
+
+
+def test_memo_computes_a_part_once_per_object_and_keeps_it_under_its_name():
+    calls = []
+
+    def compute(self):
+        "The part."
+        calls.append(self)
+        return [len(calls)]
+
+    class Holder:
+        part = core.memo(compute)
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        x: int
+
+        @core.memo
+        def double(self):
+            calls.append(self)
+            return 2 * self.x
+
+    a, b = Holder(), Holder()
+    assert a.part == [1] and a.part is a.part and calls == [a]
+    assert a.__dict__ == {"part": [1]}
+    assert b.part == [2] and a.part == [1] and calls == [a, b]
+    descriptor = Holder.__dict__["part"]
+    assert Holder.part is descriptor and isinstance(descriptor, core.memo)
+    assert descriptor.func is compute and descriptor.__doc__ == "The part."
+    f = Frozen(3)
+    assert f.double == 6 and f.double == 6 and f.__dict__ == {"x": 3, "double": 6}
+    assert calls == [a, b, f]
+    assert dataclasses.replace(f).double == 6 and len(calls) == 4
 
 
 def test_term_text_and_equality():
@@ -546,6 +580,20 @@ def test_a_problem_pickled_in_one_process_works_in_another():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == ["True True"] * len(problems)
+
+
+@pytest.mark.parametrize("kind", list(COPY_PROBLEMS))
+def test_equal_problems_hash_equal_and_key_a_dict(kind):
+    # the read-only weights mapping cannot be hashed itself, so the
+    # declaration hashes its weights as sorted pairs
+    problem, twin = (parse_problem(COPY_PROBLEMS[kind]) for _ in range(2))
+    assert twin == problem and twin is not problem
+    assert hash(twin.ordering) == hash(problem.ordering) and hash(twin) == hash(problem)
+    assert {problem: kind}[twin] == kind and {problem.ordering: kind}[twin.ordering] == kind
+    if kind == "kbo":       # weights given in another order
+        one, other = (OrderingConfig(kind="kbo", precedence=("a", "P", "Q"), weights=weights)
+                      for weights in ({"P": 3, "Q": 2}, {"Q": 2, "P": 3}))
+        assert one == other and hash(one) == hash(other)
 
 
 def test_problem_rejects_the_empty_clause():

@@ -70,13 +70,26 @@ def test_the_package_root_imports_only_submodules():
 
 
 def test_the_driver_reads_the_valuation_only_through_scl():
-    # the valuation's format (literal-text sets) stays inside scl: the
-    # driver and verifier ask is_true, is_false, is_defined and
-    # conflict_candidates instead
+    # the valuation's format (two literal sets, and the trail entry of each
+    # atom) stays inside scl: the driver and verifier ask is_true,
+    # is_false, is_defined and conflict_candidates instead
     path = os.path.join(SRC, "simulation.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     reads = sorted((node.lineno, node.attr) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute)
-                   and node.attr in ("valuation", "literal_texts"))
+                   and node.attr in ("valuation", "_valuation", "_last_entry", "_false_clauses"))
     assert not reads, f"simulation.py reads the valuation's format at {reads}"
+
+
+@pytest.mark.parametrize("path", MODULES + [ROOT], ids=os.path.basename)
+def test_no_module_uses_the_locking_cached_property(path):
+    # before Python 3.12, functools.cached_property takes a class-wide lock
+    # on every first read; the package keeps its parts with core.memo
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    uses = sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                  and any(alias.name == "cached_property" for alias in node.names)
+                  or isinstance(node, ast.Attribute) and node.attr == "cached_property")
+    assert not uses, f"{os.path.basename(path)} uses functools.cached_property at lines {uses}"

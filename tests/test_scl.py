@@ -10,6 +10,7 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockstep.core import (
     Atom, Clause, EMPTY_CLAUSE, GroundTerm, Literal, is_tautology, parse_problem,
@@ -76,7 +77,7 @@ def test_decide_pushes_a_new_level(kbo):
     assert len(s.trail) == 1
     entry = s.trail[0]
     assert entry.literal == PA and entry.level == 1 and entry.reason is None
-    assert s.valuation() == ({"P(a)"}, {"-P(a)"})
+    assert s.valuation() == ({PA}, {PA.complement()})
     assert literal_level(s, PA) == 1
 
 
@@ -161,6 +162,29 @@ def test_membership_guards_read_one_clause_set_per_run(kbo):
         with pytest.raises(RuleError) as e:
             rule(po, forgetful, *args)
         assert e.value.guard == "unknown-clause"
+
+
+def test_a_hand_made_state_builds_its_own_atom_set(kbo):
+    """decide's guard tests the state's atom set, which each rule's
+    successor takes over; a state made by hand starts without one, so a
+    learned clause over an atom foreign to the input makes that atom known
+    in it, and in no state it was made from."""
+    p, po = kbo
+    c2 = p.clauses.clauses()[1]                 # -P(a) | Q(b)
+    s0 = initial_state(p)
+    s1 = decide(po, s0, PA)
+    assert s1.atoms is s0.atoms and s0.atoms == {PA.atom, QB.atom}
+    foreign = Literal(Atom("Z"))
+    hand = dataclasses.replace(s1, u=(Clause([foreign]),))
+    assert hand.atoms == {PA.atom, QB.atom, foreign.atom}
+    with pytest.raises(RuleError) as e:
+        decide(po, hand, foreign)
+    assert e.value.guard == "atom-beyond-bound"          # known, but not ranked
+    assert propagate(po, hand, c2, QB).atoms is hand.atoms
+    for state in (s0, s1, dataclasses.replace(hand, u=())):
+        with pytest.raises(RuleError) as e:
+            decide(po, state, foreign)
+        assert e.value.guard == "unknown-atom"
 
 
 def test_conflict_rule(kbo):
@@ -367,7 +391,7 @@ def test_a_state_computes_its_valuation_once(kbo):
     p, po = kbo
     s = propagate(po, decide(po, initial_state(p), PA), p.clauses.clauses()[1], QB)
     true, false = s.valuation()
-    assert true == {"P(a)", "Q(b)"} and false == {"-P(a)", "-Q(b)"}
+    assert true == {PA, QB} and false == {PA.complement(), QB.complement()}
     assert s.valuation()[0] is true and s.valuation()[1] is false
     copy = dataclasses.replace(s)
     assert copy == s and copy.valuation() == (true, false)
@@ -377,20 +401,29 @@ def test_a_state_computes_its_valuation_once(kbo):
 
 def test_a_state_finds_its_false_clauses_once(kbo):
     # the answer without an assumption is kept on the state, and each call
-    # hands out a list of its own; the assuming form is answered afresh
+    # hands out a list of its own; the assuming form is answered afresh.
+    # A scan reads each clause's distinct literals once; the answers are
+    # compared by identity, so that only the scans read them
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
     s = propagate(po, decide(po, initial_state(p), PA), c2, QB)
     scans = []
-    texts = type(c3).literal_texts
+    slot = type(c3).distinct
 
     class Counted(type(c3)):
         @property
-        def literal_texts(self):
+        def distinct(self):
             scans.append(self)
-            return texts.fget(self)
+            return slot.__get__(self)
+
+        @distinct.setter
+        def distinct(self, value):
+            slot.__set__(self, value)
 
     s = dataclasses.replace(s, n=tuple(Counted.from_runs(c.distinct, c.counts) for c in s.n))
+    assert list(s.n) == [c1, c2, c3]
+    scans.clear()
+    c3 = s.n[2]
     first = conflict_candidates(s)
     assert first == [c3] and len(scans) == 3
     second = conflict_candidates(s)
@@ -506,6 +539,54 @@ def test_conflict_candidates_assuming_a_literal_matches_a_scan():
                         overridden += is_defined(state, a)
             assert EMPTY_CLAUSE in conflict_candidates(variants[1])
     assert probed > 100 and overridden > 100 and in_conflict > 10 and refuted > 5
+
+
+def _text_valuation(state):
+    """The literal texts the trail makes true and false, each atom taking
+    its last entry: the valuation read without interned literals."""
+    last = {e.literal.atom.text: e.literal for e in state.trail}
+    return ({l.text for l in last.values()},
+            {"-" + a if l.positive else a for a, l in last.items()})
+
+
+def _texts(clause):
+    return {l.text for l in clause.distinct}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans(), st.data())
+def test_trail_truth_matches_a_text_reference(seed, tautologies, data):
+    # a state of a generated run, and the same state with a learned clause
+    # over an atom the input lacks: is_true, is_false, conflict_candidates
+    # with and without an assumed literal, and decide's unknown-atom guard
+    # read the valuation and the clauses by their texts alone
+    problem = random_problem(GenParams(seed=seed, clause_count=8,
+                                       allow_tautologies=tautologies))
+    run = run_scl_sup(problem)
+    state = data.draw(st.sampled_from(run.states))
+    foreign = Literal(Atom("Z"), data.draw(st.booleans()))
+    atoms = list(run.order.atoms_ascending) + [foreign.atom]
+    for s in (state, dataclasses.replace(state, u=state.u + (Clause([foreign]),))):
+        true, false = _text_valuation(s)
+        clauses = s.all_clauses()
+        assert conflict_candidates(s) == [c for c in clauses if _texts(c) <= false]
+        for c in clauses:
+            assert is_true(s, c) == bool(_texts(c) & true)
+            assert is_false(s, c) == (_texts(c) <= false)
+        for literal in (Literal(a, positive) for a in atoms for positive in (True, False)):
+            assumed = (false - {literal.text}) | {literal.complement().text}
+            assert (conflict_candidates(s, assuming=literal)
+                    == [c for c in clauses if _texts(c) <= assumed])
+            if s.conflict is not None:
+                continue
+            occurs = any(_texts(c) & {literal.text, literal.complement().text}
+                         for c in clauses)
+            try:
+                decide(run.order, s, literal)
+            except RuleError as e:
+                assert (e.guard == "unknown-atom") == (not occurs)
+            else:
+                assert occurs
 
 
 @pytest.mark.parametrize("last", [True, False], ids=["last-true", "last-false"])

@@ -26,7 +26,7 @@ are interned, so a clause is tested against these sets on its distinct
 literals themselves. A state computes its valuation once and keeps it
 (states are never changed in place), and likewise the clauses it
 falsifies; rules and drivers read them only through ``is_true``,
-``is_false``, ``is_defined``, ``literal_level`` and
+``is_false``, ``is_false_except``, ``is_defined``, ``literal_level`` and
 ``conflict_candidates``. The set of its clauses, which the guards of
 propagate and conflict test membership in, and the set of their atoms,
 which the guard of decide tests, pass from each state to the state a rule
@@ -180,6 +180,14 @@ def is_false(state: SclState, clause: Clause) -> bool:
     return state._valuation[1].issuperset(clause.distinct)
 
 
+def is_false_except(state: SclState, clause: Clause, literal: Literal) -> bool:
+    """Whether every literal of ``clause`` other than ``literal`` is false
+    on the trail: ``is_false`` of ``clause.with_count(literal, 0)``, without
+    building that clause."""
+    false = state._valuation[1]
+    return all(l in false for l in clause.distinct if l != literal)
+
+
 def conflict_candidates(state: SclState,
                         assuming: Optional[Literal] = None) -> List[Clause]:
     """Clauses (input or learned) that the trail falsifies, in state order.
@@ -225,11 +233,10 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
         raise RuleError("propagate", "literal-defined", f"{literal.atom} is already on the trail")
     for l in clause.distinct:
         _check_bound("propagate", order, l.atom)
-    remainder = clause.with_count(literal, 0)
-    if not is_false(state, remainder):
+    if not is_false_except(state, clause, literal):
         raise RuleError(
             "propagate", "remainder-not-false",
-            f"{remainder} is not falsified by the trail",
+            f"{clause.with_count(literal, 0)} is not falsified by the trail",
         )
     entry = TrailEntry(literal=literal, level=state.k, reason=clause.with_count(literal, 1))
     return _successor(state, state.trail + (entry,), state.u, None)

@@ -47,9 +47,9 @@ first read and reused while the state, the map and the snapshot are the
 same objects. Reuse is sound because each of these is a pure function of
 those three objects, none of which is ever changed in place. A new
 version's facts are computed afresh over an index that the version before
-lends or derives. Only the attention half is computed at every boundary:
-membership of the attention clause, (v), (vi), (xi), and (xii) from the
-version's first unsatisfied clause up to the attention clause.
+lends or derives. Only the attention half is computed at each boundary
+checked: membership of the attention clause, (v), (vi), (xi), and (xii)
+from the version's first unsatisfied clause up to the attention clause.
 
 Most rounds are such pass rounds, and they come in runs: the model
 construction walks the clauses in ascending order, and a clause that is
@@ -59,18 +59,30 @@ without a rule application exactly when its image is true and no atom
 below its maximal literal is undefined. The state does not change, so the
 atoms known to be defined only grow along the walk, and most clauses take
 a single rank comparison.
-The verifier checks a version's first boundary in full. The boundaries of
-the same version that follow it form a pass run, which it decides with one
-range test (``_VersionFacts.passes_run``) instead of one invariant check
-and one progress check per boundary: the state is fixed and the attention
-images climb, so what the attention half demands only grows along the
-run, and a run that passes check_invariants at both ends, whose attention
-clauses are in the snapshot and whose attention keys strictly ascend
-passes at every boundary in between. The test is exact in the sense that
-it passes only where every invariant and every progress check holds. A
-run it cannot show is checked in full at every boundary, the last one by
-the test's own end check, so every failure line comes from
-check_invariants and check_progress.
+
+The verifier reads the boundaries as trail runs (``_in_trail_run``):
+maximal stretches outside conflict mode that share one pair index, one map
+object and one clause tuple, each trail holding the one before object by
+object, possibly followed by more. Pass runs are the trail runs whose
+state never changes; decide rounds, and pass rounds with filler decisions,
+extend the trail within a run. At each boundary the trail is meant to be
+the model construction's partial model up to the attention image, and the
+construction produces atoms in ascending order, so along a run the trail
+only grows by the atoms between one image and the next. The verifier
+checks a run's first and last boundary in full and decides the ones in
+between with one range test (``_passes_trail_run``) instead of one
+invariant check and one progress check per boundary: the attention keys
+climb, each attention clause is in the snapshot, each trail holds as many
+entries as the model for its image has atoms, and one sweep of the run's
+attention index finds the clauses up to each attention clause true. The
+last boundary's check makes its trail the model for its image, and the
+model for a smaller image is its prefix of that length, so the length
+alone settles (v) and (vi); the other invariants either read the trail
+entry by entry, which only grows, or read objects the run holds fixed.
+The test is exact in the sense that it passes only where every invariant
+and every progress check holds. A run it cannot show is checked in full at
+every boundary, the last one's reports kept from the first check of it, so
+every failure line comes from check_invariants and check_progress.
 """
 
 from __future__ import annotations
@@ -103,6 +115,7 @@ from .scl import (
     initial_state,
     is_defined,
     is_false,
+    is_false_except,
     is_true,
     propagate,
     resolve,
@@ -445,8 +458,7 @@ def _producing_clause(order: ProblemOrder, state: SclState,
     """
     def forces(c: Clause) -> bool:
         img = gamma.get(c, c)
-        return (order.is_strictly_maximal_in(literal, img)
-                and is_false(state, img.with_count(literal, 0)))
+        return order.is_strictly_maximal_in(literal, img) and is_false_except(state, img, literal)
 
     best = min(filter(forces, state.all_clauses()),
                key=lambda c: _gamma_key(order, c, gamma), default=None)
@@ -517,6 +529,12 @@ def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
     return "learn_negative", Annotation(j, source, ann.gamma)
 
 
+def _beta(key: Tuple[ClauseKey, ClauseKey]) -> int:
+    """How many atoms lie below the maximal literal of the image keyed by
+    ``key``: its rank plus one, halved, since positive ranks are even."""
+    return (key[0][0][0] + 1) // 2
+
+
 def _sweep_passes(run: SimRun, ann: Annotation, index: _AttentionIndex,
                   max_sequences: int) -> Tuple[Annotation, Optional[Clause]]:
     """Record the pass rounds that follow a pass round with no filler
@@ -539,14 +557,13 @@ def _sweep_passes(run: SimRun, ann: Annotation, index: _AttentionIndex,
     order, state, gamma = run.order, run.state, ann.gamma
     keys, _, clauses = index.ranked
     key = _gamma_key(order, ann.aid, gamma)
-    # an image's bound: (its maximal literal rank + 1) // 2 atoms lie below it
-    defined = (key[0][0][0] + 1) // 2
+    defined = _beta(key)
     at, i = len(run.apps), bisect_right(keys, key)
     while i < len(clauses) and len(run.seqs) < max_sequences:
         d = clauses[i]
         if not is_true(state, gamma.get(d, d)):
             break
-        bound = (keys[i][0][0][0] + 1) // 2
+        bound = _beta(keys[i])
         if bound > defined:
             if not all(is_defined(state, a) for a in order.atoms_ascending[defined:bound]):
                 break
@@ -666,11 +683,6 @@ class _VersionFacts:
       first clause the trail leaves unsatisfied, or the clause count when
       it satisfies them all.
 
-    ``passes_run`` decides a run of the version's boundaries at once, from
-    ``check_invariants`` at its first and last boundary. ``check`` gives a
-    boundary's reports, those of the last end check where it declined a
-    run at that boundary, so that no boundary is checked twice.
-
     A new version's parts are computed afresh, not carried from the
     version before: resuming the ``first_unsatisfied`` scan and asking only
     about newly learned clauses saves as much on long derivations as its
@@ -682,15 +694,6 @@ class _VersionFacts:
         self.order = order
         self.state, self.gamma, self.snapshot = state, gamma, snapshot
         self.index = index
-        self._end: Tuple[Optional[Annotation], List[InvariantReport]] = (None, [])
-
-    def check(self, ann: Annotation) -> List[InvariantReport]:
-        """``check_invariants`` at the version's boundary annotated ``ann``,
-        kept from ``passes_run``'s end check where that was its boundary."""
-        end, reports = self._end
-        if end is ann:
-            return reports
-        return check_invariants(self.order, self.state, ann, self.snapshot, self)
 
     @memo
     def positives(self) -> FrozenSet[Atom]:
@@ -709,60 +712,6 @@ class _VersionFacts:
         clauses = self.index.ranked[2]
         return next((k for k, c in enumerate(clauses) if not is_true(self.state, c)),
                     len(clauses))
-
-    def passes_run(self, first: List[InvariantReport], run: Sequence[Annotation]) -> bool:
-        """Whether every boundary of ``run`` after its first passes all
-        fourteen invariants and every round between two of its boundaries
-        passes ``check_progress``. ``run[0]`` is this version's first
-        boundary, whose reports are ``first``; the others share its
-        version: this state, this map object and this pair index. False
-        means "not shown", never "fails".
-
-        It holds when ``first`` passes, the attention keys strictly ascend
-        along ``run``, each later attention clause is in the snapshot, and
-        ``check_invariants`` passes the last boundary. Then each boundary in
-        between passes as well:
-
-        - the nine reports and the learned clauses missing from the
-          snapshot are the version's; (iii) adds the attention clause,
-          which is in the snapshot;
-        - (xi) reads the attention image only under a live conflict, and
-          passes there only where the image is the top justification: both
-          ends have that one image, and the keys, which rank by image
-          first, give it to every boundary in between;
-        - each attention image is in the snapshot: the clause itself or,
-          by (iv), its map image; only the first may instead be the empty
-          clause, which produces nothing. A member's production lies below
-          every larger member, so E, the atoms produced below the image
-          plus its own production, only grows with the image. (v) asks
-          that E be the positive atoms, which it is at both ends, so in
-          between;
-        - (vi) asks that N, the negative atoms, be B less P, with B the
-          atoms below the image's bound and P those produced below the
-          image; B and P only grow. N lies in the first boundary's B, so in
-          each later B, and outside the last boundary's P, so outside each
-          earlier P. An atom of B less P in between that is in the last
-          boundary's P is positive by (v) there, so by (v) in between it
-          is that image's own production, whose atom is not below its bound;
-        - (xii) asks that the clauses up to the attention clause be
-          satisfied, a prefix of those up to the last boundary's;
-        - progress: the pair index and the map stand still and the key
-          climbs.
-        """
-        if not all(r.ok for r in first):
-            return False
-        order, gamma, contains = self.order, self.gamma, self.snapshot.contains
-        try:
-            key = _gamma_key(order, run[0].aid, gamma)
-            for ann in run[1:]:
-                climbed = _gamma_key(order, ann.aid, gamma)
-                if climbed <= key or not contains(ann.aid):
-                    return False
-                key = climbed
-        except ValueError:
-            return False
-        self._end = (run[-1], check_invariants(order, self.state, run[-1], self.snapshot, self))
-        return all(r.ok for r in self._end[1])
 
     @memo
     def reports(self) -> Tuple[InvariantReport, ...]:
@@ -850,13 +799,6 @@ class _VersionFacts:
             _report("refutation-sync", here == there,
                     lambda: f"trail side refuted: {here}, saturation side refuted: {there}"),
         )
-
-
-def _same_version(ann: Annotation, state: SclState,
-                  other: Annotation, other_state: SclState) -> bool:
-    """Whether two boundaries share one version: the state object, the map
-    object and the pair index."""
-    return other_state is state and other.gamma is ann.gamma and other.index == ann.index
 
 
 def _facts_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
@@ -1014,6 +956,87 @@ def check_progress(order: ProblemOrder, before: Annotation,
     return None
 
 
+def _in_trail_run(before: Annotation, state: SclState,
+                  ann: Annotation, after: SclState) -> bool:
+    """Whether the boundary annotated ``ann`` with ``after`` continues the
+    trail run of the boundary before it: the same pair index, map object
+    and input and learned clause tuples, neither state in conflict mode,
+    and the later trail holding the earlier one's entries object by
+    object, possibly followed by more."""
+    return (ann.index == before.index and ann.gamma is before.gamma
+            and after.n is state.n and after.u is state.u
+            and state.conflict is None and after.conflict is None
+            and _extends(state.trail, after.trail))
+
+
+def _passes_trail_run(order: ProblemOrder, facts: _VersionFacts,
+                      first: List[InvariantReport], last: List[InvariantReport],
+                      run: Sequence[Annotation], states: Sequence[SclState]) -> bool:
+    """Whether every boundary of the trail run ``run``, with the boundary
+    states ``states``, passes all fourteen invariants and every round
+    between two of them passes ``check_progress``. ``first`` and ``last``
+    are the reports of ``check_invariants`` at its two ends, ``facts`` the
+    first end's. False means "not shown", never "fails".
+
+    It holds when both ends pass, the attention keys strictly ascend, and
+    at each boundary in between the attention clause is in the snapshot,
+    the trail holds as many entries as the model for the attention image g
+    has atoms, and the clauses up to the attention clause are true on it.
+    That model has β(g) atoms, those below g's maximal literal, plus that
+    literal's atom when the literal is positive and a member at or below g
+    produces it. Then each boundary in between passes as well:
+
+    - each attention image is a member: the clause itself or, by (iv), its
+      map image; only the first may instead be the empty clause. The keys
+      rank by image first, so the images climb;
+    - (v), (vi) and (vii) make the last trail the model for its image in
+      ascending order, and an earlier trail is a prefix of it. Members
+      ascend by maximal literal and no atom is produced twice, so a member
+      above g produces no atom of the model for g, which is therefore the
+      prefix of the last model that has its length. So (v) and (vi) hold
+      exactly where the length does;
+    - (i), (ii), (vii), (viii) and (ix) read the trail entry by entry, and
+      each entry is one of the last trail's. No atom repeats on it, so a
+      literal true or false on a trail stays so on the later ones, and a
+      clause false in between would be false at the last boundary: (xiii);
+    - (iii), (iv) and (xiv) read the learned clauses, the map and the
+      snapshot, which are the run's, and the attention clause, which is in
+      the snapshot; outside conflict mode (x) and (xi) hold;
+    - (xii): the clauses up to the first attention clause hold at the first
+      boundary, so on every later trail. The sweep tests each later one on
+      the first trail that must satisfy it, so it holds on the trails
+      after. A trail as long as the last one has its entries and is
+      covered by its check;
+    - progress: the pair index and the map stand still and the key climbs.
+    """
+    if not all(r.ok for r in first) or not all(r.ok for r in last):
+        return False
+    gamma, con, contains = facts.gamma, facts.snapshot.construction, facts.snapshot.contains
+    keys, _, clauses = facts.index.ranked
+    full = len(states[-1].trail)
+    try:
+        key = _gamma_key(order, run[0].aid, gamma)
+        swept = bisect_right(keys, key)
+        for ann, state in zip(run[1:-1], states[1:-1]):
+            climbed = _gamma_key(order, ann.aid, gamma)
+            if climbed <= key or not contains(ann.aid):
+                return False
+            key, image = climbed, gamma.get(ann.aid, ann.aid)
+            top = order.max_literal(image)
+            produced = top.positive and con.produces_up_to(top.atom, image)
+            length = len(state.trail)
+            if length != _beta(key) + produced:
+                return False
+            if length < full:
+                upto = bisect_right(keys, key)
+                if not all(is_true(state, c) for c in clauses[swept:upto]):
+                    return False
+                swept = upto
+        return _gamma_key(order, run[-1].aid, gamma) > key
+    except ValueError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # The lockstep verifier
 # ---------------------------------------------------------------------------
@@ -1082,15 +1105,16 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     must extend those of the boundary before, by value; a regularity line
     names each boundary where they do not.
 
-    A version's first boundary is checked in full. The boundaries after it
-    that share its version (``_same_version``) form a pass run, decided by
-    ``_VersionFacts.passes_run`` with one more full check, at the run's last
-    boundary: where it passes, each of them gets the passing reports and
-    the rounds between them no progress check, since the test shows both
-    to hold. A run it cannot show is checked in full at every boundary but
-    the last one the test checked, whose reports are kept, so every report
-    and every progress line is the one a check of each boundary on its own
-    gives.
+    The boundaries fall into trail runs (``_in_trail_run``), maximal
+    stretches outside conflict mode that share a pair index, a map and the
+    clauses, each trail extending the one before. A run is checked in full
+    at its first and last boundary, and ``_passes_trail_run`` decides the
+    boundaries in between from those two checks: where it passes, each of
+    them gets the passing reports and the rounds between them no progress
+    check, since the test shows both to hold. A run it cannot show is
+    checked in full at every boundary but the last, whose reports are
+    kept, so every report and every progress line is the one a check of
+    each boundary on its own gives.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
@@ -1100,7 +1124,8 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     annotations, states = sim.annotations, sim.boundary_states
     snapshots, steps = sup.snapshots, sup.step_count
     facts, learned, forgotten = None, (), []
-    shown = -1                 # the last boundary of a run passes_run has shown
+    shown, stop = -1, 0        # the last boundary of a run shown; the run's end
+    kept = None                # the last check of the run: boundary, facts, reports
     for b, (ann, state) in enumerate(zip(annotations, states)):
         if b <= shown:
             result.boundaries.append(BoundaryReport(b, ann.index, list(_PASSED.values())))
@@ -1116,15 +1141,23 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
         learned = state.u
         if 0 <= ann.index <= steps:
             snapshot = snapshots[ann.index]
-            last, facts = facts, _facts_for(order, state, ann.gamma, snapshot, facts)
-            reports = facts.check(ann)
-            if facts is not last:
-                end = b + 1
-                while end < len(states) and _same_version(ann, state, annotations[end],
-                                                          states[end]):
-                    end += 1
-                if end > b + 1 and facts.passes_run(reports, annotations[b:end]):
-                    shown = end - 1
+            if kept is not None and kept[0] == b:
+                _, facts, reports = kept
+            else:
+                facts = _facts_for(order, state, ann.gamma, snapshot, facts)
+                reports = check_invariants(order, state, ann, snapshot, facts)
+            if b >= stop:
+                stop = b + 1
+                while stop < len(states) and _in_trail_run(annotations[stop - 1], states[stop - 1],
+                                                           annotations[stop], states[stop]):
+                    stop += 1
+                if stop > b + 1:
+                    end = _facts_for(order, states[stop - 1], ann.gamma, snapshot, facts)
+                    kept = (stop - 1, end, check_invariants(
+                        order, states[stop - 1], annotations[stop - 1], snapshot, end))
+                    if _passes_trail_run(order, facts, reports, kept[2],
+                                         annotations[b:stop], states[b:stop]):
+                        shown, facts = stop - 1, end
         else:
             reports = [InvariantReport(
                 "pair-index-in-range", False,

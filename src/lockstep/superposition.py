@@ -346,12 +346,13 @@ class ModelConstruction:
 
     Reads inside the built part are answered from the stored productions:
     ``minimal_false``, ``producer_of`` an atom produced below it, and
-    ``prefix_below`` and ``delta_of`` of a clause not above it. Any other
-    read completes the walk from ``minimal_false`` onward, past every
-    further false clause that produces nothing: ``model``, ``producer``,
-    ``entries``, a ``producer_of`` that misses and a ``prefix_below`` above
-    ``minimal_false``. The completion extends the stored productions, whose
-    atoms are then the model; ``entries`` is rebuilt on each read.
+    ``prefix_below``, ``delta_of`` and ``produces_up_to`` of a clause not
+    above it. Any other read completes the walk from ``minimal_false``
+    onward, past every further false clause that produces nothing:
+    ``model``, ``producer``, ``entries``, a ``producer_of`` that misses, and
+    a ``prefix_below`` or ``produces_up_to`` above ``minimal_false``. The
+    completion extends the stored productions, whose atoms are then the
+    model; ``entries`` is rebuilt on each read.
     """
 
     def __init__(self, ledger: _Ledger, index: int, producer: Dict[Atom, Clause],
@@ -450,12 +451,23 @@ class ModelConstruction:
                 atom, next_producer = next(productions, (None, None))
         return rows
 
-    def prefix_below(self, clause: Clause) -> FrozenSet[Atom]:
-        """Atoms produced by set members strictly smaller than ``clause``."""
+    def _built_to(self, clause: Clause) -> ClauseKey:
+        """``clause``'s key, once the walk has reached it: it goes on past
+        ``minimal_false`` only when the key lies above it."""
         key = self.order.clause_key(clause)
         if not self._complete and key > self.order.clause_key(self.minimal_false):
             self._finish()
-        return frozenset(islice(self._producer, self._produced_below(key)))
+        return key
+
+    def prefix_below(self, clause: Clause) -> FrozenSet[Atom]:
+        """Atoms produced by set members strictly smaller than ``clause``."""
+        return frozenset(islice(self._producer, self._produced_below(self._built_to(clause))))
+
+    def produces_up_to(self, atom: Atom, clause: Clause) -> bool:
+        """Whether a set member at or below ``clause`` produces ``atom``."""
+        key = self._built_to(clause)
+        producer = self._producer.get(atom)
+        return producer is not None and self.order.clause_key(producer) <= key
 
     def delta_of(self, clause: Clause,
                  below: Optional[FrozenSet[Atom]] = None) -> Optional[Atom]:

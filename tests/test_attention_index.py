@@ -167,19 +167,19 @@ def _verified_calls(monkeypatch, problems):
         yield result, list(calls)
 
 
-def version_starts(sim):
-    """The boundaries of ``sim`` that start a version: the first one, and
-    each that does not share its version with the boundary before."""
+def run_starts(sim):
+    """The boundaries of ``sim`` that start a trail run: the first one, and
+    each that does not continue the run of the boundary before."""
     anns, states = sim.annotations, sim.boundary_states
     return [b for b in range(len(anns))
-            if b == 0 or not simulation._same_version(anns[b - 1], states[b - 1],
+            if b == 0 or not simulation._in_trail_run(anns[b - 1], states[b - 1],
                                                       anns[b], states[b])]
 
 
-def version_ends(sim):
-    """The boundaries of ``sim`` that end a version of more than one
+def run_ends(sim):
+    """The boundaries of ``sim`` that end a trail run of more than one
     boundary."""
-    starts = version_starts(sim)
+    starts = run_starts(sim)
     ends = [b - 1 for b in starts[1:] + [len(sim.annotations)]]
     return [end for start, end in zip(starts, ends) if end > start]
 
@@ -189,14 +189,14 @@ def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
     a fresh index of that boundary holds. Boundaries right after a factoring
     round, where the map changes and the learned clauses do not, are among
     them. On a sound run the verifier calls check_invariants exactly at the
-    first boundary of each version and at the last of each version that
-    has more, and decides the boundaries in between by the range test,
-    which the span tracer's counts rely on."""
+    first boundary of each trail run and at the last of each run that has
+    more, and decides the boundaries in between by the range test, which
+    the span tracer's counts rely on."""
     remapped = 0
     for result, calls in _verified_calls(monkeypatch, _problems()):
         assert result.ok
         annotations = result.sim.annotations
-        checked = sorted(version_starts(result.sim) + version_ends(result.sim))
+        checked = sorted(run_starts(result.sim) + run_ends(result.sim))
         assert [ann for _, _, ann, _, _ in calls] == [annotations[b] for b in checked]
         last = None
         for order, state, ann, snapshot, facts in calls:
@@ -244,7 +244,7 @@ def test_carried_facts_read_as_fresh_ones(monkeypatch):
     every run here, as it does a run it cannot show, so each boundary is
     checked on its own; more than half of the ladder boundaries share their
     version with the boundary before them."""
-    monkeypatch.setattr(simulation._VersionFacts, "passes_run", lambda *args: False)
+    monkeypatch.setattr(simulation, "_passes_trail_run", lambda *args: False)
     problems, pool = _problems(), _ladder_pool(1)
     real = simulation.check_invariants
     reused = checked = 0

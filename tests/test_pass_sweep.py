@@ -1,21 +1,23 @@
-"""Runs of pass rounds, walked once by the driver and decided as one range by
-the verifier, against the round-by-round forms they replace.
+"""Runs of pass rounds, walked once by the driver, and trail runs, decided as
+one range by the verifier, against the round-by-round forms they replace.
 
 The driver records a run of pass rounds that need no filler decision by one
 walk of the version's attention index; the reference loop below plays every
 round through ``_round_no_conflict`` and finds each attention clause by a scan
-over every clause. The verifier decides the boundaries of a version after its
-first by one range test, which checks the run's last boundary in full as it
-did the first; a run the range test cannot show is checked in full at every
-boundary. Every report and progress line must be what fresh
-``check_invariants`` and ``check_progress`` calls give, a corrupted pass run
-must be reported exactly as fresh calls report it, and each mutant of the
-range test must be caught.
+over every clause. The verifier checks a trail run (boundaries outside
+conflict mode that share a pair index, a map and the clauses, each trail
+extending the one before) in full at its first and last boundary and decides
+the boundaries in between by one range test; a run the range test cannot
+show is checked in full at every boundary. Every report and progress line
+must be what fresh ``check_invariants`` and ``check_progress`` calls give, a
+corrupted run must be reported exactly as fresh calls report it, and each
+mutant of the range test must be caught.
 """
 
 import __future__
 import dataclasses
 import inspect
+import sys
 import textwrap
 import types
 from bisect import bisect_right
@@ -26,8 +28,8 @@ from lockstep import simulation
 from lockstep.core import EMPTY_CLAUSE, Atom, Clause, Literal, parse_problem
 from lockstep.harness import pigeonhole, random_problem
 from lockstep.ordering import ProblemOrder
-from lockstep.superposition import run_sup_mo
-from lockstep.scl import TrailEntry, initial_state, is_true
+from lockstep.superposition import ModelConstruction, run_sup_mo
+from lockstep.scl import TrailEntry, initial_state, is_defined, is_true
 from lockstep.simulation import (
     MAX_ROUNDS,
     Annotation,
@@ -197,19 +199,20 @@ def _agrees_with_fresh_calls(result):
 
 
 def _ranges(monkeypatch):
-    """Counts, from now on, the runs the range test is tried on, those it
-    passes and the boundaries those cover."""
+    """Counts, from now on, the trail runs the range test is tried on,
+    those it passes and the boundaries in between of those, which it
+    decides without a check."""
     counts = {"tried": 0, "passed": 0, "covered": 0}
-    real = _VersionFacts.passes_run
+    real = simulation._passes_trail_run
 
-    def counted(self, first, run):
-        shown = real(self, first, run)
+    def counted(order, facts, first, last, run, states):
+        shown = real(order, facts, first, last, run, states)
         counts["tried"] += 1
         counts["passed"] += shown
-        counts["covered"] += shown and len(run) - 1
+        counts["covered"] += shown and len(run) - 2
         return shown
 
-    monkeypatch.setattr(_VersionFacts, "passes_run", counted)
+    monkeypatch.setattr(simulation, "_passes_trail_run", counted)
     return counts
 
 
@@ -274,12 +277,12 @@ def test_the_verifier_reports_what_fresh_calls_report_on_the_campaign_pools(monk
 
 def test_the_range_test_decides_the_boundaries_after_empty_pass_rounds(monkeypatch):
     """On the ladder pool at seed 0 the verifier checks 5,131 boundaries.
-    The 3,830 that follow an empty pass round share their version with the
-    boundary before; they fall in 813 pass runs, one after the first
-    boundary of each such version. The range test is tried on each run and
-    passes each, with one ``check_invariants`` call at the run's last
-    boundary; the other 1,301 calls are at the boundaries that start a
-    version: 2,114 calls in all."""
+    The 3,830 that follow an empty pass round, and most of those that follow
+    a decide or a pass round with filler decisions, continue the trail run
+    of the boundary before. The range test is tried on each of the 203 runs
+    of more than one boundary and passes each, deciding the 4,352 boundaries
+    in between. ``check_invariants`` runs at the 576 boundaries that start a
+    run and at the last boundary of each of the 203: 779 calls in all."""
     ranges, checked = _ranges(monkeypatch), _checks(monkeypatch)
     boundaries = 0
     for p in _ladder_pool(0):
@@ -287,7 +290,7 @@ def test_the_range_test_decides_the_boundaries_after_empty_pass_rounds(monkeypat
         assert result.ok
         boundaries += len(result.boundaries)
     assert (boundaries, len(checked), ranges) == (
-        5131, 2114, {"tried": 813, "passed": 813, "covered": 3830})
+        5131, 779, {"tried": 203, "passed": 203, "covered": 4352})
 
 
 def _in_pass_run(edit):
@@ -469,6 +472,166 @@ def _conflict_run(real, problem, *args, **kwargs):
     return run
 
 
+def _trail_runs(run):
+    """The trail runs of ``run`` that have a boundary in between, as the
+    positions of their first boundary and past their last."""
+    anns, states = run.annotations, run.boundary_states
+    cuts = [b for b in range(1, len(anns))
+            if not simulation._in_trail_run(anns[b - 1], states[b - 1], anns[b], states[b])]
+    return [(first, stop) for first, stop in zip([0] + cuts, cuts + [len(anns)])
+            if stop - first > 2]
+
+
+@dataclasses.dataclass(repr=False)
+class _Replaced(SimRun):
+    """A trail run whose boundary states are read with those at the
+    positions of ``replaced`` replaced; the rule log keeps its own."""
+
+    replaced: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def boundary_states(self):
+        return [self.replaced.get(b, state) for b, state in enumerate(super().boundary_states)]
+
+
+def _replacing(run, replaced):
+    return _Replaced(**{f.name: getattr(run, f.name) for f in dataclasses.fields(run)},
+                     replaced=replaced)
+
+
+def _produced_above(order, construction, ann):
+    """Whether the attention image's maximal literal is positive and its
+    atom is produced, but by a member above the image: neither below it nor
+    by the image itself."""
+    image = ann.gamma.get(ann.aid, ann.aid)
+    top = order.max_literal(image)
+    return (top.positive and construction.producer_of(top.atom) is not None
+            and top.atom not in construction.prefix_below(image)
+            and construction.delta_of(image) != top.atom)
+
+
+def _decision_one_round_early(real, problem, *args, **kwargs):
+    """The trail run with a positive decision pushed one round early: in
+    the first trail run where exactly one boundary in between has an image
+    whose positive maximal atom is produced above it, and the round after
+    that boundary decides the literal, the boundary takes the next one's
+    trail. The trail is one entry longer than the model for its image."""
+    run = real(problem, *args, **kwargs)
+    anns, states, order = run.annotations, run.boundary_states, run.order
+    sup = run_sup_mo(problem, order)
+    for first, stop in _trail_runs(run):
+        construction = sup.snapshots[anns[first].index].construction
+        late = [b for b in range(first + 1, stop - 1)
+                if _produced_above(order, construction, anns[b])]
+        if len(late) == 1 and run.seqs[late[0]].kind == "decide":
+            b = late[0]
+            return _replacing(run, {b: dataclasses.replace(states[b], trail=states[b + 1].trail)})
+    return run
+
+
+def _one_entry_ahead(real, *args, **kwargs):
+    """The trail run with each boundary in between of the first trail run
+    whose trails in between are all shorter than its last holding one more
+    entry of the last trail."""
+    run = real(*args, **kwargs)
+    states = run.boundary_states
+    for first, stop in _trail_runs(run):
+        last = states[stop - 1].trail
+        if all(len(states[b].trail) < len(last) for b in range(first + 1, stop - 1)):
+            return _replacing(run, {
+                b: dataclasses.replace(states[b], trail=last[:len(states[b].trail) + 1])
+                for b in range(first + 1, stop - 1)})
+    return run
+
+
+def _in_growing_run(edit):
+    """A wrapper of run_scl_sup that replaces the annotation of the first
+    boundary in between of a trail run, with a shorter trail than the run's
+    last, that ``edit(run, seq, problem)`` returns one for."""
+    def wrapper(real, problem, *args, **kwargs):
+        run = real(problem, *args, **kwargs)
+        states = run.boundary_states
+        for first, stop in _trail_runs(run):
+            for b in range(first + 1, stop - 1):
+                if len(states[b].trail) < len(states[stop - 1].trail):
+                    ann = edit(run, run.seqs[b - 1], problem)
+                    if ann is not None:
+                        run.seqs[b - 1] = dataclasses.replace(run.seqs[b - 1], annotation=ann)
+                        return run
+        return run
+    return wrapper
+
+
+def _unit_true_only_at_the_end(at_first):
+    """A wrapper of run_scl_sup that adds one input clause, outside the
+    snapshot, to the boundaries of the first suitable trail run: the unit
+    clause of the positive maximal literal of the image at a boundary in
+    between, undefined there and true at the run's last boundary. It ranks
+    above the run's first attention clause, so invariant (xii) fails only
+    in between. Where ``at_first``, only the boundaries from that one on
+    hold the clause, so they form a run of their own that starts there,
+    and (xii) fails at its first boundary and at the next one, where the
+    literal is still undefined."""
+    def wrapper(real, *args, **kwargs):
+        run = real(*args, **kwargs)
+        anns, states, order = run.annotations, run.boundary_states, run.order
+        for first, stop in _trail_runs(run):
+            floor = _gamma_key(order, anns[first].aid, anns[first].gamma)
+            for b in range(first + 1, stop - 1 - at_first):
+                image = anns[b].gamma.get(anns[b].aid, anns[b].aid)
+                top = order.max_literal(image)
+                unit = Clause([top])
+                if (top.positive and not is_defined(states[b + at_first], top.atom)
+                        and is_true(states[stop - 1], unit)
+                        and (at_first or (order.clause_key(unit),) * 2 > floor)
+                        and unit not in states[b].clause_set):
+                    n, own = states[first].n + (unit,), {}
+                    return _replacing(run, {
+                        k: own.setdefault(id(states[k]), dataclasses.replace(states[k], n=n))
+                        for k in range(b if at_first else first, stop)})
+        return run
+    return wrapper
+
+
+def _own_state_in_between(edit, full=False):
+    """A wrapper of run_scl_sup that gives the first boundary in between of
+    a trail run, one whose trail is as long as the run's last where
+    ``full``, a state of its own: ``edit(state)``, where that is not None."""
+    def wrapper(real, *args, **kwargs):
+        run = real(*args, **kwargs)
+        states = run.boundary_states
+        for first, stop in _trail_runs(run):
+            for b in range(first + 1, stop - 1):
+                if full and len(states[b].trail) < len(states[stop - 1].trail):
+                    continue
+                state = edit(states[b])
+                if state is not None:
+                    return _replacing(run, {b: state})
+        return run
+    return wrapper
+
+
+def _top_two_swapped(state):
+    trail = state.trail
+    if len(trail) < 2:
+        return None
+    return dataclasses.replace(state, trail=trail[:-2] + (trail[-1], trail[-2]))
+
+
+def _negative_made_positive(state):
+    """The state with its lowest negative trail entry decided positive."""
+    trail = state.trail
+    i = next((i for i, e in enumerate(trail) if not e.literal.positive), None)
+    if i is None:
+        return None
+    entry = TrailEntry(trail[i].literal.complement(), trail[i].level, None)
+    return dataclasses.replace(state, trail=trail[:i] + (entry,) + trail[i + 1:])
+
+
+def _in_conflict_on_its_first_clause(state):
+    return dataclasses.replace(state, conflict=state.n[0])
+
+
 def _reported(monkeypatch, wrapper):
     """Over the first six ladder problems at seed 0 and the first sixty
     generated ones, with the trail runs rewritten by ``wrapper``: each
@@ -486,24 +649,54 @@ def _reported(monkeypatch, wrapper):
 RANGE_ROWS = {
     "attention-repeated": (
         _in_pass_run(_repeated), 13,
-        "progress: round 8 (pass): attention clause did not advance", 670),
+        "progress: round 8 (pass): attention clause did not advance", 482),
     "pair-index-moved-back": (
         _in_pass_run(_index_moved_back), 41,
         "boundary 9 (pair index 1): factored-map-shape: image p2 | p4 | p9 is not in the "
-        "paired set", 652),
+        "paired set", 300),
     "run-end-on-false-clause": (
         _at_run_end(_onto_a_false_clause), 62,
         "boundary 10 (pair index 2): negatives-cover-gap: trail makes "
-        "['p2', 'p3', 'p4', 'p8'] false, expected ['p2', 'p3', 'p4', 'p5', 'p6', 'p8']", 667),
+        "['p2', 'p3', 'p4', 'p8'] false, expected ['p2', 'p3', 'p4', 'p5', 'p6', 'p8']", 528),
     "run-start-moved-down": (
         _run_start_moved_down, 81,
         "boundary 7 (pair index 2): positives-match-production: trail makes ['p9'] true, "
-        "construction expects []", 673),
+        "construction expects []", 568),
     "run-in-conflict-mode": (
         _conflict_run, 65,
         "boundary 7 (pair index 0): conflict-is-minimal-false: top justification "
         "p4 | p6 | p9 is not the attention image -p2 | -p6 | p3; top literal p6 is not "
-        "the image's positive maximum", 671),
+        "the image's positive maximum", 315),
+    "decision-one-round-early": (
+        _decision_one_round_early, 4,
+        "boundary 2 (pair index 0): positives-match-production: trail makes ['p0'] true, "
+        "construction expects []", 339),
+    "trails-one-entry-ahead": (
+        _one_entry_ahead, 70,
+        "boundary 1 (pair index 0): positives-match-production: trail makes ['p0'] true, "
+        "construction expects []", 349),
+    "attention-outside-the-snapshot": (
+        _in_growing_run(_outside_the_set), 63,
+        "boundary 1 (pair index 0): membership: absent from the paired clause set: "
+        "['-p2 | -p3 | -p3 | p8']", 578),
+    "clause-failing-xii-from-the-first": (
+        _unit_true_only_at_the_end(True), 15,
+        "boundary 35 (pair index 2): prefix-satisfied: not satisfied yet: ['p7']", 339),
+    "clause-failing-only-xii-in-between": (
+        _unit_true_only_at_the_end(False), 19,
+        "boundary 35 (pair index 2): prefix-satisfied: not satisfied yet: ['p7']", 465),
+    "negative-filler-made-positive": (
+        _own_state_in_between(_negative_made_positive), 260,
+        "boundary 1 (pair index 0): positives-match-production: trail makes ['p3'] true, "
+        "construction expects []", 387),
+    "trail-not-a-prefix-of-the-next": (
+        _own_state_in_between(_top_two_swapped, full=True), 38,
+        "boundary 4 (pair index 0): trail-ascends: trail atom ranks [0, 1, 2, 4, 3] are not "
+        "strictly ascending", 370),
+    "conflict-state-in-between": (
+        _own_state_in_between(_in_conflict_on_its_first_clause), 120,
+        "boundary 1 (pair index 0): conflict-top-propagation: conflict without a top "
+        "propagation", 387),
 }
 
 
@@ -515,12 +708,18 @@ def test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail(monkeypatch, row):
     to an unsatisfied clause; at a version's first boundary and the one
     after it, moved down below the first's attention clause; or a pass run
     on a state in conflict mode, with attention moved on past the clause
-    whose image justifies the top. The verifier reports exactly what fresh
-    calls at every boundary and round report, and what it reported before
-    it had the range test: as many lines over the problems, the first of
-    them pinned. The count of its check_invariants calls is pinned too: a
-    run the range test declines at its end check keeps that check's
-    reports for the run's last boundary instead of checking it again."""
+    whose image justifies the top. Inside a trail run: a positive decision
+    pushed one round early; each trail in between one entry ahead;
+    attention moved onto a clause outside the snapshot; one more input
+    clause that only invariant (xii) fails on, only in between; at one
+    boundary, its lowest negative filler decided positive, its top two
+    trail entries swapped, or the state put in conflict mode. The verifier
+    reports exactly what fresh calls at every boundary and round report,
+    and what it reported before it had the range test: as many lines over
+    the problems, the first of them pinned. The count of its
+    check_invariants calls is pinned too: a run the range test declines
+    keeps the reports of its last boundary's check instead of checking it
+    again."""
     wrapper, count, first, calls = RANGE_ROWS[row]
     reported, checked = [], _checks(monkeypatch)
     for failures, fresh in _reported(monkeypatch, wrapper):
@@ -544,24 +743,27 @@ clause: -Q
 def test_a_pass_run_in_conflict_mode_can_pass(monkeypatch):
     """P is forced from P and conflicts with the learned -P; attention then
     moves on to P | P and P | P | P on that state. Their image is P, the
-    top justification, so (xi) holds at every boundary: the range test
-    passes the run although the state is in conflict mode, and neither the
-    verifier nor fresh calls report anything."""
+    top justification, so (xi) holds at every boundary, and neither the
+    verifier nor fresh calls report anything. A trail run holds no state in
+    conflict mode, so the range test is tried on no run that holds these
+    boundaries, and each of them is checked in full."""
     real = simulation.run_scl_sup
     monkeypatch.setattr(simulation, "run_scl_sup",
                         lambda *a, **k: _conflict_run(real, *a, **k))
-    shown = []
-    real_run = _VersionFacts.passes_run
+    tried = []
+    real_run = simulation._passes_trail_run
 
-    def watched(self, first, run):
-        shown.append((str(self.state.conflict), [str(ann.aid) for ann in run],
-                      real_run(self, first, run)))
-        return shown[-1][-1]
+    def watched(order, facts, first, last, run, states):
+        tried.append([state.conflict for state in states])
+        return real_run(order, facts, first, last, run, states)
 
-    monkeypatch.setattr(_VersionFacts, "passes_run", watched)
+    monkeypatch.setattr(simulation, "_passes_trail_run", watched)
+    checked = _checks(monkeypatch)
     result = lockstep_verify(parse_problem(TWINS_TEXT))
     assert result.ok and result.failures() == _fresh_failures(result) == []
-    assert ("-P", ["P", "P | P", "P | P | P"], True) in shown
+    assert tried and all(conflict is None for conflicts in tried for conflict in conflicts)
+    assert [str(ann.aid) for _, state, ann, *_ in checked
+            if str(state.conflict) == "-P"] == ["P", "P | P", "P | P | P"]
 
 
 @pytest.mark.parametrize("wrapper,line", [
@@ -602,52 +804,81 @@ def test_a_corrupted_pass_run_fails_as_fresh_calls_fail(monkeypatch, wrapper, li
 
 def _mutated(owner, name, old, new):
     """``owner.name`` with its one occurrence of ``old`` replaced by
-    ``new``, reading the module's names as they stand when it runs."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    ``new``, reading its module's names as they stand when it runs."""
+    real = getattr(owner, name)
+    module = sys.modules[real.__module__]
+    source = textwrap.dedent(inspect.getsource(real))
     assert source.count(old) == 1
-    namespace = dict(vars(simulation))
-    exec(compile(source.replace(old, new), simulation.__file__, "exec",
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec",
                  flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
     fn = namespace[name]
-    return types.FunctionType(fn.__code__, vars(simulation), name, fn.__defaults__)
+    return types.FunctionType(fn.__code__, vars(module), name, fn.__defaults__)
 
 
-# each mutant of the range test or of the version test: the
-# function, the text it replaces, and the corrupted run that catches it, a
-# row of test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail or, for the
-# membership test, the attention-outside-the-set row of
+# each mutant of the range test or of the trail-run test: the function, the
+# text it replaces and its replacement, and the corrupted run that catches
+# it, a row of test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail or,
+# for the membership test, the attention-outside-the-set row of
 # test_a_corrupted_pass_run_fails_as_fresh_calls_fail
 MUTANTS = {
     "end-check-skipped": (
-        _VersionFacts, "passes_run",
-        "return all(r.ok for r in self._end[1])", "return True",
+        simulation, "_passes_trail_run",
+        " or not all(r.ok for r in last)", "",
         RANGE_ROWS["run-end-on-false-clause"][0]),
     "first-trusted-although-it-failed": (
-        _VersionFacts, "passes_run",
-        "if not all(r.ok for r in first):", "if not first:",
-        RANGE_ROWS["run-start-moved-down"][0]),
+        simulation, "_passes_trail_run",
+        "not all(r.ok for r in first) or ", "",
+        RANGE_ROWS["clause-failing-xii-from-the-first"][0]),
     "membership-skipped": (
-        _VersionFacts, "passes_run",
+        simulation, "_passes_trail_run",
         "if climbed <= key or not contains(ann.aid):", "if climbed <= key:",
         _in_pass_run(_outside_the_set)),
     "non-ascending-keys-accepted": (
-        _VersionFacts, "passes_run",
+        simulation, "_passes_trail_run",
         "if climbed <= key or not contains(ann.aid):", "if not contains(ann.aid):",
         RANGE_ROWS["attention-repeated"][0]),
     "pair-index-left-out-of-the-version": (
-        simulation, "_same_version", " and other.index == ann.index", "",
+        simulation, "_in_trail_run", "ann.index == before.index and ", "",
         RANGE_ROWS["pair-index-moved-back"][0]),
+    "length-test-dropped": (
+        simulation, "_passes_trail_run",
+        "if length != _beta(key) + produced:", "if False:",
+        RANGE_ROWS["decision-one-round-early"][0]),
+    "length-test-off-by-one": (
+        simulation, "_passes_trail_run",
+        "if length != _beta(key) + produced:", "if length - 1 != _beta(key) + produced:",
+        RANGE_ROWS["trails-one-entry-ahead"][0]),
+    "production-test-ignoring-at-or-below": (
+        ModelConstruction, "produces_up_to",
+        " and self.order.clause_key(producer) <= key", "",
+        RANGE_ROWS["decision-one-round-early"][0]),
+    "xii-sweep-dropped": (
+        simulation, "_passes_trail_run",
+        "if not all(is_true(state, c) for c in clauses[swept:upto]):", "if False:",
+        RANGE_ROWS["clause-failing-only-xii-in-between"][0]),
+    "conflict-states-let-into-a-run": (
+        simulation, "_in_trail_run",
+        " and state.conflict is None and after.conflict is None", "",
+        RANGE_ROWS["conflict-state-in-between"][0]),
+    "prefix-identity-dropped": (
+        simulation, "_in_trail_run",
+        "\n            and _extends(state.trail, after.trail)", "",
+        RANGE_ROWS["trail-not-a-prefix-of-the-next"][0]),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_each_mutant_of_the_range_test_is_caught(monkeypatch, mutant):
-    """The range test with one of its conditions dropped passes a run that
-    fresh calls fail: the end check on the run's last boundary, the first
-    boundary's reports, the membership of each attention clause, or the
-    ascent of the attention keys; and so does a run that takes in a
-    boundary with another pair index. On the corrupted runs that catch it,
-    the verifier then reports something other than fresh calls."""
+    """The range test with one of its conditions dropped or bent passes a
+    run that fresh calls fail: the end check on the run's last boundary, the
+    first boundary's reports, the membership of each attention clause, the
+    ascent of the attention keys, the length test, that test off by one or
+    counting a production above the image, or the (xii) sweep; and so does
+    a run that takes in a boundary with another pair index, a state in
+    conflict mode, or a trail that does not extend the one before by
+    identity. On the corrupted runs that catch it, the verifier then
+    reports something other than fresh calls."""
     owner, name, old, new, wrapper = MUTANTS[mutant]
     monkeypatch.setattr(owner, name, _mutated(owner, name, old, new))
     assert any(failures != fresh for failures, fresh in _reported(monkeypatch, wrapper))

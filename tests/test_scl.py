@@ -29,6 +29,7 @@ from lockstep.scl import (
     initial_state,
     is_defined,
     is_false,
+    is_false_except,
     is_true,
     literal_level,
     propagate,
@@ -114,6 +115,25 @@ def test_propagate_after_a_decision_records_the_current_level(kbo):
     assert s.trail[1].reason == c2
 
 
+def test_propagate_builds_the_remainder_only_to_report_it(kbo, monkeypatch):
+    # the guard tests the other literals against the valuation; the clause
+    # without the propagated literal is built for the failure message alone
+    p, po = kbo
+    c2 = p.clauses.clauses()[1]          # -P(a) | Q(b)
+    built, real = [], Clause.with_count
+
+    def counted(self, literal, n):
+        built.append(n)
+        return real(self, literal, n)
+
+    monkeypatch.setattr(Clause, "with_count", counted)
+    propagate(po, decide(po, initial_state(p), PA), c2, QB)
+    assert built == [1]                  # the justification
+    with pytest.raises(RuleError):
+        propagate(po, initial_state(p), c2, QB)
+    assert built == [1, 0]
+
+
 def test_propagate_guards(kbo):
     p, po = kbo
     s0 = initial_state(p)
@@ -121,6 +141,7 @@ def test_propagate_guards(kbo):
     with pytest.raises(RuleError) as e:
         propagate(po, s0, c2, QB)            # -P(a) not yet false
     assert e.value.guard == "remainder-not-false"
+    assert str(e.value) == "propagate: -P(a) is not falsified by the trail [remainder-not-false]"
     with pytest.raises(RuleError) as e:
         propagate(po, s0, Clause([QB]), QB)  # clause from nowhere
     assert e.value.guard == "unknown-clause"
@@ -557,9 +578,10 @@ def _texts(clause):
 @given(st.integers(0, 10 ** 6), st.booleans(), st.data())
 def test_trail_truth_matches_a_text_reference(seed, tautologies, data):
     # a state of a generated run, and the same state with a learned clause
-    # over an atom the input lacks: is_true, is_false, conflict_candidates
-    # with and without an assumed literal, and decide's unknown-atom guard
-    # read the valuation and the clauses by their texts alone
+    # over an atom the input lacks: is_true, is_false, is_false_except of
+    # every literal, conflict_candidates with and without an assumed
+    # literal, and decide's unknown-atom guard read the valuation and the
+    # clauses by their texts alone
     problem = random_problem(GenParams(seed=seed, clause_count=8,
                                        allow_tautologies=tautologies))
     run = run_scl_sup(problem)
@@ -574,6 +596,9 @@ def test_trail_truth_matches_a_text_reference(seed, tautologies, data):
             assert is_true(s, c) == bool(_texts(c) & true)
             assert is_false(s, c) == (_texts(c) <= false)
         for literal in (Literal(a, positive) for a in atoms for positive in (True, False)):
+            for c in clauses:
+                assert (is_false_except(s, c, literal) == (_texts(c) - {literal.text} <= false)
+                        == is_false(s, c.with_count(literal, 0)))
             assumed = (false - {literal.text}) | {literal.complement().text}
             assert (conflict_candidates(s, assuming=literal)
                     == [c for c in clauses if _texts(c) <= assumed])

@@ -391,32 +391,32 @@ def test_a_passing_invariant_shares_one_report_and_builds_no_detail(monkeypatch)
 
 def test_each_boundary_reads_its_attention_prefix_once(monkeypatch):
     # invariants (v) and (vi) share the atoms produced below the attention
-    # image, and (v) derives the image's own production from them; a pass
-    # run that the range test shows reads it once, at its last boundary
+    # image, and (v) derives the image's own production from them; a trail
+    # run that the range test shows reads it at its two ends only
     real, reads = ModelConstruction.prefix_below, []
-    real_run, covered = simulation._VersionFacts.passes_run, []
+    real_run, covered = simulation._passes_trail_run, []
 
     def counted(self, clause):
         reads.append(clause)
         return real(self, clause)
 
-    def counted_run(self, first, run):
-        shown = real_run(self, first, run)
-        covered.append(len(run) - 1 if shown else 0)
+    def counted_run(order, facts, first, last, run, states):
+        shown = real_run(order, facts, first, last, run, states)
+        covered.append(len(run) - 2 if shown else 0)
         return shown
 
     monkeypatch.setattr(ModelConstruction, "prefix_below", counted)
-    monkeypatch.setattr(simulation._VersionFacts, "passes_run", counted_run)
+    monkeypatch.setattr(simulation, "_passes_trail_run", counted_run)
     counts = []
     for text in (KBO_TEXT, LPO_TEXT, THIRD_TEXT, SAT_TEXT, workloads.ladder_text(15, 1)[0]):
         reads.clear()
         covered.clear()
         result = lockstep_verify(parse_problem(text))
         assert result.ok
-        assert len(reads) == len(result.boundaries) - sum(covered) + len(covered)
+        assert len(reads) == len(result.boundaries) - sum(covered)
         counts.append((len(result.boundaries), len(covered), sum(covered)))
-    # on 15:1, 649 of the 857 boundaries lie in 131 pass runs; 339 reads
-    assert counts == [(5, 0, 0), (6, 0, 0), (7, 0, 0), (6, 1, 1), (857, 131, 649)]
+    # on 15:1, 740 of the 857 boundaries lie inside 24 trail runs; 117 reads
+    assert counts == [(5, 0, 0), (6, 1, 1), (7, 1, 1), (6, 2, 1), (857, 24, 740)]
 
 
 def test_reversed_trail_is_caught():

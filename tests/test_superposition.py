@@ -517,12 +517,19 @@ def test_prefix_below_matches_a_linear_walk(cls, probes):
 def _expect_fresh_construction(snap, po, outside=()):
     """The run's construction of ``snap`` answers every read as a fresh
     construct_model over its clauses does. The reads that stay at or below
-    its minimal false clause come first and leave it unfinished."""
+    its minimal false clause come first and leave it unfinished. A member
+    at or below a clause produces an atom when a member below it does or
+    the clause is a member that produces it."""
     mc = snap.construction
     ref = construct_model(snap.clauses, po)
     members = set(snap.clauses)
     probes = (list(snap.clauses) + [sfac(c, po) for c in snap.clauses]
               + list(outside) + [EMPTY_CLAUSE])
+
+    def produced_up_to(c):
+        own = ref.delta_of(c) if c in members else None
+        return ref.prefix_below(c) | ({own} if own is not None else set())
+
     assert mc.minimal_false == ref.minimal_false
     if mc.minimal_false is not None:
         top = po.clause_key(mc.minimal_false)
@@ -530,6 +537,8 @@ def _expect_fresh_construction(snap, po, outside=()):
             if po.clause_key(c) <= top:
                 assert mc.prefix_below(c) == ref.prefix_below(c), c
                 assert mc.delta_of(c) == ref.delta_of(c), c
+                assert {a for a in po.atoms_ascending
+                        if mc.produces_up_to(a, c)} == produced_up_to(c), c
         for atom, c in ref.producer.items():
             if po.clause_key(c) < top:
                 assert mc.producer_of(atom) == c
@@ -539,6 +548,7 @@ def _expect_fresh_construction(snap, po, outside=()):
     for c in probes:
         assert mc.prefix_below(c) == ref.prefix_below(c), c
         assert mc.delta_of(c) == ref.delta_of(c), c
+        assert {a for a in po.atoms_ascending if mc.produces_up_to(a, c)} == produced_up_to(c), c
         assert snap.contains(c) == (c in members), c
     assert list(mc.producer.items()) == list(ref.producer.items())
     assert mc.model == ref.model
@@ -588,9 +598,9 @@ def test_completion_skips_clauses_derived_later():
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(DATA, "*.prob"))),
                          ids=os.path.basename)
 def test_a_first_read_above_the_minimal_false_clause_completes(path):
-    """prefix_below and delta_of of a clause above an unfinished snapshot's
-    minimal false clause, as the very first read of a fresh run, answer as
-    a fresh construct_model does."""
+    """prefix_below, delta_of and produces_up_to of a clause above an
+    unfinished snapshot's minimal false clause, as the very first read of a
+    fresh run, answer as a fresh construct_model does."""
     with open(path) as fh:
         prob = parse_problem(fh.read())
     po = ProblemOrder(prob)
@@ -606,6 +616,10 @@ def test_a_first_read_above_the_minimal_false_clause_completes(path):
                 mc = run_sup_mo(prob, po).snapshots[i].construction
                 assert not mc._complete
                 assert getattr(mc, read)(c) == getattr(ref, read)(c), (i, c, read)
+            mc = run_sup_mo(prob, po).snapshots[i].construction
+            assert not mc._complete
+            produced = {a for a in po.atoms_ascending if mc.produces_up_to(a, c)}
+            assert produced == ref.prefix_below(c) | {ref.delta_of(c)} - {None}, (i, c)
 
 
 def test_a_first_read_above_the_minimal_false_clause_sees_later_productions():

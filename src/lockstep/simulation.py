@@ -54,45 +54,58 @@ from the version's first unsatisfied clause up to the attention clause.
 Most rounds are such pass rounds, and they come in runs: the model
 construction walks the clauses in ascending order, and a clause that is
 already true produces nothing. The driver records a run of them with one
-walk of the version's attention index (``_sweep_passes``): a clause passes
-without a rule application exactly when its image is true and no atom
-below its maximal literal is undefined. The state does not change, so the
-atoms known to be defined only grow along the walk, and most clauses take
-a single rank comparison.
+walk of the version's attention index (``_sweep_passes``) as one record, a
+``PassSweep``, which holds the attention clauses it passed and the pair
+index, map and state they share: a clause passes without a rule
+application exactly when its image is true and no atom below its maximal
+literal is undefined. The state does not change, so the atoms known to be
+defined only grow along the walk, and most clauses take a single rank
+comparison. A run's rounds, annotations and boundary states are read-only
+views that expand the records on read, so a pass round costs no object of
+its own.
 
-The verifier reads the boundaries as trail runs (``_in_trail_run``):
-maximal stretches outside conflict mode that share one pair index, one map
-object and one clause tuple, each trail holding the one before object by
-object, possibly followed by more. Pass runs are the trail runs whose
-state never changes; decide rounds, and pass rounds with filler decisions,
-extend the trail within a run. At each boundary the trail is meant to be
-the model construction's partial model up to the attention image, and the
-construction produces atoms in ascending order, so along a run the trail
-only grows by the atoms between one image and the next. The verifier
-checks a run's first and last boundary in full and decides the ones in
-between with one range test (``_passes_trail_run``) instead of one
-invariant check and one progress check per boundary: the attention keys
-climb, each attention clause is in the snapshot, each trail holds as many
-entries as the model for its image has atoms, and one sweep of the run's
-attention index finds the clauses up to each attention clause true. The
-last boundary's check makes its trail the model for its image, and the
-model for a smaller image is its prefix of that length, so the length
-alone settles (v) and (vi); the other invariants either read the trail
-entry by entry, which only grows, or read objects the run holds fixed.
-The test is exact in the sense that it passes only where every invariant
-and every progress check holds. A run it cannot show is checked in full at
-every boundary, the last one's reports kept from the first check of it, so
-every failure line comes from check_invariants and check_progress.
+The verifier reads the records, not the views, as trail runs
+(``_in_trail_run``): maximal stretches outside conflict mode that share one
+pair index, one map object and one clause tuple, each trail holding the one
+before object by object, possibly followed by more. Pass runs are the trail
+runs whose state never changes; decide rounds, and pass rounds with filler
+decisions, extend the trail within a run. At each boundary the trail is
+meant to be the model construction's partial model up to the attention
+image, and the construction produces atoms in ascending order, so along a
+run the trail only grows by the atoms between one image and the next. The
+verifier checks a run's first and last boundary in full and decides the
+ones in between with one range test (``_passes_trail_run``), one step per
+record, instead of one invariant check and one progress check per
+boundary: each record's attention clauses are, by identity, the next keys
+of the verifier's own attention index, so they are state clauses, which
+invariant (iii) at the run's ends puts in the snapshot, and their keys
+climb; at each record's two ends the trail holds as many entries as the
+model for the attention image has atoms; and one sweep of the index finds
+the clauses up to the record's last key true. That model has β(key) atoms,
+those below the image's maximal literal, plus one when a member at or below
+the image produces that literal's positive atom; this count never
+decreases as the key grows, so on a record's one trail a length equal at
+its two ends is equal at every boundary in between. The last boundary's
+check makes its trail the model for its image, and the model for a smaller
+image is its prefix of that length, so the length alone settles (v) and
+(vi); the other invariants either read the trail entry by entry, which
+only grows, or read objects the run holds fixed. The test is exact in the
+sense that it passes only where every invariant and every progress check
+holds, and a run it passes is one shared passing entry of the result. A
+run it cannot show is expanded and checked in full at every boundary, the
+last one's reports kept from the first check of it, so every failure line
+comes from check_invariants and check_progress.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import is_
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from itertools import accumulate, islice
+from operator import attrgetter, eq, is_, lt
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 from .core import (
     Atom,
@@ -160,12 +173,120 @@ class Annotation:
 @dataclass(frozen=True)
 class SimSeq:
     """One strategy round: its kind, the clause it acted on, the annotation
-    it produced, and the half-open slice of the rule log it occupies."""
+    it produced, and the half-open slice of the rule log it occupies. As a
+    record of ``SimRun`` it stands for one round."""
 
     kind: str
     attention: Optional[Clause]
     annotation: Annotation
     app_range: Tuple[int, int]
+
+    rounds = 1
+
+    @property
+    def aids(self) -> Tuple[Clause, ...]:
+        return (self.annotation.aid,)
+
+    @property
+    def first(self) -> Annotation:
+        return self.annotation
+
+    last = first
+
+    @property
+    def end(self) -> int:
+        """The position in the rule log of the state the round ends in."""
+        return self.app_range[1]
+
+    def seq(self, j: int) -> "SimSeq":
+        return self
+
+
+@dataclass(frozen=True)
+class PassSweep:
+    """A run of pass rounds that apply no rule, recorded by one sweep
+    (``_sweep_passes``): the attention clause each round leaves, in order,
+    and the pair index, map and rule-log position of the state they all
+    share. Round ``j`` is ``seq(j)``, the round ``_round_no_conflict``
+    records for ``aids[j]``."""
+
+    aids: Tuple[Clause, ...]
+    index: int
+    gamma: Dict[Clause, Clause]
+    end: int
+
+    kind = "pass"
+
+    @property
+    def rounds(self) -> int:
+        return len(self.aids)
+
+    @memo
+    def first(self) -> Annotation:
+        return Annotation(self.index, self.aids[0], self.gamma)
+
+    @memo
+    def last(self) -> Annotation:
+        return Annotation(self.index, self.aids[-1], self.gamma)
+
+    def seq(self, j: int) -> SimSeq:
+        return SimSeq("pass", self.aids[j], Annotation(self.index, self.aids[j], self.gamma),
+                      (self.end, self.end))
+
+
+Record = Union[SimSeq, PassSweep]
+
+
+class _Expanded(Sequence):
+    """A read-only sequence of items expanded on read from records: the
+    items of ``head``, then for each record ``item(record, j)`` for ``j``
+    below ``size(record)``. It describes the records as they stood when it
+    was made. ``len`` is constant time, an index costs one bisect over the
+    record starts, summed on the first index, and a slice is a list. It
+    equals any sequence of equal items."""
+
+    def __init__(self, head: tuple, records: Sequence, size: Callable[[Any], int],
+                 item: Callable[[Any, int], Any]):
+        self._head, self._records, self._size, self._item = head, records, size, item
+        self._len = len(head) + sum(map(size, records))
+        self._starts: Optional[List[int]] = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("index out of range")
+        if i < len(self._head):
+            return self._head[i]
+        if self._starts is None:
+            self._starts = list(accumulate(map(self._size, self._records),
+                                           initial=len(self._head)))
+        r = bisect_right(self._starts, i) - 1
+        return self._item(self._records[r], i - self._starts[r])
+
+    def __iter__(self) -> Iterator:
+        yield from self._head
+        for record in self._records:
+            for j in range(self._size(record)):
+                yield self._item(record, j)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None            # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+_rounds = attrgetter("rounds")
 
 
 @dataclass
@@ -174,19 +295,24 @@ class SimRun:
 
     Stored: the rule log (``states[i]`` is the state ``apps[i]`` was applied
     in, ``states[-1]`` the state after the last application), the
-    annotation before the first round, the rounds in ``seqs`` and the
-    outcome. Derived: ``annotations`` and ``boundary_states``, one entry per
-    round boundary (boundary ``i + 1`` is the end of round ``i``); the
-    ``learned`` clauses, the final state's plus the empty clause when the
-    run is unsatisfiable; and ``model``, the positive trail atoms when it is
-    satisfiable. The ``repr`` gives the outcome and sizes, never a clause.
+    annotation before the first round, the round records and the outcome.
+    A record is a ``SimSeq``, one round, or a ``PassSweep``, a run of pass
+    rounds that apply no rule, however long. Derived, on read:
+    ``seqs``, one ``SimSeq`` per round, and ``annotations`` and
+    ``boundary_states``, one entry per round boundary (boundary ``i + 1``
+    is the end of round ``i``), each a read-only sequence that expands the
+    records (``_Expanded``); the ``learned`` clauses, the final state's
+    plus the empty clause when the run is unsatisfiable; and ``model``, the
+    positive trail atoms when it is satisfiable. A boundary's state is the
+    rule log's state at its record's ``end`` (``end_states``). The
+    ``repr`` gives the outcome and sizes, never a clause.
     """
 
     order: ProblemOrder
     start: Annotation
     states: List[SclState]
     apps: List[RuleApp] = field(default_factory=list)
-    seqs: List[SimSeq] = field(default_factory=list)
+    records: List[Record] = field(default_factory=list)
     outcome: str = CAP_EXCEEDED
 
     @property
@@ -205,12 +331,24 @@ class SimRun:
         return frozenset(e.literal.atom for e in self.state.trail if e.literal.positive)
 
     @property
-    def annotations(self) -> List[Annotation]:
-        return [self.start] + [seq.annotation for seq in self.seqs]
+    def seqs(self) -> Sequence[SimSeq]:
+        return _Expanded((), self.records, _rounds, lambda record, j: record.seq(j))
 
     @property
-    def boundary_states(self) -> List[SclState]:
-        return [self.states[0]] + [self.states[seq.app_range[1]] for seq in self.seqs]
+    def annotations(self) -> Sequence[Annotation]:
+        return _Expanded((self.start,), self.records, _rounds,
+                         lambda record, j: record.seq(j).annotation)
+
+    @property
+    def boundary_states(self) -> Sequence[SclState]:
+        start, *ends = self.end_states()
+        return _Expanded((start,), list(zip(self.records, ends)),
+                         lambda pair: pair[0].rounds, lambda pair, j: pair[1])
+
+    def end_states(self) -> List[SclState]:
+        """The initial state, then the state each record's rounds end in."""
+        states = self.states
+        return [states[0]] + [states[record.end] for record in self.records]
 
     def apply(self, app: RuleApp, rule: Callable[..., SclState], *args) -> None:
         """Apply ``rule`` to the current state and record it as ``app``."""
@@ -218,7 +356,8 @@ class SimRun:
         self.apps.append(app)
 
     def __repr__(self) -> str:
-        return f"<SimRun {self.outcome}: {len(self.seqs)} rounds, {len(self.apps)} rule apps>"
+        rounds = sum(map(_rounds, self.records))
+        return f"<SimRun {self.outcome}: {rounds} rounds, {len(self.apps)} rule apps>"
 
 
 def _gamma_key(order: ProblemOrder, clause: Clause,
@@ -536,10 +675,12 @@ def _beta(key: Tuple[ClauseKey, ClauseKey]) -> int:
 
 
 def _sweep_passes(run: SimRun, ann: Annotation, index: _AttentionIndex,
-                  max_sequences: int) -> Tuple[Annotation, Optional[Clause]]:
-    """Record the pass rounds that follow a pass round with no filler
-    decision; return the last annotation and the next attention clause,
-    None at the end of the walk.
+                  room: int) -> Tuple[Annotation, Optional[Clause], int]:
+    """Record the pass round with no filler decision just played, which
+    left ``ann``, and the pass rounds that follow it as one ``PassSweep``
+    of at most ``room`` rounds; return the last annotation, the next
+    attention clause (None at the end of the walk) and how many rounds the
+    sweep recorded.
 
     Such a round leaves the state and the map alone, so ``index`` still
     fits them and the next attention clause is the next key of its ranked
@@ -552,14 +693,15 @@ def _sweep_passes(run: SimRun, ann: Annotation, index: _AttentionIndex,
     no higher is one rank comparison, and a higher bound asks only about
     the atoms between the two. The sweep stops at the first clause that
     fails either test, which it hands over for its round to run as usual,
-    at the end of the walk, or at the round cap.
+    at the end of the walk, or when it holds ``room`` rounds.
     """
     order, state, gamma = run.order, run.state, ann.gamma
     keys, _, clauses = index.ranked
     key = _gamma_key(order, ann.aid, gamma)
     defined = _beta(key)
-    at, i = len(run.apps), bisect_right(keys, key)
-    while i < len(clauses) and len(run.seqs) < max_sequences:
+    passed = [ann.aid]
+    i = bisect_right(keys, key)
+    while i < len(clauses) and len(passed) < room:
         d = clauses[i]
         if not is_true(state, gamma.get(d, d)):
             break
@@ -568,10 +710,11 @@ def _sweep_passes(run: SimRun, ann: Annotation, index: _AttentionIndex,
             if not all(is_defined(state, a) for a in order.atoms_ascending[defined:bound]):
                 break
             defined = bound
-        ann = Annotation(ann.index, d, gamma)
-        run.seqs.append(SimSeq("pass", d, ann, (at, at)))
+        passed.append(d)
         i = bisect_right(keys, keys[i], i)
-    return ann, clauses[i] if i < len(clauses) else None
+    run.records.append(PassSweep(tuple(passed), ann.index, gamma, len(run.apps)))
+    last = ann if len(passed) == 1 else Annotation(ann.index, passed[-1], gamma)
+    return last, clauses[i] if i < len(clauses) else None, len(passed)
 
 
 MAX_ROUNDS = 10000                 # run_scl_sup's default round cap
@@ -589,19 +732,19 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     nor the map, and so does every pass round after it until one needs a
     filler decision or meets a clause the trail leaves unsatisfied. Such a
     run of rounds is recorded by one walk of the version's attention index
-    (``_sweep_passes``) instead of one index lookup and one
-    ``_round_no_conflict`` call per round. It records the same rounds and
-    annotations as those calls would, and the round cap counts each of
-    them.
+    (``_sweep_passes``) as one ``PassSweep`` record, instead of one index
+    lookup, one ``_round_no_conflict`` call and one ``SimSeq`` per round.
+    Its expansion holds the same rounds and annotations as those calls
+    would record, and the round cap counts each of them.
     """
     if max_sequences < 0:
         raise ValueError(f"max_sequences must be at least 0, not {max_sequences}")
     order = order or ProblemOrder(problem)
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
     run = SimRun(order, ann, [initial_state(problem)])
-    index, swept = None, False
+    index, swept, rounds = None, False, 0
 
-    while len(run.seqs) < max_sequences:
+    while rounds < max_sequences:
         start = len(run.apps)
         if run.state.conflict is not None:
             kind, ann = _round_conflict(run, ann)
@@ -614,13 +757,16 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
                 run.outcome = SATISFIABLE
                 break
             kind, ann = _round_no_conflict(run, ann, attention)
-        run.seqs.append(SimSeq(kind, attention, ann, (start, len(run.apps))))
+        swept = kind == "pass" and len(run.apps) == start
+        if swept:
+            ann, attention, passed = _sweep_passes(run, ann, index, max_sequences - rounds)
+            rounds += passed
+            continue
+        run.records.append(SimSeq(kind, attention, ann, (start, len(run.apps))))
+        rounds += 1
         if kind == "refute":
             run.outcome = UNSATISFIABLE
             break
-        swept = kind == "pass" and len(run.apps) == start
-        if swept:
-            ann, attention = _sweep_passes(run, ann, index, max_sequences)
     return run
 
 
@@ -677,23 +823,32 @@ class _VersionFacts:
     - ``positives`` and ``negatives``: the trail's positive and negative atoms;
     - ``reports``: invariants (i), (ii), (iv), (vii)-(x), (xiii) and (xiv),
       in that order;
-    - ``unlearned``: the learned clauses absent from the snapshot, the part
-      of (iii) that is not about attention;
+    - ``absent``: the input and learned clauses absent from the snapshot,
+      the part of (iii) that is not about attention. It reads
+      ``late_inputs``, the input clauses the run's clause set does not hold
+      from its start, each with the step count at which it joins, None if
+      never; on a sound run there are none;
     - ``first_unsatisfied``: the position in the index's ranked order of the
       first clause the trail leaves unsatisfied, or the clause count when
       it satisfies them all.
 
-    A new version's parts are computed afresh, not carried from the
-    version before: resuming the ``first_unsatisfied`` scan and asking only
-    about newly learned clauses saves as much on long derivations as its
+    Facts made from ``last``, the facts of the version before, carry its
+    ``late_inputs`` when the input clause tuple is the same object and the
+    snapshots are stages of one run, so a run computes them once per input
+    tuple object. The other parts are computed afresh: resuming the
+    ``first_unsatisfied`` scan where the trail only grew, or asking only
+    about newly learned clauses, saves as much on long derivations as its
     guards cost on short ones.
     """
 
     def __init__(self, order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
-                 snapshot: SupSnapshot, index: _AttentionIndex):
+                 snapshot: SupSnapshot, index: _AttentionIndex,
+                 last: Optional["_VersionFacts"] = None):
         self.order = order
         self.state, self.gamma, self.snapshot = state, gamma, snapshot
         self.index = index
+        self.late_inputs = (last.late_inputs if last is not None and last.state.n is state.n
+                            and last.snapshot.shares_set(snapshot) else None)
 
     @memo
     def positives(self) -> FrozenSet[Atom]:
@@ -704,8 +859,12 @@ class _VersionFacts:
         return frozenset(e.literal.atom for e in self.state.trail if not e.literal.positive)
 
     @memo
-    def unlearned(self) -> List[Clause]:
-        return [c for c in self.state.u if not self.snapshot.contains(c)]
+    def absent(self) -> List[Clause]:
+        snapshot = self.snapshot
+        if self.late_inputs is None:
+            self.late_inputs = snapshot.late(self.state.n)
+        absent = [c for c, at in self.late_inputs if at is None or at > snapshot.index]
+        return absent + [c for c in self.state.u if not snapshot.contains(c)]
 
     @memo
     def first_unsatisfied(self) -> int:
@@ -804,12 +963,13 @@ class _VersionFacts:
 def _facts_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
                snapshot: SupSnapshot, last: Optional[_VersionFacts] = None) -> _VersionFacts:
     """``last`` if it was built for this state, map and snapshot, otherwise
-    new facts for them, over an index reused or derived from ``last``'s."""
+    new facts for them, over an index reused or derived from ``last``'s,
+    carrying what fits of ``last``."""
     if (last is not None and last.state is state and last.gamma is gamma
             and last.snapshot is snapshot):
         return last
     index = _index_for(order, state, gamma, None if last is None else last.index)
-    return _VersionFacts(order, state, gamma, snapshot, index)
+    return _VersionFacts(order, state, gamma, snapshot, index, last)
 
 
 def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
@@ -838,8 +998,9 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
      missed, sync) = facts.reports
 
-    # (iii) the attention clause and all learned clauses exist on the paired side
-    missing = list(facts.unlearned)
+    # (iii) the attention clause and all input and learned clauses exist on
+    #       the paired side
+    missing = list(facts.absent)
     if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
     membership = _report("membership", not missing,
@@ -969,26 +1130,44 @@ def _in_trail_run(before: Annotation, state: SclState,
             and _extends(state.trail, after.trail))
 
 
+def _model_length(order: ProblemOrder, con, key: Tuple[ClauseKey, ClauseKey],
+                  image: Clause) -> int:
+    """How many atoms the model for ``image``, keyed ``key``, has: β(key),
+    plus one when its maximal literal is positive and a member at or below
+    the image produces that literal's atom."""
+    top = order.max_literal(image)
+    return _beta(key) + (top.positive and con.produces_up_to(top.atom, image))
+
+
 def _passes_trail_run(order: ProblemOrder, facts: _VersionFacts,
                       first: List[InvariantReport], last: List[InvariantReport],
-                      run: Sequence[Annotation], states: Sequence[SclState]) -> bool:
-    """Whether every boundary of the trail run ``run``, with the boundary
-    states ``states``, passes all fourteen invariants and every round
-    between two of them passes ``check_progress``. ``first`` and ``last``
-    are the reports of ``check_invariants`` at its two ends, ``facts`` the
-    first end's. False means "not shown", never "fails".
+                      run: List[Tuple[Record, SclState]]) -> bool:
+    """Whether every boundary of the trail run ``run``, its records each
+    with the state its rounds end in, passes all fourteen invariants and
+    every round between two of them passes ``check_progress``. ``first``
+    and ``last`` are the reports of ``check_invariants`` at its two ends,
+    ``facts`` the first end's. False means "not shown", never "fails".
 
-    It holds when both ends pass, the attention keys strictly ascend, and
-    at each boundary in between the attention clause is in the snapshot,
-    the trail holds as many entries as the model for the attention image g
-    has atoms, and the clauses up to the attention clause are true on it.
+    It holds when both ends pass, each record's boundaries in between take
+    as attention clauses, by identity, the next distinct keys of the
+    index after the boundary before, the last boundary's key climbs past
+    those, and at each record's two ends the trail holds as many entries as
+    the model for the attention image g has atoms, and one sweep of the
+    index finds the clauses up to the record's last key true on its trail.
     That model has β(g) atoms, those below g's maximal literal, plus that
     literal's atom when the literal is positive and a member at or below g
     produces it. Then each boundary in between passes as well:
 
-    - each attention image is a member: the clause itself or, by (iv), its
-      map image; only the first may instead be the empty clause. The keys
-      rank by image first, so the images climb;
+    - the attention clauses are state clauses, which (iii) at the ends puts
+      in the snapshot, and their keys climb; only the first may instead be
+      the empty clause. The keys rank by image first, so the images climb
+      and each is a member: the clause itself or, by (iv), its map image;
+    - the length: β(key) + produced never decreases as the key grows, since
+      β counts the atoms below the image's maximal literal, which climbs,
+      and the production term can fall back from one to zero only where
+      that literal's atom joins the atoms below. A record's boundaries
+      share one trail, so a length equal to the model's at both ends is
+      equal at every boundary in between;
     - (v), (vi) and (vii) make the last trail the model for its image in
       ascending order, and an earlier trail is a prefix of it. Members
       ascend by maximal literal and no atom is produced twice, so a member
@@ -999,9 +1178,9 @@ def _passes_trail_run(order: ProblemOrder, facts: _VersionFacts,
       each entry is one of the last trail's. No atom repeats on it, so a
       literal true or false on a trail stays so on the later ones, and a
       clause false in between would be false at the last boundary: (xiii);
-    - (iii), (iv) and (xiv) read the learned clauses, the map and the
-      snapshot, which are the run's, and the attention clause, which is in
-      the snapshot; outside conflict mode (x) and (xi) hold;
+    - (iii), (iv) and (xiv) read the state's clauses, the map and the
+      snapshot, which are the run's, and the attention clause, which is a
+      state clause; outside conflict mode (x) and (xi) hold;
     - (xii): the clauses up to the first attention clause hold at the first
       boundary, so on every later trail. The sweep tests each later one on
       the first trail that must satisfy it, so it holds on the trails
@@ -1011,28 +1190,35 @@ def _passes_trail_run(order: ProblemOrder, facts: _VersionFacts,
     """
     if not all(r.ok for r in first) or not all(r.ok for r in last):
         return False
-    gamma, con, contains = facts.gamma, facts.snapshot.construction, facts.snapshot.contains
+    gamma, con = facts.gamma, facts.snapshot.construction
     keys, _, clauses = facts.index.ranked
-    full = len(states[-1].trail)
+    full = len(run[-1][1].trail)
+    between = [(record.aids, state) for record, state in run]
+    head, tail = between[0][0], between[-1][0]
+    between[0] = head[1:], between[0][1]
+    between[-1] = between[-1][0][:-1], between[-1][1]
     try:
-        key = _gamma_key(order, run[0].aid, gamma)
+        key = _gamma_key(order, head[0], gamma)
         swept = bisect_right(keys, key)
-        for ann, state in zip(run[1:-1], states[1:-1]):
-            climbed = _gamma_key(order, ann.aid, gamma)
-            if climbed <= key or not contains(ann.aid):
+        for aids, state in between:
+            if not aids:
+                continue
+            at = bisect_right(keys, key)
+            upto = at + len(aids)
+            if not (upto <= len(clauses) and all(map(is_, aids, clauses[at:upto]))
+                    and all(map(lt, keys[at:upto - 1], keys[at + 1:upto]))):
                 return False
-            key, image = climbed, gamma.get(ann.aid, ann.aid)
-            top = order.max_literal(image)
-            produced = top.positive and con.produces_up_to(top.atom, image)
             length = len(state.trail)
-            if length != _beta(key) + produced:
-                return False
+            for end in {at, upto - 1}:
+                image = gamma.get(clauses[end], clauses[end])
+                if length != _model_length(order, con, keys[end], image):
+                    return False
             if length < full:
-                upto = bisect_right(keys, key)
                 if not all(is_true(state, c) for c in clauses[swept:upto]):
                     return False
                 swept = upto
-        return _gamma_key(order, run[-1].aid, gamma) > key
+            key = keys[upto - 1]
+        return _gamma_key(order, tail[-1], gamma) > key
     except ValueError:
         return False
 
@@ -1047,26 +1233,47 @@ class BoundaryReport:
     boundary: int                  # position in the annotation list
     index: int                     # paired saturation snapshot
     reports: List[InvariantReport]
+    count: int = 1                 # boundaries from ``boundary`` on sharing the reports
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.reports)
 
 
+def _boundary(entry: BoundaryReport, j: int) -> BoundaryReport:
+    """The report of the ``j``-th boundary an entry stands for."""
+    return entry if entry.count == 1 else BoundaryReport(entry.boundary + j, entry.index,
+                                                         entry.reports)
+
+
 @dataclass
 class VerifyResult:
+    """What ``lockstep_verify`` found.
+
+    Stored: one entry per boundary checked on its own, and one shared entry,
+    with the passing reports and a ``count``, for each trail run the range
+    test decides; the progress, regularity and final failure lines. Derived,
+    on read: ``boundaries``, one report per round boundary, a read-only
+    sequence that expands the entries (``_Expanded``). ``ok`` and
+    ``failures()`` read the entries, and a shared entry passes.
+    """
+
     order: ProblemOrder
     sup: SupRun
     sim: SimRun
-    boundaries: List[BoundaryReport] = field(default_factory=list)
+    entries: List[BoundaryReport] = field(default_factory=list)
     progress_failures: List[str] = field(default_factory=list)
     regularity_failures: List[str] = field(default_factory=list)
     final_failures: List[str] = field(default_factory=list)
 
     @property
+    def boundaries(self) -> Sequence[BoundaryReport]:
+        return _Expanded((), self.entries, attrgetter("count"), _boundary)
+
+    @property
     def ok(self) -> bool:
         return (
-            all(b.ok for b in self.boundaries)
+            all(e.ok for e in self.entries)
             and not self.progress_failures
             and not self.regularity_failures
             and not self.final_failures
@@ -1074,11 +1281,11 @@ class VerifyResult:
 
     def failures(self) -> List[str]:
         out = []
-        for b in self.boundaries:
-            for r in b.reports:
+        for e in self.entries:
+            for r in e.reports:
                 if not r.ok:
                     out.append(
-                        f"boundary {b.boundary} (pair index {b.index}): "
+                        f"boundary {e.boundary} (pair index {e.index}): "
                         f"{r.name}: {r.detail}"
                     )
         out.extend(f"progress: {m}" for m in self.progress_failures)
@@ -1089,6 +1296,29 @@ class VerifyResult:
     def __repr__(self) -> str:
         return (f"<VerifyResult {'ok' if self.ok else 'failed'}: "
                 f"{len(self.boundaries)} boundaries, {self.sim!r}, {self.sup!r}>")
+
+
+def _blocks(sim: SimRun) -> List[Tuple[Record, SclState]]:
+    """The records of ``sim``, after one for boundary 0, each with the state
+    its rounds end in. Consecutive boundaries of a sweep differ in attention
+    alone, so they continue each other's trail run (``_in_trail_run``)
+    exactly when the sweep's state is outside conflict mode; a sweep in
+    conflict mode is split into its rounds, each a trail run of its own."""
+    start, *ends = sim.end_states()
+    blocks: List[Tuple[Record, SclState]] = [(SimSeq("start", None, sim.start, (0, 0)), start)]
+    for record, state in zip(sim.records, ends):
+        if state.conflict is not None and record.rounds > 1:
+            blocks.extend((record.seq(j), state) for j in range(record.rounds))
+        else:
+            blocks.append((record, state))
+    return blocks
+
+
+def _rounds_of(run: List[Tuple[Record, SclState]]) -> Iterator[Tuple[SimSeq, SclState]]:
+    """Each boundary of ``run`` as the round that ends there and its state."""
+    for record, state in run:
+        for j in range(record.rounds):
+            yield record.seq(j), state
 
 
 def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> VerifyResult:
@@ -1105,65 +1335,82 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     must extend those of the boundary before, by value; a regularity line
     names each boundary where they do not.
 
-    The boundaries fall into trail runs (``_in_trail_run``), maximal
-    stretches outside conflict mode that share a pair index, a map and the
-    clauses, each trail extending the one before. A run is checked in full
-    at its first and last boundary, and ``_passes_trail_run`` decides the
-    boundaries in between from those two checks: where it passes, each of
-    them gets the passing reports and the rounds between them no progress
-    check, since the test shows both to hold. A run it cannot show is
-    checked in full at every boundary but the last, whose reports are
-    kept, so every report and every progress line is the one a check of
-    each boundary on its own gives.
+    The verifier reads the run's records, not its expanded views. The
+    boundaries fall into trail runs (``_in_trail_run``), maximal stretches
+    outside conflict mode that share a pair index, a map and the clauses,
+    each trail extending the one before; a run is a sequence of whole
+    records (``_blocks``), so finding its end takes one call per record. A
+    run is checked in full at its first and last boundary, and
+    ``_passes_trail_run`` decides the boundaries in between from those two
+    checks, one step per record: where it passes, the whole run is one
+    shared passing entry and the rounds inside it get no progress check,
+    since the test shows both to hold. A run it cannot show is expanded and
+    checked in full at every boundary but the last, whose reports are kept,
+    so every report and every progress line is the one a check of each
+    boundary on its own gives.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
-    sup = run_sup_mo(problem, order, max_steps=max(MAX_STEPS, sim.annotations[-1].index))
+    blocks = _blocks(sim)
+    final_index = blocks[-1][0].last.index
+    sup = run_sup_mo(problem, order, max_steps=max(MAX_STEPS, final_index))
     result = VerifyResult(order=order, sup=sup, sim=sim)
 
-    annotations, states = sim.annotations, sim.boundary_states
     snapshots, steps = sup.snapshots, sup.step_count
+    entries, progress = result.entries, result.progress_failures
     facts, learned, forgotten = None, (), []
-    shown, stop = -1, 0        # the last boundary of a run shown; the run's end
-    kept = None                # the last check of the run: boundary, facts, reports
-    for b, (ann, state) in enumerate(zip(annotations, states)):
-        if b <= shown:
-            result.boundaries.append(BoundaryReport(b, ann.index, list(_PASSED.values())))
-            continue
+    b = k = 0                  # the first boundary and block of the trail run
+    while k < len(blocks):
+        stop, size = k + 1, blocks[k][0].rounds
+        while stop < len(blocks) and _in_trail_run(blocks[stop - 1][0].last, blocks[stop - 1][1],
+                                                   blocks[stop][0].first, blocks[stop][1]):
+            size += blocks[stop][0].rounds
+            stop += 1
+        run = blocks[k:stop]
+        (head, state), (tail, end) = run[0], run[-1]
+        ann = head.first
         if b:
-            msg = check_progress(order, annotations[b - 1], ann)
+            msg = check_progress(order, blocks[k - 1][0].last, ann)
             if msg is not None:
-                result.progress_failures.append(f"round {b - 1} ({sim.seqs[b - 1].kind}): {msg}")
+                progress.append(f"round {b - 1} ({head.kind}): {msg}")
         if state.u is not learned and not (_extends(learned, state.u)
                                            or state.u[:len(learned)] == learned):
             forgotten.append(f"boundary {b}: the learned clauses do not extend "
                              f"those of boundary {b - 1}")
         learned = state.u
-        if 0 <= ann.index <= steps:
+        in_range, shown = 0 <= ann.index <= steps, False
+        if in_range:
             snapshot = snapshots[ann.index]
-            if kept is not None and kept[0] == b:
-                _, facts, reports = kept
-            else:
-                facts = _facts_for(order, state, ann.gamma, snapshot, facts)
-                reports = check_invariants(order, state, ann, snapshot, facts)
-            if b >= stop:
-                stop = b + 1
-                while stop < len(states) and _in_trail_run(annotations[stop - 1], states[stop - 1],
-                                                           annotations[stop], states[stop]):
-                    stop += 1
-                if stop > b + 1:
-                    end = _facts_for(order, states[stop - 1], ann.gamma, snapshot, facts)
-                    kept = (stop - 1, end, check_invariants(
-                        order, states[stop - 1], annotations[stop - 1], snapshot, end))
-                    if _passes_trail_run(order, facts, reports, kept[2],
-                                         annotations[b:stop], states[b:stop]):
-                        shown, facts = stop - 1, end
+            facts = _facts_for(order, state, ann.gamma, snapshot, facts)
+            reports = check_invariants(order, state, ann, snapshot, facts)
+            if size > 1:
+                closing = _facts_for(order, end, ann.gamma, snapshot, facts)
+                last = check_invariants(order, end, tail.last, snapshot, closing)
+                shown = _passes_trail_run(order, facts, reports, last, run)
         else:
-            reports = [InvariantReport(
+            reports = last = [InvariantReport(
                 "pair-index-in-range", False,
                 f"index {ann.index} but only {steps + 1} snapshots",
             )]
-        result.boundaries.append(BoundaryReport(b, ann.index, reports))
+        entries.append(BoundaryReport(b, ann.index, reports, size if shown else 1))
+        if size > 1 and not shown:
+            rounds = _rounds_of(run)
+            before = next(rounds)[0].annotation
+            for i, (seq, at) in enumerate(rounds, b + 1):
+                here = seq.annotation
+                msg = check_progress(order, before, here)
+                if msg is not None:
+                    progress.append(f"round {i - 1} ({seq.kind}): {msg}")
+                if in_range and i < b + size - 1:
+                    facts = _facts_for(order, at, here.gamma, snapshot, facts)
+                    reports = check_invariants(order, at, here, snapshot, facts)
+                else:
+                    reports = last
+                entries.append(BoundaryReport(i, here.index, reports))
+                before = here
+        if size > 1 and in_range:
+            facts = closing
+        b, k = b + size, stop
 
     result.regularity_failures = audit_regular(sim.states, sim.apps) + forgotten
 
@@ -1178,7 +1425,6 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
                 f"verdicts disagree: trail side {sim.outcome}, "
                 f"saturation side {sup.outcome}"
             )
-        final_index = annotations[-1].index
         if final_index != steps:
             ff.append(
                 f"final pair index {final_index} does not match the "

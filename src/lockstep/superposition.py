@@ -244,6 +244,7 @@ class _Ledger:
         self.keyed: List[Tuple[ClauseKey, Clause]] = sorted(
             ((order.clause_key(c), c) for c in set(clauses)), key=_first)
         self.born: Dict[Clause, int] = {c: 0 for _, c in self.keyed}
+        self.inputs = frozenset(self.born)
         self.chains: Dict[Tuple[Literal, ...], List[Tuple[int, SupChain]]] = {}
 
     def insert(self, clause: Clause, stage: int) -> int:
@@ -546,6 +547,19 @@ class SupSnapshot:
     def contains(self, clause: Clause) -> bool:
         """Membership in the clause set, without building it."""
         return self.construction.contains(clause)
+
+    def late(self, clauses: Tuple[Clause, ...]) -> Tuple[Tuple[Clause, Optional[int]], ...]:
+        """Each of ``clauses`` that is not an input clause of the run, with
+        the step count at which it joins the run's clause set, which may lie
+        past this snapshot, or None if it never does."""
+        ledger = self.construction._ledger
+        if ledger.inputs.issuperset(clauses):
+            return ()
+        return tuple((c, ledger.stage_of(c)) for c in clauses if c not in ledger.inputs)
+
+    def shares_set(self, other: "SupSnapshot") -> bool:
+        """Whether the two snapshots are stages of one run's clause set."""
+        return self.construction._ledger is other.construction._ledger
 
 
 class _RunView(Sequence):

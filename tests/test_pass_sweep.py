@@ -1,17 +1,22 @@
-"""Runs of pass rounds, walked once by the driver, and trail runs, decided as
-one range by the verifier, against the round-by-round forms they replace.
+"""Runs of pass rounds, walked once by the driver and recorded as one
+record, and trail runs, decided as one range by the verifier, against the
+round-by-round forms they replace.
 
-The driver records a run of pass rounds that need no filler decision by one
-walk of the version's attention index; the reference loop below plays every
-round through ``_round_no_conflict`` and finds each attention clause by a scan
-over every clause. The verifier checks a trail run (boundaries outside
-conflict mode that share a pair index, a map and the clauses, each trail
-extending the one before) in full at its first and last boundary and decides
-the boundaries in between by one range test; a run the range test cannot
-show is checked in full at every boundary. Every report and progress line
-must be what fresh ``check_invariants`` and ``check_progress`` calls give, a
-corrupted run must be reported exactly as fresh calls report it, and each
-mutant of the range test must be caught.
+The driver records a maximal run of pass rounds that need no filler
+decision by one walk of the version's attention index, as one
+``PassSweep`` record that its views expand on read; the reference loop
+below plays every round through ``_round_no_conflict``, finds each
+attention clause by a scan over every clause and records one ``SimSeq``
+per round. The verifier reads the records: it checks a trail run
+(boundaries outside conflict mode that share a pair index, a map and the
+clauses, each trail extending the one before) in full at its first and
+last boundary and decides the boundaries in between by one range test, one
+step per record; a run the range test cannot show is checked in full at
+every boundary. Every report and progress line must be what fresh
+``check_invariants`` and ``check_progress`` calls give, a run corrupted at
+the level of its records must be reported exactly as fresh calls report
+it, and each mutant of the record test and of the record engine must be
+caught.
 """
 
 import __future__
@@ -33,6 +38,7 @@ from lockstep.scl import TrailEntry, initial_state, is_defined, is_true
 from lockstep.simulation import (
     MAX_ROUNDS,
     Annotation,
+    PassSweep,
     SimRun,
     SimSeq,
     _AttentionIndex,
@@ -51,7 +57,9 @@ from test_attention_index import (
     _ladder_pool,
     _problems,
     _shared_state_dropping_its_top,
+    isolate_round,
     next_attention_by_scan,
+    replace_annotation,
     workloads,
 )
 
@@ -62,7 +70,7 @@ def run_round_by_round(problem, order, max_sequences=MAX_ROUNDS):
     ``_round_no_conflict``."""
     ann = Annotation(0, EMPTY_CLAUSE, initial_gamma(problem, order))
     run = SimRun(order, ann, [initial_state(problem)])
-    while len(run.seqs) < max_sequences:
+    while len(run.records) < max_sequences:
         start = len(run.apps)
         if run.state.conflict is not None:
             kind, ann = simulation._round_conflict(run, ann)
@@ -73,7 +81,7 @@ def run_round_by_round(problem, order, max_sequences=MAX_ROUNDS):
                 run.outcome = simulation.SATISFIABLE
                 break
             kind, ann = simulation._round_no_conflict(run, ann, attention)
-        run.seqs.append(SimSeq(kind, attention, ann, (start, len(run.apps))))
+        run.records.append(SimSeq(kind, attention, ann, (start, len(run.apps))))
         if kind == "refute":
             run.outcome = simulation.UNSATISFIABLE
             break
@@ -101,39 +109,73 @@ def _attention_positions(run):
             for seq, state in zip(run.seqs, run.boundary_states)]
 
 
+def _reads_as_its_items(view):
+    """A view reads the same through iteration, indexes from either end and
+    slices, and its length counts its items."""
+    items = list(view)
+    assert len(view) == len(items)
+    assert [view[i] for i in range(len(items))] == items == view[:]
+    assert [view[i - len(items)] for i in range(len(items))] == items
+    assert view[1::3] == items[1::3]
+    with pytest.raises(IndexError):
+        view[len(items)]
+
+
 def _same_run(got, want):
+    """``got``, the driver's run, expands to the rounds, annotations and
+    boundary states of ``want``, the reference loop's, one record per round;
+    its records are those rounds with each run of sweep rounds folded into
+    one ``PassSweep``."""
     assert got.outcome == want.outcome
     assert got.seqs == want.seqs
     assert _attention_positions(got) == _attention_positions(want)
     assert got.annotations == want.annotations
     assert got.apps == want.apps
     assert got.boundary_states == want.boundary_states
+    for view in (got.seqs, got.annotations, got.boundary_states):
+        _reads_as_its_items(view)
+    assert all(record.rounds for record in got.records)
+    assert repr(got) == repr(want)
 
 
-def test_the_sweep_records_what_round_by_round_play_records(monkeypatch):
-    """On the ladder pool at seed 0 the driver records the rounds,
-    annotations, rule applications and boundary states the reference loop
-    records. 3,830 of its 5,098 rounds are empty pass rounds, in 813
-    maximal runs: one sweep follows the first round of each run and records
-    the other 3,017. The verifier's tests below compare every other trail
-    run they verify with the reference loop's as well."""
+def _sweeps(monkeypatch):
+    """Lists, from now on, how many rounds each sweep records."""
     swept = []
     real = simulation._sweep_passes
 
-    def counted(run, *args):
-        before = len(run.seqs)
-        handed_over = real(run, *args)
-        swept.append(len(run.seqs) - before)
+    def counted(*args):
+        handed_over = real(*args)
+        swept.append(handed_over[2])
         return handed_over
 
     monkeypatch.setattr(simulation, "_sweep_passes", counted)
-    rounds = 0
+    return swept
+
+
+def test_the_sweep_records_what_round_by_round_play_records(monkeypatch):
+    """On the golden files, the generated problems, 15:1, 28:1 and the
+    ladder pools at seeds 0 and 1, the driver's views expand to the rounds,
+    annotations, rule applications and boundary states the reference loop
+    records. On the ladder pool at seed 0, 3,830 of its 5,098 rounds are
+    empty pass rounds, in 813 maximal runs: one sweep follows the first
+    round of each run and records that round and the other 3,017 of the
+    run as one ``PassSweep``, 813 records for 3,830 rounds. The verifier's
+    tests below compare every other trail run they verify with the
+    reference loop's as well."""
+    swept = _sweeps(monkeypatch)
+    problems = _problems() + [parse_problem(workloads.ladder_text(28, 1)[0])] + _ladder_pool(1)
+    for p in problems:
+        order = ProblemOrder(p)
+        _same_run(run_scl_sup(p, order), run_round_by_round(p, order))
+    swept.clear()
+    rounds = records = 0
     for p in _ladder_pool(0):
         order = ProblemOrder(p)
         run = run_scl_sup(p, order)
         _same_run(run, run_round_by_round(p, order))
         rounds += len(run.seqs)
-    assert (len(swept), sum(swept), rounds) == (813, 3017, 5098)
+        records += sum(isinstance(record, PassSweep) for record in run.records)
+    assert (len(swept), sum(swept), records, rounds) == (813, 3830, 813, 5098)
 
 
 def test_a_round_cap_inside_a_pass_run_stops_the_sweep():
@@ -155,9 +197,10 @@ def test_the_sweep_passes_equal_keys_once_as_the_walk_does():
     """A learned twin of an input clause ties with it on the key, which the
     driver never produces, since the trail rules learn no clause twice. On
     a trail that satisfies every clause and needs no filler decision, the
-    sweep from the smallest clause passes the input copy and goes on past
-    the twin, the rounds ``next_attention`` and ``_round_no_conflict``
-    play."""
+    sweep after the pass round on the smallest clause passes the input
+    copy and goes on past the twin, the rounds ``next_attention`` and
+    ``_round_no_conflict`` play, and records them with the round just
+    played as one record."""
     p = parse_problem(TIE_TEXT)
     order = ProblemOrder(p)
     pr, pq, qr = p.clauses.clauses()          # -P | R, P | Q, -Q | R; ascending: pq, pr, qr
@@ -166,14 +209,17 @@ def test_the_sweep_passes_equal_keys_once_as_the_walk_does():
     state = dataclasses.replace(initial_state(p), u=(Clause(pr.literals),), trail=trail)
     ann = Annotation(0, pq, {})
     run = SimRun(order, ann, [state])
-    last, stop = simulation._sweep_passes(run, ann, _AttentionIndex(order, state, {}), MAX_ROUNDS)
-    assert [seq.attention for seq in run.seqs] == [pr, qr]
-    assert run.seqs[0].attention is pr and stop is None and last.aid is qr
+    last, stop, passed = simulation._sweep_passes(run, ann, _AttentionIndex(order, state, {}),
+                                                  MAX_ROUNDS)
+    [record] = run.records
+    assert record.aids == (pq, pr, qr) and record.aids[1] is pr and passed == 3
+    assert stop is None and last.aid is qr
 
-    reference = SimRun(order, ann, [state])
+    reference = SimRun(order, Annotation(0, EMPTY_CLAUSE, {}), [state])
+    reference.records.append(SimSeq("pass", pq, ann, (0, 0)))
     while (d := next_attention(order, state, ann)) is not None:
         kind, ann = simulation._round_no_conflict(reference, ann, d)
-        reference.seqs.append(SimSeq(kind, d, ann, (0, 0)))
+        reference.records.append(SimSeq(kind, d, ann, (0, 0)))
     assert reference.seqs == run.seqs
 
 
@@ -205,11 +251,11 @@ def _ranges(monkeypatch):
     counts = {"tried": 0, "passed": 0, "covered": 0}
     real = simulation._passes_trail_run
 
-    def counted(order, facts, first, last, run, states):
-        shown = real(order, facts, first, last, run, states)
+    def counted(order, facts, first, last, run):
+        shown = real(order, facts, first, last, run)
         counts["tried"] += 1
         counts["passed"] += shown
-        counts["covered"] += shown and len(run) - 2
+        counts["covered"] += shown and sum(record.rounds for record, _ in run) - 2
         return shown
 
     monkeypatch.setattr(simulation, "_passes_trail_run", counted)
@@ -296,25 +342,26 @@ def test_the_range_test_decides_the_boundaries_after_empty_pass_rounds(monkeypat
 def _in_pass_run(edit):
     """A wrapper of run_scl_sup that replaces the annotation of the first
     round inside a pass run (a round whose neighbours are empty pass rounds
-    too, all sharing one state) that ``edit(run, seq, problem)`` returns
-    one for, and leaves a run without such a round alone."""
+    too, all sharing one state) that ``edit(run, r, problem)`` returns one
+    for, and leaves a run without such a round alone. The round stays in
+    its sweep record where only its attention clause changes."""
     def wrapper(real, problem, *args, **kwargs):
         run = real(problem, *args, **kwargs)
         seqs = run.seqs
         for r in range(1, len(seqs) - 1):
-            if all(s.kind == "pass" and s.app_range[0] == s.app_range[1]
-                   for s in seqs[r - 1:r + 2]):
-                ann = edit(run, seqs[r], problem)
+            if all(_empty_pass(s) for s in seqs[r - 1:r + 2]):
+                ann = edit(run, r, problem)
                 if ann is not None:
-                    seqs[r] = dataclasses.replace(seqs[r], annotation=ann)
+                    replace_annotation(run, r, ann)
                     return run
         return run
     return wrapper
 
 
-def _onto_a_false_clause(run, seq, problem):
+def _onto_a_false_clause(run, r, problem):
     """Attention moved on to the next clause of the order whose image the
     trail leaves unsatisfied."""
+    seq = run.seqs[r]
     ann, state = seq.annotation, run.states[seq.app_range[1]]
     keys, _, clauses = _AttentionIndex(run.order, state, ann.gamma).ranked
     floor = _gamma_key(run.order, ann.aid, ann.gamma)
@@ -323,19 +370,19 @@ def _onto_a_false_clause(run, seq, problem):
     return None if target is None else dataclasses.replace(ann, aid=target)
 
 
-def _outside_the_set(run, seq, problem):
+def _outside_the_set(run, r, problem):
     """Attention moved on to a clause outside both clause sets: the
     attention clause with one more copy of its smallest literal, true
     wherever it is."""
-    ann = seq.annotation
+    ann = run.seqs[r].annotation
     if ann.aid in ann.gamma:
         return None
     smallest = min(ann.aid.distinct, key=run.order.literal_rank)
     return dataclasses.replace(ann, aid=Clause(ann.aid.literals + (smallest,)))
 
 
-def _map_entry_dropped(run, seq, problem):
-    ann = seq.annotation
+def _map_entry_dropped(run, r, problem):
+    ann = run.seqs[r].annotation
     if not ann.gamma:
         return None
     dropped = dict(ann.gamma)
@@ -347,7 +394,8 @@ def _breaking_only(name):
     """An edit that moves attention onto the first clause of the paired set
     or of the state at which a call that carries nothing from the boundary
     before fails invariant ``name`` and no other."""
-    def edit(run, seq, problem):
+    def edit(run, r, problem):
+        seq = run.seqs[r]
         ann, state, order = seq.annotation, run.states[seq.app_range[1]], run.order
         snapshot = run_sup_mo(problem, order).snapshots[ann.index]
         index = _AttentionIndex(order, state, ann.gamma)
@@ -395,31 +443,31 @@ def _empty_pass(seq):
     return seq.kind == "pass" and seq.app_range[0] == seq.app_range[1]
 
 
-def _repeated(run, seq, problem):
+def _repeated(run, r, problem):
     """Attention kept on the clause of the boundary before."""
-    r = next(r for r, s in enumerate(run.seqs) if s is seq)
-    return dataclasses.replace(seq.annotation, aid=run.seqs[r - 1].annotation.aid)
+    seqs = run.seqs
+    return dataclasses.replace(seqs[r].annotation, aid=seqs[r - 1].annotation.aid)
 
 
-def _index_moved_back(run, seq, problem):
+def _index_moved_back(run, r, problem):
     """The pair index one step back, where there is one."""
-    ann = seq.annotation
+    ann = run.seqs[r].annotation
     return dataclasses.replace(ann, index=ann.index - 1) if ann.index else None
 
 
 def _at_run_end(edit):
     """A wrapper of run_scl_sup that replaces the annotation of the last
     boundary of the first pass run (an empty pass round after another one,
-    followed by none) that ``edit(run, seq, problem)`` returns one for."""
+    followed by none) that ``edit(run, r, problem)`` returns one for."""
     def wrapper(real, problem, *args, **kwargs):
         run = real(problem, *args, **kwargs)
         seqs = run.seqs
         for r in range(1, len(seqs)):
             if (_empty_pass(seqs[r - 1]) and _empty_pass(seqs[r])
                     and (r + 1 == len(seqs) or not _empty_pass(seqs[r + 1]))):
-                ann = edit(run, seqs[r], problem)
+                ann = edit(run, r, problem)
                 if ann is not None:
-                    seqs[r] = dataclasses.replace(seqs[r], annotation=ann)
+                    replace_annotation(run, r, ann)
                     return run
         return run
     return wrapper
@@ -446,28 +494,28 @@ def _run_start_moved_down(real, problem, *args, **kwargs):
         snapshot = sup.snapshots[ann.index]
         if all(report.ok for report in check_invariants(order, state, high, snapshot)):
             continue
-        seqs[r] = dataclasses.replace(seqs[r], annotation=low)
-        seqs[r + 1] = dataclasses.replace(seqs[r + 1], annotation=high)
+        replace_annotation(run, r, low)
+        replace_annotation(run, r + 1, high)
         return run
     return run
 
 
 def _conflict_run(real, problem, *args, **kwargs):
-    """The trail run with two empty pass rounds inserted after the first
-    round that ends in a live conflict with two clauses ranked above its
-    attention clause: the same state, pair index and map, with attention
-    moved on to those two clauses, in order."""
+    """The trail run with a sweep of two empty pass rounds inserted after
+    the first round that ends in a live conflict with two clauses ranked
+    above its attention clause: the same state, pair index and map, with
+    attention moved on to those two clauses, in order."""
     run = real(problem, *args, **kwargs)
-    for r, seq in enumerate(run.seqs):
-        ann, end = seq.annotation, seq.app_range[1]
+    for k, seq in enumerate(run.records):
+        ann, end = seq.last, seq.end
         state = run.states[end]
         if state.conflict is None or state.conflict.is_empty:
             continue
         keys, _, clauses = _AttentionIndex(run.order, state, ann.gamma).ranked
         at = bisect_right(keys, _gamma_key(run.order, ann.aid, ann.gamma))
         if at + 2 <= len(clauses):
-            run.seqs[r + 1:r + 1] = [SimSeq("pass", c, dataclasses.replace(ann, aid=c), (end, end))
-                                     for c in clauses[at:at + 2]]
+            run.records.insert(k + 1, PassSweep(tuple(clauses[at:at + 2]), ann.index,
+                                                ann.gamma, end))
             return run
     return run
 
@@ -484,19 +532,36 @@ def _trail_runs(run):
 
 @dataclasses.dataclass(repr=False)
 class _Replaced(SimRun):
-    """A trail run whose boundary states are read with those at the
-    positions of ``replaced`` replaced; the rule log keeps its own."""
+    """A trail run whose records in ``replaced``, by identity, end in the
+    states it gives them, and boundary 0 in the one it gives None; the rule
+    log keeps its own."""
 
     replaced: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def boundary_states(self):
-        return [self.replaced.get(b, state) for b, state in enumerate(super().boundary_states)]
+    def end_states(self):
+        keys = [None] + [id(record) for record in self.records]
+        return [self.replaced.get(key, state) for key, state in zip(keys, super().end_states())]
 
 
 def _replacing(run, replaced):
+    """``run`` with the state of each boundary ``b`` in ``replaced``
+    replaced by ``replaced[b]``, at the level of its records: a record whose
+    boundaries all take one state object ends in it, and any other
+    replaced boundary becomes a record of its own first."""
+    keyed, b = {}, 1
+    if 0 in replaced:
+        keyed[None] = replaced[0]
+    for record in list(run.records):
+        mine = [replaced.get(i) for i in range(b, b + record.rounds)]
+        if mine[0] is not None and all(state is mine[0] for state in mine):
+            keyed[id(record)] = mine[0]
+        else:
+            for i, state in enumerate(mine, b):
+                if state is not None:
+                    keyed[id(isolate_round(run, i - 1))] = state
+        b += record.rounds
     return _Replaced(**{f.name: getattr(run, f.name) for f in dataclasses.fields(run)},
-                     replaced=replaced)
+                     replaced=keyed)
 
 
 def _produced_above(order, construction, ann):
@@ -547,32 +612,36 @@ def _one_entry_ahead(real, *args, **kwargs):
 def _in_growing_run(edit):
     """A wrapper of run_scl_sup that replaces the annotation of the first
     boundary in between of a trail run, with a shorter trail than the run's
-    last, that ``edit(run, seq, problem)`` returns one for."""
+    last, that ``edit(run, r, problem)`` returns one for, ``r`` the round
+    that ends there."""
     def wrapper(real, problem, *args, **kwargs):
         run = real(problem, *args, **kwargs)
         states = run.boundary_states
         for first, stop in _trail_runs(run):
             for b in range(first + 1, stop - 1):
                 if len(states[b].trail) < len(states[stop - 1].trail):
-                    ann = edit(run, run.seqs[b - 1], problem)
+                    ann = edit(run, b - 1, problem)
                     if ann is not None:
-                        run.seqs[b - 1] = dataclasses.replace(run.seqs[b - 1], annotation=ann)
+                        replace_annotation(run, b - 1, ann)
                         return run
         return run
     return wrapper
 
 
-def _unit_true_only_at_the_end(at_first):
+def _unit_true_only_at_the_end(at_first, member=False):
     """A wrapper of run_scl_sup that adds one input clause, outside the
     snapshot, to the boundaries of the first suitable trail run: the unit
     clause of the positive maximal literal of the image at a boundary in
     between, undefined there and true at the run's last boundary. It ranks
     above the run's first attention clause, so invariant (xii) fails only
-    in between. Where ``at_first``, only the boundaries from that one on
-    hold the clause, so they form a run of their own that starts there,
-    and (xii) fails at its first boundary and at the next one, where the
-    literal is still undefined."""
+    in between, and invariant (iii) fails wherever the clause is. Where
+    ``at_first``, only the boundaries from that one on hold the clause, so
+    they form a run of their own that starts there, and (xii) fails at its
+    first boundary and at the next one, where the literal is still
+    undefined. Where ``member``, the wrapper's ``sup`` makes the saturation
+    side count the clause a member (``_phantom_member``), and (iii) holds."""
     def wrapper(real, *args, **kwargs):
+        _PHANTOM["unit"] = None
         run = real(*args, **kwargs)
         anns, states, order = run.annotations, run.boundary_states, run.order
         for first, stop in _trail_runs(run):
@@ -585,12 +654,98 @@ def _unit_true_only_at_the_end(at_first):
                         and is_true(states[stop - 1], unit)
                         and (at_first or (order.clause_key(unit),) * 2 > floor)
                         and unit not in states[b].clause_set):
+                    _PHANTOM["unit"] = unit if member else None
                     n, own = states[first].n + (unit,), {}
                     return _replacing(run, {
                         k: own.setdefault(id(states[k]), dataclasses.replace(states[k], n=n))
                         for k in range(b if at_first else first, stop)})
         return run
+    if member:
+        wrapper.sup = _phantom_member
     return wrapper
+
+
+_PHANTOM = {"unit": None}          # the clause a wrapper makes a phantom member
+
+
+def _phantom_member(real, *args, **kwargs):
+    """The saturation run with the clause a trail-run wrapper chose counted
+    a member of every snapshot, although no construction ever walks it."""
+    run = real(*args, **kwargs)
+    if _PHANTOM["unit"] is not None:
+        run.record_snapshots[0].construction._ledger.born[_PHANTOM["unit"]] = 0
+    return run
+
+
+def _fillers_folded_into_a_sweep(real, *args, **kwargs):
+    """The trail run with the first pass round that makes filler decisions
+    right after a sweep, on an image that the sweep's trail already makes
+    true, with a round of the same trail run after it, taken into that
+    sweep: its boundary keeps the sweep's trail, without the fillers, whose
+    model is longer than the trail at the sweep's first clause."""
+    run = real(*args, **kwargs)
+    records = run.records
+    for k in range(len(records) - 2):
+        sweep, seq, after = records[k:k + 3]
+        if not (isinstance(sweep, PassSweep) and _filled_pass(seq)):
+            continue
+        ann, state = seq.annotation, run.states[sweep.end]
+        if (ann.index == sweep.index and ann.gamma is sweep.gamma
+                and is_true(state, ann.gamma.get(ann.aid, ann.aid))
+                and simulation._in_trail_run(ann, run.states[seq.end],
+                                             after.first, run.states[after.end])):
+            records[k:k + 2] = [dataclasses.replace(sweep, aids=sweep.aids + (ann.aid,))]
+            return run
+    return run
+
+
+def _filled_pass(record):
+    return (isinstance(record, SimSeq) and record.kind == "pass"
+            and record.app_range[0] < record.app_range[1])
+
+
+def _unit_in_a_sweep(real, *args, **kwargs):
+    """The trail run with one more input clause at every boundary of the
+    first suitable trail run, taken in as an attention clause by a sweep
+    inside it: the unit clause of the positive maximal literal of a sweep
+    clause's image, undefined on the sweep's trail and true at the run's
+    last boundary, placed among the sweep's clauses by its key. Paired with
+    ``_phantom_member`` as its ``sup``, the saturation side counts the unit
+    a member, so (iii) holds everywhere and the unit's own boundary fails
+    (xii) inside the sweep, where the length test passes."""
+    _PHANTOM["unit"] = None
+    run = real(*args, **kwargs)
+    order, b = run.order, 1
+    for k, record in enumerate(run.records):
+        b += record.rounds
+        if not isinstance(record, PassSweep):
+            continue
+        first, stop = next(((first, stop) for first, stop in _trail_runs(run)
+                            if first < b - record.rounds and b < stop), (None, None))
+        if first is None:
+            continue
+        state, last = run.states[record.end], run.boundary_states[stop - 1]
+        gamma = record.gamma
+        for j in range(1, record.rounds):
+            low, d = record.aids[j - 1], record.aids[j]
+            top = order.max_literal(gamma.get(d, d))
+            unit = Clause([top])
+            if (top.positive and not is_defined(state, top.atom) and is_true(last, unit)
+                    and unit not in state.clause_set
+                    and _gamma_key(order, low, gamma) < (order.clause_key(unit),) * 2
+                    < _gamma_key(order, d, gamma)):
+                run.records[k] = dataclasses.replace(
+                    record, aids=record.aids[:j] + (unit,) + record.aids[j:])
+                _PHANTOM["unit"] = unit
+                states = run.boundary_states
+                n, own = states[first].n + (unit,), {}
+                return _replacing(run, {
+                    i: own.setdefault(id(states[i]), dataclasses.replace(states[i], n=n))
+                    for i in range(first, stop + 1)})
+    return run
+
+
+_unit_in_a_sweep.sup = _phantom_member
 
 
 def _own_state_in_between(edit, full=False):
@@ -636,9 +791,14 @@ def _reported(monkeypatch, wrapper):
     """Over the first six ladder problems at seed 0 and the first sixty
     generated ones, with the trail runs rewritten by ``wrapper``: each
     problem's verifier failures and those of fresh calls at every boundary
-    and round."""
+    and round. A wrapper with a ``sup`` attribute rewrites the saturation
+    runs by it as well."""
     real = simulation.run_scl_sup
     monkeypatch.setattr(simulation, "run_scl_sup", lambda *a, **k: wrapper(real, *a, **k))
+    if hasattr(wrapper, "sup"):
+        real_sup = simulation.run_sup_mo
+        monkeypatch.setattr(simulation, "run_sup_mo",
+                            lambda *a, **k: wrapper.sup(real_sup, *a, **k))
     for problem in _ladder_pool(0)[:6] + _problems()[4:64]:
         result = simulation.lockstep_verify(problem)
         yield result.failures(), _fresh_failures(result)
@@ -680,11 +840,11 @@ RANGE_ROWS = {
         "boundary 1 (pair index 0): membership: absent from the paired clause set: "
         "['-p2 | -p3 | -p3 | p8']", 578),
     "clause-failing-xii-from-the-first": (
-        _unit_true_only_at_the_end(True), 15,
-        "boundary 35 (pair index 2): prefix-satisfied: not satisfied yet: ['p7']", 339),
+        _unit_true_only_at_the_end(True), 75,
+        "boundary 35 (pair index 2): membership: absent from the paired clause set: ['p7']", 339),
     "clause-failing-only-xii-in-between": (
-        _unit_true_only_at_the_end(False), 19,
-        "boundary 35 (pair index 2): prefix-satisfied: not satisfied yet: ['p7']", 465),
+        _unit_true_only_at_the_end(False), 227,
+        "boundary 7 (pair index 2): membership: absent from the paired clause set: ['p7']", 465),
     "negative-filler-made-positive": (
         _own_state_in_between(_negative_made_positive), 260,
         "boundary 1 (pair index 0): positives-match-production: trail makes ['p3'] true, "
@@ -693,6 +853,20 @@ RANGE_ROWS = {
         _own_state_in_between(_top_two_swapped, full=True), 38,
         "boundary 4 (pair index 0): trail-ascends: trail atom ranks [0, 1, 2, 4, 3] are not "
         "strictly ascending", 370),
+    "member-failing-xii-from-the-first": (
+        _unit_true_only_at_the_end(True, member=True), 15,
+        "boundary 35 (pair index 2): prefix-satisfied: not satisfied yet: ['p7']", 339),
+    "attention-repeated-at-a-run-end": (
+        _at_run_end(_repeated), 32,
+        "progress: round 9 (pass): attention clause did not advance", 596),
+    "fillers-folded-into-a-sweep": (
+        _fillers_folded_into_a_sweep, 20,
+        "boundary 11 (pair index 2): negatives-cover-gap: trail makes "
+        "['p2', 'p3', 'p4', 'p8'] false, expected ['p2', 'p3', 'p4', 'p6', 'p8']", 526),
+    "member-unsatisfied-in-a-sweep": (
+        _unit_in_a_sweep, 24,
+        "boundary 35 (pair index 2): positives-match-production: trail makes ['p9'] true, "
+        "construction expects ['p7', 'p9']", 447),
     "conflict-state-in-between": (
         _own_state_in_between(_in_conflict_on_its_first_clause), 120,
         "boundary 1 (pair index 0): conflict-top-propagation: conflict without a top "
@@ -704,18 +878,22 @@ RANGE_ROWS = {
 def test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail(monkeypatch, row):
     """At either end of a pass run, or inside one: attention kept on the
     clause of the boundary before, or the pair index one step back; at the
-    run's last boundary, attention moved on
-    to an unsatisfied clause; at a version's first boundary and the one
+    run's last boundary, attention moved on to an unsatisfied clause, or
+    kept on the clause before; at a version's first boundary and the one
     after it, moved down below the first's attention clause; or a pass run
     on a state in conflict mode, with attention moved on past the clause
     whose image justifies the top. Inside a trail run: a positive decision
     pushed one round early; each trail in between one entry ahead;
     attention moved onto a clause outside the snapshot; one more input
-    clause that only invariant (xii) fails on, only in between; at one
+    clause, outside the snapshot, that (xii) fails on only in between or
+    from a run's first boundary on, and that (iii) now fails on wherever it
+    is; the same clause counted a member by the saturation side, from a
+    run's first boundary on or as an attention clause of a sweep; a pass
+    round with filler decisions taken into the sweep before it; at one
     boundary, its lowest negative filler decided positive, its top two
-    trail entries swapped, or the state put in conflict mode. The verifier
-    reports exactly what fresh calls at every boundary and round report,
-    and what it reported before it had the range test: as many lines over
+    trail entries swapped, or the state put in conflict mode. Each
+    corruption is made on the run's records. The verifier reports exactly
+    what fresh calls at every boundary and round report: as many lines over
     the problems, the first of them pinned. The count of its
     check_invariants calls is pinned too: a run the range test declines
     keeps the reports of its last boundary's check instead of checking it
@@ -753,9 +931,9 @@ def test_a_pass_run_in_conflict_mode_can_pass(monkeypatch):
     tried = []
     real_run = simulation._passes_trail_run
 
-    def watched(order, facts, first, last, run, states):
-        tried.append([state.conflict for state in states])
-        return real_run(order, facts, first, last, run, states)
+    def watched(order, facts, first, last, run):
+        tried.append([state.conflict for _, state in run])
+        return real_run(order, facts, first, last, run)
 
     monkeypatch.setattr(simulation, "_passes_trail_run", watched)
     checked = _checks(monkeypatch)
@@ -804,81 +982,123 @@ def test_a_corrupted_pass_run_fails_as_fresh_calls_fail(monkeypatch, wrapper, li
 
 def _mutated(owner, name, old, new):
     """``owner.name`` with its one occurrence of ``old`` replaced by
-    ``new``, reading its module's names as they stand when it runs."""
+    ``new``, reading its module's names as they stand when it runs; a
+    property's getter is mutated and made a property again."""
     real = getattr(owner, name)
-    module = sys.modules[real.__module__]
-    source = textwrap.dedent(inspect.getsource(real))
+    getter = real.fget if isinstance(real, property) else real
+    module = sys.modules[getter.__module__]
+    source = textwrap.dedent(inspect.getsource(getter))
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec",
                  flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
     fn = namespace[name]
-    return types.FunctionType(fn.__code__, vars(module), name, fn.__defaults__)
+    fn = fn.fget if isinstance(fn, property) else fn
+    fn = types.FunctionType(fn.__code__, vars(module), name, fn.__defaults__)
+    return property(fn) if isinstance(real, property) else fn
 
 
-# each mutant of the range test or of the trail-run test: the function, the
-# text it replaces and its replacement, and the corrupted run that catches
-# it, a row of test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail or,
-# for the membership test, the attention-outside-the-set row of
-# test_a_corrupted_pass_run_fails_as_fresh_calls_fail
+def _reports_differ(wrapper):
+    """A catcher: over the corrupted runs ``wrapper`` makes, the verifier
+    reports something other than fresh calls."""
+    return lambda monkeypatch: any(
+        failures != fresh for failures, fresh in _reported(monkeypatch, wrapper))
+
+
+def _driver_differs(monkeypatch):
+    """A catcher: on the first three ladder problems at seed 0, uncapped or
+    capped inside a pass run, the driver's views differ from the rounds of
+    the reference loop."""
+    try:
+        test_a_round_cap_inside_a_pass_run_stops_the_sweep()
+        for p in _ladder_pool(0)[:3]:
+            order = ProblemOrder(p)
+            _same_run(run_scl_sup(p, order), run_round_by_round(p, order))
+    except AssertionError:
+        return True
+    return False
+
+
+# each mutant of the record test, of the trail-run test or of the record
+# engine: the function, the text it replaces and its replacement, and the
+# catcher that must see it: the corrupted runs of a row of
+# test_a_corrupted_pass_run_end_fails_as_fresh_calls_fail, those of the
+# attention-outside-the-set row of
+# test_a_corrupted_pass_run_fails_as_fresh_calls_fail, or the reference loop
 MUTANTS = {
     "end-check-skipped": (
         simulation, "_passes_trail_run",
         " or not all(r.ok for r in last)", "",
-        RANGE_ROWS["run-end-on-false-clause"][0]),
+        _reports_differ(RANGE_ROWS["run-end-on-false-clause"][0])),
     "first-trusted-although-it-failed": (
         simulation, "_passes_trail_run",
         "not all(r.ok for r in first) or ", "",
-        RANGE_ROWS["clause-failing-xii-from-the-first"][0]),
+        _reports_differ(RANGE_ROWS["member-failing-xii-from-the-first"][0])),
     "membership-skipped": (
         simulation, "_passes_trail_run",
-        "if climbed <= key or not contains(ann.aid):", "if climbed <= key:",
-        _in_pass_run(_outside_the_set)),
+        " and all(map(is_, aids, clauses[at:upto]))", "",
+        _reports_differ(_in_pass_run(_outside_the_set))),
     "non-ascending-keys-accepted": (
         simulation, "_passes_trail_run",
-        "if climbed <= key or not contains(ann.aid):", "if not contains(ann.aid):",
-        RANGE_ROWS["attention-repeated"][0]),
+        "return _gamma_key(order, tail[-1], gamma) > key", "return True",
+        _reports_differ(RANGE_ROWS["attention-repeated-at-a-run-end"][0])),
     "pair-index-left-out-of-the-version": (
         simulation, "_in_trail_run", "ann.index == before.index and ", "",
-        RANGE_ROWS["pair-index-moved-back"][0]),
+        _reports_differ(RANGE_ROWS["pair-index-moved-back"][0])),
     "length-test-dropped": (
         simulation, "_passes_trail_run",
-        "if length != _beta(key) + produced:", "if False:",
-        RANGE_ROWS["decision-one-round-early"][0]),
+        "if length != _model_length(order, con, keys[end], image):", "if False:",
+        _reports_differ(RANGE_ROWS["decision-one-round-early"][0])),
     "length-test-off-by-one": (
         simulation, "_passes_trail_run",
-        "if length != _beta(key) + produced:", "if length - 1 != _beta(key) + produced:",
-        RANGE_ROWS["trails-one-entry-ahead"][0]),
+        "if length != _model_length(", "if length - 1 != _model_length(",
+        _reports_differ(RANGE_ROWS["trails-one-entry-ahead"][0])),
+    "length-test-at-one-end-only": (
+        simulation, "_passes_trail_run",
+        "for end in {at, upto - 1}:", "for end in {at}:",
+        _reports_differ(RANGE_ROWS["fillers-folded-into-a-sweep"][0])),
     "production-test-ignoring-at-or-below": (
         ModelConstruction, "produces_up_to",
         " and self.order.clause_key(producer) <= key", "",
-        RANGE_ROWS["decision-one-round-early"][0]),
+        _reports_differ(RANGE_ROWS["decision-one-round-early"][0])),
     "xii-sweep-dropped": (
         simulation, "_passes_trail_run",
         "if not all(is_true(state, c) for c in clauses[swept:upto]):", "if False:",
-        RANGE_ROWS["clause-failing-only-xii-in-between"][0]),
+        _reports_differ(RANGE_ROWS["member-unsatisfied-in-a-sweep"][0])),
     "conflict-states-let-into-a-run": (
         simulation, "_in_trail_run",
         " and state.conflict is None and after.conflict is None", "",
-        RANGE_ROWS["conflict-state-in-between"][0]),
+        _reports_differ(RANGE_ROWS["conflict-state-in-between"][0])),
     "prefix-identity-dropped": (
         simulation, "_in_trail_run",
         "\n            and _extends(state.trail, after.trail)", "",
-        RANGE_ROWS["trail-not-a-prefix-of-the-next"][0]),
+        _reports_differ(RANGE_ROWS["trail-not-a-prefix-of-the-next"][0])),
+    "view-one-round-short": (
+        simulation.PassSweep, "rounds",
+        "return len(self.aids)", "return len(self.aids) - 1",
+        _driver_differs),
+    "sweep-past-the-round-cap": (
+        simulation, "_sweep_passes",
+        "len(passed) < room", "len(passed) <= room",
+        _driver_differs),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_each_mutant_of_the_range_test_is_caught(monkeypatch, mutant):
-    """The range test with one of its conditions dropped or bent passes a
+    """The record test with one of its conditions dropped or bent passes a
     run that fresh calls fail: the end check on the run's last boundary, the
-    first boundary's reports, the membership of each attention clause, the
-    ascent of the attention keys, the length test, that test off by one or
-    counting a production above the image, or the (xii) sweep; and so does
-    a run that takes in a boundary with another pair index, a state in
-    conflict mode, or a trail that does not extend the one before by
-    identity. On the corrupted runs that catch it, the verifier then
-    reports something other than fresh calls."""
-    owner, name, old, new, wrapper = MUTANTS[mutant]
+    first boundary's reports, the identity of each attention clause with
+    the next key of the index, which makes it a state clause and so, by
+    (iii), a member, the ascent of the last key, the length test, that test
+    off by one, at one end of a record only or counting a production above
+    the image, or the (xii) sweep; and so does a run that takes in a
+    boundary with another pair index, a state in conflict mode, or a trail
+    that does not extend the one before by identity. On the corrupted runs
+    that catch it, the verifier then reports something other than fresh
+    calls. A view that expands a sweep one round short, or a sweep that
+    records a round past the cap, makes the driver's rounds differ from
+    the reference loop's."""
+    owner, name, old, new, caught = MUTANTS[mutant]
     monkeypatch.setattr(owner, name, _mutated(owner, name, old, new))
-    assert any(failures != fresh for failures, fresh in _reported(monkeypatch, wrapper))
+    assert caught(monkeypatch)

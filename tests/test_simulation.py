@@ -47,7 +47,7 @@ from lockstep.simulation import (
     next_attention,
     run_scl_sup,
 )
-from test_attention_index import workloads
+from test_attention_index import replace_annotation, workloads
 
 
 def T(name, *args):
@@ -400,9 +400,9 @@ def test_each_boundary_reads_its_attention_prefix_once(monkeypatch):
         reads.append(clause)
         return real(self, clause)
 
-    def counted_run(order, facts, first, last, run, states):
-        shown = real_run(order, facts, first, last, run, states)
-        covered.append(len(run) - 2 if shown else 0)
+    def counted_run(order, facts, first, last, run):
+        shown = real_run(order, facts, first, last, run)
+        covered.append(sum(record.rounds for record, _ in run) - 2 if shown else 0)
         return shown
 
     monkeypatch.setattr(ModelConstruction, "prefix_below", counted)
@@ -767,9 +767,7 @@ def test_pair_index_past_the_snapshots_is_reported(monkeypatch):
 
 def _pair_index_set_back(real, *args, **kwargs):
     run = real(*args, **kwargs)
-    seq = run.seqs[1]
-    run.seqs[1] = dataclasses.replace(
-        seq, annotation=dataclasses.replace(seq.annotation, index=-1))
+    replace_annotation(run, 1, dataclasses.replace(run.seqs[1].annotation, index=-1))
     return run
 
 
@@ -804,9 +802,7 @@ _FOREIGN = Clause([Literal(Atom("Zzz"))])
 
 def _foreign_attention(real, *args, **kwargs):
     run = real(*args, **kwargs)
-    seq = run.seqs[1]
-    run.seqs[1] = dataclasses.replace(
-        seq, annotation=dataclasses.replace(seq.annotation, aid=_FOREIGN))
+    replace_annotation(run, 1, dataclasses.replace(run.seqs[1].annotation, aid=_FOREIGN))
     return run
 
 

@@ -606,7 +606,7 @@ def parse_problem(text: str) -> Problem:
                 col += len(part) + 1
                 scanner.skip_ws()
                 positive = True
-                if scanner.peek() in "-~":
+                if scanner.peek() in ("-", "~"):
                     positive = False
                     scanner.pos += 1
                     scanner.skip_ws()

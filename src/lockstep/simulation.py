@@ -35,21 +35,14 @@ computes a factored image only for a map entry whose image changed. The
 verifier builds its own indexes from the recorded states and shares none
 with the driver.
 
-check_invariants reads each boundary as a version plus an attention
-clause. A version is one trail state under one map, paired with one
-snapshot; a pass round that needs no filler decision changes only the
-attention clause, so the boundary after it has the same version as the one
-before. Whatever the invariants read of the version alone (the nine
-reports that do not mention attention, the learned clauses absent from the
-snapshot, and the first clause in the factored-image order that the trail
-leaves unsatisfied) is held in one facts object per version, computed on
-first read and reused while the state, the map and the snapshot are the
-same objects. Reuse is sound because each of these is a pure function of
-those three objects, none of which is ever changed in place. A new
-version's facts are computed afresh over an index that the version before
-lends or derives. Only the attention half is computed at each boundary
-checked: membership of the attention clause, (v), (vi), (xi), and (xii)
-from the version's first unsatisfied clause up to the attention clause.
+check_invariants computes its fourteen reports afresh at each boundary
+it checks. What it reads of the state's clauses in the factored-image
+order comes from the attention index, which lockstep_verify hands from
+one check to the next through ``_index_for``, as run_scl_sup and
+next_attention do; an index that does not fit the boundary is ignored or
+derived from, so it never changes a report. A pass round that needs no
+filler decision changes only the attention clause, so the index of the
+boundary before fits the one after it.
 
 Most rounds are such pass rounds, and they come in runs: the model
 construction walks the clauses in ascending order, and a clause that is
@@ -485,13 +478,11 @@ class _AttentionIndex:
         i = bisect_right(keys, key)
         return clauses[i] if i < len(clauses) else None
 
-    def up_to(self, key: Tuple[ClauseKey, ClauseKey],
-              start: int) -> Iterator[Tuple[int, Clause]]:
-        """The clauses from ranked position ``start`` on whose key is at
-        most ``key``, with their state positions, in the factored-image
-        order."""
+    def up_to(self, key: Tuple[ClauseKey, ClauseKey]) -> Iterator[Tuple[int, Clause]]:
+        """The clauses whose key is at most ``key``, with their state
+        positions, in the factored-image order."""
         keys, positions, clauses = self.ranked
-        return islice(zip(positions, clauses), start, bisect_right(keys, key))
+        return islice(zip(positions, clauses), bisect_right(keys, key))
 
 
 def _index_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
@@ -810,183 +801,23 @@ def _guarded(name: str, fn: Callable[[], Optional[str]]) -> InvariantReport:
     return _report(name, detail is None, lambda: detail)
 
 
-class _VersionFacts:
-    """What check_invariants reads of one version: a trail state under a
-    map, paired with a snapshot, whatever clause holds attention.
-
-    ``_facts_for`` reuses it for every boundary of that version, tested by
-    identity: each part is a pure function of the state, the map and the
-    snapshot, and none of them is ever changed in place. The attention
-    index comes from the last version's, reused or derived when it fits.
-    Each part is computed on its first read:
-
-    - ``positives`` and ``negatives``: the trail's positive and negative atoms;
-    - ``reports``: invariants (i), (ii), (iv), (vii)-(x), (xiii) and (xiv),
-      in that order;
-    - ``absent``: the input and learned clauses absent from the snapshot,
-      the part of (iii) that is not about attention. It reads
-      ``late_inputs``, the input clauses the run's clause set does not hold
-      from its start, each with the step count at which it joins, None if
-      never; on a sound run there are none;
-    - ``first_unsatisfied``: the position in the index's ranked order of the
-      first clause the trail leaves unsatisfied, or the clause count when
-      it satisfies them all.
-
-    Facts made from ``last``, the facts of the version before, carry its
-    ``late_inputs`` when the input clause tuple is the same object and the
-    snapshots are stages of one run, so a run computes them once per input
-    tuple object. The other parts are computed afresh: resuming the
-    ``first_unsatisfied`` scan where the trail only grew, or asking only
-    about newly learned clauses, saves as much on long derivations as its
-    guards cost on short ones.
-    """
-
-    def __init__(self, order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
-                 snapshot: SupSnapshot, index: _AttentionIndex,
-                 last: Optional["_VersionFacts"] = None):
-        self.order = order
-        self.state, self.gamma, self.snapshot = state, gamma, snapshot
-        self.index = index
-        self.late_inputs = (last.late_inputs if last is not None and last.state.n is state.n
-                            and last.snapshot.shares_set(snapshot) else None)
-
-    @memo
-    def positives(self) -> FrozenSet[Atom]:
-        return frozenset(e.literal.atom for e in self.state.trail if e.literal.positive)
-
-    @memo
-    def negatives(self) -> FrozenSet[Atom]:
-        return frozenset(e.literal.atom for e in self.state.trail if not e.literal.positive)
-
-    @memo
-    def absent(self) -> List[Clause]:
-        snapshot = self.snapshot
-        if self.late_inputs is None:
-            self.late_inputs = snapshot.late(self.state.n)
-        absent = [c for c, at in self.late_inputs if at is None or at > snapshot.index]
-        return absent + [c for c in self.state.u if not snapshot.contains(c)]
-
-    @memo
-    def first_unsatisfied(self) -> int:
-        clauses = self.index.ranked[2]
-        return next((k for k, c in enumerate(clauses) if not is_true(self.state, c)),
-                    len(clauses))
-
-    @memo
-    def reports(self) -> Tuple[InvariantReport, ...]:
-        order, state, index = self.order, self.state, self.index
-        con = self.snapshot.construction
-        positives = self.positives
-
-        # (ii) the trail never reaches the bound
-        beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
-        bound = _report("trail-below-bound", not beyond,
-                        lambda: f"atoms at or above the bound: {beyond}")
-
-        # (i) every atom the state mentions comes from the input signature:
-        #     the ranked atoms, so the trail's foreign atoms are those of (ii)
-        foreign = order.unranked(state.atoms).union(beyond)
-        if state.conflict is not None:
-            foreign |= {a for a in atoms_of([state.conflict]) if not order.below_beta(a)}
-        scope = _report("atoms-in-scope", not foreign,
-                        lambda: f"foreign atoms {sorted(a.text for a in foreign)}")
-
-        # (iv) the map stores exactly factored images that the paired set
-        #      contains
-        def map_shape() -> Optional[str]:
-            problems = []
-            for c, img, factored, own in index.map_entries:
-                if not factored:
-                    problems.append(f"{c} maps to {img}, not its factored image")
-                elif not self.snapshot.contains(img):
-                    problems.append(f"image {img} is not in the paired set")
-                elif not own:
-                    problems.append(f"{c} is neither input nor learned")
-            return "; ".join(problems) if problems else None
-
-        # (vii) trail atoms strictly ascend
-        def ascends() -> Optional[str]:
-            ranks = [order.atom_rank(e.literal.atom) for e in state.trail]
-            if all(a < b for a, b in zip(ranks, ranks[1:])):
-                return None
-            return f"trail atom ranks {ranks} are not strictly ascending"
-
-        # (viii) every positive trail atom is produced on the paired side
-        unproduced = [a.text for a in positives if con.producer_of(a) is None]
-
-        # (ix) each producer has a preimage under the map, and propagations
-        #      record exactly the producing clause as their justification
-        problems9: List[str] = []
-        for e in state.trail:
-            if not e.literal.positive:
-                continue
-            producer = con.producer_of(e.literal.atom)
-            if producer is None:
-                problems9.append(f"{e.literal.atom} has no producer")
-                continue
-            if producer not in index.images:
-                problems9.append(f"no clause maps onto the producer {producer}")
-            if not e.is_decision and e.reason != producer:
-                problems9.append(
-                    f"justification {e.reason} of {e.literal} differs from the "
-                    f"producer {producer}"
-                )
-
-        # (x) a live conflict always sits on top of a propagation
-        live = state.conflict is not None and not state.conflict.is_empty
-        on_top = bool(state.trail) and not state.trail[-1].is_decision
-
-        # (xiii) outside conflict mode no clause is false
-        overlooked = conflict_candidates(state) if state.conflict is None else []
-
-        # (xiv) the two sides refute together
-        here = state.conflict == EMPTY_CLAUSE
-        there = self.snapshot.contains(EMPTY_CLAUSE)
-
-        return (
-            scope,
-            bound,
-            _guarded("factored-map-shape", map_shape),
-            _guarded("trail-ascends", ascends),
-            _report("producers-exist", not unproduced,
-                    lambda: f"no producer for {sorted(unproduced)}"),
-            _report("producer-preimages", not problems9, lambda: "; ".join(problems9)),
-            _report("conflict-top-propagation", not live or on_top,
-                    lambda: "conflict without a top propagation"),
-            _report("no-missed-conflict", not overlooked,
-                    lambda: f"falsified but unclaimed: {[str(c) for c in overlooked]}"),
-            _report("refutation-sync", here == there,
-                    lambda: f"trail side refuted: {here}, saturation side refuted: {there}"),
-        )
-
-
-def _facts_for(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
-               snapshot: SupSnapshot, last: Optional[_VersionFacts] = None) -> _VersionFacts:
-    """``last`` if it was built for this state, map and snapshot, otherwise
-    new facts for them, over an index reused or derived from ``last``'s,
-    carrying what fits of ``last``."""
-    if (last is not None and last.state is state and last.gamma is gamma
-            and last.snapshot is snapshot):
-        return last
-    index = _index_for(order, state, gamma, None if last is None else last.index)
-    return _VersionFacts(order, state, gamma, snapshot, index, last)
-
-
 def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                      snapshot: SupSnapshot,
-                     facts: Optional[_VersionFacts] = None) -> List[InvariantReport]:
+                     index: Optional[_AttentionIndex] = None) -> List[InvariantReport]:
     """Confront one annotated trail state with one saturation snapshot.
 
     Returns one report per invariant, in the (i)-(xiv) order below. The
     checks are defensive: a state too broken to even rank its clauses fails
-    the affected invariant instead of raising. ``facts`` is read when it
-    fits the state, map and snapshot, and built otherwise; only invariants
-    (iii), (v), (vi), (xi) and (xii) read the attention clause, and only
-    they are computed anew at each boundary of a version.
+    the affected invariant instead of raising. ``index`` is an attention
+    index, typically the boundary before's: it is read when it fits the
+    state and map, derived from when the learned clauses extend its own,
+    and ignored otherwise (``_index_for``), so it never changes a report.
     """
-    facts = _facts_for(order, state, ann.gamma, snapshot, facts)
+    index = _index_for(order, state, ann.gamma, index)
     con = snapshot.construction
     image = ann.gamma.get(ann.aid, ann.aid)
+    positives = frozenset(e.literal.atom for e in state.trail if e.literal.positive)
+    negatives = frozenset(e.literal.atom for e in state.trail if not e.literal.positive)
 
     # (v) and (vi) share the atoms produced below the attention image; when
     # the order cannot rank it, each of them computes it again and reports
@@ -995,16 +826,41 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
     except ValueError:
         below = None
 
-    (scope, bound, map_shape, ascends, producers, preimages, conflict_top,
-     missed, sync) = facts.reports
+    # (ii) the trail never reaches the bound
+    beyond = [e.literal.atom for e in state.trail if not order.below_beta(e.literal.atom)]
+    bound = _report("trail-below-bound", not beyond,
+                    lambda: f"atoms at or above the bound: {beyond}")
+
+    # (i) every atom the state mentions comes from the input signature:
+    #     the ranked atoms, so the trail's foreign atoms are those of (ii)
+    foreign = order.unranked(state.atoms).union(beyond)
+    if state.conflict is not None:
+        foreign |= {a for a in atoms_of([state.conflict]) if not order.below_beta(a)}
+    scope = _report("atoms-in-scope", not foreign,
+                    lambda: f"foreign atoms {sorted(a.text for a in foreign)}")
 
     # (iii) the attention clause and all input and learned clauses exist on
-    #       the paired side
-    missing = list(facts.absent)
+    #       the paired side; an input clause that is not one of the run's
+    #       inputs must have joined its clause set by this snapshot
+    missing = [c for c, at in snapshot.late(state.n) if at is None or at > snapshot.index]
+    missing += [c for c in state.u if not snapshot.contains(c)]
     if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
     membership = _report("membership", not missing,
                          lambda: f"absent from the paired clause set: {[str(c) for c in missing]}")
+
+    # (iv) the map stores exactly factored images that the paired set
+    #      contains
+    def map_shape() -> Optional[str]:
+        problems = []
+        for c, img, factored, own in index.map_entries:
+            if not factored:
+                problems.append(f"{c} maps to {img}, not its factored image")
+            elif not snapshot.contains(img):
+                problems.append(f"image {img} is not in the paired set")
+            elif not own:
+                problems.append(f"{c} is neither input nor learned")
+        return "; ".join(problems) if problems else None
 
     # (v) positive trail atoms = atoms produced below the attention image,
     #     plus that image's own production
@@ -1014,10 +870,10 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
         delta = con.delta_of(image, prefix)
         if delta is not None:
             expected.add(delta)
-        if facts.positives == expected:
+        if positives == expected:
             return None
         return (
-            f"trail makes {sorted(a.text for a in facts.positives)} true, "
+            f"trail makes {sorted(a.text for a in positives)} true, "
             f"construction expects {sorted(a.text for a in expected)}"
         )
 
@@ -1030,12 +886,44 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
             prefix = con.prefix_below(image) if below is None else below
             expected = {a for a in order.atoms_below(order.max_literal(image))
                         if a not in prefix}
-        if facts.negatives == expected:
+        if negatives == expected:
             return None
         return (
-            f"trail makes {sorted(a.text for a in facts.negatives)} false, "
+            f"trail makes {sorted(a.text for a in negatives)} false, "
             f"expected {sorted(a.text for a in expected)}"
         )
+
+    # (vii) trail atoms strictly ascend
+    def ascends() -> Optional[str]:
+        ranks = [order.atom_rank(e.literal.atom) for e in state.trail]
+        if all(a < b for a, b in zip(ranks, ranks[1:])):
+            return None
+        return f"trail atom ranks {ranks} are not strictly ascending"
+
+    # (viii) every positive trail atom is produced on the paired side
+    unproduced = [a.text for a in positives if con.producer_of(a) is None]
+
+    # (ix) each producer has a preimage under the map, and propagations
+    #      record exactly the producing clause as their justification
+    problems9: List[str] = []
+    for e in state.trail:
+        if not e.literal.positive:
+            continue
+        producer = con.producer_of(e.literal.atom)
+        if producer is None:
+            problems9.append(f"{e.literal.atom} has no producer")
+            continue
+        if producer not in index.images:
+            problems9.append(f"no clause maps onto the producer {producer}")
+        if not e.is_decision and e.reason != producer:
+            problems9.append(
+                f"justification {e.reason} of {e.literal} differs from the "
+                f"producer {producer}"
+            )
+
+    # (x) a live conflict always sits on top of a propagation
+    live = state.conflict is not None and not state.conflict.is_empty
+    on_top = bool(state.trail) and not state.trail[-1].is_decision
 
     # (xi) the conflict clause is the smallest false clause of the paired
     #      construction and the top justification is the attention image
@@ -1069,31 +957,40 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                     )
         return "; ".join(problems) if problems else None
 
-    # (xii) everything up to the attention clause is satisfied; the clauses
-    #       before the version's first unsatisfied one are
+    # (xii) everything up to the attention clause is satisfied
     def prefix_satisfied() -> Optional[str]:
-        prefix = facts.index.up_to(_gamma_key(order, ann.aid, ann.gamma),
-                                   facts.first_unsatisfied)
+        prefix = index.up_to(_gamma_key(order, ann.aid, ann.gamma))
         unsat = [(i, c) for i, c in prefix if not is_true(state, c)]
         if not unsat:
             return None
         return f"not satisfied yet: {[str(c) for _, c in sorted(unsat)]}"
 
+    # (xiii) outside conflict mode no clause is false
+    overlooked = conflict_candidates(state) if state.conflict is None else []
+
+    # (xiv) the two sides refute together
+    here = state.conflict == EMPTY_CLAUSE
+    there = snapshot.contains(EMPTY_CLAUSE)
+
     return [
         scope,
         bound,
         membership,
-        map_shape,
+        _guarded("factored-map-shape", map_shape),
         _guarded("positives-match-production", positives_match),
         _guarded("negatives-cover-gap", negatives_match),
-        ascends,
-        producers,
-        preimages,
-        conflict_top,
+        _guarded("trail-ascends", ascends),
+        _report("producers-exist", not unproduced,
+                lambda: f"no producer for {sorted(unproduced)}"),
+        _report("producer-preimages", not problems9, lambda: "; ".join(problems9)),
+        _report("conflict-top-propagation", not live or on_top,
+                lambda: "conflict without a top propagation"),
         _guarded("conflict-is-minimal-false", conflict_shape),
         _guarded("prefix-satisfied", prefix_satisfied),
-        missed,
-        sync,
+        _report("no-missed-conflict", not overlooked,
+                lambda: f"falsified but unclaimed: {[str(c) for c in overlooked]}"),
+        _report("refutation-sync", here == there,
+                lambda: f"trail side refuted: {here}, saturation side refuted: {there}"),
     ]
 
 
@@ -1139,14 +1036,16 @@ def _model_length(order: ProblemOrder, con, key: Tuple[ClauseKey, ClauseKey],
     return _beta(key) + (top.positive and con.produces_up_to(top.atom, image))
 
 
-def _passes_trail_run(order: ProblemOrder, facts: _VersionFacts,
+def _passes_trail_run(order: ProblemOrder, index: _AttentionIndex, snapshot: SupSnapshot,
                       first: List[InvariantReport], last: List[InvariantReport],
                       run: List[Tuple[Record, SclState]]) -> bool:
     """Whether every boundary of the trail run ``run``, its records each
     with the state its rounds end in, passes all fourteen invariants and
     every round between two of them passes ``check_progress``. ``first``
     and ``last`` are the reports of ``check_invariants`` at its two ends,
-    ``facts`` the first end's. False means "not shown", never "fails".
+    ``index`` the attention index of the run's clauses under its map and
+    ``snapshot`` the one its pair index names. False means "not shown",
+    never "fails".
 
     It holds when both ends pass, each record's boundaries in between take
     as attention clauses, by identity, the next distinct keys of the
@@ -1190,8 +1089,8 @@ def _passes_trail_run(order: ProblemOrder, facts: _VersionFacts,
     """
     if not all(r.ok for r in first) or not all(r.ok for r in last):
         return False
-    gamma, con = facts.gamma, facts.snapshot.construction
-    keys, _, clauses = facts.index.ranked
+    gamma, con = index.gamma, snapshot.construction
+    keys, _, clauses = index.ranked
     full = len(run[-1][1].trail)
     between = [(record.aids, state) for record, state in run]
     head, tail = between[0][0], between[-1][0]
@@ -1347,7 +1246,10 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     since the test shows both to hold. A run it cannot show is expanded and
     checked in full at every boundary but the last, whose reports are kept,
     so every report and every progress line is the one a check of each
-    boundary on its own gives.
+    boundary on its own gives. A trail run has one attention index, since
+    its boundaries share the clauses and the map: the verifier takes it
+    from the last run's through ``_index_for`` and hands it to each check
+    and to the range test.
     """
     order = ProblemOrder(problem)
     sim = run_scl_sup(problem, order, max_sequences=max_sequences)
@@ -1358,7 +1260,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
 
     snapshots, steps = sup.snapshots, sup.step_count
     entries, progress = result.entries, result.progress_failures
-    facts, learned, forgotten = None, (), []
+    index, learned, forgotten = None, (), []
     b = k = 0                  # the first boundary and block of the trail run
     while k < len(blocks):
         stop, size = k + 1, blocks[k][0].rounds
@@ -1381,12 +1283,11 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
         in_range, shown = 0 <= ann.index <= steps, False
         if in_range:
             snapshot = snapshots[ann.index]
-            facts = _facts_for(order, state, ann.gamma, snapshot, facts)
-            reports = check_invariants(order, state, ann, snapshot, facts)
+            index = _index_for(order, state, ann.gamma, index)
+            reports = check_invariants(order, state, ann, snapshot, index)
             if size > 1:
-                closing = _facts_for(order, end, ann.gamma, snapshot, facts)
-                last = check_invariants(order, end, tail.last, snapshot, closing)
-                shown = _passes_trail_run(order, facts, reports, last, run)
+                last = check_invariants(order, end, tail.last, snapshot, index)
+                shown = _passes_trail_run(order, index, snapshot, reports, last, run)
         else:
             reports = last = [InvariantReport(
                 "pair-index-in-range", False,
@@ -1402,14 +1303,11 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
                 if msg is not None:
                     progress.append(f"round {i - 1} ({seq.kind}): {msg}")
                 if in_range and i < b + size - 1:
-                    facts = _facts_for(order, at, here.gamma, snapshot, facts)
-                    reports = check_invariants(order, at, here, snapshot, facts)
+                    reports = check_invariants(order, at, here, snapshot, index)
                 else:
                     reports = last
                 entries.append(BoundaryReport(i, here.index, reports))
                 before = here
-        if size > 1 and in_range:
-            facts = closing
         b, k = b + size, stop
 
     result.regularity_failures = audit_regular(sim.states, sim.apps) + forgotten

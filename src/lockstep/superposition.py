@@ -551,15 +551,14 @@ class SupSnapshot:
     def late(self, clauses: Tuple[Clause, ...]) -> Tuple[Tuple[Clause, Optional[int]], ...]:
         """Each of ``clauses`` that is not an input clause of the run, with
         the step count at which it joins the run's clause set, which may lie
-        past this snapshot, or None if it never does."""
+        past this snapshot, or None if it never does. Invariant (iii) asks
+        it of a state's input clauses at every check: on a sound run they
+        are the run's inputs, and one superset test of the run's input set
+        answers."""
         ledger = self.construction._ledger
         if ledger.inputs.issuperset(clauses):
             return ()
         return tuple((c, ledger.stage_of(c)) for c in clauses if c not in ledger.inputs)
-
-    def shares_set(self, other: "SupSnapshot") -> bool:
-        """Whether the two snapshots are stages of one run's clause set."""
-        return self.construction._ledger is other.construction._ledger
 
 
 class _RunView(Sequence):

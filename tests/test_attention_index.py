@@ -14,6 +14,7 @@ import glob
 import importlib.util
 import os
 import weakref
+from bisect import bisect_right
 from operator import itemgetter
 
 import pytest
@@ -206,9 +207,9 @@ def _verified_calls(monkeypatch, problems):
     calls = []
     real = simulation.check_invariants
 
-    def recorded(order, state, ann, snapshot, facts=None):
-        calls.append((order, state, ann, snapshot, facts))
-        return real(order, state, ann, snapshot, facts)
+    def recorded(order, state, ann, snapshot, index=None):
+        calls.append((order, state, ann, snapshot, index))
+        return real(order, state, ann, snapshot, index)
 
     monkeypatch.setattr(simulation, "check_invariants", recorded)
     for p in problems:
@@ -249,9 +250,9 @@ def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
         checked = sorted(run_starts(result.sim) + run_ends(result.sim))
         assert [ann for _, _, ann, _, _ in calls] == [annotations[b] for b in checked]
         last = None
-        for order, state, ann, snapshot, facts in calls:
-            assert facts.state is state and facts.snapshot is snapshot
-            assert _parts(facts.index) == _parts(_AttentionIndex(order, state, ann.gamma))
+        for order, state, ann, snapshot, index in calls:
+            assert _index_for(order, state, ann.gamma, index) is index
+            assert _parts(index) == _parts(_AttentionIndex(order, state, ann.gamma))
             if last is not None and last[0] is not ann.gamma and last[1] is state.u:
                 remapped += 1
             last = ann.gamma, state.u
@@ -286,12 +287,12 @@ def _ladder_pool(seed):
 
 def test_carried_facts_read_as_fresh_ones(monkeypatch):
     """At every boundary the verifier checks, the invariants read through
-    the facts it carries from the boundary before report exactly what a call
-    without them reports: on the golden files, the generated problems, the
-    15-atom instance and the ladder pool at seed 1. The range test declines
-    every run here, as it does a run it cannot show, so each boundary is
-    checked on its own; more than half of the ladder boundaries share their
-    version with the boundary before them."""
+    the attention index it carries from the boundary before report exactly
+    what a call without one reports: on the golden files, the generated
+    problems, the 15-atom instance and the ladder pool at seed 1. The range
+    test declines every run here, as it does a run it cannot show, so each
+    boundary is checked on its own; more than half of the ladder boundaries
+    read the index of the boundary before them."""
     monkeypatch.setattr(simulation, "_passes_trail_run", lambda *args: False)
     problems, pool = _problems(), _ladder_pool(1)
     real = simulation.check_invariants
@@ -299,42 +300,85 @@ def test_carried_facts_read_as_fresh_ones(monkeypatch):
     for n, (result, calls) in enumerate(_verified_calls(monkeypatch, problems + pool)):
         assert result.ok
         last = None
-        for order, state, ann, snapshot, facts in calls:
-            assert real(order, state, ann, snapshot, facts) == real(order, state, ann, snapshot)
+        for order, state, ann, snapshot, index in calls:
+            assert real(order, state, ann, snapshot, index) == real(order, state, ann, snapshot)
             if n >= len(problems):
                 checked += 1
-                reused += facts is last
-            last = facts
+                reused += index is last
+            last = index
     assert 2 * reused > checked > 5000
 
 
-def test_facts_are_reused_only_for_their_own_version():
-    """Facts are carried to a boundary only when its state, map and snapshot
-    are the objects they were built for: not for the same state paired with
-    another snapshot, nor for a map or a state equal to theirs by value.
-    Read at such a boundary, they report what a fresh call reports."""
+def test_a_passed_index_is_only_a_hint():
+    """Given the attention index of another version, check_invariants
+    reports exactly what a call without an index reports, at every
+    boundary of the golden files: the index of a map equal by value but
+    another object, of a ``dataclasses.replace`` copy of the state, or of
+    the state with fewer learned clauses, each with its parts read, so
+    that the check derives from them. Pairing another snapshot still
+    changes the reports."""
+    others = {"map twin": 0, "state copy": 0, "fewer learned": 0}
+    for path in sorted(glob.glob(os.path.join(DATA, "*.prob"))):
+        with open(path, encoding="utf-8") as fh:
+            p = parse_problem(fh.read())
+        order = ProblemOrder(p)
+        sim, sup = run_scl_sup(p, order), run_sup_mo(p, order)
+        for ann, state in zip(sim.annotations, sim.boundary_states):
+            snapshot = sup.snapshots[ann.index]
+            fresh = check_invariants(order, state, ann, snapshot)
+            versions = {"map twin": (state, dict(ann.gamma)),
+                        "state copy": (dataclasses.replace(state), ann.gamma)}
+            if state.u:
+                versions["fewer learned"] = (dataclasses.replace(state, u=state.u[:-1]),
+                                             ann.gamma)
+            for kind, (s, gamma) in versions.items():
+                other = _AttentionIndex(order, s, gamma)
+                _parts(other)
+                assert check_invariants(order, state, ann, snapshot, other) == fresh
+                others[kind] += 1
+    assert others == {"map twin": 24, "state copy": 24, "fewer learned": 10}
+
     with open(os.path.join(DATA, "satisfiable.prob"), encoding="utf-8") as fh:
         p = parse_problem(fh.read())
     order = ProblemOrder(p)
     sim, sup = run_scl_sup(p, order), run_sup_mo(p, order)
     ann, state = sim.annotations[-1], sim.boundary_states[-1]
-    snapshot, other = sup.snapshots[ann.index], sup.snapshots[0]
-    facts = simulation._facts_for(order, state, ann.gamma, snapshot)
-    assert simulation._facts_for(order, state, ann.gamma, snapshot, facts) is facts
+    index = _AttentionIndex(order, state, ann.gamma)
+    assert (check_invariants(order, state, ann, sup.snapshots[0], index)
+            != check_invariants(order, state, ann, sup.snapshots[ann.index], index))
 
-    twin_gamma = dict(ann.gamma)
-    twin_state = dataclasses.replace(state)
-    assert twin_gamma == ann.gamma and twin_state == state
-    for s, gamma, snap in ((state, ann.gamma, other), (state, twin_gamma, snapshot),
-                           (twin_state, ann.gamma, snapshot)):
-        carried = simulation._facts_for(order, s, gamma, snap, facts)
-        assert carried is not facts
-        assert (carried.state, carried.gamma, carried.snapshot) == (s, gamma, snap)
-        at = dataclasses.replace(ann, gamma=gamma)
-        assert (check_invariants(order, s, at, snap, facts)
-                == check_invariants(order, s, at, snap))
-    assert (check_invariants(order, state, ann, other)
-            != check_invariants(order, state, ann, snapshot))
+
+def test_the_prefix_check_reads_nothing_past_the_attention_key(monkeypatch):
+    """Invariant (xii) asks the trail about the clauses up to the attention
+    key and no further: at each boundary of the golden files and the
+    generated problems whose trail satisfies every clause and whose
+    attention key is not the last, one check_invariants call asks
+    ``is_true`` about no more clauses than there are keys up to the
+    attention key."""
+    asked = []
+    real = simulation.is_true
+
+    def counted(state, clause):
+        asked.append(clause)
+        return real(state, clause)
+
+    monkeypatch.setattr(simulation, "is_true", counted)
+    seen = 0
+    for p in _problems()[:-1]:
+        order = ProblemOrder(p)
+        sim, sup = run_scl_sup(p, order), run_sup_mo(p, order)
+        for ann, state in zip(sim.annotations, sim.boundary_states):
+            if not all(real(state, c) for c in state.all_clauses()):
+                continue
+            keys = _AttentionIndex(order, state, ann.gamma).ranked[0]
+            upto = bisect_right(keys, _gamma_key(order, ann.aid, ann.gamma))
+            if upto == len(keys):
+                continue
+            asked.clear()
+            check_invariants(order, state, ann, sup.snapshots[ann.index])
+            assert len(asked) <= upto < len(keys)
+            seen += 1
+    assert seen > 300
 
 
 def _shared_state_dropping_its_top(real, *args, **kwargs):

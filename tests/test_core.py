@@ -503,6 +503,9 @@ PARSE_REJECTIONS = [
     ("order: kbo\nprec: a < P\nclause: P(a) |  -P(a\n", "syntax", 3, 21, "expected ')'"),
     ("order: kbo\nprec: a < P\nclause: P(a) -P(a)\n", "syntax", 3, 14,
      "trailing input after literal"),
+    ("order: kbo\nprec: a < P\nclause: P(a) |\n", "syntax", 3, 15, "expected identifier"),
+    ("order: kbo\nprec: a < P\nclause: P(a) || P(a)\n", "syntax", 3, 15,
+     "expected identifier"),
     ("order: listed\natoms: P Q\nclause: P\n", "syntax", 2, 10, "trailing input after atom"),
     ("order: listed\natoms: P < Q R\nclause: P | Q\n", "syntax", 2, 14,
      "trailing input after atom"),

@@ -42,7 +42,6 @@ from lockstep.simulation import (
     SimRun,
     SimSeq,
     _AttentionIndex,
-    _VersionFacts,
     _gamma_key,
     check_invariants,
     check_progress,
@@ -225,8 +224,8 @@ def test_the_sweep_passes_equal_keys_once_as_the_walk_does():
 
 def _agrees_with_fresh_calls(result):
     """Checks a sound verifier result against fresh calls: at every
-    boundary its reports are those of a ``check_invariants`` call over
-    facts of the boundary's own, whose index is derived along the run
+    boundary its reports are those of a ``check_invariants`` call over an
+    index of the boundary's own, derived along the run
     (``test_attention_index.py`` checks derived indexes against fresh
     ones); and its progress lines are those of a ``check_progress`` call
     per round. Returns how many boundaries it compared."""
@@ -236,8 +235,7 @@ def _agrees_with_fresh_calls(result):
     for ann, state, boundary in zip(anns, sim.boundary_states, result.boundaries):
         snapshot = snapshots[ann.index]
         index = simulation._index_for(order, state, ann.gamma, index)
-        facts = _VersionFacts(order, state, ann.gamma, snapshot, index)
-        assert boundary.reports == check_invariants(order, state, ann, snapshot, facts)
+        assert boundary.reports == check_invariants(order, state, ann, snapshot, index)
     assert result.progress_failures == [
         f"round {i} ({seq.kind}): {msg}" for i, seq in enumerate(sim.seqs)
         if (msg := check_progress(order, anns[i], anns[i + 1])) is not None]
@@ -251,8 +249,8 @@ def _ranges(monkeypatch):
     counts = {"tried": 0, "passed": 0, "covered": 0}
     real = simulation._passes_trail_run
 
-    def counted(order, facts, first, last, run):
-        shown = real(order, facts, first, last, run)
+    def counted(order, index, snapshot, first, last, run):
+        shown = real(order, index, snapshot, first, last, run)
         counts["tried"] += 1
         counts["passed"] += shown
         counts["covered"] += shown and sum(record.rounds for record, _ in run) - 2
@@ -307,7 +305,7 @@ def test_the_verifier_reports_what_fresh_calls_report(monkeypatch):
     """On the golden files, the generated problems, 15:1, PHP(5,4) and the
     ladder pool at seeds 0 and 1, the driver records what the reference
     loop records; at every boundary the verifier's reports, most of them
-    decided by the range test, equal those of a call with facts of its
+    decided by the range test, equal those of a call with an index of its
     own, and its progress lines those of a call per round."""
     compared, ranges = _verify_against_fresh_calls(monkeypatch,
                                                    _hard_problems() + _ladder_pool(0))
@@ -401,8 +399,7 @@ def _breaking_only(name):
         index = _AttentionIndex(order, state, ann.gamma)
         for c in snapshot.clauses + state.all_clauses():
             moved = dataclasses.replace(ann, aid=c)
-            unshared = _VersionFacts(order, state, ann.gamma, snapshot, index)
-            reports = check_invariants(order, state, moved, snapshot, unshared)
+            reports = check_invariants(order, state, moved, snapshot, index)
             if [r.name for r in reports if not r.ok] == [name]:
                 return moved
         return None
@@ -931,9 +928,9 @@ def test_a_pass_run_in_conflict_mode_can_pass(monkeypatch):
     tried = []
     real_run = simulation._passes_trail_run
 
-    def watched(order, facts, first, last, run):
+    def watched(order, index, snapshot, first, last, run):
         tried.append([state.conflict for _, state in run])
-        return real_run(order, facts, first, last, run)
+        return real_run(order, index, snapshot, first, last, run)
 
     monkeypatch.setattr(simulation, "_passes_trail_run", watched)
     checked = _checks(monkeypatch)

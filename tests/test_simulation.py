@@ -400,8 +400,8 @@ def test_each_boundary_reads_its_attention_prefix_once(monkeypatch):
         reads.append(clause)
         return real(self, clause)
 
-    def counted_run(order, facts, first, last, run):
-        shown = real_run(order, facts, first, last, run)
+    def counted_run(order, index, snapshot, first, last, run):
+        shown = real_run(order, index, snapshot, first, last, run)
         covered.append(sum(record.rounds for record, _ in run) - 2 if shown else 0)
         return shown
 

@@ -25,8 +25,11 @@ the verifier compares clauses of separate runs by content.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from operator import eq
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from weakref import WeakValueDictionary
@@ -70,6 +73,66 @@ class memo:
             return self
         value = instance.__dict__[self.name] = self.func(instance)
         return value
+
+
+class Expanded(Sequence):
+    """A read-only sequence of items expanded on read from records: the
+    items of ``head``, then for each record ``item(record, j)`` for ``j``
+    below ``size(record)``. Iteration takes a record's items from
+    ``items(record)`` instead, when given, for records whose items are
+    cheaper built in order. It holds the records as they stood when it was
+    made: appending to the list they came from leaves it as it was.
+
+    ``len`` is constant time, an index, negative included, costs one bisect
+    over the record starts, summed on the first index, and a slice is a
+    list. It equals any sequence of equal items. The size may pass
+    ``sys.maxsize``, where ``len()`` raises ``OverflowError``; indexes,
+    slices, equality and the ``repr``, which gives sizes and never an item,
+    read it without ``len()``."""
+
+    def __init__(self, head: Iterable, records: Iterable, size: Callable[[Any], int],
+                 item: Callable[[Any, int], Any],
+                 items: Optional[Callable[[Any], Iterable]] = None):
+        self._head, self._records = tuple(head), tuple(records)
+        self._size, self._item, self._items = size, item, items
+        self._len = len(self._head) + sum(map(size, self._records))
+        self._starts: Optional[List[int]] = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("index out of range")
+        if i < len(self._head):
+            return self._head[i]
+        if self._starts is None:
+            self._starts = list(accumulate(map(self._size, self._records),
+                                           initial=len(self._head)))
+        r = bisect_right(self._starts, i) - 1
+        return self._item(self._records[r], i - self._starts[r])
+
+    def __iter__(self) -> Iterator:
+        expand = self._items or self._expand
+        return chain(self._head, chain.from_iterable(map(expand, self._records)))
+
+    def _expand(self, record: Any) -> Iterator:
+        return map(self._item, repeat(record), range(self._size(record)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        size = other._len if isinstance(other, Expanded) else len(other)
+        return self._len == size and all(map(eq, self, other))
+
+    __hash__ = None            # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<Expanded: {self._len} items from {len(self._records)} records>"
 
 
 class GroundTerm:

@@ -55,7 +55,8 @@ literal is undefined. The state does not change, so the atoms known to be
 defined only grow along the walk, and most clauses take a single rank
 comparison. A run's rounds, annotations and boundary states are read-only
 views that expand the records on read, so a pass round costs no object of
-its own.
+its own. They are ``core.Expanded`` views, as are the verifier's
+boundaries and the saturation run's steps and snapshots.
 
 The verifier reads the records, not the views, as trail runs
 (``_in_trail_run``): maximal stretches outside conflict mode that share one
@@ -95,15 +96,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from operator import attrgetter, eq, is_, lt
-from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
-                    Union)
+from itertools import islice
+from operator import attrgetter, is_, lt
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .core import (
     Atom,
     Clause,
     EMPTY_CLAUSE,
+    Expanded,
     Literal,
     Problem,
     atoms_of,
@@ -230,55 +231,6 @@ class PassSweep:
 Record = Union[SimSeq, PassSweep]
 
 
-class _Expanded(Sequence):
-    """A read-only sequence of items expanded on read from records: the
-    items of ``head``, then for each record ``item(record, j)`` for ``j``
-    below ``size(record)``. It describes the records as they stood when it
-    was made. ``len`` is constant time, an index costs one bisect over the
-    record starts, summed on the first index, and a slice is a list. It
-    equals any sequence of equal items."""
-
-    def __init__(self, head: tuple, records: Sequence, size: Callable[[Any], int],
-                 item: Callable[[Any, int], Any]):
-        self._head, self._records, self._size, self._item = head, records, size, item
-        self._len = len(head) + sum(map(size, records))
-        self._starts: Optional[List[int]] = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("index out of range")
-        if i < len(self._head):
-            return self._head[i]
-        if self._starts is None:
-            self._starts = list(accumulate(map(self._size, self._records),
-                                           initial=len(self._head)))
-        r = bisect_right(self._starts, i) - 1
-        return self._item(self._records[r], i - self._starts[r])
-
-    def __iter__(self) -> Iterator:
-        yield from self._head
-        for record in self._records:
-            for j in range(self._size(record)):
-                yield self._item(record, j)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None            # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 _rounds = attrgetter("rounds")
 
 
@@ -294,7 +246,7 @@ class SimRun:
     ``seqs``, one ``SimSeq`` per round, and ``annotations`` and
     ``boundary_states``, one entry per round boundary (boundary ``i + 1``
     is the end of round ``i``), each a read-only sequence that expands the
-    records (``_Expanded``); the ``learned`` clauses, the final state's
+    records (``core.Expanded``); the ``learned`` clauses, the final state's
     plus the empty clause when the run is unsatisfiable; and ``model``, the
     positive trail atoms when it is satisfiable. A boundary's state is the
     rule log's state at its record's ``end`` (``end_states``). The
@@ -325,18 +277,18 @@ class SimRun:
 
     @property
     def seqs(self) -> Sequence[SimSeq]:
-        return _Expanded((), self.records, _rounds, lambda record, j: record.seq(j))
+        return Expanded((), self.records, _rounds, lambda record, j: record.seq(j))
 
     @property
     def annotations(self) -> Sequence[Annotation]:
-        return _Expanded((self.start,), self.records, _rounds,
-                         lambda record, j: record.seq(j).annotation)
+        return Expanded((self.start,), self.records, _rounds,
+                        lambda record, j: record.seq(j).annotation)
 
     @property
     def boundary_states(self) -> Sequence[SclState]:
         start, *ends = self.end_states()
-        return _Expanded((start,), list(zip(self.records, ends)),
-                         lambda pair: pair[0].rounds, lambda pair, j: pair[1])
+        return Expanded((start,), zip(self.records, ends),
+                        lambda pair: pair[0].rounds, lambda pair, j: pair[1])
 
     def end_states(self) -> List[SclState]:
         """The initial state, then the state each record's rounds end in."""
@@ -1153,7 +1105,7 @@ class VerifyResult:
     with the passing reports and a ``count``, for each trail run the range
     test decides; the progress, regularity and final failure lines. Derived,
     on read: ``boundaries``, one report per round boundary, a read-only
-    sequence that expands the entries (``_Expanded``). ``ok`` and
+    sequence that expands the entries (``core.Expanded``). ``ok`` and
     ``failures()`` read the entries, and a shared entry passes.
     """
 
@@ -1167,7 +1119,7 @@ class VerifyResult:
 
     @property
     def boundaries(self) -> Sequence[BoundaryReport]:
-        return _Expanded((), self.entries, attrgetter("count"), _boundary)
+        return Expanded((), self.entries, attrgetter("count"), _boundary)
 
     @property
     def ok(self) -> bool:

@@ -47,20 +47,20 @@ false: none of them is ever the smallest false clause, and none produces.
 The walks skip them. Membership, the ordered clause set and the
 construction's rows add them back in closed form, and ``SupRun.steps`` and
 ``SupRun.snapshots`` expand each record into its single steps and snapshots
-on read.
+on read, as views of ``core.Expanded``, the one class that expands every
+run record of the package.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from heapq import merge
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .core import Atom, Clause, Literal, Problem, eval_herbrand, memo
+from .core import Atom, Clause, Expanded, Literal, Problem, eval_herbrand, memo
 from .ordering import ClauseKey, ProblemOrder
 
 SATISFIABLE = "satisfiable"
@@ -73,7 +73,6 @@ SUPERPOSITION_LEFT = "superposition_left"
 
 _first = itemgetter(0)
 _text = attrgetter("text")
-_index = attrgetter("index")
 
 
 def sfac(clause: Clause, order: ProblemOrder) -> Clause:
@@ -186,6 +185,25 @@ class SupChain:
             kept = [(l, n) for l, n in zip(distinct, counts) if n]
             return Clause.from_runs(tuple(l for l, _ in kept), tuple(n for _, n in kept))
         return Clause.from_runs(distinct, counts)
+
+    def single(self, j: int) -> "SupChain":
+        """Step ``j`` alone, as a chain of one; a chain of one is its own
+        step."""
+        if self.count == 1:
+            return self
+        main = self.main if j == 0 else self.at(j)
+        conclusion = self.conclusion if j + 1 == self.count else self.at(j + 1)
+        return SupChain(self.kind, main, self.side, self.pivot, 1, conclusion)
+
+    def singles(self) -> Iterator["SupChain"]:
+        """Every ``single(j)`` in order, each intermediate built once and
+        passed on as the next main premise, where ``single`` builds two."""
+        kind, side, pivot, main = self.kind, self.side, self.pivot, self.main
+        for j in range(1, self.count):
+            conclusion = self.at(j)
+            yield SupChain(kind, main, side, pivot, 1, conclusion)
+            main = conclusion
+        yield self if self.count == 1 else SupChain(kind, main, side, pivot, 1, self.conclusion)
 
     def step_of(self, clause: Clause) -> Optional[int]:
         """The ``j`` of the intermediate equal to ``clause``, which holds
@@ -528,12 +546,24 @@ def next_inference(construction: ModelConstruction, order: ProblemOrder) -> SupC
     return SupChain(kind, c, side, m.atom, count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupSnapshot:
     """The clause set and its construction at one point of the run: after
-    ``index`` steps. The set is a view of the run's shared clause list."""
+    ``index`` steps. The set is a view of the run's shared clause list.
+    Two snapshots are equal when they are one stage of one run, however
+    far each has walked its construction, so a snapshot built again on
+    read equals the one read before."""
 
     construction: ModelConstruction
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SupSnapshot):
+            return NotImplemented
+        return (self.construction._ledger is other.construction._ledger
+                and self.index == other.index)
+
+    def __hash__(self) -> int:
+        return hash((id(self.construction._ledger), self.index))
 
     @property
     def index(self) -> int:
@@ -561,72 +591,15 @@ class SupSnapshot:
         return tuple((c, ledger.stage_of(c)) for c in clauses if c not in ledger.inputs)
 
 
-class _RunView(Sequence):
-    """A read-only sequence over a run's single steps or snapshots,
-    expanded from its records on read. It sums the record counts once, when
-    it is made, and describes the records as they stood then (a run is
-    complete once ``run_sup_mo`` returns); ``len`` is then constant time and
-    an index costs one bisect, which finds the record ``r`` holding it and
-    its offset ``j`` from that record's start for ``_item(r, j)``. It
-    supports ``len``, integer indexing, negative included, and iteration,
-    not slices."""
-
-    _past_last = 0                 # positions after the last record's steps
-
-    def __init__(self, run: "SupRun"):
-        self._run = run
-        self._len = run.step_count + self._past_last
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int):
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("index out of range")
-        starts = self._run.record_snapshots
-        r = bisect_right(starts, i, key=_index) - 1
-        return self._item(r, i - starts[r].index)
+_count = attrgetter("count")
 
 
-class _Steps(_RunView):
-    """``SupRun.steps``: the single steps, record by record, each a chain
-    of one. It keeps its own iteration, which builds each intermediate once
-    and passes it on as the next main premise, where an index builds two."""
-
-    def _item(self, r: int, j: int) -> SupChain:
-        chain = self._run.records[r]
-        if chain.count == 1:
-            return chain
-        main = chain.main if j == 0 else chain.at(j)
-        conclusion = chain.conclusion if j + 1 == chain.count else chain.at(j + 1)
-        return SupChain(chain.kind, main, chain.side, chain.pivot, 1, conclusion)
-
-    def __iter__(self) -> Iterator[SupChain]:
-        for chain in self._run.records:
-            kind, side, pivot, main = chain.kind, chain.side, chain.pivot, chain.main
-            for j in range(1, chain.count):
-                conclusion = chain.at(j)
-                yield SupChain(kind, main, side, pivot, 1, conclusion)
-                main = conclusion
-            if chain.count > 1:
-                chain = SupChain(kind, main, side, pivot, 1, chain.conclusion)
-            yield chain
-
-
-class _Snapshots(_RunView):
-    """``SupRun.snapshots``: the stored snapshot at each record boundary,
-    and inside a record one built on read from the snapshot at its start.
-    Iteration reads by index, one position at a time."""
-
-    _past_last = 1                 # the snapshot after the last step
-
-    def _item(self, r: int, j: int) -> SupSnapshot:
-        start = self._run.record_snapshots[r]
-        if j == 0:
-            return start
-        return SupSnapshot(start.construction._inside(start.index + j, self._run.records[r].at(j)))
+def _snapshot(record: Tuple[SupChain, SupSnapshot, SupSnapshot], j: int) -> SupSnapshot:
+    """The snapshot after step ``j`` of a ``(chain, start, end)`` record."""
+    chain, start, end = record
+    if j + 1 == chain.count:
+        return end
+    return SupSnapshot(start.construction._inside(start.index + j + 1, chain.at(j + 1)))
 
 
 @dataclass
@@ -647,8 +620,9 @@ class SupRun:
     conclusion inside a chain; the clause list holds the chain ends alone.
 
     Each read of ``steps`` or ``snapshots`` makes a view of the records as
-    they stand then (``_RunView``), so a caller that reads many positions
-    keeps one. The ``repr`` gives the outcome and sizes, never a clause.
+    they stand then (``core.Expanded``), so a caller that reads many
+    positions keeps one. The ``repr`` gives the outcome and sizes, never a
+    clause.
     """
 
     order: ProblemOrder
@@ -661,12 +635,17 @@ class SupRun:
         return sum(chain.count for chain in self.records)
 
     @property
-    def steps(self) -> Sequence:
-        return _Steps(self)
+    def steps(self) -> Sequence[SupChain]:
+        return Expanded((), self.records, _count, SupChain.single, SupChain.singles)
 
     @property
-    def snapshots(self) -> Sequence:
-        return _Snapshots(self)
+    def snapshots(self) -> Sequence[SupSnapshot]:
+        """The first record snapshot, then for each record the snapshots
+        inside it, built on read from the one at its start, and the stored
+        one at its end."""
+        snaps = self.record_snapshots
+        return Expanded(snaps[:1], zip(self.records, snaps, snaps[1:]),
+                        lambda record: record[0].count, _snapshot)
 
     @property
     def model(self) -> Optional[FrozenSet[Atom]]:

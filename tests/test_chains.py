@@ -36,6 +36,7 @@ from lockstep.superposition import (
     sfac,
     superposition_left,
 )
+from test_pass_sweep import _reads_as_its_items
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -384,14 +385,47 @@ def test_chains_that_share_no_intermediate_do_not_meet(first, second):
 
 
 def test_snapshot_and_step_views_are_read_only_sequences():
-    p = _ladder(15, 1)
-    run = run_sup_mo(p)
-    assert run.steps[-1] == list(run.steps)[-1]
-    with pytest.raises(IndexError):
-        run.steps[len(run.steps)]
-    with pytest.raises(IndexError):
-        run.snapshots[-len(run.snapshots) - 1]
-    assert not hasattr(run.steps, "append") and not hasattr(run.snapshots, "pop")
+    """On the golden files and 15:1, the saturation run's steps and
+    snapshots and the verifier's boundaries read as the trail run's views
+    do: through iteration, indexes from either end and slices alike, and
+    equal to the list of their items."""
+    problems = [parse_problem(open(path).read()) for path in GOLDEN] + [_ladder(15, 1)]
+    for problem in problems:
+        result = lockstep_verify(problem)
+        run = result.sup
+        for view in (run.steps, run.snapshots, result.boundaries):
+            _reads_as_its_items(view)
+        assert run.steps[-1] == list(run.steps)[-1]
+        with pytest.raises(IndexError):
+            run.steps[len(run.steps)]
+        with pytest.raises(IndexError):
+            run.snapshots[-len(run.snapshots) - 1]
+        assert not hasattr(run.steps, "append") and not hasattr(run.snapshots, "pop")
+
+
+@pytest.mark.parametrize("name", ["double_conflict", "15:1"])
+def test_a_view_holds_the_records_it_was_made_of(name):
+    """A view of each kind holds its run's records as they stood when it
+    was made: a record appended to the run afterwards is neither counted
+    nor read."""
+    if name == "15:1":
+        problem = _ladder(15, 1)
+    else:
+        problem = parse_problem(open(os.path.join(DATA, name + ".prob")).read())
+    result = lockstep_verify(problem)
+    sup, sim = result.sup, result.sim
+    views = {"steps": sup.steps, "snapshots": sup.snapshots, "seqs": sim.seqs,
+             "annotations": sim.annotations, "boundary_states": sim.boundary_states,
+             "boundaries": result.boundaries}
+    before = {name: list(view) for name, view in views.items()}
+    sup.records.append(sup.records[-1])
+    sup.record_snapshots.append(sup.record_snapshots[-1])
+    sim.records.append(sim.records[-1])
+    result.entries.append(result.entries[-1])
+    for name, view in views.items():
+        items = list(view)
+        assert len(view) == len(items) == len(before[name]), name
+        assert items == before[name], name
 
 
 @pytest.mark.parametrize("atoms,seed,outcome,records,steps", [
@@ -501,6 +535,22 @@ def test_a_run_past_the_machine_word_renders_and_counts_its_steps():
     assert run.step_count == sum(chain.count for chain in run.records) > sys.maxsize
     with pytest.raises(OverflowError):
         len(run.steps)
+    # the views render their sizes, read either end and compare sizes
+    # without len()
+    start = time.perf_counter()
+    texts = repr(run.steps), repr(run.snapshots)
+    last_step, first_two, last_snapshot = run.steps[-1], run.steps[:2], run.snapshots[-1]
+    unequal = run.steps != [] and run.steps != run.snapshots
+    seconds = time.perf_counter() - start
+    assert unequal
+    assert texts == ("<Expanded: 1760389478696513857865 items from 498 records>",
+                     "<Expanded: 1760389478696513857866 items from 498 records>")
+    assert seconds < 0.1
+    final = run.records[-1]
+    assert last_step == final.single(final.count - 1) and last_step.conclusion == final.conclusion
+    assert first_two == [run.steps[0], run.steps[1]] == list(itertools.islice(run.steps, 2))
+    assert last_snapshot is run.record_snapshots[-1]
+    assert last_snapshot.index == run.step_count
 
 
 @pytest.mark.parametrize("atoms,seed", [(30, 1), (22, 4)], ids=["30:1", "22:4"])

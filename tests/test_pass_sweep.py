@@ -110,9 +110,10 @@ def _attention_positions(run):
 
 def _reads_as_its_items(view):
     """A view reads the same through iteration, indexes from either end and
-    slices, and its length counts its items."""
+    slices, its length counts its items, and it equals their list."""
     items = list(view)
     assert len(view) == len(items)
+    assert view == items and items == view
     assert [view[i] for i in range(len(items))] == items == view[:]
     assert [view[i - len(items)] for i in range(len(items))] == items
     assert view[1::3] == items[1::3]

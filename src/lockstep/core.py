@@ -19,20 +19,23 @@ derives, not something a problem states.
 Terms, atoms and literals are interned: one object per text, so their
 equality is identity and their hash the interpreter's, and every set or dict
 lookup on them, the innermost operation of both engines, runs without a
-Python-level call. Clauses are values: most are built once and dropped, and
-the verifier compares clauses of separate runs by content.
+Python-level call. Clauses are interned too, one object per multiset: the
+engines and the verifier ask at every step whether a clause is in a set or
+a map, and clauses of separate runs that hold the same copies are one
+object, so that question is an identity lookup as well.
 """
 
 from __future__ import annotations
 
+from _weakref import _remove_dead_weakref
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import eq
+from operator import attrgetter, eq
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
-from weakref import WeakValueDictionary
+from weakref import WeakValueDictionary, ref
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CHARS = IDENT_START | set("0123456789")
@@ -86,9 +89,9 @@ class Expanded(Sequence):
     ``len`` is constant time, an index, negative included, costs one bisect
     over the record starts, summed on the first index, and a slice is a
     list. It equals any sequence of equal items. The size may pass
-    ``sys.maxsize``, where ``len()`` raises ``OverflowError``; indexes,
-    slices, equality and the ``repr``, which gives sizes and never an item,
-    read it without ``len()``."""
+    ``sys.maxsize``, where ``len()`` raises ``OverflowError``; truth,
+    indexes, slices, ``reversed``, equality and the ``repr``, which gives
+    sizes and never an item, read it without ``len()``."""
 
     def __init__(self, head: Iterable, records: Iterable, size: Callable[[Any], int],
                  item: Callable[[Any, int], Any],
@@ -115,6 +118,12 @@ class Expanded(Sequence):
                                            initial=len(self._head)))
         r = bisect_right(self._starts, i) - 1
         return self._item(self._records[r], i - self._starts[r])
+
+    def __bool__(self) -> bool:
+        return self._len > 0
+
+    def __reversed__(self) -> Iterator:
+        return map(self.__getitem__, range(self._len - 1, -1, -1))
 
     def __iter__(self) -> Iterator:
         expand = self._items or self._expand
@@ -219,57 +228,52 @@ class Clause:
     """A finite multiset of ground literals, held once.
 
     ``distinct`` lists the literals without repeats, sorted by their rendered
-    text, and ``counts`` the copies of each, so equality and hashing are
-    multiset equality regardless of input order. ``count``, ``contains``,
-    ``without_one``, ``with_count`` and the sum ``+`` act on these runs,
-    never on single copies; truth is evaluated over ``distinct``, because
-    extra copies cannot change a clause's truth value. ``literals`` and
-    ``text`` spell out every copy, in text order, for rendering. A clause
-    has no ``len()``, as its copies may pass ``sys.maxsize``. The empty clause
-    prints as ⊥ and is only ever produced by inference, never parsed.
+    text, and ``counts`` the copies of each, so a multiset has one spelling
+    whatever the input order. ``count``, ``contains``, ``without_one``,
+    ``with_count`` and the sum ``+`` act on these runs, never on single
+    copies; truth is evaluated over ``distinct``, because extra copies cannot
+    change a clause's truth value. ``literals`` and ``text`` spell out every
+    copy, in text order, for rendering. A clause has no ``len()``, as its
+    copies may pass ``sys.maxsize``. The empty clause prints as ⊥ and is only
+    ever produced by inference, never parsed.
 
-    Unlike atoms and literals, clauses are not interned: the engines build
-    most clauses once and drop them, and a clause equals another of the
-    same multiset whatever object holds it, so equality and the cached hash
-    compare values. ``copy``, ``deepcopy`` and ``pickle`` return an equal
-    clause whose hash is taken afresh, since the literals' hashes differ
-    from one process to the next.
+    Clauses are interned (hash-consed) like terms: every way of building one
+    (``Clause(literals)``, ``from_runs``, ``with_count``, ``without_one``,
+    ``+``, and ``copy``, ``deepcopy`` and ``pickle``, also in another
+    process) returns the live clause of that multiset if there is one. Two
+    clauses are equal exactly when they are one object, so equality is
+    identity and hashing is the interpreter's own, and every clause-keyed
+    set or dict lookup of the engines and the verifier runs without a
+    Python-level call. The table holds its clauses weakly: an entry leaves
+    it when its clause dies. Interning is single-threaded, as it is for
+    terms.
     """
 
-    __slots__ = ("distinct", "counts", "_hash")
+    __slots__ = ("distinct", "counts", "__weakref__")
 
-    def __init__(self, literals: Iterable[Literal] = ()):
+    def __new__(cls, literals: Iterable[Literal] = ()) -> "Clause":
         copies: Dict[Literal, int] = {}
         for l in literals:
             copies[l] = copies.get(l, 0) + 1
-        self._hold(copies)
+        return _of_copies(copies)
 
-    def _hold(self, copies: Dict[Literal, int]) -> "Clause":
-        """Hold ``copies[l]`` copies of each ``l``; 0 copies drop it."""
-        self.distinct = tuple(sorted((l for l, n in copies.items() if n), key=lambda l: l.text))
-        self.counts = tuple(copies[l] for l in self.distinct)
-        self._hash = hash((self.distinct, self.counts))
-        return self
-
-    @classmethod
-    def from_runs(cls, distinct: Tuple[Literal, ...], counts: Tuple[int, ...]) -> "Clause":
+    @staticmethod
+    def from_runs(distinct: Tuple[Literal, ...], counts: Tuple[int, ...]) -> "Clause":
         """The clause with ``counts[i]`` copies of ``distinct[i]``, taken as
         given: the caller vouches that ``distinct`` is in text order without
         repeats and that every count is positive."""
-        clause = cls.__new__(cls)
-        clause.distinct, clause.counts = distinct, counts
-        clause._hash = hash((distinct, counts))
+        key = (distinct, counts)
+        entry = _CLAUSES.get(key)
+        clause = None if entry is None else entry()
+        if clause is None:
+            clause = object.__new__(Clause)
+            clause.distinct, clause.counts = distinct, counts
+            entry = _CLAUSES[key] = _Entry(clause, _drop)
+            entry.key = key
         return clause
 
     def __reduce__(self) -> Tuple[Any, Tuple[Tuple[Literal, ...], Tuple[int, ...]]]:
         return Clause.from_runs, (self.distinct, self.counts)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Clause) and self.counts == other.counts
-                and self.distinct == other.distinct)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return " | ".join(l.text for l in self.literals) if self.distinct else "⊥"
@@ -281,7 +285,7 @@ class Clause:
         copies = dict(zip(self.distinct, self.counts))
         for l, n in zip(other.distinct, other.counts):
             copies[l] = copies.get(l, 0) + n
-        return Clause.__new__(Clause)._hold(copies)
+        return _of_copies(copies)
 
     @property
     def literals(self) -> Tuple[Literal, ...]:
@@ -306,17 +310,51 @@ class Clause:
         return self.count(literal) > 0
 
     def with_count(self, literal: Literal, n: int) -> "Clause":
-        """Return a copy holding exactly ``n`` copies of ``literal``."""
+        """Return the clause holding exactly ``n`` copies of ``literal``."""
         copies = dict(zip(self.distinct, self.counts))
-        copies[literal] = n
-        return Clause.__new__(Clause)._hold(copies)
+        if n:
+            copies[literal] = n
+        else:
+            copies.pop(literal, None)
+        return _of_copies(copies)
 
     def without_one(self, literal: Literal) -> "Clause":
-        """Return a copy with one occurrence of ``literal`` removed."""
+        """Return the clause with one occurrence of ``literal`` removed."""
         n = self.count(literal)
         if not n:
             raise ValueError(f"literal {literal} not in clause {self}")
         return self.with_count(literal, n - 1)
+
+
+_text = attrgetter("text")
+
+
+def _of_copies(copies: Dict[Literal, int]) -> Clause:
+    """The clause with ``copies[l]`` copies of each ``l``, every count
+    positive."""
+    distinct = tuple(sorted(copies, key=_text))
+    return Clause.from_runs(distinct, tuple(map(copies.__getitem__, distinct)))
+
+
+class _Entry(ref):
+    """The table's weak reference to a clause, holding its key, so that one
+    callback, ``_drop``, serves every entry. Building an entry runs no
+    Python-level ``__new__`` or ``__init__``."""
+
+    __slots__ = ("key",)
+
+
+# every live clause, by its (distinct, counts) runs
+_CLAUSES: Dict[Tuple[Tuple[Literal, ...], Tuple[int, ...]], _Entry] = {}
+
+
+def _drop(entry: _Entry, table: Dict = _CLAUSES,
+          remove: Callable[[Dict, Any], None] = _remove_dead_weakref) -> None:
+    """Remove a dead clause's entry, unless a new clause of the same
+    multiset has already taken its key. The table and the removal are
+    bound as defaults, as ``WeakValueDictionary`` binds its own, so that
+    the callback still finds them while the interpreter shuts down."""
+    remove(table, entry.key)
 
 
 EMPTY_CLAUSE = Clause(())

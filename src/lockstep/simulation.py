@@ -30,10 +30,12 @@ image object changed, instead of sorting again; see ``_AttentionIndex``
 for each part and why its derivation is sound. Any other state gets a new
 index. All tests are by identity, since no state, clause or map is ever
 changed in place. So the walk and invariant (xii) bisect the sorted keys
-instead of ranking every clause at every boundary, and invariant (iv)
-computes a factored image only for a map entry whose image changed. The
-verifier builds its own indexes from the recorded states and shares none
-with the driver.
+instead of ranking every clause at every boundary, the producing clause of
+a literal is found in the one range of keys whose images it tops, invariant
+(iv) computes a factored image only for a map entry whose image changed,
+and invariant (iii) asks the saturation ledger about a learned clause once
+per index, when it is new, instead of at every check. The verifier builds
+its own indexes from the recorded states and shares none with the driver.
 
 check_invariants computes its fourteen reports afresh at each boundary
 it checks. What it reads of the state's clauses in the factored-image
@@ -135,6 +137,7 @@ from .superposition import (
     UNSATISFIABLE,
     SupRun,
     SupSnapshot,
+    _Ledger,
     run_sup_mo,
     sfac,
 )
@@ -333,7 +336,10 @@ class _AttentionIndex:
     - ``images``: the set of the clauses' images under the map;
     - ``map_entries``: each map entry with whether its image is the
       clause's factored image and whether the clause is in the state,
-      read from the state's clause set, ``own``.
+      read from the state's clause set, ``own``;
+    - ``stages``: by saturation ledger, the latest ledger stage at which
+      every learned clause has joined, or None if one never joins
+      (``joined``), filled in for each ledger the first time it is asked.
 
     An index made from ``last``, the index of a state whose learned clauses
     this state's extend, derives each part ``last`` has computed from it
@@ -351,6 +357,10 @@ class _AttentionIndex:
     - ``map_entries``: an entry whose clause maps to the same image object
       keeps its ``factored`` flag, which depends on the two alone; any
       other entry computes it again.
+    - ``stages``: each ledger's stage is the later of the old one and the
+      new clauses' stages, since a clause's stage never changes once it
+      has joined; a ledger that one of the old clauses never joins keeps
+      None, since a recorded run's ledger no longer grows.
 
     The new index keeps ``last``'s computed parts, not ``last``, and drops
     each when its own part is read, so indexes never hold a chain of their
@@ -360,7 +370,7 @@ class _AttentionIndex:
     which a full sort keys them.
     """
 
-    _PARTS = ("ranked", "images", "map_entries")
+    _PARTS = ("ranked", "images", "map_entries", "stages")
 
     def __init__(self, order: ProblemOrder, state: SclState,
                  gamma: Dict[Clause, Clause], last: Optional["_AttentionIndex"] = None):
@@ -418,6 +428,22 @@ class _AttentionIndex:
                         else img == sfac(c, self.order))
             entries.append((c, img, factored, c in own))
         return entries
+
+    @memo
+    def stages(self) -> Dict[_Ledger, Optional[int]]:
+        prior = self._prior.pop("stages", None)
+        if not prior:
+            return {}
+        added = self._added
+        return {ledger: ledger.joined(added, at) for ledger, at in prior.items()}
+
+    def joined(self, ledger: _Ledger) -> Optional[int]:
+        """The latest stage of ``ledger`` at which every learned clause has
+        joined it, or None if one never does."""
+        stages = self.stages
+        if ledger not in stages:
+            stages[ledger] = ledger.joined(self.u)
+        return stages[ledger]
 
     @property
     def _added(self) -> Tuple[Clause, ...]:
@@ -528,8 +554,8 @@ def _round_no_conflict(run: SimRun, ann: Annotation,
     return _act_on_positive_max(run, ann.index, d, ann.gamma, top_lit, ("clash", "decide"))
 
 
-def _producing_clause(order: ProblemOrder, state: SclState,
-                      gamma: Dict[Clause, Clause], literal: Literal) -> Clause:
+def _producing_clause(order: ProblemOrder, state: SclState, gamma: Dict[Clause, Clause],
+                      literal: Literal, index: Optional[_AttentionIndex] = None) -> Clause:
     """The attention-order smallest clause whose image forces ``literal``.
 
     Forcing needs more than the literal being strictly maximal in the image:
@@ -537,20 +563,27 @@ def _producing_clause(order: ProblemOrder, state: SclState,
     clause is satisfied without the literal and produces nothing. Skipping
     that test can select a clause whose leftover part is true, or never
     false at all because it carries both polarities of some atom.
+
+    The images in which ``literal`` is strictly maximal are those whose key
+    starts with the run ``(rank, 1)``. The attention keys sort by image key
+    first, so these clauses form one range of the version's index
+    (``_index_for``, from ``index``), ties in state order, and the first of
+    them whose image is false without ``literal`` is the smallest.
     """
-    def forces(c: Clause) -> bool:
-        img = gamma.get(c, c)
-        return order.is_strictly_maximal_in(literal, img) and is_false_except(state, img, literal)
-
-    best = min(filter(forces, state.all_clauses()),
-               key=lambda c: _gamma_key(order, c, gamma), default=None)
-    if best is None:
-        raise SimulationError(f"no clause can force {literal}")
-    return best
+    keys, _, clauses = _index_for(order, state, gamma, index).ranked
+    rank = order.literal_rank(literal)
+    lo = bisect_left(keys, (((rank, 1),),))
+    for c in islice(clauses, lo, bisect_left(keys, (((rank, 2),),), lo)):
+        if is_false_except(state, gamma.get(c, c), literal):
+            return c
+    raise SimulationError(f"no clause can force {literal}")
 
 
-def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
-    """Process the pending conflict.
+def _round_conflict(run: SimRun, ann: Annotation, index: Optional[_AttentionIndex] = None
+                    ) -> Tuple[str, Annotation, Optional[_AttentionIndex]]:
+    """Process the pending conflict; return the round's kind, the
+    annotation it leaves and the attention index to read next, ``index``
+    or, where the round reads one, the index of the state after backtrack.
 
     The conflict is resolved against the top propagation once per occurrence
     of the complemented literal; each resolution pairs with one saturation
@@ -560,7 +593,8 @@ def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
     its atom must be forced again from the clause that produces it, which
     re-exposes a conflict ("learn_negative"). A positive maximum is guessed
     when that is safe ("learn_decide") and propagated from the learned
-    clause itself when it is not ("learn_propagate").
+    clause itself when it is not ("learn_propagate"). Only a
+    "learn_negative" round reads the index, to find the producing clause.
     """
     order = run.order
     top = run.state.trail[-1] if run.state.trail else None
@@ -586,7 +620,7 @@ def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
             run.state.trail[-1].literal.complement()):
         run.apply(RuleApp("skip", literal=run.state.trail[-1].literal), skip)
     if learned.is_empty:
-        return "refute", Annotation(j, EMPTY_CLAUSE, ann.gamma)
+        return "refute", Annotation(j, EMPTY_CLAUSE, ann.gamma), index
     if not run.state.trail:
         raise SimulationError(f"nowhere to backtrack for the resolvent {learned}")
     if not run.state.trail[-1].is_decision:
@@ -598,17 +632,19 @@ def _round_conflict(run: SimRun, ann: Annotation) -> Tuple[str, Annotation]:
 
     lmax = order.max_literal(learned)
     if lmax.positive:
-        return _act_on_positive_max(run, j, learned, ann.gamma, lmax,
-                                    ("learn_propagate", "learn_decide"))
+        kind, after = _act_on_positive_max(run, j, learned, ann.gamma, lmax,
+                                           ("learn_propagate", "learn_decide"))
+        return kind, after, index
     forced = lmax.complement()
-    source = _producing_clause(order, run.state, ann.gamma, forced)
+    index = _index_for(order, run.state, ann.gamma, index)
+    source = _producing_clause(order, run.state, ann.gamma, forced, index)
     run.apply(RuleApp("propagate", literal=forced, clause=source), propagate, source, forced)
     false_now = conflict_candidates(run.state)
     if not false_now:
         raise SimulationError(f"forcing {forced} from {source} exposed no conflict")
     false_clause = min(false_now, key=order.clause_key)
     run.apply(RuleApp("conflict", clause=false_clause), conflict, false_clause)
-    return "learn_negative", Annotation(j, source, ann.gamma)
+    return "learn_negative", Annotation(j, source, ann.gamma), index
 
 
 def _beta(key: Tuple[ClauseKey, ClauseKey]) -> int:
@@ -690,7 +726,7 @@ def run_scl_sup(problem: Problem, order: Optional[ProblemOrder] = None,
     while rounds < max_sequences:
         start = len(run.apps)
         if run.state.conflict is not None:
-            kind, ann = _round_conflict(run, ann)
+            kind, ann, index = _round_conflict(run, ann, index)
             attention = None
         else:
             if not swept:        # else the sweep has handed over the next clause
@@ -793,9 +829,13 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
 
     # (iii) the attention clause and all input and learned clauses exist on
     #       the paired side; an input clause that is not one of the run's
-    #       inputs must have joined its clause set by this snapshot
+    #       inputs must have joined its clause set by this snapshot, and the
+    #       learned clauses are listed one by one only when one of them has
+    #       not joined by then
     missing = [c for c, at in snapshot.late(state.n) if at is None or at > snapshot.index]
-    missing += [c for c in state.u if not snapshot.contains(c)]
+    joined = index.joined(snapshot.ledger)
+    if joined is None or joined > snapshot.index:
+        missing += [c for c in state.u if not snapshot.contains(c)]
     if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
     membership = _report("membership", not missing,
@@ -1183,8 +1223,9 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
     trail run's last pair index, or ``run_sup_mo``'s default if that is
     larger: the trail run states how many steps it paired. The trail rules
     never forget a learned clause, so the learned clauses of each boundary
-    must extend those of the boundary before, by value; a regularity line
-    names each boundary where they do not.
+    must extend those of the boundary before, clause by clause (equal
+    clauses are one object); a regularity line names each boundary where
+    they do not.
 
     The verifier reads the run's records, not its expanded views. The
     boundaries fall into trail runs (``_in_trail_run``), maximal stretches
@@ -1227,8 +1268,7 @@ def lockstep_verify(problem: Problem, max_sequences: int = MAX_ROUNDS) -> Verify
             msg = check_progress(order, blocks[k - 1][0].last, ann)
             if msg is not None:
                 progress.append(f"round {b - 1} ({head.kind}): {msg}")
-        if state.u is not learned and not (_extends(learned, state.u)
-                                           or state.u[:len(learned)] == learned):
+        if not _extends(learned, state.u):
             forgotten.append(f"boundary {b}: the learned clauses do not extend "
                              f"those of boundary {b - 1}")
         learned = state.u

@@ -287,6 +287,21 @@ class _Ledger:
                     return stage + j
         return born
 
+    def joined(self, clauses: Iterable[Clause], at: Optional[int] = 0) -> Optional[int]:
+        """The latest of ``at`` and the stages at which ``clauses`` joined,
+        or None if ``at`` is None or one of them never joined. A clause
+        joins at most once (``run_sup_mo`` raises on a clause already
+        present), so its stage never changes."""
+        if at is None:
+            return None
+        for c in clauses:
+            stage = self.stage_of(c)
+            if stage is None:
+                return None
+            if stage > at:
+                at = stage
+        return at
+
     def present_on(self, chain: SupChain, low: ClauseKey, high: ClauseKey) -> Optional[Clause]:
         """An intermediate of ``chain`` that the set already holds, or None:
         a stored clause strictly between the keys ``low`` and ``high``,
@@ -578,6 +593,12 @@ class SupSnapshot:
         """Membership in the clause set, without building it."""
         return self.construction.contains(clause)
 
+    @property
+    def ledger(self) -> _Ledger:
+        """The run's clause ledger, which every snapshot of the run shares:
+        the stage at which each clause joins is read from it."""
+        return self.construction._ledger
+
     def late(self, clauses: Tuple[Clause, ...]) -> Tuple[Tuple[Clause, Optional[int]], ...]:
         """Each of ``clauses`` that is not an input clause of the run, with
         the step count at which it joins the run's clause set, which may lie
@@ -585,7 +606,7 @@ class SupSnapshot:
         it of a state's input clauses at every check: on a sound run they
         are the run's inputs, and one superset test of the run's input set
         answers."""
-        ledger = self.construction._ledger
+        ledger = self.ledger
         if ledger.inputs.issuperset(clauses):
             return ()
         return tuple((c, ledger.stage_of(c)) for c in clauses if c not in ledger.inputs)

@@ -30,7 +30,7 @@ from lockstep.core import (
 from lockstep.harness import GenParams, random_problem
 from lockstep.ordering import ProblemOrder
 from lockstep.scl import TrailEntry, initial_state
-from lockstep.superposition import run_sup_mo, sfac
+from lockstep.superposition import _Ledger, run_sup_mo, sfac
 from lockstep.simulation import (
     Annotation,
     PassSweep,
@@ -158,15 +158,17 @@ def _problems():
 def test_the_index_names_what_the_scans_name(monkeypatch):
     """Every boundary outside conflict mode, read through an index reused
     the way the driver reuses it, gets the scan's next attention clause;
-    every clause the driver forces from is the scan's producing clause; and
-    every boundary but those of the 15-atom instance is probed with the
-    maximal literal of every image."""
+    every clause the driver forces from is the scan's producing clause,
+    found through the index of the state it forces in; and every boundary
+    but those of the 15-atom instance is probed with the maximal literal of
+    every image."""
     forced = []
     real = simulation._producing_clause
 
-    def recorded(order, state, gamma, literal):
+    def recorded(order, state, gamma, literal, index=None):
+        assert _index_for(order, state, gamma, index) is index
         forced.append((order, state, gamma, literal))
-        return real(order, state, gamma, literal)
+        return real(order, state, gamma, literal, index)
 
     monkeypatch.setattr(simulation, "_producing_clause", recorded)
     problems = _problems()
@@ -196,8 +198,11 @@ def test_the_index_names_what_the_scans_name(monkeypatch):
     assert walked > 2000 and probed > 10000 and len(forced) > 40
 
 
-def _parts(index):
-    return index.ranked, index.images, index.map_entries
+def _parts(index, ledger=None):
+    """The index's parts; given a saturation ledger, also the stage by which
+    every learned clause has joined it, which invariant (iii) reads."""
+    parts = index.ranked, index.images, index.map_entries
+    return parts if ledger is None else parts + (index.joined(ledger),)
 
 
 def _verified_calls(monkeypatch, problems):
@@ -252,7 +257,8 @@ def test_a_reused_index_reads_as_a_fresh_one(monkeypatch):
         last = None
         for order, state, ann, snapshot, index in calls:
             assert _index_for(order, state, ann.gamma, index) is index
-            assert _parts(index) == _parts(_AttentionIndex(order, state, ann.gamma))
+            assert _parts(index, snapshot.ledger) == _parts(
+                _AttentionIndex(order, state, ann.gamma), snapshot.ledger)
             if last is not None and last[0] is not ann.gamma and last[1] is state.u:
                 remapped += 1
             last = ann.gamma, state.u
@@ -333,7 +339,7 @@ def test_a_passed_index_is_only_a_hint():
                                              ann.gamma)
             for kind, (s, gamma) in versions.items():
                 other = _AttentionIndex(order, s, gamma)
-                _parts(other)
+                _parts(other, snapshot.ledger)
                 assert check_invariants(order, state, ann, snapshot, other) == fresh
                 others[kind] += 1
     assert others == {"map twin": 24, "state copy": 24, "fewer learned": 10}
@@ -484,17 +490,17 @@ _FORGOTTEN = [
 ], ids=["learned-copied", "learned-dropped", "atom-reassigned"])
 def test_a_corrupted_version_fails_as_fresh_calls_fail(monkeypatch, wrapper, unsatisfied,
                                                       regularity):
-    """A boundary state whose learned clauses are equal by value to the
-    run's but other objects, one missing a learned clause, and one whose
-    trail extension re-assigns an atom already on the trail: whatever the
-    verifier reuses or derives from the boundary before, it reports
-    exactly what fresh calls at every boundary report. The first
-    two break no invariant at a single boundary; the re-assigned atom
-    leaves clauses below the attention clause unsatisfied. The missing
-    clause is a regularity failure, since the trail rules never forget a
-    learned clause: at the boundary that drops it (25), and at the first
-    boundary after it with a state of its own (30), whose learned clauses
-    hold it again."""
+    """A boundary state whose learned clauses are the run's in a tuple of
+    its own (rebuilding a clause returns the interned clause), one missing
+    a learned clause, and one whose trail extension re-assigns an atom
+    already on the trail: whatever the verifier reuses or derives from the
+    boundary before, it reports exactly what fresh calls at every boundary
+    report. The first two break no invariant at a single boundary; the
+    re-assigned atom leaves clauses below the attention clause
+    unsatisfied. The missing clause is a regularity failure, since the
+    trail rules never forget a learned clause: at the boundary that drops
+    it (25), and at the first boundary after it with a state of its own
+    (30), whose learned clauses hold it again."""
     real = simulation.run_scl_sup
     monkeypatch.setattr(simulation, "run_scl_sup", lambda *a, **k: wrapper(real, *a, **k))
     problem = _ladder_pool(0)[3]              # learns 11 clauses
@@ -507,7 +513,8 @@ def test_a_corrupted_version_fails_as_fresh_calls_fail(monkeypatch, wrapper, uns
 
 class _Watched(_AttentionIndex):
     """An attention index that notes each derivation: the index, the state
-    it is for, and whether both the learned clauses and the map changed."""
+    it is for, whether both the learned clauses and the map changed, and
+    whether it carries the last index's ``stages``."""
 
     derived = []
 
@@ -515,24 +522,32 @@ class _Watched(_AttentionIndex):
         super().__init__(order, state, gamma, last)
         if last is not None:
             both = len(last.u) < len(state.u) and last.gamma is not gamma
-            self.derived.append((self, state, both))
+            self.derived.append((self, state, both, "stages" in self._prior))
 
 
 def test_indexes_are_derived_from_their_predecessors(monkeypatch):
     """Over the ladder pool at seed 1, the driver and the verifier derive
     more than 300 indexes from the one before, more than 100 of them across
     a learned clause and a map change at once, and each reads as a fresh
-    index of its state, holding the state's own clause objects."""
+    index of its state, holding the state's own clause objects. The
+    verifier's carry the stage by which the learned clauses have joined the
+    run's ledger, which more than 300 of them derive from the index before
+    at a stage past 0."""
     monkeypatch.setattr(simulation, "_AttentionIndex", _Watched)
     monkeypatch.setattr(_Watched, "derived", [])
     for problem in _ladder_pool(1):
         assert lockstep_verify(problem).ok
-    derived = _Watched.derived
-    for index, state, _ in derived:
-        assert _parts(index) == _parts(_AttentionIndex(index.order, state, index.gamma))
+    derived, staged = _Watched.derived, 0
+    for index, state, _, carried in derived:
+        stages = index.stages
+        fresh = _AttentionIndex(index.order, state, index.gamma)
+        assert _parts(index) == _parts(fresh)
+        assert stages == {ledger: fresh.joined(ledger) for ledger in stages}
+        staged += carried and any(stages.values())
         _, positions, clauses = index.ranked
         assert all(c is state.all_clauses()[i] for i, c in zip(positions, clauses))
-    assert len(derived) > 300 and sum(both for _, _, both in derived) > 100
+    assert len(derived) > 300 and sum(both for _, _, both, _ in derived) > 100
+    assert staged > 300
 
 
 TIE_TEXT = """\
@@ -545,16 +560,19 @@ clause: -Q | R
 
 
 def test_equal_keys_keep_state_order():
-    """A learned clause equal to an input clause ties with it on the key:
-    the walk and the producing clause name the input copy, the one a
-    ``min`` over the state finds first, and prefix-satisfied lists both
-    copies in state order."""
+    """A learned clause equal to an input clause is that clause, and ties
+    with it on the key at its two state positions: the walk and the
+    producing clause name the clause, the one a ``min`` over the state
+    finds first, and prefix-satisfied lists it at both positions in state
+    order."""
     p = parse_problem(TIE_TEXT)
     order = ProblemOrder(p)
     pr, pq, qr = p.clauses.clauses()          # ascending: P | Q, -P | R, -Q | R
     twin = Clause(pr.literals)
-    assert twin == pr and twin is not pr
+    assert twin == pr and twin is pr
     state = dataclasses.replace(initial_state(p), u=(twin,))
+    _, positions, clauses = _AttentionIndex(order, state, {}).ranked
+    assert [i for i, c in zip(positions, clauses) if c is pr] == [0, 3]
     ann = Annotation(0, pq, {})
     assert next_attention(order, state, ann) is pr
     assert next_attention_by_scan(order, state, ann) is pr
@@ -578,14 +596,15 @@ def test_a_derived_index_does_not_keep_its_predecessor_alive():
     p = parse_problem(TIE_TEXT)
     order = ProblemOrder(p)
     pr = p.clauses.clauses()[1]
+    ledger = _Ledger(order, p.clauses)
     last = _AttentionIndex(order, initial_state(p), {})
-    _parts(last)
+    _parts(last, ledger)
     gone = weakref.ref(last)
     state = dataclasses.replace(initial_state(p), u=(Clause(pr.literals),))
     index = _index_for(order, state, {}, last)
     assert index is not last
     del last
-    _parts(index)
+    _parts(index, ledger)
     gc.collect()
     assert gone() is None
 
@@ -606,14 +625,20 @@ def test_a_derived_index_reads_as_a_fresh_one():
     the state's own clause objects: a learned twin of an input clause
     follows it among equal keys; a map entry whose image object changes
     computes its flag again, right or wrong, and the images are rebuilt;
-    learned clauses equal by value to the last ones but other objects, or
-    one fewer, are not taken from the last index."""
+    a learned tuple that is another object holding the same clauses is
+    derived from, and one fewer is not taken from the last index. The
+    stage by which the learned clauses have joined a ledger is the later
+    of the last one and a new clause's, and stays None once one of them
+    never joins."""
     p = parse_problem(DERIVE_TEXT)
     order = ProblemOrder(p)
     by_text = {str(c): c for c in p.clauses.clauses()}
     pr, qr, qrr = by_text["-P | R"], by_text["-Q | R"], by_text["Q | R | R"]
     twin, other = Clause(pr.literals), Clause(qr.literals)
-    right, wrong = {qrr: sfac(qrr, order)}, {qrr: Clause([Literal(Atom("R"))])}
+    r, never = Clause([Literal(Atom("R"))]), Clause([Literal(Atom("Q"))])
+    right, wrong = {qrr: sfac(qrr, order)}, {qrr: r}
+    ledger = _Ledger(order, p.clauses)
+    ledger.insert(r, 3)
     edits = [
         (((), {}), ((twin,), {})),
         (((), wrong), ((), right)),
@@ -621,12 +646,19 @@ def test_a_derived_index_reads_as_a_fresh_one():
         (((twin,), {}), ((twin, other), right)),
         (((twin,), {}), ((Clause(twin.literals),), {})),
         (((twin, other), {}), ((other,), {})),
+        (((twin,), {}), ((twin, r), {})),
+        (((r,), {}), ((r, twin), wrong)),
+        (((r,), {}), ((r, never), {})),
+        (((never,), {}), ((never, r), {})),
     ]
+    stages = []
     for (u0, gamma0), (u1, gamma1) in edits:
         last = _AttentionIndex(order, dataclasses.replace(initial_state(p), u=u0), gamma0)
-        _parts(last)
+        _parts(last, ledger)
         state = dataclasses.replace(initial_state(p), u=u1)
         index = _index_for(order, state, gamma1, last)
-        assert _parts(index) == _parts(_AttentionIndex(order, state, gamma1))
+        assert _parts(index, ledger) == _parts(_AttentionIndex(order, state, gamma1), ledger)
+        stages.append(index.joined(ledger))
         _, positions, clauses = index.ranked
         assert all(c is state.all_clauses()[i] for i, c in zip(positions, clauses))
+    assert stages == [0, 0, 0, 0, 0, 0, 3, 3, None, None]

@@ -389,7 +389,11 @@ def test_snapshot_and_step_views_are_read_only_sequences():
     snapshots and the verifier's boundaries read as the trail run's views
     do: through iteration, indexes from either end and slices alike, and
     equal to the list of their items."""
-    problems = [parse_problem(open(path).read()) for path in GOLDEN] + [_ladder(15, 1)]
+    problems = []
+    for path in GOLDEN:
+        with open(path, encoding="utf-8") as fh:
+            problems.append(parse_problem(fh.read()))
+    problems.append(_ladder(15, 1))
     for problem in problems:
         result = lockstep_verify(problem)
         run = result.sup
@@ -411,7 +415,8 @@ def test_a_view_holds_the_records_it_was_made_of(name):
     if name == "15:1":
         problem = _ladder(15, 1)
     else:
-        problem = parse_problem(open(os.path.join(DATA, name + ".prob")).read())
+        with open(os.path.join(DATA, name + ".prob"), encoding="utf-8") as fh:
+            problem = parse_problem(fh.read())
     result = lockstep_verify(problem)
     sup, sim = result.sup, result.sim
     views = {"steps": sup.steps, "snapshots": sup.snapshots, "seqs": sim.seqs,
@@ -535,14 +540,17 @@ def test_a_run_past_the_machine_word_renders_and_counts_its_steps():
     assert run.step_count == sum(chain.count for chain in run.records) > sys.maxsize
     with pytest.raises(OverflowError):
         len(run.steps)
-    # the views render their sizes, read either end and compare sizes
-    # without len()
+    # the views render their sizes, read either end, test true, reverse and
+    # compare sizes without len()
     start = time.perf_counter()
     texts = repr(run.steps), repr(run.snapshots)
     last_step, first_two, last_snapshot = run.steps[-1], run.steps[:2], run.snapshots[-1]
     unequal = run.steps != [] and run.steps != run.snapshots
+    truth = bool(run.steps), bool(run.snapshots)
+    reversed_last = next(reversed(run.steps))
     seconds = time.perf_counter() - start
-    assert unequal
+    assert unequal and truth == (True, True)
+    assert reversed_last == run.steps[-1]
     assert texts == ("<Expanded: 1760389478696513857865 items from 498 records>",
                      "<Expanded: 1760389478696513857866 items from 498 records>")
     assert seconds < 0.1

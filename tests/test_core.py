@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -118,8 +119,9 @@ def test_atoms_and_literals_are_interned():
 
 def test_equality_and_hashing_of_atoms_and_literals_are_the_interpreter_s():
     # identity equality and a C-level hash: a Python-level method here
-    # would run on every set or dict hit of both engines
-    for cls in (GroundTerm, Literal):
+    # would run on every set or dict hit of both engines; clauses are
+    # interned too
+    for cls in (GroundTerm, Literal, Clause):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
@@ -144,7 +146,7 @@ def test_copies_of_atoms_and_literals_are_the_interned_objects(copier):
     assert copier(Literal(a)) is Literal(a) and copier(Literal(a, False)) is Literal(a, False)
     c = Clause([Literal(a), Literal(a), lit("-Q")])
     twin = copier(c)
-    assert twin == c and hash(twin) == hash(c)
+    assert twin is c and hash(twin) == hash(c)
     assert all(l is m for l, m in zip(twin.distinct, c.distinct, strict=True))
     assert twin in {c} and twin.count(Literal(a)) == 2
 
@@ -337,6 +339,57 @@ def test_a_clause_past_the_machine_word_works_on_its_runs():
     assert doubled.counts == (2, 2 * giant) and doubled == c.with_count(lit("-Q"), 2).with_count(
         lit("P"), 2 * giant)
     assert hash(doubled) == hash(Clause.from_runs(doubled.distinct, doubled.counts))
+
+
+def _rebuilt(clause, order):
+    """``clause`` built again by every construction route, the literals
+    taken in ``order``."""
+    distinct, counts = clause.distinct, clause.counts
+    routes = [Clause(order), Clause(clause.literals), Clause.from_runs(distinct, counts),
+              copy.copy(clause), copy.deepcopy(clause), _pickled(clause),
+              clause + EMPTY_CLAUSE, EMPTY_CLAUSE + clause]
+    for l, n in zip(distinct, counts):
+        routes += [clause.with_count(l, n), clause.with_count(l, n + 1).without_one(l),
+                   clause.without_one(l) + Clause([l]), clause.with_count(l, 0) + Clause([l] * n)]
+    return routes
+
+
+@given(_duplicated_clauses, _duplicated_clauses, st.data())
+def test_every_route_to_a_multiset_yields_its_one_clause(c, d, data):
+    # hash-consing: equal multisets are one object, whichever way each was
+    # built, and different multisets are different objects
+    order = data.draw(st.permutations(c.literals))
+    assert all(x is c for x in _rebuilt(c, order))
+    assert all(x is d for x in _rebuilt(d, d.literals))
+    assert (c is d) == (Counter(c.literals) == Counter(d.literals))
+    assert c + d is d + c is Clause(c.literals + d.literals)
+    for l in {*c.distinct, *d.distinct, lit("R")}:
+        for n in range(3):
+            assert (c.with_count(l, n) is d.with_count(l, n)) == (
+                +Counter({**Counter(c.literals), l: n}) == +Counter({**Counter(d.literals), l: n}))
+
+
+def test_a_dropped_clause_leaves_the_table():
+    # the table holds its clauses weakly: a clause nothing else refers to
+    # dies, and its entry goes with it
+    atom = T("Dropped", T("c8"))
+    clauses = [Clause([Literal(atom)] * n) for n in range(1, 20)]
+    keys = [(c.distinct, c.counts) for c in clauses]
+    assert [core._CLAUSES[key]() for key in keys] == clauses
+    alive = [weakref.ref(c) for c in clauses]
+    del clauses
+    gc.collect()
+    assert all(r() is None for r in alive)
+    assert not any(key in core._CLAUSES for key in keys)
+    # a new clause of a dead clause's multiset takes the key; the dead
+    # entry's callback, however late, leaves the new entry alone
+    c = Clause([Literal(atom)])
+    stale = core._CLAUSES[keys[0]]
+    del c
+    again = Clause([Literal(atom)])
+    assert stale() is None and core._CLAUSES[keys[0]]() is again
+    core._drop(stale)
+    assert core._CLAUSES[keys[0]]() is again
 
 
 @given(_duplicated_clauses, _duplicated_clauses)
@@ -560,20 +613,22 @@ def test_a_copied_problem_is_equal_and_verifies_identically(kind, copier):
 
 
 # reads a pickled list of problems on standard input; prints, for each, whether
-# every clause rebuilt from its literals is found in the problem's clause set
-# and whether the problem verifies
+# every clause rebuilt from its literals is found in the problem's clause set,
+# whether it is the unpickled clause itself, and whether the problem verifies
 UNPICKLE_AND_VERIFY = """\
 import pickle, sys
 from lockstep.core import Clause
 from lockstep.simulation import lockstep_verify
 for p in pickle.load(sys.stdin.buffer):
-    print(all(Clause(c.literals) in p.clauses for c in p.clauses), lockstep_verify(p).ok)
+    print(all(Clause(c.literals) in p.clauses for c in p.clauses),
+          all(Clause(c.literals) is c for c in p.clauses), lockstep_verify(p).ok)
 """
 
 
 def test_a_problem_pickled_in_one_process_works_in_another():
     # hashes differ from process to process: an unpickled clause must hash
-    # as a clause built there does, and its atoms must be that process's
+    # as a clause built there does, and be the clause built there, and its
+    # atoms must be that process's
     problems = [parse_problem(text) for text in COPY_PROBLEMS.values()]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -582,7 +637,7 @@ def test_a_problem_pickled_in_one_process_works_in_another():
                           input=pickle.dumps(problems), env=env, capture_output=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines() == ["True True"] * len(problems)
+    assert proc.stdout.decode().splitlines() == ["True True True"] * len(problems)
 
 
 @pytest.mark.parametrize("kind", list(COPY_PROBLEMS))

@@ -72,7 +72,7 @@ def run_round_by_round(problem, order, max_sequences=MAX_ROUNDS):
     while len(run.records) < max_sequences:
         start = len(run.apps)
         if run.state.conflict is not None:
-            kind, ann = simulation._round_conflict(run, ann)
+            kind, ann, _ = simulation._round_conflict(run, ann)
             attention = None
         else:
             attention = next_attention_by_scan(order, run.state, ann)

@@ -423,28 +423,22 @@ def test_a_state_computes_its_valuation_once(kbo):
 def test_a_state_finds_its_false_clauses_once(kbo):
     # the answer without an assumption is kept on the state, and each call
     # hands out a list of its own; the assuming form is answered afresh.
-    # A scan reads each clause's distinct literals once; the answers are
-    # compared by identity, so that only the scans read them
+    # A scan visits each clause of the state once, which a state that
+    # counts the clauses it hands out sees; clauses are interned, so the
+    # count is taken on the state, not on the clauses
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
     s = propagate(po, decide(po, initial_state(p), PA), c2, QB)
     scans = []
-    slot = type(c3).distinct
 
-    class Counted(type(c3)):
-        @property
-        def distinct(self):
-            scans.append(self)
-            return slot.__get__(self)
+    class Counted(type(s)):
+        def all_clauses(self):
+            for c in super().all_clauses():
+                scans.append(c)
+                yield c
 
-        @distinct.setter
-        def distinct(self, value):
-            slot.__set__(self, value)
-
-    s = dataclasses.replace(s, n=tuple(Counted.from_runs(c.distinct, c.counts) for c in s.n))
+    s = Counted(*(getattr(s, f.name) for f in dataclasses.fields(s)))
     assert list(s.n) == [c1, c2, c3]
-    scans.clear()
-    c3 = s.n[2]
     first = conflict_candidates(s)
     assert first == [c3] and len(scans) == 3
     second = conflict_candidates(s)

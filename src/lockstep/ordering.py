@@ -254,8 +254,8 @@ class ProblemOrder:
         return atom in self._atom_rank
 
     def unranked(self, atoms: FrozenSet[Atom]) -> FrozenSet[Atom]:
-        """The atoms of ``atoms`` that the order does not rank. The set
-        keeps its atoms' hashes, so no atom is hashed again."""
+        """The atoms of ``atoms`` that the order does not rank: one set
+        difference, whose lookups hash the interned atoms by identity."""
         return atoms.difference(self._atom_rank)
 
     # -- literals ----------------------------------------------------------

@@ -27,10 +27,12 @@ literals themselves. A state computes its valuation once and keeps it
 (states are never changed in place), and likewise the clauses it
 falsifies; rules and drivers read them only through ``is_true``,
 ``is_false``, ``is_false_except``, ``is_defined``, ``literal_level`` and
-``conflict_candidates``. The set of its clauses, which the guards of
-propagate and conflict test membership in, and the set of their atoms,
-which the guard of decide tests, pass from each state to the state a rule
-makes of it, so a run builds each once.
+``conflict_candidates``. The guards of propagate and conflict test
+membership in the input and learned clause tuples themselves: clauses are
+interned, so membership is identity. The set of the clauses' atoms, which
+the guard of decide tests, passes from each state to the state a rule
+makes of it, and a learned clause only widens it when it brings an atom
+the set lacks, so a run builds it once.
 """
 
 from __future__ import annotations
@@ -91,17 +93,10 @@ class SclState:
         return true, frozenset(map(Literal.complement, true))
 
     @memo
-    def clause_set(self) -> FrozenSet[Clause]:
-        """The input and learned clauses, for the membership guards. A rule's
-        successor state takes it over (see ``_successor``), so a run builds
-        it once and adds each learned clause to it; a copy made by
-        ``dataclasses.replace`` builds its own."""
-        return frozenset(self.n + self.u)
-
-    @memo
     def atoms(self) -> FrozenSet[Atom]:
         """The atoms of the input and learned clauses, for the guard of
-        decide; handed on like ``clause_set``."""
+        decide. A rule's successor state takes it over (see
+        ``_successor``), so a run builds it once."""
         return frozenset(atoms_of(self.n + self.u))
 
     @memo
@@ -128,18 +123,19 @@ def initial_state(problem: Problem) -> SclState:
 def _successor(state: SclState, trail: Tuple[TrailEntry, ...], u: Tuple[Clause, ...],
                conflict: Optional[Clause]) -> SclState:
     """The state a rule leaves behind ``state``: the same input clauses,
-    with ``trail``, ``u`` and ``conflict``. It takes over ``state``'s clause
-    set and atom set, plus the clauses ``u`` learns past ``state.u`` and
-    their atoms, so a run builds each set once. They are stored as the
-    ``memo`` parts of those names, through ``object.__setattr__``: writing
+    with ``trail``, ``u`` and ``conflict``. It takes over ``state``'s atom
+    set, widened only when the clauses ``u`` learns past ``state.u`` bring
+    an atom outside it; a resolvent holds only atoms of its premises, so on
+    a run every state shares the initial state's set. The set is stored as
+    the ``memo`` part of that name, through ``object.__setattr__``: writing
     to ``after.__dict__`` would make every state build a dict of its own
     (0.5 MiB more traced peak verifying the 28-atom ladder of CI)."""
     after = SclState(trail=trail, n=state.n, u=u, conflict=conflict)
-    clauses, atoms = state.clause_set, state.atoms
+    atoms = state.atoms
     if u is not state.u:
-        learned = u[len(state.u):]
-        clauses, atoms = clauses.union(learned), atoms.union(atoms_of(learned))
-    object.__setattr__(after, "clause_set", clauses)
+        learned = atoms_of(u[len(state.u):])
+        if not atoms.issuperset(learned):
+            atoms = atoms.union(learned)
     object.__setattr__(after, "atoms", atoms)
     return after
 
@@ -216,7 +212,7 @@ def propagate(order: ProblemOrder, state: SclState, clause: Clause, literal: Lit
     clause is false on the trail. The recorded justification drops duplicate
     copies of the propagated literal."""
     _need_no_conflict("propagate", state)
-    if clause not in state.clause_set:
+    if clause not in state.n and clause not in state.u:
         raise RuleError("propagate", "unknown-clause", f"{clause} is not an input or learned clause")
     if not clause.contains(literal):
         raise RuleError("propagate", "literal-not-in-clause", f"{literal} does not occur in {clause}")
@@ -249,7 +245,7 @@ def decide(order: ProblemOrder, state: SclState, literal: Literal) -> SclState:
 def conflict(order: ProblemOrder, state: SclState, clause: Clause) -> SclState:
     """Enter conflict mode on a clause the trail falsifies."""
     _need_no_conflict("conflict", state)
-    if clause not in state.clause_set:
+    if clause not in state.n and clause not in state.u:
         raise RuleError("conflict", "unknown-clause", f"{clause} is not an input or learned clause")
     if not is_false(state, clause):
         raise RuleError("conflict", "clause-not-false", f"{clause} is not falsified by the trail")

@@ -17,25 +17,26 @@ verdicts, models, and learned clauses.
 
 Both read a state's clauses through an attention index, one per map
 version. It holds the clauses sorted by their factored-image key (ties in
-state order) with the list of those keys, the set of their images, and
-for each map entry whether its image is the clause's factored image; the
-set of the clauses and the set of their atoms are the state's, which each
-state hands on to its successors. It follows what changed since the last
-index: it is reused while the map object and the state's clauses are the
-same objects, and derived from the last one when the state's learned
-clauses extend the last ones object by object (in a run, the input
-clauses never change), whatever the map. A derived index inserts the
-keys of the new clauses by bisection and moves only the clauses whose
-image object changed, instead of sorting again; see ``_AttentionIndex``
-for each part and why its derivation is sound. Any other state gets a new
-index. All tests are by identity, since no state, clause or map is ever
-changed in place. So the walk and invariant (xii) bisect the sorted keys
-instead of ranking every clause at every boundary, the producing clause of
-a literal is found in the one range of keys whose images it tops, invariant
-(iv) computes a factored image only for a map entry whose image changed,
-and invariant (iii) asks the saturation ledger about a learned clause once
-per index, when it is new, instead of at every check. The verifier builds
-its own indexes from the recorded states and shares none with the driver.
+state order) with the list of those keys, the set of their images, for
+each map entry whether its image is the clause's factored image and
+whether its clause is the state's, and for each saturation ledger the
+stage by which every state clause has joined it. It follows what changed
+since the last index: it is reused while the map object and the state's
+clauses are the same objects, and derived from the last one when the
+state's learned clauses extend the last ones object by object (in a run,
+the input clauses never change), whatever the map. A derived index
+inserts the keys of the new clauses by bisection and moves only the
+clauses whose image object changed, instead of sorting again; see
+``_AttentionIndex`` for each part and why its derivation is sound. Any
+other state gets a new index. All tests are by identity, since no state,
+clause or map is ever changed in place. So the walk and invariant (xii)
+bisect the sorted keys instead of ranking every clause at every boundary,
+the producing clause of a literal is found in the one range of keys whose
+images it tops, invariant (iv) computes a factored image only for a map
+entry whose image changed, and invariant (iii) asks the saturation ledger
+about a state clause once per index, when it is new, instead of at every
+check. The verifier builds its own indexes from the recorded states and
+shares none with the driver.
 
 check_invariants computes its fourteen reports afresh at each boundary
 it checks. What it reads of the state's clauses in the factored-image
@@ -335,11 +336,12 @@ class _AttentionIndex:
       ``_gamma_key``, so ties keep state order;
     - ``images``: the set of the clauses' images under the map;
     - ``map_entries``: each map entry with whether its image is the
-      clause's factored image and whether the clause is in the state,
-      read from the state's clause set, ``own``;
+      clause's factored image and whether the clause is one of the
+      state's input or learned clauses, ``own``;
     - ``stages``: by saturation ledger, the latest ledger stage at which
-      every learned clause has joined, or None if one never joins
-      (``joined``), filled in for each ledger the first time it is asked.
+      every clause of the state, input or learned, has joined, or None if
+      one never joins (``joined``), filled in for each ledger the first
+      time it is asked.
 
     An index made from ``last``, the index of a state whose learned clauses
     this state's extend, derives each part ``last`` has computed from it
@@ -356,11 +358,14 @@ class _AttentionIndex:
       left with one clause may still be another clause's.
     - ``map_entries``: an entry whose clause maps to the same image object
       keeps its ``factored`` flag, which depends on the two alone; any
-      other entry computes it again.
+      other entry computes it again. An entry of ``last`` keeps ``own``
+      when it was set, since the input clauses are the same tuple and the
+      learned ones only extend, and otherwise asks the new clauses alone;
+      only an entry new to the map asks every clause.
     - ``stages``: each ledger's stage is the later of the old one and the
-      new clauses' stages, since a clause's stage never changes once it
-      has joined; a ledger that one of the old clauses never joins keeps
-      None, since a recorded run's ledger no longer grows.
+      new learned clauses' stages, since a clause's stage never changes
+      once it has joined; a ledger that one of the old clauses never joins
+      keeps None, since a recorded run's ledger no longer grows.
 
     The new index keeps ``last``'s computed parts, not ``last``, and drops
     each when its own part is read, so indexes never hold a chain of their
@@ -375,7 +380,7 @@ class _AttentionIndex:
     def __init__(self, order: ProblemOrder, state: SclState,
                  gamma: Dict[Clause, Clause], last: Optional["_AttentionIndex"] = None):
         self.order = order
-        self.n, self.u, self.own = state.n, state.u, state.clause_set
+        self.n, self.u = state.n, state.u
         self.gamma = gamma
         self._prior = {} if last is None else {
             name: last.__dict__[name] for name in self._PARTS if name in last.__dict__}
@@ -420,13 +425,17 @@ class _AttentionIndex:
     @memo
     def map_entries(self) -> List[Tuple[Clause, Clause, bool, bool]]:
         prior = self._prior.pop("map_entries", ())
-        known = {c: (img, factored) for c, img, factored, _ in prior}
-        own, entries = self.own, []
+        known = {entry[0]: entry for entry in prior}
+        added = self._added if prior else ()
+        entries = []
         for c, img in self.gamma.items():
             before = known.get(c)
-            factored = (before[1] if before is not None and before[0] is img
-                        else img == sfac(c, self.order))
-            entries.append((c, img, factored, c in own))
+            if before is None:
+                factored, own = img == sfac(c, self.order), c in self.n or c in self.u
+            else:
+                factored = before[2] if before[1] is img else img == sfac(c, self.order)
+                own = before[3] or c in added
+            entries.append((c, img, factored, own))
         return entries
 
     @memo
@@ -438,11 +447,11 @@ class _AttentionIndex:
         return {ledger: ledger.joined(added, at) for ledger, at in prior.items()}
 
     def joined(self, ledger: _Ledger) -> Optional[int]:
-        """The latest stage of ``ledger`` at which every learned clause has
-        joined it, or None if one never does."""
+        """The latest stage of ``ledger`` at which every input and learned
+        clause has joined it, or None if one never does."""
         stages = self.stages
         if ledger not in stages:
-            stages[ledger] = ledger.joined(self.u)
+            stages[ledger] = ledger.joined(self.n + self.u)
         return stages[ledger]
 
     @property
@@ -828,14 +837,13 @@ def check_invariants(order: ProblemOrder, state: SclState, ann: Annotation,
                     lambda: f"foreign atoms {sorted(a.text for a in foreign)}")
 
     # (iii) the attention clause and all input and learned clauses exist on
-    #       the paired side; an input clause that is not one of the run's
-    #       inputs must have joined its clause set by this snapshot, and the
-    #       learned clauses are listed one by one only when one of them has
-    #       not joined by then
-    missing = [c for c, at in snapshot.late(state.n) if at is None or at > snapshot.index]
+    #       the paired side; the state's clauses are listed one by one, in
+    #       state order, only when one of them has not joined the run's
+    #       ledger by this snapshot
+    missing: List[Clause] = []
     joined = index.joined(snapshot.ledger)
     if joined is None or joined > snapshot.index:
-        missing += [c for c in state.u if not snapshot.contains(c)]
+        missing = [c for c in state.all_clauses() if not snapshot.contains(c)]
     if not ann.aid.is_empty and not snapshot.contains(ann.aid):
         missing.append(ann.aid)
     membership = _report("membership", not missing,

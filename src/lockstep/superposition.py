@@ -262,7 +262,6 @@ class _Ledger:
         self.keyed: List[Tuple[ClauseKey, Clause]] = sorted(
             ((order.clause_key(c), c) for c in set(clauses)), key=_first)
         self.born: Dict[Clause, int] = {c: 0 for _, c in self.keyed}
-        self.inputs = frozenset(self.born)
         self.chains: Dict[Tuple[Literal, ...], List[Tuple[int, SupChain]]] = {}
 
     def insert(self, clause: Clause, stage: int) -> int:
@@ -598,18 +597,6 @@ class SupSnapshot:
         """The run's clause ledger, which every snapshot of the run shares:
         the stage at which each clause joins is read from it."""
         return self.construction._ledger
-
-    def late(self, clauses: Tuple[Clause, ...]) -> Tuple[Tuple[Clause, Optional[int]], ...]:
-        """Each of ``clauses`` that is not an input clause of the run, with
-        the step count at which it joins the run's clause set, which may lie
-        past this snapshot, or None if it never does. Invariant (iii) asks
-        it of a state's input clauses at every check: on a sound run they
-        are the run's inputs, and one superset test of the run's input set
-        answers."""
-        ledger = self.ledger
-        if ledger.inputs.issuperset(clauses):
-            return ()
-        return tuple((c, ledger.stage_of(c)) for c in clauses if c not in ledger.inputs)
 
 
 _count = attrgetter("count")

@@ -200,7 +200,8 @@ def test_the_index_names_what_the_scans_name(monkeypatch):
 
 def _parts(index, ledger=None):
     """The index's parts; given a saturation ledger, also the stage by which
-    every learned clause has joined it, which invariant (iii) reads."""
+    every input and learned clause has joined it, which invariant (iii)
+    reads."""
     parts = index.ranked, index.images, index.map_entries
     return parts if ledger is None else parts + (index.joined(ledger),)
 
@@ -530,7 +531,7 @@ def test_indexes_are_derived_from_their_predecessors(monkeypatch):
     more than 300 indexes from the one before, more than 100 of them across
     a learned clause and a map change at once, and each reads as a fresh
     index of its state, holding the state's own clause objects. The
-    verifier's carry the stage by which the learned clauses have joined the
+    verifier's carry the stage by which the state's clauses have joined the
     run's ledger, which more than 300 of them derive from the index before
     at a stage past 0."""
     monkeypatch.setattr(simulation, "_AttentionIndex", _Watched)
@@ -626,8 +627,9 @@ def test_a_derived_index_reads_as_a_fresh_one():
     follows it among equal keys; a map entry whose image object changes
     computes its flag again, right or wrong, and the images are rebuilt;
     a learned tuple that is another object holding the same clauses is
-    derived from, and one fewer is not taken from the last index. The
-    stage by which the learned clauses have joined a ledger is the later
+    derived from, and one fewer is not taken from the last index; a map
+    entry whose clause a new learned clause is becomes the state's. The
+    stage by which the state's clauses have joined a ledger is the later
     of the last one and a new clause's, and stays None once one of them
     never joins."""
     p = parse_problem(DERIVE_TEXT)
@@ -636,7 +638,7 @@ def test_a_derived_index_reads_as_a_fresh_one():
     pr, qr, qrr = by_text["-P | R"], by_text["-Q | R"], by_text["Q | R | R"]
     twin, other = Clause(pr.literals), Clause(qr.literals)
     r, never = Clause([Literal(Atom("R"))]), Clause([Literal(Atom("Q"))])
-    right, wrong = {qrr: sfac(qrr, order)}, {qrr: r}
+    right, wrong, learned = {qrr: sfac(qrr, order)}, {qrr: r}, {r: pr}
     ledger = _Ledger(order, p.clauses)
     ledger.insert(r, 3)
     edits = [
@@ -650,6 +652,7 @@ def test_a_derived_index_reads_as_a_fresh_one():
         (((r,), {}), ((r, twin), wrong)),
         (((r,), {}), ((r, never), {})),
         (((never,), {}), ((never, r), {})),
+        (((), learned), ((r,), learned)),
     ]
     stages = []
     for (u0, gamma0), (u1, gamma1) in edits:
@@ -661,4 +664,4 @@ def test_a_derived_index_reads_as_a_fresh_one():
         stages.append(index.joined(ledger))
         _, positions, clauses = index.ranked
         assert all(c is state.all_clauses()[i] for i, c in zip(positions, clauses))
-    assert stages == [0, 0, 0, 0, 0, 0, 3, 3, None, None]
+    assert stages == [0, 0, 0, 0, 0, 0, 3, 3, None, None, 3]

@@ -651,7 +651,7 @@ def _unit_true_only_at_the_end(at_first, member=False):
                 if (top.positive and not is_defined(states[b + at_first], top.atom)
                         and is_true(states[stop - 1], unit)
                         and (at_first or (order.clause_key(unit),) * 2 > floor)
-                        and unit not in states[b].clause_set):
+                        and unit not in states[b].n + states[b].u):
                     _PHANTOM["unit"] = unit if member else None
                     n, own = states[first].n + (unit,), {}
                     return _replacing(run, {
@@ -729,7 +729,7 @@ def _unit_in_a_sweep(real, *args, **kwargs):
             top = order.max_literal(gamma.get(d, d))
             unit = Clause([top])
             if (top.positive and not is_defined(state, top.atom) and is_true(last, unit)
-                    and unit not in state.clause_set
+                    and unit not in state.n + state.u
                     and _gamma_key(order, low, gamma) < (order.clause_key(unit),) * 2
                     < _gamma_key(order, d, gamma)):
                 run.records[k] = dataclasses.replace(

@@ -20,6 +20,7 @@ from lockstep.ordering import ProblemOrder
 from lockstep.scl import (
     RuleApp,
     RuleError,
+    TrailEntry,
     audit_regular,
     backtrack,
     conflict,
@@ -155,11 +156,11 @@ def test_propagate_guards(kbo):
 
 
 def test_membership_guards_read_one_clause_set_per_run(kbo):
-    """propagate and conflict test membership in the state's clause set,
-    which each rule's successor takes over, with the clauses it learns
-    added. A clause from nowhere raises the same guard and message as
-    before; an equal copy of a member passes; a state made by hand with
-    other clauses builds its own set."""
+    """propagate and conflict test membership in the state's input and
+    learned clauses, the learned ones growing as a run learns. A clause
+    from nowhere raises the same guard and message as before; an equal
+    copy of a member passes; a state made by hand with other clauses is
+    read by its own clauses."""
     p, po = kbo
     c1, c2, c3 = p.clauses.clauses()
     s0 = initial_state(p)
@@ -173,11 +174,10 @@ def test_membership_guards_read_one_clause_set_per_run(kbo):
 
     s = propagate(po, decide(po, s0, PA), Clause(list(c2.literals)), QB)  # an equal copy
     s = skip(po, resolve(po, conflict(po, s, c3)))
-    assert s.clause_set is s0.clause_set
     learned = backtrack(po, s)
     unit = Clause([PA.complement()])
-    assert learned.clause_set == frozenset((c1, c2, c3, unit))
-    assert propagate(po, learned, unit, PA.complement()).clause_set is learned.clause_set
+    assert learned.n + learned.u == (c1, c2, c3, unit)
+    assert propagate(po, learned, unit, PA.complement()).u == (unit,)
     forgetful = dataclasses.replace(learned, u=())
     for rule, args in ((propagate, (unit, PA.complement())), (conflict, (unit,))):
         with pytest.raises(RuleError) as e:
@@ -206,6 +206,36 @@ def test_a_hand_made_state_builds_its_own_atom_set(kbo):
         with pytest.raises(RuleError) as e:
             decide(po, state, foreign)
         assert e.value.guard == "unknown-atom"
+
+
+def test_a_run_keeps_its_initial_atom_set(kbo):
+    """A resolvent holds only atoms of its premises, so after each backtrack
+    of the golden runs the state keeps the initial state's atom set; a
+    conflict over an atom foreign to the input, learned in a hand-made
+    state, widens it in the successor alone."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.prob")))
+    backtracks = 0
+    for path in paths:
+        with open(path) as fh:
+            run = run_scl_sup(parse_problem(fh.read()))
+        for app, state in zip(run.apps, run.states[1:]):
+            if app.rule == "backtrack":
+                assert state.atoms is run.states[0].atoms
+                backtracks += 1
+    assert backtracks > 3
+
+    p, po = kbo
+    s0 = initial_state(p)
+    z = Literal(Atom("Z"))
+    hand = decide(po, dataclasses.replace(s0, trail=(TrailEntry(z, 0, Clause([z])),)), PA)
+    hand = dataclasses.replace(hand, conflict=Clause([PA.complement(), z.complement()]))
+    assert hand.atoms == s0.atoms == {PA.atom, QB.atom}
+    learned = backtrack(po, hand)
+    assert learned.u == (hand.conflict,)
+    assert learned.atoms == {PA.atom, QB.atom, z.atom} and hand.atoms == s0.atoms
+    with pytest.raises(RuleError) as e:
+        decide(po, learned, z.complement())
+    assert e.value.guard == "literal-defined"            # known, and on the trail
 
 
 def test_conflict_rule(kbo):

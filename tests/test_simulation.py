@@ -554,6 +554,15 @@ def _attention_unranked(p, state, ann):
     return state, dataclasses.replace(ann, aid=Clause([Literal(Atom("Zzz"))]))
 
 
+def _foreign_clauses_added(p, state, ann):
+    # an input clause and a learned clause that the paired set lacks, both
+    # true on the trail: (iii) lists them in one line, in state order
+    order = "order: lpo\nprec: a < b < P < Q\n"
+    extra, learned = (parse_problem(order + f"clause: {t}\n").clauses.clauses()[0]
+                      for t in ("P(b) | Q(a)", "P(a) | P(a)"))
+    return dataclasses.replace(state, n=state.n + (extra,), u=state.u + (learned,)), ann
+
+
 _UNRANKED = "atom Zzz is outside this problem's universe"
 
 
@@ -592,8 +601,11 @@ _UNRANKED = "atom Zzz is outside this problem's universe"
         "conflict-is-minimal-false": f"could not evaluate: {_UNRANKED}",
         "prefix-satisfied": f"could not evaluate: {_UNRANKED}",
     }),
+    (_foreign_clauses_added, {
+        "membership": "absent from the paired clause set: ['P(b) | Q(a)', 'P(a) | P(a)']",
+    }),
 ], ids=["wrong-image", "reason-replaced", "attention-emptied", "attention-moved",
-        "conflict-satisfied", "attention-unranked"])
+        "conflict-satisfied", "attention-unranked", "foreign-clauses-added"])
 def test_corrupted_boundary_reports_its_lines(corrupt, failures):
     p, po, state, ann, snapshot = _golden_boundary()
     reports = check_invariants(po, *corrupt(p, state, ann), snapshot)
